@@ -1,4 +1,4 @@
-"""Disk cache for Gram blocks.
+"""Disk cache for Gram blocks and certified block bases.
 
 Recomputing Gram matrices dominates every verification sweep, and blocks are
 shared between sweeps (the same module shows up for independence, spanning,
@@ -6,6 +6,16 @@ and dimension checks).  A block is cached under a key that pins down
 everything the entries depend on: structure-table hash, highest weight data,
 central charge, grading, and the exact monomial list.  Entries are stored as
 decimal strings (exact; also safe for arbitrarily large integers).
+
+Trust boundary.  Unreadable entries are misses.  A block-basis entry is also
+checked on load (pbw.VermaModule.block_basis): its chosen indices must be
+strictly increasing and in range, and its Gram matrix symmetric with every
+leading principal minor positive, so a cached basis is always independent;
+an entry that fails is a miss and is recomputed and overwritten.  What is
+not re-derived on load: the Gram entries themselves (that they are the
+pairings of the chosen monomials) and maximality (that no skipped candidate
+was independent of the chosen ones), and the entries of full Gram blocks.
+These rest on the cache directory holding only what this code wrote.
 
 The cache directory comes from the AFFINE_BASIS_CACHE environment variable
 or an explicit argument; with neither, caching is off and everything is
@@ -50,7 +60,9 @@ class GramCache:
     def _path(self, key):
         return os.path.join(self.root, key + ".json")
 
-    def get_json(self, key):
+    def get_json(self, key, check=None):
+        """The stored record, or None (a miss) when it is absent, unreadable
+        or rejected by `check`."""
         if not self.root:
             return None
         path = self._path(key)
@@ -58,6 +70,9 @@ class GramCache:
             with open(path) as fh:
                 data = json.load(fh)
         except (OSError, ValueError):
+            self.misses += 1
+            return None
+        if check is not None and not check(data):
             self.misses += 1
             return None
         self.hits += 1

@@ -205,9 +205,7 @@ def cmd_verify(args):
             )
         )
     elif args.check == "spanning":
-        reports.append(
-            verify_mod.verify_spanning(kind, args.max_degree, cache_dir, jobs=args.jobs)
-        )
+        reports.append(verify_mod.verify_spanning(kind, args.max_degree, cache_dir))
     elif args.check == "tpower":
         reports.append(verify_mod.sweep_t_power(kind, args.max_degree))
     elif args.check == "translation":
@@ -234,7 +232,7 @@ def cmd_report(args):
     cache_dir = args.cache_dir or default_cache_dir()
     reports = [
         verify_mod.verify_independence(kind, args.max_degree, cache_dir, jobs=args.jobs),
-        verify_mod.verify_spanning(kind, args.max_degree, cache_dir, jobs=args.jobs),
+        verify_mod.verify_spanning(kind, args.max_degree, cache_dir),
         verify_mod.sweep_t_power(kind, args.max_degree),
     ]
     if kind.name == "a1":

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 import itertools
 import json
+import math
 import time
 
 from . import affine
@@ -77,7 +78,10 @@ class TruncatedModule:
 
     def coordinates(self, key, terms):
         """Coordinates of a vector (dict of monomials, supported on block
-        `key`) in the chosen basis, via the pairing against basis vectors."""
+        `key`) in the chosen basis, via the pairing against basis vectors:
+        the block's inverse Gram matrix is held as integer rows over one
+        common denominator, so each call is integer dot products and one
+        division per coordinate."""
         basis = self.basis.get(key, ())
         if not basis:
             # dimension 0: the vector must vanish in the quotient, which its
@@ -93,9 +97,10 @@ class TruncatedModule:
         p = [self.verma.kernel.pair_mono(m, terms) for m in basis]
         inv = self._gram_inv.get(key)
         if inv is None:
-            inv = invert(self.gram[key])
+            inv = _integer_inverse(invert(self.gram[key]))
             self._gram_inv[key] = inv
-        return [sum((row[i] * p[i] for i in range(len(p))), Fraction(0)) for row in inv]
+        rows, den = inv
+        return [Fraction(sum(a * b for a, b in zip(row, p)), den) for row in rows]
 
     def act_matrix(self, le, key):
         """Matrix of x(le) from block `key` to its target block, in the
@@ -123,6 +128,12 @@ class TruncatedModule:
         out = (tgt, rows)
         self._act[memo_key] = out
         return out
+
+
+def _integer_inverse(inv):
+    """A Fraction matrix as (integer rows, common denominator)."""
+    den = math.lcm(*(x.denominator for row in inv for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in inv], den
 
 
 _TRUNC_CACHE = {}
@@ -430,17 +441,16 @@ def _check_commutation(source, target, wmap, max_degree):
                     continue
                 _, a1 = source.act_matrix(le, key)
                 _, a2 = target.act_matrix(le, _shift(key))
+                w = wmap.blocks.get(key)
                 for c in range(n1):
-                    unit = [Fraction(0)] * n1
-                    unit[c] = Fraction(1)
                     # w(x u)
                     if a1 is not None:
                         xu = [a1[r][c] for r in range(len(a1))]
                         _, wxu = wmap.apply_block(t1, xu)
                     else:
                         wxu = []
-                    # x w(u)
-                    _, wu = wmap.apply_block(key, unit)
+                    # x w(u): w(u) is column c of the solved block
+                    wu = [row[c] for row in w] if w is not None else []
                     if wu and a2 is not None:
                         xwu = [
                             sum((a2[r][m] * wu[m] for m in range(len(wu))), Fraction(0))

@@ -1,17 +1,21 @@
 """Small exact linear algebra helpers over the rationals.
 
 Ranks of large integer Gram matrices go through the kernel's fraction-free
-elimination (kernels.rank_int); the routines here serve the outer layers
-(coordinate solves, nullspaces, intertwiner systems), which are smaller but
-need exact solutions, not just ranks.
+elimination (kernels.rank_int).  The hot routines here are fraction-free as
+well: bordered_minor grows the leading principal minors of a symmetric
+integer matrix one row at a time (Bareiss' integer-preserving update, used
+for basis selection), and solve_sparse runs Gauss-Jordan on integer rows
+kept primitive by dividing out their content.  Rationals appear only in the
+results they return.
 
-Internally the eliminations run on gmpy2 rationals when gmpy2 is installed
-(its arithmetic is several times faster than fractions.Fraction); results
-are always converted back to Fraction so callers see one type.  Both paths
-are exact.
+The dense routines (rref, nullspace, solve, invert) serve small outer-layer
+systems and run on _Q: gmpy2 rationals when gmpy2 is installed (several
+times faster than fractions.Fraction), else Fraction.  Results are always
+converted back to Fraction so callers see one type.  Every path is exact.
 """
 
 from fractions import Fraction
+import math
 
 from .kernels import rank_int
 
@@ -148,62 +152,110 @@ def solve_unique(a_rows, b):
 def solve_sparse(rows, rhs, nvars):
     """Exact solve for sparse systems: each row is a dict {column: value}.
     Returns (particular, n_free) with particular None when inconsistent;
-    free variables are set to zero.  Maintains a fully reduced (Gauss-Jordan)
-    set of pivot rows keyed by pivot column, so work scales with the nonzero
-    structure instead of the full matrix size."""
+    free variables are set to zero.  Each equation is scaled to integers
+    once; a fully reduced (Gauss-Jordan) set of primitive integer pivot rows
+    is kept, keyed by pivot column (the smallest column of the row when it
+    is added), so work scales with the nonzero structure instead of the full
+    matrix size.  The pivot rows end up as the reduced row echelon form up
+    to row scaling, so the answer is that of solve()."""
     pivrows = {}
     inconsistent = False
     for row, b in zip(rows, rhs):
-        r = {}
-        for c, v in row.items():
-            if v:
-                r[c] = _Q(v)
-        bb = _Q(b)
-        for c in list(r.keys()):
-            pr = pivrows.get(c)
-            f = r.get(c)
-            if pr is None or not f:
-                continue
-            prow, pb = pr
-            del r[c]
-            for cc, vv in prow.items():
-                if cc == c:
-                    continue
-                nv = r.get(cc, _ZERO) - f * vv
-                if nv:
-                    r[cc] = nv
-                else:
-                    r.pop(cc, None)
-            bb = bb - f * pb
+        den = math.lcm(b.denominator, *(v.denominator for v in row.values()))
+        r = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        bb = b.numerator * (den // b.denominator)
+        for c in list(r):
+            if c in pivrows and c in r:
+                bb = _eliminate(r, bb, c, *pivrows[c])
         if not r:
             if bb:
                 inconsistent = True
             continue
+        bb = _make_primitive(r, bb)
         p = min(r)
-        inv = _ONE / r[p]
-        prow = {c: v * inv for c, v in r.items()}
-        pb = bb * inv
         for q, (qrow, qb) in pivrows.items():
-            f = qrow.get(p)
-            if f:
-                del qrow[p]
-                for cc, vv in prow.items():
-                    if cc == p:
-                        continue
-                    nv = qrow.get(cc, _ZERO) - f * vv
-                    if nv:
-                        qrow[cc] = nv
-                    else:
-                        qrow.pop(cc, None)
-                pivrows[q] = (qrow, qb - f * pb)
-        pivrows[p] = (prow, pb)
+            if p in qrow:
+                qb = _eliminate(qrow, qb, p, r, bb)
+                pivrows[q] = (qrow, _make_primitive(qrow, qb))
+        pivrows[p] = (r, bb)
     n_free = nvars - len(pivrows)
     if inconsistent:
         return None, n_free
     x = [Fraction(0)] * nvars
-    for p, (_, pb) in pivrows.items():
-        x[p] = _to_fraction(pb)
+    for p, (prow, pb) in pivrows.items():
+        x[p] = Fraction(pb, prow[p])
     return x, n_free
+
+
+def _eliminate(r, b, c, prow, pb):
+    """Clear column c of the integer row (r, b) in place with the pivot row
+    (prow, pb): r <- a*r - f*prow for a = prow[c], f = r[c], both divided by
+    their gcd.  Returns the new right-hand side."""
+    f = r.pop(c)
+    g = math.gcd(prow[c], f)
+    a, f = prow[c] // g, f // g
+    if a != 1:
+        for cc in r:
+            r[cc] *= a
+        b *= a
+    for cc, v in prow.items():
+        if cc != c:
+            nv = r.get(cc, 0) - f * v
+            if nv:
+                r[cc] = nv
+            else:
+                del r[cc]
+    return b - f * pb
+
+
+def _make_primitive(r, b):
+    """Divide the nonzero integer row (r, b) by its content, in place;
+    returns the new right-hand side."""
+    g = math.gcd(b, *r.values())
+    if g != 1:
+        for c in r:
+            r[c] //= g
+        b //= g
+    return b
+
+
+def bordered_minor(cols, minors, p, nu):
+    """One step of Bareiss' integer-preserving elimination on a symmetric
+    integer matrix G, grown by one row and column.
+
+    minors = [D_0 = 1, D_1, ..., D_r] are the leading principal minors of
+    the current r x r matrix, all nonzero; cols[k] lists, for row k, its
+    eliminated entries e(j)[k][j] for j < k, where e(j)[i][l] is the minor
+    on rows 0..j-1, i and columns 0..j-1, l.  The border is the column p of
+    entries against the r rows and the diagonal entry nu.  Returns (u, d):
+    u[k] = e(k)[k][new], the new row's entry of cols should it be kept, and
+    d = det of the bordered matrix = D_r times the Schur complement of nu.
+    Every division is exact by Sylvester's identity (E. H. Bareiss,
+    Math. Comp. 22, 1968)."""
+    steps = list(zip(minors[1:], minors))
+    u = []
+    for t, col in zip(p, cols):
+        for (dn, dp), cj, uj in zip(steps, col, u):
+            t = (dn * t - cj * uj) // dp
+        u.append(t)
+    d = nu
+    for (dn, dp), uj in zip(steps, u):
+        d = (dn * d - uj * uj) // dp
+    return u, d
+
+
+def leading_minors(rows):
+    """Leading principal minors [1, D_1, ..., D_n] of a symmetric integer
+    matrix by the bordered_minor update; stops after the first zero minor
+    (the update needs nonzero pivots beyond it)."""
+    cols, minors = [], [1]
+    for n, row in enumerate(rows):
+        u, d = bordered_minor(cols, minors, [rows[k][n] for k in range(n)], row[n])
+        minors.append(d)
+        if not d:
+            break
+        cols.append(u)
+    return minors
 
 
 def invert(a_rows):

@@ -303,6 +303,8 @@ def enumerate_colored(max_degree, freq_cap):
 def enumerate_admissible(kind, max_degree):
     """Admissible colored partitions for the module kind, degree at most
     max_degree, deterministically ordered."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative, got %d" % max_degree)
     return [
         pi
         for pi in enumerate_colored(max_degree, kind.level)

@@ -25,7 +25,6 @@ monomials:
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 import json
 
 from . import affine
@@ -392,12 +391,21 @@ class VermaModule:
         """A true basis of the (degree, weight) block of the irreducible
         quotient, built incrementally: scan the PBW monomials in their
         deterministic order and keep each one whose Gram-Schur complement
-        against the vectors already kept is nonzero.  The contravariant form
-        is positive definite on every block of the quotient (the highest
-        weight is dominant integral), so a zero complement certifies linear
-        dependence and a zero self-pairing certifies the zero vector; the
-        scan therefore needs only O(candidates * rank) pairings instead of a
-        full candidates^2 Gram matrix."""
+        against the vectors already kept is nonzero.  The test runs on
+        integers: linalg.bordered_minor grows the leading principal minors
+        D_1, ..., D_r of the kept vectors' Gram matrix (Bareiss), and the
+        bordered minor D_{r+1} = D_r * (Schur complement) decides.  The
+        contravariant form is positive definite on every block of the
+        quotient (the highest weight is dominant integral), so a zero
+        complement certifies linear dependence, a zero self-pairing
+        certifies the zero vector, and a negative minor is impossible; one
+        raises ArithmeticError.  The scan needs only O(candidates * rank)
+        pairings instead of a full candidates^2 Gram matrix.
+
+        A disk-cache entry is used only if its chosen indices are strictly
+        increasing and in range and its Gram matrix is a symmetric integer
+        matrix whose leading minors are all positive; otherwise the block is
+        recomputed and the entry overwritten."""
         key = (degree, tuple(weight))
         bb = self._bases.get(key)
         if bb is not None:
@@ -415,34 +423,34 @@ class VermaModule:
                 monos,
                 flavor="basis",
             )
-            rec = self.cache.get_json(ckey)
+            rec = self.cache.get_json(
+                ckey, check=lambda r: _valid_basis_entry(r, len(monos))
+            )
             if rec is not None:
                 chosen = [monos[i] for i in rec["chosen"]]
-                gram = [[cache_mod._parse(x) for x in row] for row in rec["gram"]]
+                gram = [[int(x) for x in row] for row in rec["gram"]]
         if chosen is None:
             chosen = []
             picked = []
             gram = []
-            inv = None
+            cols, minors = [], [1]
             pair = self.kernel.pair_monos
             for idx, mono in enumerate(monos):
                 p = [pair(b, mono) for b in chosen]
                 nu = pair(mono, mono)
-                if chosen:
-                    x = [
-                        sum((inv[r][i] * p[i] for i in range(len(p))), Fraction(0))
-                        for r in range(len(p))
-                    ]
-                    s = nu - sum((p[r] * x[r] for r in range(len(p))), Fraction(0))
-                else:
-                    s = nu
-                if s:
+                u, d = linalg.bordered_minor(cols, minors, p, nu)
+                if d:
+                    if d < 0:
+                        raise ArithmeticError(
+                            "contravariant form is not positive definite on block %r" % (key,)
+                        )
                     for r, row in enumerate(gram):
                         row.append(p[r])
                     gram.append(p + [nu])
+                    cols.append(u)
+                    minors.append(d)
                     chosen.append(mono)
                     picked.append(idx)
-                    inv = linalg.invert(gram)
             if ckey is not None:
                 self.cache.put_json(
                     ckey,
@@ -467,6 +475,8 @@ class VermaModule:
         """All blocks with nonzero dimension up to max_degree, found by
         breadth-first closure from the top block (see module docstring for
         why this is complete).  Returns {(degree, weight): BlockBasis}."""
+        if max_degree < 0:
+            raise ValueError("max_degree must be nonnegative, got %d" % max_degree)
         start = (0, self.lam_wt)
         support = {}
         seen = {start}
@@ -511,6 +521,31 @@ class VermaModule:
             if self.kernel.pair_mono(mono, vec.terms):
                 return False
         return True
+
+
+def _valid_basis_entry(rec, n_candidates):
+    """True iff a cached block-basis record is well formed: chosen indices
+    strictly increasing in range(n_candidates), and a symmetric integer
+    Gram matrix on them (entries stored as decimal strings) whose leading
+    principal minors are all positive, recomputed by the same integer
+    update the scan uses."""
+    try:
+        chosen = rec["chosen"]
+        gram = [[int(x) if isinstance(x, str) else None for x in row] for row in rec["gram"]]
+    except (KeyError, TypeError, ValueError):
+        return False
+    r = len(chosen)
+    if not all(type(i) is int for i in chosen):
+        return False
+    if r and not (0 <= chosen[0] and chosen[-1] < n_candidates):
+        return False
+    if any(a >= b for a, b in zip(chosen, chosen[1:])):
+        return False
+    if len(gram) != r or any(len(row) != r or None in row for row in gram):
+        return False
+    if any(gram[i][j] != gram[j][i] for i in range(r) for j in range(i)):
+        return False
+    return all(d > 0 for d in linalg.leading_minors(gram))
 
 
 def independent_subset(matrix):

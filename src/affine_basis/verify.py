@@ -356,7 +356,7 @@ def verify_independence(kind, max_degree, cache_dir=None, jobs=1):
     )
 
 
-def verify_spanning(kind, max_degree, cache_dir=None, jobs=1):
+def verify_spanning(kind, max_degree, cache_dir=None):
     """Certify that the admissible families span every block of the target
     space up to max_degree: the Gram rank of the admissible family equals
     the rank of the full PBW family of the block (the block dimension).

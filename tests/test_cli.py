@@ -229,3 +229,19 @@ def test_report_long_root_kind_runs_the_full_suite(capsys):
         "cross_model",
     ]
     assert all(r["ok"] for r in payload)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "--max-degree", "-1"],
+        ["verify", "intertwiner", "--depth", "-1"],
+        ["verify", "independence", "--max-degree", "-2"],
+    ],
+)
+def test_negative_windows_are_usage_errors(argv, capsys):
+    # a negative window has nothing to certify: it must not pass vacuously
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "must be nonnegative" in captured.err
+    assert "pass" not in captured.out

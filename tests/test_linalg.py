@@ -1,8 +1,10 @@
-"""Exact linear algebra: RREF, nullspaces, solving, inversion, sparse solve."""
+"""Exact linear algebra: RREF, nullspaces, solving, inversion, sparse solve,
+and the fraction-free routines checked against Fraction references."""
 
 from fractions import Fraction
 import random
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from affine_basis import linalg
@@ -169,3 +171,93 @@ def test_solve_sparse_empty_and_zero_rows():
     assert x == [Fraction(0), Fraction(0)] and n_free == 2
     x, n_free = linalg.solve_sparse([{}], [Fraction(1)], 2)
     assert x is None
+
+
+# ---------------------------------------------------------------------------
+# fraction-free routines against Fraction references (property tests)
+# ---------------------------------------------------------------------------
+
+
+def _schur_greedy_reference(g):
+    """The Fraction selection the integer update replaces: scan the columns
+    in order and keep each whose Schur complement against the kept ones is
+    nonzero.  Returns (kept, complement of every candidate)."""
+    kept, comps, inv = [], [], None
+    for c in range(len(g)):
+        p = [Fraction(g[k][c]) for k in kept]
+        s = g[c][c] - sum(
+            (p[i] * inv[i][j] * p[j] for i in range(len(p)) for j in range(len(p))),
+            Fraction(0),
+        )
+        comps.append(s)
+        if s:
+            kept.append(c)
+            inv = linalg.invert([[g[i][j] for j in kept] for i in kept])
+    return kept, comps
+
+
+@st.composite
+def symmetric_integer_matrices(draw):
+    """(matrix, is_gram): random symmetric integer matrices, and Gram
+    matrices A^T A, rank-deficient whenever A has fewer rows than columns."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n))
+        a = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(k)]
+        return [[sum(row[i] * row[j] for row in a) for j in range(n)] for i in range(n)], True
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            g[i][j] = g[j][i] = draw(st.integers(-4, 4))
+    return g, False
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_integer_matrices())
+def test_bordered_minor_keep_test_matches_schur_complements(case):
+    g, is_gram = case
+    kept_ref, comps = _schur_greedy_reference(g)
+    cols, minors, kept = [], [1], []
+    for c in range(len(g)):
+        u, d = linalg.bordered_minor(cols, minors, [g[k][c] for k in kept], g[c][c])
+        # the bordered minor is D_r times the Schur complement, so the keep
+        # tests agree
+        assert d == minors[-1] * comps[c]
+        if d:
+            cols.append(u)
+            minors.append(d)
+            kept.append(c)
+    assert kept == kept_ref
+    assert linalg.leading_minors([[g[i][j] for j in kept] for i in kept]) == minors
+    if is_gram:
+        # positive semidefinite: every kept minor is positive and the kept
+        # vectors span, so their count is the rank
+        assert all(d > 0 for d in minors)
+        assert len(kept) == linalg.rank_exact(g)
+
+
+@st.composite
+def sparse_rational_systems(draw):
+    nvars = draw(st.integers(1, 7))
+    neqs = draw(st.integers(1, 8))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    rows = [
+        draw(st.dictionaries(st.integers(0, nvars - 1), entry, max_size=nvars))
+        for _ in range(neqs)
+    ]
+    if draw(st.booleans()):
+        x_true = [draw(entry) for _ in range(nvars)]
+        rhs = _matvec(_dense_from_sparse(rows, nvars), x_true)
+    else:
+        rhs = [draw(entry) for _ in range(neqs)]  # usually inconsistent
+    return rows, rhs, nvars
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_rational_systems())
+def test_solve_sparse_matches_the_dense_solver(system):
+    rows, rhs, nvars = system
+    x, n_free = linalg.solve_sparse(rows, rhs, nvars)
+    x_dense, null = linalg.solve(_dense_from_sparse(rows, nvars), rhs)
+    assert x == x_dense
+    assert n_free == len(null)

@@ -1,6 +1,7 @@
 """Highest weight modules, Gram blocks, quotient dimensions, straightening."""
 
 from fractions import Fraction
+import json
 import random
 
 import pytest
@@ -261,6 +262,40 @@ def test_corrupt_cache_entries_are_recomputed(tmp_path):
     warm = m2.block_basis(2, (0, 0))
     assert m2.cache.misses > 0
     assert warm.basis == cold.basis and warm.matrix == cold.matrix
+
+
+def test_singular_cached_gram_is_recomputed(tmp_path):
+    # a well-formed entry whose Gram matrix is singular: the chosen vectors
+    # it claims would be dependent, so it must not be trusted
+    cache_dir = str(tmp_path)
+    spec = HighestWeightSpec(0, 1, 0)
+    m1 = VermaModule(spec, gens=GEN_C2, cache_dir=cache_dir)
+    cold = m1.block_basis(2, m1.lam_wt)
+    assert cold.rank >= 2
+    (path,) = tmp_path.glob("*.json")
+    good = json.loads(path.read_text())
+    path.write_text(json.dumps({"chosen": [0, 1], "gram": [["1", "2"], ["2", "4"]]}))
+    m2 = VermaModule(spec, gens=GEN_C2, cache_dir=cache_dir)
+    warm = m2.block_basis(2, m2.lam_wt)
+    assert m2.cache.misses == 1 and m2.cache.hits == 0
+    assert warm.basis == cold.basis and warm.matrix == cold.matrix
+    assert json.loads(path.read_text()) == good
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"chosen": [1, 0], "gram": [["1", "0"], ["0", "1"]]},  # not increasing
+        {"chosen": [0, 10**6], "gram": [["1", "0"], ["0", "1"]]},  # out of range
+        {"chosen": [0, 1], "gram": [["1", "1"], ["0", "1"]]},  # not symmetric
+        {"chosen": [0], "gram": [["1/2"]]},  # not an integer
+        {"chosen": [0], "gram": [["-1"]]},  # negative norm
+        {"chosen": [0]},  # no Gram matrix
+    ],
+)
+def test_malformed_cached_bases_are_rejected(entry):
+    assert not pbw._valid_basis_entry(entry, 5)
+    assert pbw._valid_basis_entry({"chosen": [0, 3], "gram": [["2", "1"], ["1", "1"]]}, 5)
 
 
 def test_spec_validation():
