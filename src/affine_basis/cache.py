@@ -1,6 +1,6 @@
-"""Disk cache for Gram blocks and certified block bases.
+"""Disk cache for certified block bases.
 
-Recomputing Gram matrices dominates every verification sweep, and blocks are
+Building block bases dominates every verification sweep, and blocks are
 shared between sweeps (the same module shows up for independence, spanning,
 and dimension checks).  A block is cached under a key that pins down
 everything the entries depend on: structure-table hash, highest weight data,
@@ -14,15 +14,14 @@ leading principal minor positive, so a cached basis is always independent;
 an entry that fails is a miss and is recomputed and overwritten.  What is
 not re-derived on load: the Gram entries themselves (that they are the
 pairings of the chosen monomials) and maximality (that no skipped candidate
-was independent of the chosen ones), and the entries of full Gram blocks.
-These rest on the cache directory holding only what this code wrote.
+was independent of the chosen ones).  These rest on the cache directory
+holding only what this code wrote.
 
 The cache directory comes from the AFFINE_BASIS_CACHE environment variable
 or an explicit argument; with neither, caching is off and everything is
 recomputed.
 """
 
-from fractions import Fraction
 import hashlib
 import json
 import os
@@ -33,10 +32,10 @@ def default_cache_dir():
     return d or None
 
 
-def block_key(table_hash, lam, level, degree, weight, monos, flavor="gram"):
+def block_key(table_hash, lam, level, degree, weight, monos):
     payload = json.dumps(
         [
-            flavor,
+            "basis",  # entry kind, kept so existing cache directories stay valid
             table_hash,
             list(lam),
             level,
@@ -86,17 +85,3 @@ class GramCache:
         with open(tmp, "w") as fh:
             json.dump(data, fh)
         os.replace(tmp, path)
-
-    def get(self, key):
-        data = self.get_json(key)
-        if data is None:
-            return None
-        return [[_parse(x) for x in row] for row in data["matrix"]]
-
-    def put(self, key, matrix):
-        self.put_json(key, {"matrix": [[str(x) for x in row] for row in matrix]})
-
-
-def _parse(s):
-    f = Fraction(s)
-    return int(f) if f.denominator == 1 else f

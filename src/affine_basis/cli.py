@@ -8,8 +8,9 @@ Verbs:
   report      the full verification suite for one module kind
 
 Common flags: --kind {a1,c2fs}, --k0/--k1/--k2 labels, --max-degree,
---depth (window for truncated-module steps), --jobs, --cache-dir (defaults
-to $AFFINE_BASIS_CACHE), --format {text,json,csv}, --out FILE, --quiet.
+--format {text,json,csv}, --out FILE, --quiet.  Only on the verbs that read
+them: --cache-dir (dims, verify, report; defaults to $AFFINE_BASIS_CACHE),
+--depth (window for truncated-module steps) and --jobs (verify, report).
 
 Exit codes: 0 all checks passed, 1 a verification claim failed, 2 usage or
 input error.
@@ -23,7 +24,6 @@ from . import intertwiner as iw
 from . import partitions as parts_mod
 from . import verify as verify_mod
 from .cache import default_cache_dir
-from .kernels import BACKEND
 
 
 def _kind_from(args):
@@ -34,17 +34,17 @@ def _kind_from(args):
     raise ValueError("unknown kind %r" % args.kind)
 
 
-def _add_common(p, kind=True, degree=True):
-    if kind:
-        p.add_argument("--kind", choices=("a1", "c2fs"), default="a1")
-        p.add_argument("--k0", type=int, default=1)
-        p.add_argument("--k1", type=int, default=0)
-        p.add_argument("--k2", type=int, default=0)
-    if degree:
-        p.add_argument("--max-degree", type=int, default=3)
-    p.add_argument("--depth", type=int, default=2, help="truncation window")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--cache-dir", default=None)
+def _add_common(p, cache=True, window=True):
+    p.add_argument("--kind", choices=("a1", "c2fs"), default="a1")
+    p.add_argument("--k0", type=int, default=1)
+    p.add_argument("--k1", type=int, default=0)
+    p.add_argument("--k2", type=int, default=0)
+    p.add_argument("--max-degree", type=int, default=3)
+    if window:
+        p.add_argument("--depth", type=int, default=2, help="truncation window")
+        p.add_argument("--jobs", type=int, default=1)
+    if cache:
+        p.add_argument("--cache-dir", default=default_cache_dir())
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", default=None)
     p.add_argument("--quiet", action="store_true")
@@ -58,10 +58,10 @@ def build_parser():
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("enumerate", help="list admissible colored partitions")
-    _add_common(p)
+    _add_common(p, cache=False, window=False)
 
     p = sub.add_parser("dims", help="graded dimensions (Gram ranks) of the module")
-    _add_common(p)
+    _add_common(p, window=False)
 
     p = sub.add_parser("verify", help="run one verification step")
     p.add_argument(
@@ -156,9 +156,7 @@ def cmd_dims(args):
     kind = _kind_from(args)
     module = kind.module(args.cache_dir)
     support = module.block_support(args.max_degree)
-    dims = [0] * (args.max_degree + 1)
-    for (d, _), blk in support.items():
-        dims[d] += blk.rank
+    dims = module.dims_by_degree(args.max_degree)
     if args.format == "json":
         text = json.dumps(
             {
@@ -196,7 +194,7 @@ def cmd_dims(args):
 
 def cmd_verify(args):
     kind = _kind_from(args)
-    cache_dir = args.cache_dir or default_cache_dir()
+    cache_dir = args.cache_dir
     reports = []
     if args.check == "independence":
         reports.append(
@@ -229,7 +227,7 @@ def cmd_verify(args):
 
 def cmd_report(args):
     kind = _kind_from(args)
-    cache_dir = args.cache_dir or default_cache_dir()
+    cache_dir = args.cache_dir
     reports = [
         verify_mod.verify_independence(kind, args.max_degree, cache_dir, jobs=args.jobs),
         verify_mod.verify_spanning(kind, args.max_degree, cache_dir),
@@ -254,8 +252,6 @@ def cmd_report(args):
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if not args.quiet and args.verb in ("verify", "report"):
-        print("kernel backend: %s" % BACKEND, file=sys.stderr)
     try:
         if args.verb == "enumerate":
             return cmd_enumerate(args)

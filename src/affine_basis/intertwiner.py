@@ -224,9 +224,6 @@ class IntertwinerMap:
     blocks: dict
     freedom: dict = field(default_factory=dict)
 
-    def block_matrix(self, key):
-        return self.blocks.get(key)
-
     def apply_block(self, key, coeffs):
         """Image coordinates of a source-block coordinate vector."""
         mat = self.blocks.get(key)

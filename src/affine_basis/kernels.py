@@ -1,46 +1,265 @@
-"""Kernel backend selection.
+"""The straightening kernel.
 
-The straightening/rank kernel exists twice: a compiled Cython extension
-(_kernel_c) and a pure-Python twin (_kernel_py) with identical interfaces.
-By default the compiled one is used when importable.  Set
+This module implements the three computational hot spots exactly, over the
+integers, with no dependency on the rest of the package (structure data is
+passed in as plain nested tuples):
 
-    AFFINE_BASIS_KERNEL=python   force the pure-Python kernel
-    AFFINE_BASIS_KERNEL=c        require the compiled kernel (ImportError if
-                                 it was not built)
+  * VermaKernel -- normal-ordered action of loop elements on a generic
+    highest weight module, with memoization; Gram matrices of monomial
+    vectors via the contravariant form.
+  * UKernel     -- straightening in the universal enveloping algebra itself
+    (central element tracked as an explicit exponent), used for identities
+    between operators rather than vectors.
+  * rank_int    -- fraction-free (Bareiss) row reduction rank over Z.
 
-to override.  `BACKEND` reports which one is active.
+Encoding: a loop element x(n) is the integer le = 16*n + base (see affine).
+Monomials are tuples of codes, weakly decreasing left to right; the empty
+tuple is the highest weight vector.  Vectors are dicts {monomial: coeff}
+with nonzero coefficients.  All structure constants are integers, so module
+coefficients stay integers whenever the input coefficients are.
 """
 
-import os
 
-_choice = os.environ.get("AFFINE_BASIS_KERNEL", "").strip().lower()
+class VermaKernel:
+    """Action of the affine algebra on a Verma-type module with highest
+    weight data (lam4, lam6) = (weight(h2), weight(h1)) and central charge
+    `level`.  No quotient is taken: vectors live in the free module; the
+    irreducible quotient is reached through Gram ranks of the contravariant
+    form, for which <v, v> = 1 and distinct monomial gradings pair to 0.
+    """
 
-if _choice in ("py", "python"):
-    from . import _kernel_py as _impl
-elif _choice == "c":
-    from . import _kernel_c as _impl  # type: ignore[attr-defined]
-elif _choice in ("", "auto"):
-    try:
-        from . import _kernel_c as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernel_py as _impl
-else:
-    raise ImportError(
-        "unknown AFFINE_BASIS_KERNEL value %r (use 'c' or 'python')" % _choice
-    )
+    def __init__(self, bracket, form, sigma, lam4, lam6, level):
+        self.bracket = bracket
+        self.form = form
+        self.sigma = sigma
+        self.lam = {4: lam4, 6: lam6}
+        self.level = level
+        self._memo = {}
+        self._pmemo = {}
 
-BACKEND = _impl.BACKEND
-VermaKernel = _impl.VermaKernel
-UKernel = _impl.UKernel
-rank_int = _impl.rank_int
+    def act_le(self, le, mono):
+        """x(le) . (mono . v) as a dict {monomial: int}."""
+        key = (le, mono)
+        out = self._memo.get(key)
+        if out is not None:
+            return out
+        if not mono:
+            mode = le >> 4
+            if mode > 0:
+                out = {}
+            elif mode < 0:
+                out = {(le,): 1}
+            else:
+                base = le & 15
+                if base < 4:
+                    out = {(le,): 1}
+                elif base == 4 or base == 6:
+                    lam = self.lam[base]
+                    out = {(): lam} if lam else {}
+                else:
+                    out = {}
+        elif le < 4 and le >= mono[0]:
+            out = {(le,) + mono: 1}
+        else:
+            # x*head = head*x + [x, head]; push x toward the vacuum.
+            head = mono[0]
+            rest = mono[1:]
+            acc = {}
+            for m2, c2 in self.act_le(le, rest).items():
+                for m3, c3 in self.act_le(head, m2).items():
+                    c = acc.get(m3, 0) + c2 * c3
+                    if c:
+                        acc[m3] = c
+                    elif m3 in acc:
+                        del acc[m3]
+            i = le >> 4
+            b1 = le & 15
+            j = head >> 4
+            b2 = head & 15
+            for cf, k in self.bracket[b1][b2]:
+                le2 = ((i + j) << 4) + k
+                for m3, c3 in self.act_le(le2, rest).items():
+                    c = acc.get(m3, 0) + cf * c3
+                    if c:
+                        acc[m3] = c
+                    elif m3 in acc:
+                        del acc[m3]
+            if i + j == 0:
+                f = self.form[b1][b2]
+                if f:
+                    c = acc.get(rest, 0) + i * f * self.level
+                    if c:
+                        acc[rest] = c
+                    elif rest in acc:
+                        del acc[rest]
+            out = acc
+        self._memo[key] = out
+        return out
+
+    def act_word(self, word, vec):
+        """Apply a word of loop elements (leftmost acts last) to a vector."""
+        for le in reversed(word):
+            out = {}
+            for m, c in vec.items():
+                for m2, c2 in self.act_le(le, m).items():
+                    cc = out.get(m2, 0) + c * c2
+                    if cc:
+                        out[m2] = cc
+                    elif m2 in out:
+                        del out[m2]
+            vec = out
+        return vec
+
+    def pair_monos(self, m1, m2):
+        """<m1 . v, m2 . v> under the contravariant form.  Peels the leading
+        (outermost) factor of m1 onto m2 through the form's adjoint property;
+        memoized on (suffix, monomial) pairs, which is what lets a whole Gram
+        block share its intermediate states."""
+        key = (m1, m2)
+        val = self._pmemo.get(key)
+        if val is not None:
+            return val
+        if not m1:
+            val = 1 if not m2 else 0
+        else:
+            le = m1[0]
+            dual = ((-(le >> 4)) << 4) + self.sigma[le & 15]
+            rest = m1[1:]
+            total = 0
+            for m, c in self.act_le(dual, m2).items():
+                s = self.pair_monos(rest, m)
+                if s:
+                    total += c * s
+            val = total
+        self._pmemo[key] = val
+        return val
+
+    def pair_mono(self, mono, vec):
+        """<mono . v, vec> under the contravariant form."""
+        total = 0
+        for m, c in vec.items():
+            s = self.pair_monos(mono, m)
+            if s:
+                total += c * s
+        return total
+
+    def gram(self, monos):
+        """Gram matrix of the monomial vectors under the contravariant form
+        (upper triangle computed, symmetry used for the rest)."""
+        n = len(monos)
+        g = [[0] * n for _ in range(n)]
+        for j in range(n):
+            mj = monos[j]
+            for i in range(j + 1):
+                val = self.pair_monos(monos[i], mj)
+                g[i][j] = val
+                g[j][i] = val
+        return g
 
 
-def available_backends():
-    names = ["python"]
-    try:
-        from . import _kernel_c  # noqa: F401
+class UKernel:
+    """Straightening in the universal enveloping algebra of the affine
+    algebra.  Elements are dicts {(cexp, monomial): int} where cexp counts
+    factors of the central element and monomials are weakly decreasing code
+    tuples (any mode and base: nothing acts on a vacuum here)."""
 
-        names.insert(0, "c")
-    except ImportError:
-        pass
-    return names
+    def __init__(self, bracket, form):
+        self.bracket = bracket
+        self.form = form
+        self._memo = {}
+
+    def mul_le(self, le, mono):
+        """x(le) * mono, normal ordered; dict {(cexp, monomial): int}."""
+        key = (le, mono)
+        out = self._memo.get(key)
+        if out is not None:
+            return out
+        if not mono:
+            out = {(0, (le,)): 1}
+        elif le >= mono[0]:
+            out = {(0, (le,) + mono): 1}
+        else:
+            head = mono[0]
+            rest = mono[1:]
+            acc = {}
+            for (dc2, m2), c2 in self.mul_le(le, rest).items():
+                for (dc3, m3), c3 in self.mul_le(head, m2).items():
+                    k2 = (dc2 + dc3, m3)
+                    c = acc.get(k2, 0) + c2 * c3
+                    if c:
+                        acc[k2] = c
+                    elif k2 in acc:
+                        del acc[k2]
+            i = le >> 4
+            b1 = le & 15
+            j = head >> 4
+            b2 = head & 15
+            for cf, k in self.bracket[b1][b2]:
+                le2 = ((i + j) << 4) + k
+                for (dc3, m3), c3 in self.mul_le(le2, rest).items():
+                    k2 = (dc3, m3)
+                    c = acc.get(k2, 0) + cf * c3
+                    if c:
+                        acc[k2] = c
+                    elif k2 in acc:
+                        del acc[k2]
+            if i + j == 0:
+                f = self.form[b1][b2]
+                if f:
+                    k2 = (1, rest)
+                    c = acc.get(k2, 0) + i * f
+                    if c:
+                        acc[k2] = c
+                    elif k2 in acc:
+                        del acc[k2]
+            out = acc
+        self._memo[key] = out
+        return out
+
+    def mul_mono(self, m1, m2):
+        """m1 * m2 normal ordered; dict {(cexp, monomial): int}."""
+        out = {(0, m2): 1}
+        for le in reversed(m1):
+            nxt = {}
+            for (dc, m), c in out.items():
+                for (dc2, m2b), c2 in self.mul_le(le, m).items():
+                    k2 = (dc + dc2, m2b)
+                    cc = nxt.get(k2, 0) + c * c2
+                    if cc:
+                        nxt[k2] = cc
+                    elif k2 in nxt:
+                        del nxt[k2]
+            out = nxt
+        return out
+
+
+def rank_int(rows):
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
+    m = [list(r) for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    rank = 0
+    prev = 1
+    for c in range(nc):
+        piv_row = -1
+        for rr in range(rank, nr):
+            if m[rr][c]:
+                piv_row = rr
+                break
+        if piv_row < 0:
+            continue
+        if piv_row != rank:
+            m[rank], m[piv_row] = m[piv_row], m[rank]
+        piv = m[rank][c]
+        for rr in range(rank + 1, nr):
+            v = m[rr][c]
+            row = m[rr]
+            prow = m[rank]
+            for cc in range(c + 1, nc):
+                row[cc] = (piv * row[cc] - v * prow[cc]) // prev
+            row[c] = 0
+        prev = piv
+        rank += 1
+        if rank == nr:
+            break
+    return rank

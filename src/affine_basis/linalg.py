@@ -8,55 +8,21 @@ for basis selection), and solve_sparse runs Gauss-Jordan on integer rows
 kept primitive by dividing out their content.  Rationals appear only in the
 results they return.
 
-The dense routines (rref, nullspace, solve, invert) serve small outer-layer
-systems and run on _Q: gmpy2 rationals when gmpy2 is installed (several
-times faster than fractions.Fraction), else Fraction.  Results are always
-converted back to Fraction so callers see one type.  Every path is exact.
+The dense routines (nullspace, solve, invert) serve small outer-layer
+systems and run on fractions.Fraction.
 """
 
 from fractions import Fraction
 import math
 
-from .kernels import rank_int
-
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 present in the usual setup
-    _Q = Fraction
-
-_ZERO = _Q(0)
-_ONE = _Q(1)
+# The one rational type; the benchmark's environment stamp reads it.
+_Q = Fraction
 
 
-def _to_fraction(x):
-    return Fraction(int(x.numerator), int(x.denominator))
-
-
-def rank_exact(rows):
-    """Rank of a matrix with int or Fraction entries."""
-    if not rows or not rows[0]:
-        return 0
-    cleared = []
-    for row in rows:
-        lcm = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                d = x.denominator
-                lcm = lcm * d // _gcd(lcm, d)
-        cleared.append([int(x * lcm) for x in row])
-    return rank_int(cleared)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _rref_q(rows):
-    """Reduced row echelon form on _Q entries, in place on a fresh copy.
+def _rref(rows):
+    """Reduced row echelon form over Fraction, in place on a fresh copy.
     Returns (matrix, pivot_cols)."""
-    m = [[_Q(x) for x in row] for row in rows]
+    m = [[Fraction(x) for x in row] for row in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     pivots = []
@@ -70,7 +36,7 @@ def _rref_q(rows):
         if piv < 0:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = _ONE / m[r][c]
+        inv = 1 / m[r][c]
         m[r] = [x * inv for x in m[r]]
         mr = m[r]
         for rr in range(nr):
@@ -84,32 +50,29 @@ def _rref_q(rows):
     return m, pivots
 
 
-def rref(rows):
-    """Reduced row echelon form over Fraction.  Returns (matrix, pivot_cols)."""
-    m, pivots = _rref_q(rows)
-    return [[_to_fraction(x) for x in row] for row in m], pivots
-
-
-def _nullspace_q(rows):
+def nullspace(rows):
+    """Basis of the right nullspace (list of Fraction vectors), from RREF;
+    deterministic: one basis vector per free column, in column order."""
     if not rows:
         return []
     nc = len(rows[0])
-    m, pivots = _rref_q(rows)
-    free = [c for c in range(nc) if c not in pivots]
+    m, pivots = _rref(rows)
+    return _null_basis(m, pivots, nc)
+
+
+def _null_basis(m, pivots, nc):
+    """One nullspace vector per free column of the RREF m (pivots in
+    columns below nc), in column order."""
     basis = []
-    for fc in free:
-        v = [_ZERO] * nc
-        v[fc] = _ONE
+    for fc in range(nc):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * nc
+        v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             v[pc] = -m[r][fc]
         basis.append(v)
     return basis
-
-
-def nullspace(rows):
-    """Basis of the right nullspace (list of Fraction vectors), from RREF;
-    deterministic: one basis vector per free column, in column order."""
-    return [[_to_fraction(x) for x in v] for v in _nullspace_q(rows)]
 
 
 def solve(a_rows, b):
@@ -121,32 +84,15 @@ def solve(a_rows, b):
     nr = len(a_rows)
     nc = len(a_rows[0]) if nr else 0
     aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
-    m, pivots = _rref_q(aug)
+    m, pivots = _rref(aug)
     pivots_a = [p for p in pivots if p < nc]
-    free = [c for c in range(nc) if c not in pivots_a]
-    null = []
-    for fc in free:
-        v = [_ZERO] * nc
-        v[fc] = _ONE
-        for r, pc in enumerate(pivots_a):
-            v[pc] = -m[r][fc]
-        null.append([_to_fraction(x) for x in v])
+    null = _null_basis(m, pivots_a, nc)
     if nc in pivots:
         return None, null
     x = [Fraction(0)] * nc
     for r, pc in enumerate(pivots_a):
-        x[pc] = _to_fraction(m[r][nc])
+        x[pc] = m[r][nc]
     return x, null
-
-
-def solve_unique(a_rows, b):
-    """Solve a square nonsingular system exactly; raises if not unique."""
-    x, null = solve(a_rows, b)
-    if x is None:
-        raise ValueError("inconsistent linear system")
-    if null:
-        raise ValueError("linear system is underdetermined")
-    return x
 
 
 def solve_sparse(rows, rhs, nvars):
@@ -263,7 +209,7 @@ def invert(a_rows):
     ValueError when singular."""
     n = len(a_rows)
     aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a_rows)]
-    m, pivots = _rref_q(aug)
+    m, pivots = _rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [[_to_fraction(x) for x in row[n:]] for row in m[:n]]
+    return [row[n:] for row in m[:n]]

@@ -31,7 +31,7 @@ from . import affine
 from . import cache as cache_mod
 from . import linalg
 from .cartan import build_c2, table_hash, finite_weight, a1_subalgebra
-from .kernels import VermaKernel, UKernel, rank_int
+from .kernels import VermaKernel, UKernel, rank_int  # noqa: F401 - verify calls pbw.rank_int
 
 GEN_C2 = tuple(range(10))
 GEN_A1 = a1_subalgebra()          # (0, 6, 9) = (f, h, e)
@@ -78,10 +78,6 @@ class PBWMonomial:
     @property
     def degree(self):
         return affine.word_degree(self.codes)
-
-    @property
-    def weight_shift(self):
-        return affine.word_weight(self.codes)
 
     def factors(self):
         """Run-length factorization [(mode, base, exponent)]."""
@@ -151,31 +147,6 @@ class ModuleVector:
 
 
 @dataclass
-class GramBlock:
-    """Gram matrix of all PBW monomial vectors of one (degree, weight) block
-    under the contravariant form; its rank is the dimension of the block in
-    the irreducible quotient."""
-
-    degree: int
-    weight: tuple
-    basis: tuple       # monomial code tuples, deterministic order
-    matrix: list       # integer Gram entries
-    rank: int
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "degree": self.degree,
-                "weight": list(self.weight),
-                "monomials": [list(m) for m in self.basis],
-                "gram": [[str(x) for x in row] for row in self.matrix],
-                "rank": self.rank,
-            },
-            sort_keys=True,
-        )
-
-
-@dataclass
 class BlockBasis:
     """A true basis of one (degree, weight) block of the irreducible
     quotient: a maximal subfamily of PBW monomial vectors with nonsingular
@@ -224,7 +195,6 @@ class VermaModule:
         self.cache = cache_mod.GramCache(cache_dir)
         self._table_hash = table_hash(self.table)
         self._negparts = {}
-        self._blocks = {}
         self._bases = {}
 
     # -- vectors ----------------------------------------------------------
@@ -343,49 +313,7 @@ class VermaModule:
         out.sort(reverse=True)
         return out
 
-    # -- Gram blocks ---------------------------------------------------------
-
-    def gram_of(self, monos):
-        """Gram matrix of given monomial vectors, which must share one
-        (degree, weight) block (mixed gradings are a usage error: their
-        cross pairings vanish identically and would dilute rank counts)."""
-        monos = [tuple(m) for m in monos]
-        blocks = {(affine.word_degree(m), self.abs_weight(m)) for m in monos}
-        if len(blocks) > 1:
-            raise ValueError("monomials span several blocks: %r" % sorted(blocks))
-        return self.kernel.gram(monos)
-
-    def gram_block(self, degree, weight):
-        key = (degree, tuple(weight))
-        blk = self._blocks.get(key)
-        if blk is not None:
-            return blk
-        monos = self.pbw_monomials(degree, weight)
-        matrix = None
-        ckey = None
-        if self.cache.root and monos:
-            ckey = cache_mod.block_key(
-                self._table_hash,
-                self.lam_wt + (len(self.gens),),
-                self.spec.level,
-                degree,
-                weight,
-                monos,
-            )
-            matrix = self.cache.get(ckey)
-        if matrix is None:
-            matrix = self.kernel.gram(monos)
-            if ckey is not None:
-                self.cache.put(ckey, matrix)
-        blk = GramBlock(
-            degree=degree,
-            weight=tuple(weight),
-            basis=tuple(monos),
-            matrix=matrix,
-            rank=rank_int(matrix),
-        )
-        self._blocks[key] = blk
-        return blk
+    # -- block bases ---------------------------------------------------------
 
     def block_basis(self, degree, weight):
         """A true basis of the (degree, weight) block of the irreducible
@@ -421,7 +349,6 @@ class VermaModule:
                 degree,
                 weight,
                 monos,
-                flavor="basis",
             )
             rec = self.cache.get_json(
                 ckey, check=lambda r: _valid_basis_entry(r, len(monos))
@@ -548,28 +475,6 @@ def _valid_basis_entry(rec, n_candidates):
     return all(d > 0 for d in linalg.leading_minors(gram))
 
 
-def independent_subset(matrix):
-    """Greedy maximal independent row subset of an exact matrix; returns the
-    selected row indices in increasing order."""
-    picked = []
-    reduced = []  # rows in echelon, as (pivot_col, row)
-    ncols = len(matrix[0]) if matrix else 0
-    for i, row in enumerate(matrix):
-        work = [linalg._Q(x) for x in row]
-        for pc, red in reduced:
-            if work[pc]:
-                f = work[pc]
-                work = [a - f * b for a, b in zip(work, red)]
-        pivot = next((c for c in range(ncols) if work[c]), None)
-        if pivot is None:
-            continue
-        inv = 1 / work[pivot]
-        work = [x * inv for x in work]
-        reduced.append((pivot, work))
-        picked.append(i)
-    return picked
-
-
 # ---------------------------------------------------------------------------
 # enveloping algebra layer (operator identities, not vectors)
 # ---------------------------------------------------------------------------
@@ -635,8 +540,3 @@ def algebra_mul(a, b):
                     out.pop(k, None)
     return out
 
-
-def algebra_ad(le, a):
-    """ad of a single loop element: x*a - a*x, normal ordered."""
-    x = {(0, (le,)): 1}
-    return algebra_add(algebra_mul(x, a), algebra_mul(a, x), -1)

@@ -111,7 +111,7 @@ def test_out_file_and_quiet(tmp_path, capsys):
 def test_verify_tpower_exit_zero_and_backend_note(capsys):
     assert run(["verify", "tpower", "--max-degree", "2"]) == 0
     captured = capsys.readouterr()
-    assert "kernel backend:" in captured.err
+    assert captured.err == ""  # one kernel: no backend note
     assert "t_power_sweep" in captured.out
     assert "pass" in captured.out
 
@@ -245,3 +245,26 @@ def test_negative_windows_are_usage_errors(argv, capsys):
     captured = capsys.readouterr()
     assert "must be nonnegative" in captured.err
     assert "pass" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "verb", [["dims"], ["verify", "spanning"]], ids=["dims", "verify-spanning"]
+)
+def test_cache_dir_defaults_to_the_environment(verb, tmp_path, monkeypatch):
+    monkeypatch.setenv("AFFINE_BASIS_CACHE", str(tmp_path))
+    assert run(verb + ["--max-degree", "1", "--quiet"]) == 0
+    assert list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--jobs", "2"],
+        ["dims", "--depth", "3"],
+        ["enumerate", "--cache-dir", "x"],
+    ],
+)
+def test_flags_a_verb_does_not_read_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2

@@ -1,31 +1,16 @@
-"""Kernel semantics and compiled/pure backend parity.
-
-The module action, pairing, Gram, and enveloping-product kernels exist twice
-(Cython and pure Python).  Parity tests drive both implementations over the
-same inputs; semantic tests pin down the contract either backend must obey.
-"""
-
-from fractions import Fraction
-import itertools
-
-import pytest
+"""Kernel semantics: the module action, pairing, Gram and enveloping-product
+kernels and the integer rank."""
 
 from affine_basis import affine, kernels
 from affine_basis.cartan import build_c2
 from affine_basis.pbw import HighestWeightSpec, VermaModule, GEN_A1, GEN_C2
-from affine_basis import _kernel_py
-
-try:
-    from affine_basis import _kernel_c
-except ImportError:  # pragma: no cover - exercised only without the extension
-    _kernel_c = None
 
 TABLE = build_c2()
 
 
-def _make_kernel(impl, spec):
+def _make_kernel(spec):
     wt = spec.weight
-    return impl.VermaKernel(
+    return kernels.VermaKernel(
         TABLE.bracket, TABLE.form, TABLE.sigma, wt[1], wt[0], spec.level
     )
 
@@ -40,20 +25,15 @@ def _sample_monomials():
     return sorted(set(out), reverse=True)[:40]
 
 
-# ---------------------------------------------------------------------------
-# semantics (checked on whichever backend is active)
-# ---------------------------------------------------------------------------
-
-
 def test_vacuum_is_normalized():
-    k = _make_kernel(_kernel_py, HighestWeightSpec(1, 0, 0))
+    k = _make_kernel(HighestWeightSpec(1, 0, 0))
     assert k.pair_monos((), ()) == 1
     assert k.pair_monos((), (affine.encode(-1, 9),)) == 0
 
 
 def test_raising_and_cartan_action_on_vacuum():
     spec = HighestWeightSpec(0, 1, 0)  # finite weight (1, 0)
-    k = _make_kernel(_kernel_py, spec)
+    k = _make_kernel(spec)
     # raising operators kill the highest weight vector
     for base in (5, 8, 9):
         assert k.act_le(affine.encode(0, base), ()) == {}
@@ -67,7 +47,7 @@ def test_raising_and_cartan_action_on_vacuum():
 
 
 def test_storable_factor_prepends():
-    k = _make_kernel(_kernel_py, HighestWeightSpec(1, 0, 0))
+    k = _make_kernel(HighestWeightSpec(1, 0, 0))
     le = affine.encode(-1, 9)
     assert k.act_le(le, ()) == {(le,): 1}
     le2 = affine.encode(-2, 9)
@@ -89,7 +69,7 @@ def test_level_enters_through_the_central_term():
 def test_adjointness_of_the_contravariant_form():
     """<x u, w> = <sigma(x) at negated mode applied to w, u-pairing>."""
     spec = HighestWeightSpec(0, 1, 0)
-    k = _make_kernel(_kernel_py, spec)
+    k = _make_kernel(spec)
     monos = _sample_monomials()[:12]
     codes = [affine.encode(-1, 9), affine.encode(-1, 5), affine.encode(0, 3)]
     for le in codes:
@@ -116,7 +96,7 @@ def test_gram_is_symmetric_and_matches_pairings():
 
 
 def test_pair_mono_is_linear_in_the_vector():
-    k = _make_kernel(_kernel_py, HighestWeightSpec(0, 1, 0))
+    k = _make_kernel(HighestWeightSpec(0, 1, 0))
     m1 = (affine.encode(-1, 9),)
     m2 = (affine.encode(-1, 8),)
     probe = (affine.encode(-1, 9),)
@@ -128,7 +108,7 @@ def test_pair_mono_is_linear_in_the_vector():
 
 def test_ukernel_straightening_swap():
     """x11(-2) x11(-1) in the enveloping algebra: commuting factors sort."""
-    uk = _kernel_py.UKernel(TABLE.bracket, TABLE.form)
+    uk = kernels.UKernel(TABLE.bracket, TABLE.form)
     lo, hi = affine.encode(-2, 9), affine.encode(-1, 9)
     assert uk.mul_le(lo, (hi,)) == {(0, (hi, lo)): 1}
     # f(-1) e(1) straightens to e(1) f(-1) + [f, e](0) - <f, e> c
@@ -150,82 +130,3 @@ def test_rank_int_on_known_matrices():
     assert ri([[1, 2], [3, 4]]) == 2
     assert ri([[2, 0, 0], [0, 0, 5]]) == 2
 
-
-# ---------------------------------------------------------------------------
-# backend parity
-# ---------------------------------------------------------------------------
-
-needs_c = pytest.mark.skipif(_kernel_c is None, reason="compiled kernel not built")
-
-
-@needs_c
-def test_backend_names():
-    assert _kernel_py.BACKEND == "python"
-    assert _kernel_c.BACKEND == "c"
-    assert kernels.BACKEND in kernels.available_backends()
-
-
-@needs_c
-def test_act_and_pair_parity():
-    spec = HighestWeightSpec(0, 1, 0)
-    kp = _make_kernel(_kernel_py, spec)
-    kc = _make_kernel(_kernel_c, spec)
-    monos = _sample_monomials()
-    codes = [
-        affine.encode(m, b) for m in (-2, -1, 0, 1) for b in (0, 3, 5, 6, 8, 9)
-    ]
-    for le in codes:
-        for mono in monos:
-            assert kp.act_le(le, mono) == kc.act_le(le, mono), (le, mono)
-    for m1, m2 in itertools.product(monos[:20], repeat=2):
-        assert kp.pair_monos(m1, m2) == kc.pair_monos(m1, m2), (m1, m2)
-
-
-@needs_c
-def test_act_word_and_gram_parity():
-    spec = HighestWeightSpec(0, 0, 1)
-    kp = _make_kernel(_kernel_py, spec)
-    kc = _make_kernel(_kernel_c, spec)
-    word = (
-        affine.encode(0, 8),
-        affine.encode(-1, 9),
-        affine.encode(-1, 0),
-        affine.encode(-2, 5),
-    )
-    assert kp.act_word(word, {(): 1}) == kc.act_word(word, {(): 1})
-    module = VermaModule(spec, gens=GEN_C2)
-    monos = module.pbw_monomials(2, module.lam_wt)
-    assert kp.gram(monos) == kc.gram(monos)
-
-
-@needs_c
-def test_ukernel_and_rank_parity():
-    up = _kernel_py.UKernel(TABLE.bracket, TABLE.form)
-    uc = _kernel_c.UKernel(TABLE.bracket, TABLE.form)
-    words = [
-        (affine.encode(1, 9), affine.encode(-1, 0)),
-        (affine.encode(0, 8), affine.encode(-1, 0), affine.encode(-1, 0)),
-        (affine.encode(2, 5), affine.encode(-2, 2)),
-        (affine.encode(0, 6), affine.encode(0, 6), affine.encode(-1, 9)),
-    ]
-    for w in words:
-        acc_p = {(0, ()): 1}
-        acc_c = {(0, ()): 1}
-        for le in reversed(w):
-            nxt_p = {}
-            for (dc, m), c in acc_p.items():
-                for (dc2, m2), c2 in up.mul_le(le, m).items():
-                    nxt_p[(dc + dc2, m2)] = nxt_p.get((dc + dc2, m2), 0) + c * c2
-            nxt_c = {}
-            for (dc, m), c in acc_c.items():
-                for (dc2, m2), c2 in uc.mul_le(le, m).items():
-                    nxt_c[(dc + dc2, m2)] = nxt_c.get((dc + dc2, m2), 0) + c * c2
-            acc_p = {k: v for k, v in nxt_p.items() if v}
-            acc_c = {k: v for k, v in nxt_c.items() if v}
-        assert acc_p == acc_c, w
-    m1 = (affine.encode(1, 9), affine.encode(-1, 0))
-    m2 = (affine.encode(0, 6), affine.encode(-1, 9))
-    assert up.mul_mono(m1, m2) == uc.mul_mono(m1, m2)
-    mats = [[[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[2, 1], [1, 2]], [[0]]]
-    for m in mats:
-        assert _kernel_py.rank_int(m) == _kernel_c.rank_int(m)

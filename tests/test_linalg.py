@@ -1,13 +1,14 @@
-"""Exact linear algebra: RREF, nullspaces, solving, inversion, sparse solve,
-and the fraction-free routines checked against Fraction references."""
+"""Exact linear algebra: nullspaces, solving, inversion, sparse solve, and
+the fraction-free routines checked against Fraction references."""
 
 from fractions import Fraction
+import math
 import random
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from affine_basis import linalg
+from affine_basis import kernels, linalg
 
 
 def _rand_matrix(rng, nr, nc, lo=-5, hi=5):
@@ -28,33 +29,14 @@ def _matmul(a, b):
     ]
 
 
-def test_rref_structure():
-    rng = random.Random(7)
-    for _ in range(25):
-        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-        a = _rand_matrix(rng, nr, nc)
-        m, pivots = linalg.rref(a)
-        # pivot columns are strictly increasing and carry unit vectors
-        assert pivots == sorted(pivots)
-        for r, c in enumerate(pivots):
-            assert m[r][c] == 1
-            assert all(m[rr][c] == 0 for rr in range(nr) if rr != r)
-        # idempotent
-        m2, p2 = linalg.rref(m)
-        assert m2 == m and p2 == pivots
-
-
-def test_rank_exact_matches_pivot_count():
-    rng = random.Random(11)
-    for _ in range(25):
-        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-        a = _rand_matrix(rng, nr, nc)
-        _, pivots = linalg.rref(a)
-        assert linalg.rank_exact(a) == len(pivots)
-    assert linalg.rank_exact([]) == 0
-    # fractional entries are cleared exactly, not approximately
-    a = [[Fraction(1, 3), Fraction(1, 6)], [Fraction(2, 3), Fraction(1, 3)]]
-    assert linalg.rank_exact(a) == 1
+def _rank(rows):
+    """Reference rank: each rational row scaled to integers, then the
+    kernel's fraction-free elimination."""
+    scaled = []
+    for row in rows:
+        den = math.lcm(*(Fraction(x).denominator for x in row))
+        scaled.append([int(x * den) for x in row])
+    return kernels.rank_int(scaled)
 
 
 def test_nullspace_vectors_annihilate():
@@ -63,12 +45,12 @@ def test_nullspace_vectors_annihilate():
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         a = _rand_matrix(rng, nr, nc)
         basis = linalg.nullspace(a)
-        assert len(basis) == nc - linalg.rank_exact(a)
+        assert len(basis) == nc - _rank(a)
         for v in basis:
             assert _matvec(a, v) == [Fraction(0)] * nr
         # basis vectors are independent
         if basis:
-            assert linalg.rank_exact(basis) == len(basis)
+            assert _rank(basis) == len(basis)
 
 
 def test_solve_consistent_and_inconsistent():
@@ -81,7 +63,7 @@ def test_solve_consistent_and_inconsistent():
         x, null = linalg.solve(a, b)
         assert x is not None
         assert _matvec(a, x) == b
-        assert len(null) == nc - linalg.rank_exact(a)
+        assert len(null) == nc - _rank(a)
         for v in null:
             assert _matvec(a, v) == [Fraction(0)] * nr
     # a visibly inconsistent system
@@ -91,29 +73,13 @@ def test_solve_consistent_and_inconsistent():
     assert len(null) == 1
 
 
-def test_solve_unique():
-    a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    assert linalg.solve_unique(a, [Fraction(3), Fraction(2)]) == [
-        Fraction(1),
-        Fraction(1),
-    ]
-    with pytest.raises(ValueError):
-        linalg.solve_unique(
-            [[Fraction(1), Fraction(1)]], [Fraction(0)]
-        )  # underdetermined
-    with pytest.raises(ValueError):
-        linalg.solve_unique(
-            [[Fraction(1)], [Fraction(1)]], [Fraction(0), Fraction(1)]
-        )  # inconsistent
-
-
 def test_invert_roundtrip_and_singular():
     rng = random.Random(19)
     done = 0
     while done < 15:
         n = rng.randint(1, 5)
         a = _rand_matrix(rng, n, n)
-        if linalg.rank_exact(a) < n:
+        if _rank(a) < n:
             continue
         inv = linalg.invert(a)
         prod = _matmul(a, inv)
@@ -233,7 +199,7 @@ def test_bordered_minor_keep_test_matches_schur_complements(case):
         # positive semidefinite: every kept minor is positive and the kept
         # vectors span, so their count is the rank
         assert all(d > 0 for d in minors)
-        assert len(kept) == linalg.rank_exact(g)
+        assert len(kept) == kernels.rank_int(g)
 
 
 @st.composite

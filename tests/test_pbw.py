@@ -1,4 +1,4 @@
-"""Highest weight modules, Gram blocks, quotient dimensions, straightening."""
+"""Highest weight modules, block bases, quotient dimensions, straightening."""
 
 from fractions import Fraction
 import json
@@ -15,7 +15,6 @@ from affine_basis.pbw import (
     ModuleVector,
     PBWMonomial,
     VermaModule,
-    algebra_ad,
     algebra_add,
     algebra_mul,
     straighten,
@@ -52,7 +51,7 @@ def test_degree_zero_slices_of_the_level_one_modules():
 
 
 # ---------------------------------------------------------------------------
-# blocks: full Gram vs incremental basis
+# block bases against the full Gram rank
 # ---------------------------------------------------------------------------
 
 
@@ -60,10 +59,10 @@ def test_block_basis_agrees_with_full_gram_rank():
     module = VermaModule(HighestWeightSpec(0, 1, 0), gens=GEN_C2)
     for key in module.block_support(2):
         bb = module.block_basis(*key)
-        gb = module.gram_block(*key)
-        assert bb.rank == gb.rank, key
-        assert bb.candidates == len(gb.basis)
-        assert set(bb.basis) <= set(gb.basis)
+        monos = module.pbw_monomials(*key)
+        assert bb.rank == pbw.rank_int(module.kernel.gram(monos)), key
+        assert bb.candidates == len(monos)
+        assert set(bb.basis) <= set(monos)
         # the chosen Gram matrix is nonsingular (it is a true basis)
         if bb.rank:
             linalg.invert(bb.matrix)
@@ -72,12 +71,6 @@ def test_block_basis_agrees_with_full_gram_rank():
 def test_block_basis_is_cached_in_memory():
     module = VermaModule(HighestWeightSpec(1, 0, 0), gens=GEN_A1)
     assert module.block_basis(2, (0, 0)) is module.block_basis(2, (0, 0))
-
-
-def test_gram_of_rejects_mixed_blocks():
-    module = VermaModule(HighestWeightSpec(1, 0, 0), gens=GEN_A1)
-    with pytest.raises(ValueError):
-        module.gram_of([(E1,), (F1,)])
 
 
 def test_zero_in_quotient_detects_the_level_bound():
@@ -206,19 +199,14 @@ def test_algebra_product_is_associative_and_ad_is_a_derivation():
     y = {(0, (F1,)): 1}
     z = {(0, (affine.encode(0, 8),)): 1, (1, ()): 2}
     assert algebra_mul(algebra_mul(x, y), z) == algebra_mul(x, algebra_mul(y, z))
-    le = affine.encode(0, 8)
-    left = algebra_ad(le, algebra_mul(x, y))
-    right = algebra_add(
-        algebra_mul(algebra_ad(le, x), y), algebra_mul(x, algebra_ad(le, y))
-    )
+    t = {(0, (affine.encode(0, 8),)): 1}
+
+    def ad(a):  # t*a - a*t, normal ordered
+        return algebra_add(algebra_mul(t, a), algebra_mul(a, t), -1)
+
+    left = ad(algebra_mul(x, y))
+    right = algebra_add(algebra_mul(ad(x), y), algebra_mul(x, ad(y)))
     assert left == right
-
-
-def test_independent_subset_greedy():
-    picked = pbw.independent_subset([[1, 0], [2, 0], [0, 1], [1, 1]])
-    assert picked == [0, 2]
-    assert pbw.independent_subset([[0, 0]]) == []
-    assert pbw.independent_subset([]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +226,6 @@ def test_block_basis_disk_cache_roundtrip(tmp_path):
     assert warm.basis == cold.basis
     assert warm.matrix == cold.matrix
     assert warm.rank == cold.rank and warm.candidates == cold.candidates
-
-
-def test_gram_block_disk_cache_roundtrip(tmp_path):
-    cache_dir = str(tmp_path)
-    spec = HighestWeightSpec(1, 0, 0)
-    m1 = VermaModule(spec, gens=GEN_A1, cache_dir=cache_dir)
-    cold = m1.gram_block(3, (2, 0))
-    m2 = VermaModule(spec, gens=GEN_A1, cache_dir=cache_dir)
-    warm = m2.gram_block(3, (2, 0))
-    assert m2.cache.hits == 1
-    assert warm.matrix == cold.matrix and warm.rank == cold.rank
 
 
 def test_corrupt_cache_entries_are_recomputed(tmp_path):

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import oracles
-from affine_basis import affine, pbw, verify
+from affine_basis import affine, cache, pbw, verify
 from affine_basis.partitions import (
     A1Standard,
     C2FS,
@@ -124,14 +124,31 @@ def test_translation_sweep_pinned_witnesses():
     assert mus == ["1", "1", "-1", "-2", "1", "-1", "-2", "-2"]
 
 
-def test_c0_nonvanishing_norm_strings():
-    rep0 = verify_c0_nonvanishing(A1Standard(1, 0))
-    assert rep0.ok and rep0.witness["norms"] == ["1", "0"]
-    rep1 = verify_c0_nonvanishing(A1Standard(0, 1))
-    assert rep1.ok and rep1.witness["norms"] == ["1", "1", "0"]
-    rep2 = verify_c0_nonvanishing(A1Standard(0, 2))
-    assert rep2.ok and rep2.witness["norms"][-1] == "0"
-    assert all(x != "0" for x in rep2.witness["norms"][:-1])
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "disk-cache"])
+def test_c0_nonvanishing_norm_strings(cached, tmp_path, monkeypatch):
+    # with a disk cache every kind runs twice: the cold pass writes the
+    # blocks, the warm pass must read them all back and agree
+    loads = []
+    get_json = cache.GramCache.get_json
+
+    def counting_get_json(self, key, check=None):
+        rec = get_json(self, key, check)
+        loads.append(rec is not None)
+        return rec
+
+    monkeypatch.setattr(cache.GramCache, "get_json", counting_get_json)
+    passes = ("cold", "warm") if cached else ("cold",)
+    for labels, pinned in (((1, 0), ["1", "0"]), ((0, 1), ["1", "1", "0"]), ((0, 2), None)):
+        cache_dir = str(tmp_path / ("%d%d" % labels)) if cached else None
+        for which in passes:
+            loads.clear()
+            rep = verify_c0_nonvanishing(A1Standard(*labels), cache_dir)
+            norms = rep.witness["norms"]
+            assert rep.ok and len(norms) == labels[1] + 2, (labels, which)
+            assert norms[-1] == "0" and all(x != "0" for x in norms[:-1])
+            if pinned is not None:
+                assert norms == pinned
+            assert loads == ([which == "warm"] * len(norms) if cached else [])
 
 
 # ---------------------------------------------------------------------------
