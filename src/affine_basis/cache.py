@@ -15,7 +15,10 @@ an entry that fails is a miss and is recomputed and overwritten.  What is
 not re-derived on load: the Gram entries themselves (that they are the
 pairings of the chosen monomials) and maximality (that no skipped candidate
 was independent of the chosen ones).  These rest on the cache directory
-holding only what this code wrote.
+holding only what this code wrote.  A cached block also records no
+zero-norm monomials: the zero-suffix rule of block_basis, which decides a
+candidate without pairing when its suffix was certified zero, trusts only
+monomials that a scan in the same run paired to zero.
 
 The cache directory comes from the AFFINE_BASIS_CACHE environment variable
 or an explicit argument; with neither, caching is off and everything is

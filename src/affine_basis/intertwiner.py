@@ -523,7 +523,7 @@ def _tensor_proportionality(tensor, u, v):
     return s if not diff else None
 
 
-def verify_projection_chain(kind, pi, cache_dir=None):
+def verify_projection_chain(kind, pi, cache_dir=None, solved=None):
     """Certify the absorption of the mode-0 block of an admissible partition
     inside tensor models of level-1 truncated modules:
 
@@ -532,7 +532,13 @@ def verify_projection_chain(kind, pi, cache_dir=None):
            monomial of pi without its mode-0 block, over the smaller highest
            weight (k0, k1-c0, c0);
       (ii) w_{k1,s} kills that vector for every s with c0 < s <= k1.
-    """
+
+    `solved` is the (IntertwinerMap, report) pair of solve_w on a window at
+    least as deep as the partition's, as sweep_projection_chain shares it;
+    by default w is solved here on the partition's own window.  solve_w
+    works degree by degree and the blocks below a degree do not depend on
+    the window, so both give the same w and the same `freedom` up to the
+    partition's depth."""
     t0 = time.perf_counter()
     from .pbw import HighestWeightSpec
 
@@ -542,8 +548,9 @@ def verify_projection_chain(kind, pi, cache_dir=None):
     m0 = get_truncated(HighestWeightSpec(1, 0, 0), depth, cache_dir)
     m1 = get_truncated(HighestWeightSpec(0, 1, 0), depth, cache_dir)
     m2 = get_truncated(HighestWeightSpec(0, 0, 1), depth, cache_dir)
-    wmap, report = solve_w(m1, m2, depth)
-    if not report["consistent"]:
+    wmap, report = solved if solved is not None else solve_w(m1, m2, depth)
+    freedom = {d: f for d, f in report["freedom"].items() if d <= depth}
+    if None in freedom.values():
         return StepReport(
             step="projection_chain",
             inputs={"partition": pi.to_dict(), "labels": [k0, k1]},
@@ -581,7 +588,7 @@ def verify_projection_chain(kind, pi, cache_dir=None):
         witness={
             "mu": _fmt(mu) if mu is not None else None,
             "higher_killed": killed,
-            "freedom": {str(d): f for d, f in report["freedom"].items()},
+            "freedom": {str(d): f for d, f in freedom.items()},
         },
         seconds=time.perf_counter() - t0,
     )
@@ -589,12 +596,22 @@ def verify_projection_chain(kind, pi, cache_dir=None):
 
 def sweep_projection_chain(kind, max_degree, cache_dir=None):
     """verify_projection_chain over every admissible partition up to
-    max_degree, aggregated into one report."""
+    max_degree, aggregated into one report.  w is solved once, on the
+    window of the deepest partition, and shared by every partition."""
     t0 = time.perf_counter()
+    from .pbw import HighestWeightSpec
+
+    pis = parts_mod.enumerate_admissible(kind, max_degree)
+    depth = max([1] + [pi.degree for pi in pis])
+    solved = solve_w(
+        get_truncated(HighestWeightSpec(0, 1, 0), depth, cache_dir),
+        get_truncated(HighestWeightSpec(0, 0, 1), depth, cache_dir),
+        depth,
+    )
     results = []
     ok = True
-    for pi in parts_mod.enumerate_admissible(kind, max_degree):
-        rep = verify_projection_chain(kind, pi, cache_dir)
+    for pi in pis:
+        rep = verify_projection_chain(kind, pi, cache_dir, solved)
         ok = ok and rep.ok
         results.append({"partition": pi.tag(), "ok": rep.ok, "mu": rep.witness.get("mu")})
     return StepReport(

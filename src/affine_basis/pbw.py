@@ -10,11 +10,20 @@ This avoids any reliance on character formulas.
 Blocks are indexed by (degree, finite weight), with degree counting total
 negated modes and weight the absolute eps-coordinate weight of the vectors
 (highest weight included).  The set of blocks where L is nonzero ("support")
-is discovered by breadth-first closure from the top block: if a monomial
-vector is nonzero in L, peeling its leftmost factor gives a shorter monomial
-vector that is also nonzero, so every nonzero block is reachable from
+is discovered by closure from the top block: if a monomial vector is
+nonzero in L, peeling its leftmost factor gives a shorter monomial vector
+that is also nonzero, so every nonzero block is reachable from
 (0, highest weight) by single storable-generator steps.  The closure is
 therefore complete, with no weight-support assumptions.
+
+The closure visits blocks in topological order, by increasing
+(degree, -(2*w1 + w2)).  Every storable step raises that key: a negative
+mode raises the degree, and the mode-0 storable generators (bases 0-3, of
+weights (-2,0), (-1,-1), (0,-2), (-1,1)) lower 2*w1 + w2 by 4, 3, 2 or 1.
+So the block of a monomial's suffix is always scanned before the block of
+the monomial.  The radical of the form is a submodule, so x.m is zero in L
+whenever m is; a scan that has certified a monomial zero therefore decides
+every candidate x.m without pairing it (see VermaModule.block_basis).
 
 Module kinds are distinguished only by the generator subset used for
 monomials:
@@ -25,6 +34,7 @@ monomials:
 """
 
 from dataclasses import dataclass
+import heapq
 import json
 
 from . import affine
@@ -195,7 +205,14 @@ class VermaModule:
         self.cache = cache_mod.GramCache(cache_dir)
         self._table_hash = table_hash(self.table)
         self._negparts = {}
+        self._mode0 = {}
         self._bases = {}
+        # monomials this module's own scans certified zero in the quotient
+        self._zero = set()
+        # candidates paired by a scan, and candidates decided by the
+        # zero-suffix rule without pairing
+        self.scanned = 0
+        self.skipped = 0
 
     # -- vectors ----------------------------------------------------------
 
@@ -270,7 +287,11 @@ class VermaModule:
     def _mode0_solutions(self, t1, t2):
         """Exponent assignments for mode-0 storable generators matching the
         weight shift (t1, t2).  Finite: every such weight lowers eps1 or is
-        (0,-2), so exponents are bounded by the target coordinates."""
+        (0,-2), so exponents are bounded by the target coordinates.
+        Memoised per module: many blocks share a weight shift."""
+        memo = self._mode0.get((t1, t2))
+        if memo is not None:
+            return memo
         bases = self.mode0_bases
         weights = self.table.weights
         order = [b for b in (0, 1, 3, 2) if b in bases]
@@ -296,6 +317,7 @@ class VermaModule:
                 rec(idx + 1, r1 - e * wa, r2 - e * wb, acc + [(b, e)])
 
         rec(0, t1, t2, [])
+        self._mode0[(t1, t2)] = sols
         return sols
 
     def pbw_monomials(self, degree, weight):
@@ -330,6 +352,18 @@ class VermaModule:
         raises ArithmeticError.  The scan needs only O(candidates * rank)
         pairings instead of a full candidates^2 Gram matrix.
 
+        Zero-suffix rule.  A scanned candidate whose self-pairing and
+        bordered minor are both zero pairs to zero with every vector kept so
+        far (their Gram matrix is positive definite, its minors being
+        positive), and its zero norm certifies it is zero in the quotient;
+        the module records it.  The candidate mono = x.mono[1:] is then
+        zero whenever mono[1:] is recorded (the radical is a submodule), so
+        it is recorded too and not paired at all: it would not have been
+        kept anyway, and the basis, Gram matrix and candidate count are
+        the same as without the rule.  Only this module's own scans feed the
+        record; blocks loaded from the disk cache add nothing.  block_support
+        scans suffix blocks first, so there the rule sees every suffix.
+
         A disk-cache entry is used only if its chosen indices are strictly
         increasing and in range and its Gram matrix is a symmetric integer
         matrix whose leading minors are all positive; otherwise the block is
@@ -362,22 +396,33 @@ class VermaModule:
             gram = []
             cols, minors = [], [1]
             pair = self.kernel.pair_monos
+            zero = self._zero
+            skipped = 0
             for idx, mono in enumerate(monos):
+                if mono[1:] in zero:
+                    zero.add(mono)
+                    skipped += 1
+                    continue
                 p = [pair(b, mono) for b in chosen]
                 nu = pair(mono, mono)
                 u, d = linalg.bordered_minor(cols, minors, p, nu)
-                if d:
-                    if d < 0:
-                        raise ArithmeticError(
-                            "contravariant form is not positive definite on block %r" % (key,)
-                        )
-                    for r, row in enumerate(gram):
-                        row.append(p[r])
-                    gram.append(p + [nu])
-                    cols.append(u)
-                    minors.append(d)
-                    chosen.append(mono)
-                    picked.append(idx)
+                if not d:
+                    if not nu:
+                        zero.add(mono)
+                    continue
+                if d < 0:
+                    raise ArithmeticError(
+                        "contravariant form is not positive definite on block %r" % (key,)
+                    )
+                for r, row in enumerate(gram):
+                    row.append(p[r])
+                gram.append(p + [nu])
+                cols.append(u)
+                minors.append(d)
+                chosen.append(mono)
+                picked.append(idx)
+            self.skipped += skipped
+            self.scanned += len(monos) - skipped
             if ckey is not None:
                 self.cache.put_json(
                     ckey,
@@ -400,33 +445,32 @@ class VermaModule:
 
     def block_support(self, max_degree):
         """All blocks with nonzero dimension up to max_degree, found by
-        breadth-first closure from the top block (see module docstring for
-        why this is complete).  Returns {(degree, weight): BlockBasis}."""
+        closure from the top block in topological order (see the module
+        docstring for why the closure is complete and why every suffix
+        block comes first).  The blocks scanned are the top block and every
+        one-step target of a nonzero block; each is scanned when it leaves
+        the heap.  Returns {(degree, weight): BlockBasis}."""
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative, got %d" % max_degree)
         start = (0, self.lam_wt)
         support = {}
         seen = {start}
-        queue = [start]
-        top = self.block_basis(*start)
-        if top.rank:
-            support[start] = top
-        while queue:
-            d, wt = queue.pop(0)
-            for mode in range(0, -(max_degree - d) - 1, -1):
+        heap = [_topological_key(start)]
+        while heap:
+            d, _, wt = heapq.heappop(heap)
+            blk = self.block_basis(d, wt)
+            if not blk.rank:
+                continue
+            support[(d, wt)] = blk
+            for mode in range(0, d - max_degree - 1, -1):
                 for b in self.gens:
-                    le = affine.encode(mode, b)
-                    if not affine.storable(le):
+                    if not affine.storable(affine.encode(mode, b)):
                         continue
                     w = self.table.weights[b]
                     tgt = (d - mode, (wt[0] + w[0], wt[1] + w[1]))
-                    if tgt in seen or tgt[0] > max_degree:
-                        continue
-                    seen.add(tgt)
-                    blk = self.block_basis(*tgt)
-                    if blk.rank:
-                        support[tgt] = blk
-                        queue.append(tgt)
+                    if tgt not in seen:
+                        seen.add(tgt)
+                        heapq.heappush(heap, _topological_key(tgt))
         return dict(sorted(support.items()))
 
     def dims_by_degree(self, max_degree):
@@ -448,6 +492,13 @@ class VermaModule:
             if self.kernel.pair_mono(mono, vec.terms):
                 return False
         return True
+
+
+def _topological_key(key):
+    """Heap entry of a block: (degree, -(2*w1 + w2), weight), strictly
+    increasing along every storable step."""
+    d, wt = key
+    return (d, -(2 * wt[0] + wt[1]), wt)
 
 
 def _valid_basis_entry(rec, n_candidates):

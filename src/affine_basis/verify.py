@@ -307,9 +307,9 @@ def _minimal_dependent(gram, pis):
 
 
 def _independence_worker(args):
-    kind_name, labels, max_degree, cache_dir, key = args
+    kind_name, labels, max_degree, key = args
     kind = parts_mod.parse_kind(kind_name, labels)
-    module = kind.module(cache_dir)
+    module = kind.module()
     pis = [
         pi
         for pi in parts_mod.enumerate_admissible(kind, max_degree)
@@ -325,15 +325,18 @@ def _independence_worker(args):
 def verify_independence(kind, max_degree, cache_dir=None, jobs=1):
     """Certify that the admissible monomial vectors are linearly independent
     in the irreducible quotient, block by block: the Gram rank of each block
-    family must equal its size."""
+    family must equal its size.  The admissible vectors are paired with each
+    other directly and no block basis is built, so `cache_dir` is not read
+    or written (nor created); the parameter stays for callers that pass the
+    same arguments to every verifier."""
     t0 = time.perf_counter()
-    module = kind.module(cache_dir)
+    module = kind.module()
     pis = parts_mod.enumerate_admissible(kind, max_degree)
     groups = _group_by_block(kind, module, pis)
     entries = []
     if jobs > 1 and len(groups) > 1:
         args = [
-            (kind.name, list(kind.as_tuple()), max_degree, cache_dir, key)
+            (kind.name, list(kind.as_tuple()), max_degree, key)
             for key in groups
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from affine_basis import affine
+from affine_basis import intertwiner
 from affine_basis.intertwiner import (
     EPS1,
     TensorModule,
@@ -204,6 +205,31 @@ def test_projection_chain_sweep_level_two():
     assert len(entries) == len(enumerate_admissible(A1Standard(1, 1), 2))
     assert all(e["ok"] for e in entries)
     assert all(e["mu"] not in (None, "0") for e in entries)
+
+
+def test_projection_chain_sweep_solves_w_once(monkeypatch):
+    kind = A1Standard(0, 2)
+    pis = enumerate_admissible(kind, 2)
+    direct = [verify_projection_chain(kind, pi) for pi in pis]  # one solve each
+    calls = []
+    real = intertwiner.solve_w
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(intertwiner, "solve_w", counting)
+    rep = sweep_projection_chain(kind, 2)
+    assert len(calls) == 1
+    assert rep.ok
+    assert rep.witness["partitions"] == [
+        {"partition": pi.tag(), "ok": r.ok, "mu": r.witness["mu"]} for pi, r in zip(pis, direct)
+    ]
+    # the shared solution gives each partition the witness of its own window,
+    # freedom included
+    solved = real(*calls[0])
+    for pi, r in zip(pis, direct):
+        assert verify_projection_chain(kind, pi, None, solved).witness == r.witness
 
 
 def test_cross_model_agreement():

@@ -210,6 +210,76 @@ def test_algebra_product_is_associative_and_ad_is_a_derivation():
 
 
 # ---------------------------------------------------------------------------
+# the scan: topological order, zero-suffix rule, positivity guard
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "labels, gens, depth", [((0, 1, 0), GEN_C2, 3), ((1, 0, 0), GEN_A1, 5)]
+)
+def test_block_bases_do_not_depend_on_the_scan_order(labels, gens, depth):
+    spec = HighestWeightSpec(*labels)
+    support = VermaModule(spec, gens=gens).block_support(depth)
+    # reverse order: most suffix blocks come after the blocks that need them
+    fresh = VermaModule(spec, gens=gens)
+    for key in sorted(support, reverse=True):
+        bb = fresh.block_basis(*key)
+        ref = support[key]
+        assert (bb.basis, bb.matrix, bb.candidates) == (ref.basis, ref.matrix, ref.candidates), key
+
+
+def test_zero_suffix_rule_decides_candidates_without_pairing():
+    module = VermaModule(HighestWeightSpec(0, 1, 0), gens=GEN_C2)
+    module.block_support(2)
+    assert module.skipped > 0
+    assert module.scanned + module.skipped == sum(bb.candidates for bb in module._bases.values())
+    # every monomial the scans recorded is zero against the final block bases
+    for mono in module._zero:
+        assert module.zero_in_quotient(module.vector(mono)), mono
+
+
+def test_negative_minor_raises():
+    # negative control: a zero-norm candidate that pairs nonzero with a kept
+    # vector would make the form indefinite; the scan must refuse it
+    spec, key = HighestWeightSpec(1, 0, 0), (2, (-2, 0))
+    ref = VermaModule(spec, gens=GEN_A1).block_basis(*key)
+    module = VermaModule(spec, gens=GEN_A1)
+    monos = module.pbw_monomials(*key)
+    kept = ref.basis[0]
+    target = next(
+        m for m in monos[monos.index(kept) + 1:]
+        if m not in ref.basis and module.kernel.pair_monos(m, m) == 0
+    )
+    real = module.kernel.pair_monos
+
+    def poisoned(m1, m2):
+        if (m1, m2) == (kept, target):
+            return 1
+        return real(m1, m2)
+
+    module.kernel.pair_monos = poisoned
+    with pytest.raises(ArithmeticError):
+        module.block_basis(*key)
+
+
+def test_cached_blocks_do_not_seed_the_zero_set(tmp_path):
+    spec, cache_dir = HighestWeightSpec(1, 0, 0), str(tmp_path)
+    VermaModule(spec, gens=GEN_A1, cache_dir=cache_dir).block_support(3)
+    warm = VermaModule(spec, gens=GEN_A1, cache_dir=cache_dir)
+    warm.block_support(3)
+    assert warm.cache.misses == 0
+    assert warm.scanned == warm.skipped == 0 and not warm._zero
+    fresh = VermaModule(spec, gens=GEN_A1)
+    fresh.block_support(3)
+    before = fresh.skipped
+    key = (4, (-4, 0))
+    a, b = fresh.block_basis(*key), warm.block_basis(*key)
+    assert fresh.skipped > before
+    assert warm.skipped == 0 and warm.scanned == b.candidates
+    assert (a.basis, a.matrix) == (b.basis, b.matrix)
+
+
+# ---------------------------------------------------------------------------
 # disk cache round trips
 # ---------------------------------------------------------------------------
 

@@ -179,6 +179,13 @@ def test_independence_parallel_jobs_agree():
     assert seq.witness == par.witness
 
 
+def test_independence_creates_no_cache(tmp_path):
+    # the admissible vectors are paired directly; no block basis is cached
+    rep = verify_independence(A1Standard(0, 1), 2, str(tmp_path / "c"))
+    assert rep.ok
+    assert not (tmp_path / "c").exists()
+
+
 def test_principal_subspace_independence():
     rep = verify_independence(C2FS(1, 0, 0), 3)
     assert rep.ok
