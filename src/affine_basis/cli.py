@@ -10,7 +10,7 @@ Verbs:
 Common flags: --kind {a1,c2fs}, --k0/--k1/--k2 labels, --max-degree,
 --format {text,json,csv}, --out FILE, --quiet.  Only on the verbs that read
 them: --cache-dir (dims, verify, report; defaults to $AFFINE_BASIS_CACHE),
---depth (window for truncated-module steps) and --jobs (verify, report).
+--depth (window for truncated-module steps; verify, report).
 
 Exit codes: 0 all checks passed, 1 a verification claim failed, 2 usage or
 input error.
@@ -42,7 +42,6 @@ def _add_common(p, cache=True, window=True):
     p.add_argument("--max-degree", type=int, default=3)
     if window:
         p.add_argument("--depth", type=int, default=2, help="truncation window")
-        p.add_argument("--jobs", type=int, default=1)
     if cache:
         p.add_argument("--cache-dir", default=default_cache_dir())
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -197,11 +196,7 @@ def cmd_verify(args):
     cache_dir = args.cache_dir
     reports = []
     if args.check == "independence":
-        reports.append(
-            verify_mod.verify_independence(
-                kind, args.max_degree, cache_dir, jobs=args.jobs
-            )
-        )
+        reports.append(verify_mod.verify_independence(kind, args.max_degree, cache_dir))
     elif args.check == "spanning":
         reports.append(verify_mod.verify_spanning(kind, args.max_degree, cache_dir))
     elif args.check == "tpower":
@@ -229,7 +224,7 @@ def cmd_report(args):
     kind = _kind_from(args)
     cache_dir = args.cache_dir
     reports = [
-        verify_mod.verify_independence(kind, args.max_degree, cache_dir, jobs=args.jobs),
+        verify_mod.verify_independence(kind, args.max_degree, cache_dir),
         verify_mod.verify_spanning(kind, args.max_degree, cache_dir),
         verify_mod.sweep_t_power(kind, args.max_degree),
     ]

@@ -18,7 +18,9 @@ weight vector, sends the weight-(0,1) top vector to the top of the target,
 and commutes with the three color operators at every mode.  solve_w finds
 all such maps inside the window degree by degree, by exact linear algebra,
 and reports the dimension of the solution space at each degree; the
-returned map is the deterministic particular solution.
+returned map is the deterministic particular solution.  Action matrices and
+intertwiner blocks are plain lists of rows of their block's shape; a zero map
+is a zero matrix, with no rows when the target block is empty.
 
 w_{k1, s} applies w to the last s tensor slots.  The projection-chain
 verifier certifies, entirely inside tensor models, that the mode-0 block of
@@ -30,7 +32,6 @@ monomial over the smaller highest weight, and w_{k1,s} with s > c0 kills it.
 from dataclasses import dataclass, field
 from fractions import Fraction
 import itertools
-import json
 import math
 import time
 
@@ -38,7 +39,7 @@ from . import affine
 from . import partitions as parts_mod
 from .linalg import invert, solve_sparse
 from .pbw import VermaModule, GEN_C2
-from .verify import StepReport, _fmt
+from .verify import StepReport, _fmt, _proportionality
 
 EPS1 = (1, 0)
 
@@ -104,28 +105,21 @@ class TruncatedModule:
 
     def act_matrix(self, le, key):
         """Matrix of x(le) from block `key` to its target block, in the
-        chosen bases, exact.  Returns (target_key, rows|None); None stands
-        for the zero map (empty source or target)."""
+        chosen bases, exact.  Returns (target_key, rows): dim(target) rows
+        of dim(key) entries, so an empty target gives no rows.  Every image
+        goes through `coordinates`, which certifies that images landing in
+        an empty block vanish."""
         memo_key = (le, key)
         if memo_key in self._act:
             return self._act[memo_key]
         tgt = self.target_key(le, key)
         if tgt[0] > self.max_degree or tgt[0] < 0:
             raise ValueError("action leaves the degree window: %r -> %r" % (key, tgt))
-        src_basis = self.basis.get(key, ())
-        n_tgt = self.dim(tgt)
-        if not src_basis or not n_tgt:
-            for mono in src_basis:
-                self.coordinates(tgt, self.verma.kernel.act_le(le, mono))
-            out = (tgt, None)
-            self._act[memo_key] = out
-            return out
-        cols = []
-        for mono in src_basis:
-            image = self.verma.kernel.act_le(le, mono)
-            cols.append(self.coordinates(tgt, image))
-        rows = [[cols[c][r] for c in range(len(cols))] for r in range(n_tgt)]
-        out = (tgt, rows)
+        cols = [
+            self.coordinates(tgt, self.verma.kernel.act_le(le, mono))
+            for mono in self.basis.get(key, ())
+        ]
+        out = (tgt, [[col[r] for col in cols] for r in range(self.dim(tgt))])
         self._act[memo_key] = out
         return out
 
@@ -170,8 +164,6 @@ class TensorModule:
             for slot, (d, wt, i) in enumerate(state):
                 factor = self.factors[slot]
                 tgt, rows = factor.act_matrix(le, (d, wt))
-                if rows is None:
-                    continue
                 for r, row in enumerate(rows):
                     if not row[i]:
                         continue
@@ -215,41 +207,44 @@ class TensorModule:
 @dataclass
 class IntertwinerMap:
     """Weight-shift map between two truncated modules: one exact rational
-    matrix per source block, shifting finite weights by eps1.  `freedom`
-    records the solution-space dimension found at each degree (0 means the
-    normalized map is unique there)."""
+    dim(shift(key)) x dim(key) matrix per source block `key`, shifting
+    finite weights by eps1; a block the map kills holds a zero matrix.
+    `freedom` records the solution-space dimension found at each degree (0
+    means the normalized map is unique there)."""
 
     source: TruncatedModule
     target: TruncatedModule
     blocks: dict
     freedom: dict = field(default_factory=dict)
 
-    def apply_block(self, key, coeffs):
-        """Image coordinates of a source-block coordinate vector."""
-        mat = self.blocks.get(key)
-        if mat is None:
-            return None, []
-        tgt = (key[0], (key[1][0] + EPS1[0], key[1][1] + EPS1[1]))
-        out = [sum((row[c] * coeffs[c] for c in range(len(coeffs))), Fraction(0)) for row in mat]
-        return tgt, out
+    def block(self, key):
+        """The matrix on block `key`; a zero matrix outside the solved
+        blocks."""
+        if key in self.blocks:
+            return self.blocks[key]
+        return _zeros(self.target.dim(_shift(key)), self.source.dim(key))
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "shift": list(EPS1),
-                "freedom": {str(d): f for d, f in sorted(self.freedom.items())},
-                "blocks": {
-                    "%d|%d,%d" % (k[0], k[1][0], k[1][1]): [[_fmt(x) for x in row] for row in m]
-                    for k, m in sorted(self.blocks.items())
-                    if m is not None
-                },
-            },
-            sort_keys=True,
-        )
+    def apply_block(self, key, coeffs):
+        """Target block and image coordinates of a source-block coordinate
+        vector."""
+        return _shift(key), [
+            sum((a * x for a, x in zip(row, coeffs)), Fraction(0)) for row in self.block(key)
+        ]
 
 
 def _shift(key):
     return (key[0], (key[1][0] + EPS1[0], key[1][1] + EPS1[1]))
+
+
+def _zeros(n_rows, n_cols):
+    return [[Fraction(0)] * n_cols for _ in range(n_rows)]
+
+
+def _matmul(a, b, n_cols):
+    """The product a.b of row lists, where b has n_cols columns (stated
+    because b may have no rows)."""
+    cols = [[row[c] for row in b] for c in range(n_cols)]
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in a]
 
 
 def solve_w(source, target, max_degree=None, colors=affine.COLOR_BASES):
@@ -277,8 +272,7 @@ def solve_w(source, target, max_degree=None, colors=affine.COLOR_BASES):
 
         def w_entry(key, r, c, sign, row):
             """Add sign * W[key][r][c] to a sparse equation row (current
-            unknowns), or return the known value (solved lower degrees /
-            zero blocks)."""
+            unknowns), or return the known value (solved lower degrees)."""
             if key in var_index:
                 col = var_index[key] + r * source.dim(key) + c
                 cc = row.get(col, Fraction(0)) + sign
@@ -287,14 +281,11 @@ def solve_w(source, target, max_degree=None, colors=affine.COLOR_BASES):
                 else:
                     row.pop(col, None)
                 return Fraction(0)
-            if key in blocks:
-                mat = blocks[key]
-                return sign * (mat[r][c] if mat is not None else Fraction(0))
-            if source.dim(key) and target.dim(_shift(key)):
+            if key not in blocks:
                 raise AssertionError(
                     "equation references an unsolved block %r at stage %d" % (key, d)
                 )
-            return Fraction(0)
+            return sign * blocks[key][r][c]
 
         def add_equation(parts, const):
             row = {}
@@ -322,17 +313,15 @@ def solve_w(source, target, max_degree=None, colors=affine.COLOR_BASES):
         for base in colors:
             for key in src_keys:
                 for n in range(0, d + 1):
-                    eqs = _commutation_parts(source, target, key, affine.encode(n, base))
-                    if eqs is not None:
-                        for parts, const in eqs:
-                            add_equation(parts, const)
+                    for parts, const in _commutation_parts(
+                        source, target, key, affine.encode(n, base)
+                    ):
+                        add_equation(parts, const)
             for n in range(1, d + 1):
                 le = affine.encode(-n, base)
                 for key in [k for k in source.block_keys() if k[0] == d - n]:
-                    eqs = _commutation_parts(source, target, key, le)
-                    if eqs is not None:
-                        for parts, const in eqs:
-                            add_equation(parts, const)
+                    for parts, const in _commutation_parts(source, target, key, le):
+                        add_equation(parts, const)
 
         if nvars or rows:
             sol, n_free = solve_sparse(rows, rhs, nvars)
@@ -341,17 +330,18 @@ def solve_w(source, target, max_degree=None, colors=affine.COLOR_BASES):
                 freedom[d] = None
                 break
             freedom[d] = n_free
-            for key, start in var_index.items():
-                n1 = source.dim(key)
-                n2 = target.dim(_shift(key))
+        else:
+            freedom[d] = 0
+        for key in src_keys:
+            n1 = source.dim(key)
+            n2 = target.dim(_shift(key))
+            if key in var_index:
+                start = var_index[key]
                 blocks[key] = [
                     [sol[start + r * n1 + c] for c in range(n1)] for r in range(n2)
                 ]
-        else:
-            freedom[d] = 0
-        # source blocks with no unknowns carry the zero map
-        for key in src_keys:
-            blocks.setdefault(key, None)
+            else:  # no unknowns: the zero map
+                blocks[key] = _zeros(n2, n1)
     wmap = IntertwinerMap(source=source, target=target, blocks=blocks, freedom=freedom)
     report = {"consistent": consistent, "freedom": dict(freedom)}
     return wmap, report
@@ -360,15 +350,15 @@ def solve_w(source, target, max_degree=None, colors=affine.COLOR_BASES):
 def _commutation_parts(source, target, key, le):
     """Equations W_{T1} A1 - A2 W_{S} = 0 for one source block and one loop
     element, as lists of (block, r, c, sign) parts (constants handled by the
-    assembler through solved blocks).  Returns None when the action leaves
+    assembler through solved blocks).  No equations when the action leaves
     the window."""
     t1 = source.target_key(le, key)
     if t1[0] < 0 or t1[0] > source.max_degree:
-        return None
+        return []
     s2 = _shift(key)
     t2 = _shift(t1)
     if t2[0] > target.max_degree:
-        return None
+        return []
     _, a1 = source.act_matrix(le, key)
     _, a2 = target.act_matrix(le, s2)
     n1s = source.dim(key)
@@ -380,15 +370,13 @@ def _commutation_parts(source, target, key, le):
         for c in range(n1s):
             parts = []
             # (W_{T1} A1)[r][c] = sum_m W_{T1}[r][m] * A1[m][c]
-            if a1 is not None:
-                for m in range(n1t):
-                    if a1[m][c]:
-                        parts.append((t1, r, m, Fraction(a1[m][c])))
+            for m in range(n1t):
+                if a1[m][c]:
+                    parts.append((t1, r, m, Fraction(a1[m][c])))
             # -(A2 W_S)[r][c] = -sum_m A2[r][m] * W_S[m][c]
-            if a2 is not None:
-                for m in range(n2s):
-                    if a2[r][m]:
-                        parts.append((key, m, c, -Fraction(a2[r][m])))
+            for m in range(n2s):
+                if a2[r][m]:
+                    parts.append((key, m, c, -Fraction(a2[r][m])))
             if parts:
                 eqs.append((parts, 0))
     return eqs
@@ -409,9 +397,8 @@ def verify_intertwiner(max_degree, cache_dir=None):
     v1_killed = None
     commutes = None
     if ok:
-        top = source.top_key()
-        tgt, img = wmap.apply_block(top, [Fraction(1)])
-        v1_killed = tgt is None or not any(img)
+        _, img = wmap.apply_block(source.top_key(), [Fraction(1)])
+        v1_killed = not any(img)
         commutes = _check_commutation(source, target, wmap, max_degree)
         ok = v1_killed and commutes
     return StepReport(
@@ -428,41 +415,22 @@ def verify_intertwiner(max_degree, cache_dir=None):
 
 
 def _check_commutation(source, target, wmap, max_degree):
+    """W[t1].A1 == A2.W[key] for every source block `key` and every color
+    loop element x with x(key) = t1 inside the window.  It reads only the
+    solved blocks and the action matrices, never the solver's equations."""
     for key in source.block_keys():
         n1 = source.dim(key)
+        w = wmap.block(key)
         for base in affine.COLOR_BASES:
-            for n in range(-(max_degree - 0), max_degree + 1):
+            for n in range(-max_degree, max_degree + 1):
                 le = affine.encode(-n, base)
                 t1 = source.target_key(le, key)
-                if t1[0] < 0 or t1[0] > max_degree or _shift(t1)[0] > max_degree:
+                if t1[0] < 0 or t1[0] > max_degree:
                     continue
                 _, a1 = source.act_matrix(le, key)
                 _, a2 = target.act_matrix(le, _shift(key))
-                w = wmap.blocks.get(key)
-                for c in range(n1):
-                    # w(x u)
-                    if a1 is not None:
-                        xu = [a1[r][c] for r in range(len(a1))]
-                        _, wxu = wmap.apply_block(t1, xu)
-                    else:
-                        wxu = []
-                    # x w(u): w(u) is column c of the solved block
-                    wu = [row[c] for row in w] if w is not None else []
-                    if wu and a2 is not None:
-                        xwu = [
-                            sum((a2[r][m] * wu[m] for m in range(len(wu))), Fraction(0))
-                            for r in range(len(a2))
-                        ]
-                    else:
-                        xwu = []
-                    la = [x for x in (wxu or [])]
-                    lb = [x for x in (xwu or [])]
-                    if len(la) < len(lb):
-                        la += [Fraction(0)] * (len(lb) - len(la))
-                    if len(lb) < len(la):
-                        lb += [Fraction(0)] * (len(la) - len(lb))
-                    if la != lb:
-                        return False
+                if _matmul(wmap.block(t1), a1, n1) != _matmul(a2, w, n1):
+                    return False
     return True
 
 
@@ -482,14 +450,12 @@ def build_w_ks(wmap, n_slots, s):
             expansions = [[(state[i], Fraction(1))] for i in range(n_slots)]
             for slot in range(n_slots - s, n_slots):
                 d, wt, i = state[slot]
-                mat = wmap.blocks.get((d, wt))
-                terms = []
-                if mat is not None:
-                    tgt = (d, (wt[0] + EPS1[0], wt[1] + EPS1[1]))
-                    for r, row in enumerate(mat):
-                        if row[i]:
-                            terms.append(((tgt[0], tgt[1], r), row[i]))
-                expansions[slot] = terms
+                tgt = _shift((d, wt))
+                expansions[slot] = [
+                    ((tgt[0], tgt[1], r), row[i])
+                    for r, row in enumerate(wmap.block((d, wt)))
+                    if row[i]
+                ]
             for combo in itertools.product(*expansions):
                 new_state = tuple(t for t, _ in combo)
                 val = coeff
@@ -504,23 +470,6 @@ def build_w_ks(wmap, n_slots, s):
         return out
 
     return apply
-
-
-def _tensor_proportionality(tensor, u, v):
-    """Scalar s with u == s*v as tensor vectors (exact dict equality after
-    scaling); None if not proportional."""
-    if not v:
-        return None
-    key = next(iter(v))
-    s = Fraction(u.get(key, 0), 1) / v[key]
-    diff = dict(u)
-    for k, c in v.items():
-        cc = diff.get(k, Fraction(0)) - s * c
-        if cc:
-            diff[k] = cc
-        else:
-            diff.pop(k, None)
-    return s if not diff else None
 
 
 def verify_projection_chain(kind, pi, cache_dir=None, solved=None):
@@ -570,7 +519,7 @@ def verify_projection_chain(kind, pi, cache_dir=None, solved=None):
     lhs = w_c0(u)
     tgt = TensorModule([m0] * k0 + [m1] * (k1 - c0) + [m2] * c0, depth)
     rhs = tgt.act_word(parts_mod._literal_word(pi1, parts_mod.COLOR_BASES_MAP))
-    mu = _tensor_proportionality(tgt, lhs, rhs)
+    mu = _proportionality(lhs, rhs)
     ok = mu is not None and mu != 0
 
     # clause (ii): one more application kills

@@ -250,18 +250,6 @@ class C2FS:
         return (self.k0, self.k1, self.k2)
 
 
-def parse_kind(name, labels):
-    if name == "a1":
-        if len(labels) != 2:
-            raise ValueError("a1 takes labels (k0, k1)")
-        return A1Standard(*labels)
-    if name == "c2fs":
-        if len(labels) != 3:
-            raise ValueError("c2fs takes labels (k0, k1, k2)")
-        return C2FS(*labels)
-    raise ValueError("unknown module kind %r" % name)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------

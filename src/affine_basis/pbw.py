@@ -571,12 +571,6 @@ def algebra_add(a, b, factor=1):
     return out
 
 
-def algebra_scale(a, factor):
-    if not factor:
-        return {}
-    return {k: factor * c for k, c in a.items()}
-
-
 def algebra_mul(a, b):
     uk = ukernel()
     out = {}

@@ -20,14 +20,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import affine
 from . import partitions as parts_mod
 from . import pbw
 from .cartan import build_c2, X12
 from .linalg import nullspace
-from .pbw import VermaModule, GEN_C2, straighten, algebra_add, algebra_scale
+from .pbw import VermaModule, GEN_C2, straighten, algebra_add
 
 
 def _fmt(x):
@@ -138,19 +137,14 @@ def verify_t_power(kind, pi, table=None):
     )
 
 
-def _proportionality(elem, target):
-    """Scalar s with elem == s * target exactly, else None (0 if elem is 0)."""
-    if not elem:
-        return 0
-    if not target:
+def _proportionality(u, v):
+    """Scalar s with u == s * v exactly, for vectors held as dicts of
+    coefficients; None if v is empty or the two are not proportional."""
+    if not v:
         return None
-    key = next(iter(target))
-    if key not in elem:
-        return None
-    s = Fraction(elem[key], target[key])
-    if algebra_add(elem, algebra_scale(target, s), -1):
-        return None
-    return s
+    key = next(iter(v))
+    s = Fraction(u.get(key, 0)) / v[key]
+    return None if algebra_add(u, v, -s) else s
 
 
 # ---------------------------------------------------------------------------
@@ -306,23 +300,7 @@ def _minimal_dependent(gram, pis):
     return [pis[i].tag() for i in support]
 
 
-def _independence_worker(args):
-    kind_name, labels, max_degree, key = args
-    kind = parts_mod.parse_kind(kind_name, labels)
-    module = kind.module()
-    pis = [
-        pi
-        for pi in parts_mod.enumerate_admissible(kind, max_degree)
-        if (
-            affine.word_degree(kind.monomial_word(pi)),
-            module.abs_weight(kind.monomial_word(pi)),
-        )
-        == key
-    ]
-    return key, _independence_block(kind, module, key, pis)
-
-
-def verify_independence(kind, max_degree, cache_dir=None, jobs=1):
+def verify_independence(kind, max_degree, cache_dir=None):
     """Certify that the admissible monomial vectors are linearly independent
     in the irreducible quotient, block by block: the Gram rank of each block
     family must equal its size.  The admissible vectors are paired with each
@@ -332,19 +310,10 @@ def verify_independence(kind, max_degree, cache_dir=None, jobs=1):
     t0 = time.perf_counter()
     module = kind.module()
     pis = parts_mod.enumerate_admissible(kind, max_degree)
-    groups = _group_by_block(kind, module, pis)
-    entries = []
-    if jobs > 1 and len(groups) > 1:
-        args = [
-            (kind.name, list(kind.as_tuple()), max_degree, key)
-            for key in groups
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(_independence_worker, args))
-        entries = [results[key] for key in sorted(results)]
-    else:
-        for key, group in groups.items():
-            entries.append(_independence_block(kind, module, key, group))
+    entries = [
+        _independence_block(kind, module, key, group)
+        for key, group in _group_by_block(kind, module, pis).items()
+    ]
     ok = all(e["count"] == e["rank"] for e in entries)
     return StepReport(
         step="independence",

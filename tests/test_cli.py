@@ -260,6 +260,8 @@ def test_cache_dir_defaults_to_the_environment(verb, tmp_path, monkeypatch):
     "argv",
     [
         ["enumerate", "--jobs", "2"],
+        ["verify", "independence", "--jobs", "2"],
+        ["report", "--jobs", "2"],
         ["dims", "--depth", "3"],
         ["enumerate", "--cache-dir", "x"],
     ],

@@ -8,6 +8,7 @@ from affine_basis import affine
 from affine_basis import intertwiner
 from affine_basis.intertwiner import (
     EPS1,
+    IntertwinerMap,
     TensorModule,
     build_w_ks,
     get_truncated,
@@ -77,10 +78,10 @@ def test_act_matrix_entries_match_kernel_action():
     coords = SOURCE.coordinates(tgt, image)
     assert [rows[r][0] for r in range(len(rows))] == coords
     # raising the top along the long root leaves the quotient: the image
-    # block is empty at level 1, reported as the zero map
+    # block is empty at level 1, so the zero map has no rows
     tgt2, rows2 = SOURCE.act_matrix(affine.encode(-1, 9), key)
     assert tgt2 == (1, (3, 0))
-    assert rows2 is None and SOURCE.dim(tgt2) == 0
+    assert rows2 == [] and SOURCE.dim(tgt2) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +106,16 @@ def test_solve_w_is_deterministic_and_normalized():
     assert r1["consistent"] is True
     # normalization: the weight-(0,1) degree-0 block maps by the identity
     assert w1.blocks[(0, (0, 1))] == [[Fraction(1)]]
-    # the source top vector is killed: its block maps to zero or nowhere
-    top = w1.blocks.get(SOURCE.top_key())
-    assert top is None or all(not any(row) for row in top)
+    # the source top vector is killed: its block is an all-zero dim x 1 matrix
+    top = SOURCE.top_key()
+    n_top = TARGET.dim(intertwiner._shift(top))
+    assert w1.blocks[top] == [[Fraction(0)]] * n_top
+    # every block is a plain dim(shift(key)) x dim(key) matrix
+    assert set(w1.blocks) == set(SOURCE.block_keys())
+    for key, mat in w1.blocks.items():
+        assert isinstance(mat, list)
+        assert len(mat) == TARGET.dim(intertwiner._shift(key))
+        assert all(len(row) == SOURCE.dim(key) for row in mat)
 
 
 def test_apply_block_shifts_by_eps1():
@@ -116,17 +124,27 @@ def test_apply_block_shifts_by_eps1():
     tgt, out = w.apply_block(key, [Fraction(3)])
     assert tgt == (0, (0 + EPS1[0], 1 + EPS1[1]))
     assert out == [Fraction(3)]
-    assert w.apply_block((0, (9, 9)), [Fraction(1)]) == (None, [])
+    # a block outside the source maps by zero into its shifted block
+    assert w.apply_block((0, (9, 9)), [Fraction(1)]) == ((0, (10, 9)), [])
 
 
-def test_intertwiner_json_export():
-    import json
-
-    w, _ = solve_w(SOURCE, TARGET, 1)
-    data = json.loads(w.to_json())
-    assert data["shift"] == [1, 0]
-    assert data["freedom"] == {"0": 0, "1": 0}
-    assert "0|0,1" in data["blocks"]
+def test_commutation_check_rejects_every_single_entry_perturbation():
+    # negative control: the post-hoc check must catch a wrong W.  Adding 1
+    # to any one entry of any solved block breaks commutation somewhere.
+    w, _ = solve_w(SOURCE, TARGET, 2)
+    assert intertwiner._check_commutation(SOURCE, TARGET, w, 2)
+    entries = [
+        (key, r, c)
+        for key, mat in w.blocks.items()
+        for r, row in enumerate(mat)
+        for c in range(len(row))
+    ]
+    assert entries
+    for key, r, c in entries:
+        blocks = {k: [list(row) for row in mat] for k, mat in w.blocks.items()}
+        blocks[key][r][c] += 1
+        bad = IntertwinerMap(SOURCE, TARGET, blocks, w.freedom)
+        assert not intertwiner._check_commutation(SOURCE, TARGET, bad, 2), (key, r, c)
 
 
 # ---------------------------------------------------------------------------

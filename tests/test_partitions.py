@@ -16,7 +16,6 @@ from affine_basis.partitions import (
     enumerate_admissible,
     enumerate_colored,
     ic_propagation,
-    parse_kind,
     satisfies_dc,
     satisfies_ic_a1,
     satisfies_ic_c2fs,
@@ -201,14 +200,6 @@ def test_kind_records():
     assert sub.level == 2
     assert sub.spec() == HighestWeightSpec(1, 0, 1)
     assert sub.module().gens == tuple(sorted(GEN_COLORS))
-    assert parse_kind("a1", (1, 0)) == A1Standard(1, 0)
-    assert parse_kind("c2fs", (1, 1, 0)) == C2FS(1, 1, 0)
-    with pytest.raises(ValueError):
-        parse_kind("a1", (1, 0, 0))
-    with pytest.raises(ValueError):
-        parse_kind("c2fs", (1,))
-    with pytest.raises(ValueError):
-        parse_kind("other", (1, 0))
 
 
 def test_literal_word_order_contract():

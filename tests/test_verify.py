@@ -171,14 +171,6 @@ def test_independence_and_spanning_level_one():
     )
 
 
-def test_independence_parallel_jobs_agree():
-    kind = A1Standard(0, 1)
-    seq = verify_independence(kind, 2, jobs=1)
-    par = verify_independence(kind, 2, jobs=2)
-    assert seq.ok and par.ok
-    assert seq.witness == par.witness
-
-
 def test_independence_creates_no_cache(tmp_path):
     # the admissible vectors are paired directly; no block basis is cached
     rep = verify_independence(A1Standard(0, 1), 2, str(tmp_path / "c"))
