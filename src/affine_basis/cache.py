@@ -1,11 +1,17 @@
 """Disk cache for certified block bases.
 
 Building block bases dominates every verification sweep, and blocks are
-shared between sweeps (the same module shows up for independence, spanning,
+shared between sweeps (the same module shows up for spanning, translation
 and dimension checks).  A block is cached under a key that pins down
-everything the entries depend on: structure-table hash, highest weight data,
-central charge, grading, and the exact monomial list.  Entries are stored as
-decimal strings (exact; also safe for arbitrarily large integers).
+everything the entry depends on: an entry tag, the structure-table hash,
+highest weight data and generator count, central charge, grading, and the
+exact list of the block's closure candidate words (each built from a basis
+word of the block below, so the key also pins the bases of every block
+below it).  The entry holds the indices of the chosen candidates and their
+Gram matrix, as decimal strings (exact; also safe for arbitrarily large
+integers).  The tag names the kind of entry: an entry written for another
+candidate scheme (the "basis" entries indexed PBW monomial lists) hashes to
+another key and is never read as a closure entry.
 
 Trust boundary.  Unreadable entries are misses.  A block-basis entry is also
 checked on load (pbw.VermaModule.block_basis): its chosen indices must be
@@ -13,12 +19,9 @@ strictly increasing and in range, and its Gram matrix symmetric with every
 leading principal minor positive, so a cached basis is always independent;
 an entry that fails is a miss and is recomputed and overwritten.  What is
 not re-derived on load: the Gram entries themselves (that they are the
-pairings of the chosen monomials) and maximality (that no skipped candidate
+pairings of the chosen words) and maximality (that no candidate left out
 was independent of the chosen ones).  These rest on the cache directory
-holding only what this code wrote.  A cached block also records no
-zero-norm monomials: the zero-suffix rule of block_basis, which decides a
-candidate without pairing when its suffix was certified zero, trusts only
-monomials that a scan in the same run paired to zero.
+holding only what this code wrote.
 
 The cache directory comes from the AFFINE_BASIS_CACHE environment variable
 or an explicit argument; with neither, caching is off and everything is
@@ -35,16 +38,19 @@ def default_cache_dir():
     return d or None
 
 
-def block_key(table_hash, lam, level, degree, weight, monos):
+BLOCK_TAG = "closure-basis"
+
+
+def block_key(table_hash, lam, level, degree, weight, words):
     payload = json.dumps(
         [
-            "basis",  # entry kind, kept so existing cache directories stay valid
+            BLOCK_TAG,
             table_hash,
             list(lam),
             level,
             degree,
             list(weight),
-            [list(m) for m in monos],
+            [list(w) for w in words],
         ],
         sort_keys=True,
     )

@@ -1,8 +1,9 @@
 """Truncated modules, tensor models, and the color intertwiner.
 
 A TruncatedModule is a finite exact model of an irreducible module up to a
-degree window D: for every (degree, weight) block it stores a maximal
-independent subset of PBW monomial vectors (a true basis of the block), the
+degree window D: for every (degree, weight) block it stores the block basis
+of the Verma engine (words of loop codes, each built from a basis word of the
+block below it, with their Verma vectors; a true basis of the block), the
 nonsingular Gram matrix of that basis, and exact rational action matrices of
 loop elements between blocks.  Coordinates are always recovered through the
 contravariant pairing, so the model is faithful: no quotient basis is ever
@@ -54,9 +55,11 @@ class TruncatedModule:
         self.max_degree = max_degree
         self.verma = VermaModule(spec, gens=GEN_C2, cache_dir=cache_dir)
         self.basis = {}
+        self.vectors = {}
         self.gram = {}
         for key, blk in self.verma.block_support(max_degree).items():
             self.basis[key] = blk.basis
+            self.vectors[key] = blk.vectors
             self.gram[key] = blk.matrix
         self._act = {}
         self._gram_inv = {}
@@ -79,10 +82,10 @@ class TruncatedModule:
 
     def coordinates(self, key, terms):
         """Coordinates of a vector (dict of monomials, supported on block
-        `key`) in the chosen basis, via the pairing against basis vectors:
-        the block's inverse Gram matrix is held as integer rows over one
-        common denominator, so each call is integer dot products and one
-        division per coordinate."""
+        `key`) in the chosen basis, via the pairing of each basis word with
+        the vector: the block's inverse Gram matrix is held as integer rows
+        over one common denominator, so each call is integer dot products
+        and one division per coordinate."""
         basis = self.basis.get(key, ())
         if not basis:
             # dimension 0: the vector must vanish in the quotient, which its
@@ -105,10 +108,11 @@ class TruncatedModule:
 
     def act_matrix(self, le, key):
         """Matrix of x(le) from block `key` to its target block, in the
-        chosen bases, exact.  Returns (target_key, rows): dim(target) rows
-        of dim(key) entries, so an empty target gives no rows.  Every image
-        goes through `coordinates`, which certifies that images landing in
-        an empty block vanish."""
+        chosen bases, exact: x(le) acts on the Verma vector of each basis
+        word.  Returns (target_key, rows): dim(target) rows of dim(key)
+        entries, so an empty target gives no rows.  Every image goes through
+        `coordinates`, which certifies that images landing in an empty block
+        vanish."""
         memo_key = (le, key)
         if memo_key in self._act:
             return self._act[memo_key]
@@ -116,8 +120,8 @@ class TruncatedModule:
         if tgt[0] > self.max_degree or tgt[0] < 0:
             raise ValueError("action leaves the degree window: %r -> %r" % (key, tgt))
         cols = [
-            self.coordinates(tgt, self.verma.kernel.act_le(le, mono))
-            for mono in self.basis.get(key, ())
+            self.coordinates(tgt, self.verma.kernel.act_word((le,), vec))
+            for vec in self.vectors.get(key, ())
         ]
         out = (tgt, [[col[r] for col in cols] for r in range(self.dim(tgt))])
         self._act[memo_key] = out
@@ -185,17 +189,20 @@ class TensorModule:
         return vec
 
     def pair(self, u, v):
+        """Product pairing.  Only states whose slots lie in the same blocks
+        pair to nonzero, so v's states are grouped by their block tuple."""
+        by_blocks = {}
+        for sv, cv in v.items():
+            by_blocks.setdefault(tuple(s[:2] for s in sv), []).append((sv, cv))
         total = Fraction(0)
         for su, cu in u.items():
-            for sv, cv in v.items():
-                prod = Fraction(1)
-                for slot, ((d1, w1, i), (d2, w2, j)) in enumerate(zip(su, sv)):
-                    if (d1, w1) != (d2, w2):
-                        prod = Fraction(0)
+            for sv, cv in by_blocks.get(tuple(s[:2] for s in su), ()):
+                prod = cu * cv
+                for factor, (d, w, i), (_, _, j) in zip(self.factors, su, sv):
+                    prod *= factor.gram[(d, w)][i][j]
+                    if not prod:
                         break
-                    prod *= self.factors[slot].gram[(d1, w1)][i][j]
-                if prod:
-                    total += cu * cv * prod
+                total += prod
         return total
 
 

@@ -5,8 +5,8 @@ integers, with no dependency on the rest of the package (structure data is
 passed in as plain nested tuples):
 
   * VermaKernel -- normal-ordered action of loop elements on a generic
-    highest weight module, with memoization; Gram matrices of monomial
-    vectors via the contravariant form.
+    highest weight module, with memoization; the contravariant pairing of
+    a word with a monomial or a vector.
   * UKernel     -- straightening in the universal enveloping algebra itself
     (central element tracked as an explicit exponent), used for identities
     between operators rather than vectors.
@@ -111,10 +111,12 @@ class VermaKernel:
         return vec
 
     def pair_monos(self, m1, m2):
-        """<m1 . v, m2 . v> under the contravariant form.  Peels the leading
-        (outermost) factor of m1 onto m2 through the form's adjoint property;
-        memoized on (suffix, monomial) pairs, which is what lets a whole Gram
-        block share its intermediate states."""
+        """<m1 . v, m2 . v> under the contravariant form, for m2 a monomial
+        and m1 any word of loop codes (in any order, any modes).  Peels the
+        leading (outermost) factor of m1 onto m2 through the form's adjoint
+        property; memoized on (suffix, monomial) pairs.  Block bases pair
+        their words here, so the suffixes are the basis words of the blocks
+        below and every block shares their entries."""
         key = (m1, m2)
         val = self._pmemo.get(key)
         if val is not None:
@@ -135,26 +137,14 @@ class VermaKernel:
         return val
 
     def pair_mono(self, mono, vec):
-        """<mono . v, vec> under the contravariant form."""
+        """<mono . v, vec> under the contravariant form; `mono` may be any
+        word, as in pair_monos."""
         total = 0
         for m, c in vec.items():
             s = self.pair_monos(mono, m)
             if s:
                 total += c * s
         return total
-
-    def gram(self, monos):
-        """Gram matrix of the monomial vectors under the contravariant form
-        (upper triangle computed, symmetry used for the rest)."""
-        n = len(monos)
-        g = [[0] * n for _ in range(n)]
-        for j in range(n):
-            mj = monos[j]
-            for i in range(j + 1):
-                val = self.pair_monos(monos[i], mj)
-                g[i][j] = val
-                g[j][i] = val
-        return g
 
 
 class UKernel:

@@ -255,49 +255,58 @@ class C2FS:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_colored(max_degree, freq_cap):
-    """All colored partitions with every frequency <= freq_cap and degree
-    <= max_degree (part size 0 included, capped like the others).  The cap
-    is sound for admissibility sweeps: the difference conditions bound every
-    single frequency by the level."""
+def enumerate_admissible(kind, max_degree):
+    """Admissible colored partitions for the module kind, degree at most
+    max_degree, deterministically ordered (by sort_key).  Generated size by
+    size, j = 0, 1, ..., max_degree: the frequencies at size j are chosen
+    within the level and the degree budget, and the four difference windows
+    on sizes (j-1, j) are checked as soon as both are known; the window on
+    the last size is checked against zeros, and the initial conditions at
+    the leaf.  This is the set satisfies_dc and the kind's initial
+    conditions accept among all colored partitions of degree <= max_degree:
+    the windows on sizes above max_degree hold trivially, and each window
+    bounds every single frequency by the level."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative, got %d" % max_degree)
+    k = kind.level
     out = []
 
-    def rec(j, budget, acc):
+    def rec(j, budget, prev, acc):
+        a_i, b_i, c_i = prev
         if j > max_degree:
-            out.append(acc)
+            if a_i + b_i <= k and c_i + b_i <= k:
+                pi = ColoredPartition(*acc)
+                if kind.satisfies_ic(pi):
+                    out.append(pi)
             return
-        cap = freq_cap if j == 0 else min(freq_cap, budget // j)
+        cap = k if j == 0 else min(k, budget // j)
         for aj in range(cap + 1):
             for bj in range(cap + 1):
                 for cj in range(cap + 1):
                     spent = j * (aj + bj + cj)
-                    if j and spent > budget:
+                    if spent > budget:
                         continue
-                    acc2 = acc
-                    if aj or bj or cj:
-                        acc2 = (
+                    if j and (
+                        a_i + b_i + aj > k
+                        or c_i + b_i + aj > k
+                        or c_i + bj + aj > k
+                        or c_i + bj + cj > k
+                    ):
+                        continue
+                    rec(
+                        j + 1,
+                        budget - spent,
+                        (aj, bj, cj),
+                        (
                             acc[0] + ((j, aj),) if aj else acc[0],
                             acc[1] + ((j, bj),) if bj else acc[1],
                             acc[2] + ((j, cj),) if cj else acc[2],
-                        )
-                    rec(j + 1, budget - spent, acc2)
+                        ),
+                    )
 
-    rec(0, max_degree, ((), (), ()))
-    parts = [ColoredPartition(a=a, b=b, c=c) for a, b, c in out]
-    parts.sort(key=ColoredPartition.sort_key)
-    return parts
-
-
-def enumerate_admissible(kind, max_degree):
-    """Admissible colored partitions for the module kind, degree at most
-    max_degree, deterministically ordered."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative, got %d" % max_degree)
-    return [
-        pi
-        for pi in enumerate_colored(max_degree, kind.level)
-        if kind.admissible(pi)
-    ]
+    rec(0, max_degree, (0, 0, 0), ((), (), ()))
+    out.sort(key=ColoredPartition.sort_key)
+    return out
 
 
 def ic_propagation(pi, kind):

@@ -1,29 +1,35 @@
-"""Highest weight modules and their PBW machinery.
+"""Highest weight modules and their block bases.
 
 Everything is computed inside a Verma-type module M with highest weight
-vector v: monomial vectors are normal-ordered words applied to v, and the
-irreducible quotient L is reached exactly through the contravariant (Gram)
-form: a vector is zero in L iff it pairs to zero with every PBW monomial of
-its (degree, weight) block, and graded dimensions of L are Gram ranks.
-This avoids any reliance on character formulas.
+vector v: monomial vectors are normal-ordered words applied to v, vectors
+are integer combinations of them, and the irreducible quotient L is reached
+exactly through the contravariant (Gram) form.  Its radical is the maximal
+submodule (Kac, Infinite-Dimensional Lie Algebras, ch. 9), so a vector is
+zero in L iff it pairs to zero with a spanning family of its (degree,
+weight) block, and graded dimensions of L are Gram ranks.  This avoids any
+reliance on character formulas.
 
 Blocks are indexed by (degree, finite weight), with degree counting total
 negated modes and weight the absolute eps-coordinate weight of the vectors
-(highest weight included).  The set of blocks where L is nonzero ("support")
-is discovered by closure from the top block: if a monomial vector is
-nonzero in L, peeling its leftmost factor gives a shorter monomial vector
-that is also nonzero, so every nonzero block is reachable from
-(0, highest weight) by single storable-generator steps.  The closure is
-therefore complete, with no weight-support assumptions.
+(highest weight included).
 
-The closure visits blocks in topological order, by increasing
+Closure.  Every PBW monomial vector other than v is x.m for a storable
+generator x (its leftmost factor) and a shorter monomial vector m, and the
+radical is a submodule.  So block (d, w) of L is spanned by the vectors
+x.b, where x runs over the storable generators and b over a basis of the
+predecessor block (d, w) - x.  Block bases are built that way, from the
+bases below them: a basis element is a word (x,) + b of loop codes, whose
+vector is x applied to the vector of b, and the top block's basis is the
+empty word.  A block with no nonzero predecessor is empty, so the blocks
+where L is nonzero ("support") are the top block and the blocks reached
+from it by single storable steps through nonzero blocks; no weight-support
+assumption enters.
+
+Blocks are built in topological order, by increasing
 (degree, -(2*w1 + w2)).  Every storable step raises that key: a negative
 mode raises the degree, and the mode-0 storable generators (bases 0-3, of
 weights (-2,0), (-1,-1), (0,-2), (-1,1)) lower 2*w1 + w2 by 4, 3, 2 or 1.
-So the block of a monomial's suffix is always scanned before the block of
-the monomial.  The radical of the form is a submodule, so x.m is zero in L
-whenever m is; a scan that has certified a monomial zero therefore decides
-every candidate x.m without pairing it (see VermaModule.block_basis).
+So every predecessor of a block is built before it.
 
 Module kinds are distinguished only by the generator subset used for
 monomials:
@@ -33,9 +39,8 @@ monomials:
   * GEN_COLORS the three commuting colors (principal subspace families).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import heapq
-import json
 
 from . import affine
 from . import cache as cache_mod
@@ -131,9 +136,6 @@ class ModuleVector:
             raise ValueError("vector is not homogeneous: blocks %r" % (sorted(blocks),))
         return blocks.pop()
 
-    def scale(self, c):
-        return ModuleVector(self.module, {m: c * v for m, v in self.terms.items()})
-
     def add(self, other, factor=1):
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -159,29 +161,20 @@ class ModuleVector:
 @dataclass
 class BlockBasis:
     """A true basis of one (degree, weight) block of the irreducible
-    quotient: a maximal subfamily of PBW monomial vectors with nonsingular
-    Gram matrix, found incrementally.  `candidates` counts the PBW monomials
-    scanned (the Verma dimension of the block); rank == len(basis)."""
+    quotient: a maximal subfamily of the block's closure candidates with
+    nonsingular Gram matrix, found incrementally.  Each basis element is a
+    word of loop codes, `(x,) + b` for a basis word b of the block below,
+    and `()` for the top block; `vectors` holds each word's vector in the
+    Verma module (a dict of normal-ordered monomials).  `candidates` counts
+    the closure candidates scanned; rank == len(basis)."""
 
     degree: int
     weight: tuple
-    basis: tuple       # chosen monomial code tuples, deterministic order
+    basis: tuple       # chosen words, deterministic order
     matrix: list       # integer Gram entries of the chosen vectors
     rank: int
     candidates: int
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "degree": self.degree,
-                "weight": list(self.weight),
-                "monomials": [list(m) for m in self.basis],
-                "gram": [[str(x) for x in row] for row in self.matrix],
-                "rank": self.rank,
-                "candidates": self.candidates,
-            },
-            sort_keys=True,
-        )
+    vectors: tuple = field(repr=False)
 
 
 class VermaModule:
@@ -204,15 +197,7 @@ class VermaModule:
         self.mode0_bases = tuple(b for b in self.gens if b <= 3)
         self.cache = cache_mod.GramCache(cache_dir)
         self._table_hash = table_hash(self.table)
-        self._negparts = {}
-        self._mode0 = {}
         self._bases = {}
-        # monomials this module's own scans certified zero in the quotient
-        self._zero = set()
-        # candidates paired by a scan, and candidates decided by the
-        # zero-suffix rule without pairing
-        self.scanned = 0
-        self.skipped = 0
 
     # -- vectors ----------------------------------------------------------
 
@@ -225,11 +210,6 @@ class VermaModule:
             vec = self.vacuum()
         return ModuleVector(self, self.kernel.act_word(tuple(word), vec.terms))
 
-    def vector(self, codes):
-        """The monomial vector for an already normal-ordered code tuple."""
-        PBWMonomial(tuple(codes))  # validate
-        return ModuleVector(self, {tuple(codes): 1})
-
     def abs_weight(self, mono):
         sh = affine.word_weight(mono)
         return (self.lam_wt[0] + sh[0], self.lam_wt[1] + sh[1])
@@ -241,174 +221,153 @@ class VermaModule:
             total += c * self.kernel.pair_mono(m, v.terms)
         return total
 
-    # -- monomial enumeration ----------------------------------------------
-
-    def _neg_parts(self, degree):
-        """All weakly decreasing negative-mode code tuples of given total
-        degree over the generator bases, with their weight shifts."""
-        memo = self._negparts.get(degree)
-        if memo is not None:
-            return memo
-        codes = [
-            affine.encode(-m, b)
-            for m in range(1, degree + 1)
-            for b in self.gens
-        ]
-        codes.sort(reverse=True)
-        weights = self.table.weights
+    def mode0_monomials(self, weight):
+        """Every normal-ordered monomial over the mode-0 storable generators
+        whose vector lies in the degree-0 block of `weight`.  Each such
+        factor lowers 2*w1 + w2 by 1 to 4, which bounds the search."""
+        weight = tuple(weight)
+        floor = 2 * weight[0] + weight[1]
         out = []
 
-        def rec(idx, remaining, acc, wa, wb):
-            if remaining == 0:
-                out.append((tuple(acc), (wa, wb)))
+        def rec(mono, wt):
+            if wt == weight:
+                out.append(mono)
                 return
-            if idx == len(codes):
-                return
-            le = codes[idx]
-            step = affine.degree_of(le)
-            w = weights[le & 15]
-            rec(idx + 1, remaining, acc, wa, wb)
-            count = 1
-            while step * count <= remaining:
-                rec(
-                    idx + 1,
-                    remaining - step * count,
-                    acc + [le] * count,
-                    wa + w[0] * count,
-                    wb + w[1] * count,
-                )
-                count += 1
+            for b in self.mode0_bases:
+                le = affine.encode(0, b)
+                if mono and le > mono[-1]:
+                    continue  # normal order: codes weakly decrease
+                w = self.table.weights[b]
+                nxt = (wt[0] + w[0], wt[1] + w[1])
+                if 2 * nxt[0] + nxt[1] >= floor:
+                    rec(mono + (le,), nxt)
 
-        rec(0, degree, [], 0, 0)
-        out.sort(reverse=True)
-        self._negparts[degree] = out
-        return out
-
-    def _mode0_solutions(self, t1, t2):
-        """Exponent assignments for mode-0 storable generators matching the
-        weight shift (t1, t2).  Finite: every such weight lowers eps1 or is
-        (0,-2), so exponents are bounded by the target coordinates.
-        Memoised per module: many blocks share a weight shift."""
-        memo = self._mode0.get((t1, t2))
-        if memo is not None:
-            return memo
-        bases = self.mode0_bases
-        weights = self.table.weights
-        order = [b for b in (0, 1, 3, 2) if b in bases]
-        sols = []
-
-        def rec(idx, r1, r2, acc):
-            if idx == len(order):
-                if r1 == 0 and r2 == 0:
-                    sols.append(tuple(acc))
-                return
-            b = order[idx]
-            wa, wb = weights[b]
-            if wa < 0:
-                if r1 > 0:
-                    return
-                cap = r1 // wa
-            else:  # base 2, weight (0,-2), always last
-                if r1 != 0 or r2 > 0:
-                    cap = 0 if (r1 == 0 and r2 == 0) else -1
-                else:
-                    cap = (-r2) // 2
-            for e in range(cap + 1):
-                rec(idx + 1, r1 - e * wa, r2 - e * wb, acc + [(b, e)])
-
-        rec(0, t1, t2, [])
-        self._mode0[(t1, t2)] = sols
-        return sols
-
-    def pbw_monomials(self, degree, weight):
-        """All normal-ordered monomials over the generator subset whose
-        vectors lie in the (degree, weight) block, deterministically ordered."""
-        out = []
-        for negcodes, negwt in self._neg_parts(degree):
-            t1 = weight[0] - self.lam_wt[0] - negwt[0]
-            t2 = weight[1] - self.lam_wt[1] - negwt[1]
-            for sol in self._mode0_solutions(t1, t2):
-                zero = []
-                for b, e in sorted(sol, reverse=True):
-                    zero.extend([b] * e)
-                out.append(tuple(zero) + negcodes)
-        out.sort(reverse=True)
+        rec((), self.lam_wt)
         return out
 
     # -- block bases ---------------------------------------------------------
 
+    def _predecessors(self, key):
+        """[(x, block)] for every storable code x over the generators such
+        that x steps from `block` to `key` and `block` holds a monomial
+        vector, in the scan order: ascending codes, i.e. the deepest mode
+        first and bases upwards within a mode.  The longest steps come
+        first, so the kept words stay short and their vectors small.  The
+        weight bound: a storable factor of degree n adds at most 2n to eps1
+        and to eps1 + eps2 of the weight (a mode-0 factor adds at most 0),
+        so a block outside it is empty in the Verma module already."""
+        degree, (w1, w2) = key
+        lam1, lam2 = self.lam_wt
+        out = []
+        for mode in range(-degree, 1):
+            d = degree + mode
+            for b in self.gens:
+                le = affine.encode(mode, b)
+                if not affine.storable(le):
+                    continue
+                wb = self.table.weights[b]
+                p1, p2 = w1 - wb[0], w2 - wb[1]
+                if p1 - lam1 <= 2 * d and p1 - lam1 + p2 - lam2 <= 2 * d:
+                    out.append((le, (d, (p1, p2))))
+        return out
+
     def block_basis(self, degree, weight):
         """A true basis of the (degree, weight) block of the irreducible
-        quotient, built incrementally: scan the PBW monomials in their
-        deterministic order and keep each one whose Gram-Schur complement
-        against the vectors already kept is nonzero.  The test runs on
-        integers: linalg.bordered_minor grows the leading principal minors
-        D_1, ..., D_r of the kept vectors' Gram matrix (Bareiss), and the
-        bordered minor D_{r+1} = D_r * (Schur complement) decides.  The
-        contravariant form is positive definite on every block of the
-        quotient (the highest weight is dominant integral), so a zero
-        complement certifies linear dependence, a zero self-pairing
-        certifies the zero vector, and a negative minor is impossible; one
-        raises ArithmeticError.  The scan needs only O(candidates * rank)
-        pairings instead of a full candidates^2 Gram matrix.
+        quotient, built from the bases of the blocks below it.
 
-        Zero-suffix rule.  A scanned candidate whose self-pairing and
-        bordered minor are both zero pairs to zero with every vector kept so
-        far (their Gram matrix is positive definite, its minors being
-        positive), and its zero norm certifies it is zero in the quotient;
-        the module records it.  The candidate mono = x.mono[1:] is then
-        zero whenever mono[1:] is recorded (the radical is a submodule), so
-        it is recorded too and not paired at all: it would not have been
-        kept anyway, and the basis, Gram matrix and candidate count are
-        the same as without the rule.  Only this module's own scans feed the
-        record; blocks loaded from the disk cache add nothing.  block_support
-        scans suffix blocks first, so there the rule sees every suffix.
+        Closure.  The candidates are the words (x,) + b, in a fixed order:
+        each storable code x in turn, then each basis word b of the
+        predecessor block (degree, weight) - x; the vector of (x,) + b is x
+        applied to the vector of b.  They span the block in the quotient
+        (see the module docstring), so a block with no candidates is empty.
+        A call builds every block below this one that is not built yet,
+        predecessors first, so a direct call gives the same basis as
+        block_support.
 
-        A disk-cache entry is used only if its chosen indices are strictly
-        increasing and in range and its Gram matrix is a symmetric integer
-        matrix whose leading minors are all positive; otherwise the block is
-        recomputed and the entry overwritten."""
+        Selection.  A candidate is kept iff its Gram-Schur complement against
+        the words already kept is nonzero; each kept word is paired with the
+        candidate's vector (kernel.pair_mono).  The test runs on integers:
+        linalg.bordered_minor grows the leading principal minors D_1, ...,
+        D_r of the kept vectors' Gram matrix (Bareiss), and the bordered
+        minor D_{r+1} = D_r * (Schur complement) decides.  The contravariant
+        form is positive definite on every block of the quotient (the
+        highest weight is dominant integral), so a zero complement certifies
+        linear dependence, a zero self-pairing certifies the zero vector, and
+        a negative minor is impossible; one raises ArithmeticError.
+
+        A disk-cache entry is keyed by the block's candidate words and used
+        only if its chosen indices are strictly increasing and in range and
+        its Gram matrix is a symmetric integer matrix whose leading minors
+        are all positive; otherwise the block is recomputed and the entry
+        overwritten."""
         key = (degree, tuple(weight))
         bb = self._bases.get(key)
-        if bb is not None:
-            return bb
-        monos = self.pbw_monomials(degree, weight)
-        chosen = gram = None
+        if bb is None:
+            todo, stack = {key}, [key]
+            while stack:
+                for _, pred in self._predecessors(stack.pop()):
+                    if pred not in self._bases and pred not in todo:
+                        todo.add(pred)
+                        stack.append(pred)
+            for k in sorted(todo, key=_topological_key):
+                self._bases[k] = self._scan(k)
+            bb = self._bases[key]
+        return bb
+
+    def _candidates(self, key):
+        """The closure candidates of a block whose predecessors are built,
+        in scan order, as (word, x, vector of the parent word)."""
+        return [
+            ((x,) + b, x, vec)
+            for x, pred in self._predecessors(key)
+            for b, vec in zip(self._bases[pred].basis, self._bases[pred].vectors)
+        ]
+
+    def _cache_key(self, key, words):
+        return cache_mod.block_key(
+            self._table_hash,
+            self.lam_wt + (len(self.gens),),
+            self.spec.level,
+            key[0],
+            key[1],
+            words,
+        )
+
+    def _scan(self, key):
+        """The basis of one block whose predecessors are all built."""
+        degree, weight = key
+        if key == (0, self.lam_wt):
+            return BlockBasis(degree, weight, ((),), [[1]], 1, 1, ({(): 1},))
+        cands = self._candidates(key)
+        words = [word for word, _, _ in cands]
+
+        def vector(j):
+            _, x, parent = cands[j]
+            return self.kernel.act_word((x,), parent)
+
+        picked = gram = None
         ckey = None
-        if self.cache.root and monos:
-            ckey = cache_mod.block_key(
-                self._table_hash,
-                self.lam_wt + (len(self.gens),),
-                self.spec.level,
-                degree,
-                weight,
-                monos,
-            )
+        if self.cache.root and words:
+            ckey = self._cache_key(key, words)
             rec = self.cache.get_json(
-                ckey, check=lambda r: _valid_basis_entry(r, len(monos))
+                ckey, check=lambda r: _valid_basis_entry(r, len(words))
             )
             if rec is not None:
-                chosen = [monos[i] for i in rec["chosen"]]
+                picked = rec["chosen"]
                 gram = [[int(x) for x in row] for row in rec["gram"]]
-        if chosen is None:
-            chosen = []
-            picked = []
-            gram = []
+                vectors = [vector(j) for j in picked]
+        if picked is None:
+            picked, vectors, gram = [], [], []
             cols, minors = [], [1]
-            pair = self.kernel.pair_monos
-            zero = self._zero
-            skipped = 0
-            for idx, mono in enumerate(monos):
-                if mono[1:] in zero:
-                    zero.add(mono)
-                    skipped += 1
+            pair = self.kernel.pair_mono
+            for j, word in enumerate(words):
+                vec = vector(j)
+                if not vec:
                     continue
-                p = [pair(b, mono) for b in chosen]
-                nu = pair(mono, mono)
+                p = [pair(words[c], vec) for c in picked]
+                nu = pair(word, vec)
                 u, d = linalg.bordered_minor(cols, minors, p, nu)
                 if not d:
-                    if not nu:
-                        zero.add(mono)
                     continue
                 if d < 0:
                     raise ArithmeticError(
@@ -419,37 +378,29 @@ class VermaModule:
                 gram.append(p + [nu])
                 cols.append(u)
                 minors.append(d)
-                chosen.append(mono)
-                picked.append(idx)
-            self.skipped += skipped
-            self.scanned += len(monos) - skipped
+                picked.append(j)
+                vectors.append(vec)
             if ckey is not None:
                 self.cache.put_json(
                     ckey,
                     {"chosen": picked, "gram": [[str(x) for x in row] for row in gram]},
                 )
-        bb = BlockBasis(
+        return BlockBasis(
             degree=degree,
-            weight=tuple(weight),
-            basis=tuple(chosen),
+            weight=weight,
+            basis=tuple(words[j] for j in picked),
             matrix=gram,
-            rank=len(chosen),
-            candidates=len(monos),
+            rank=len(picked),
+            candidates=len(words),
+            vectors=tuple(vectors),
         )
-        self._bases[key] = bb
-        return bb
-
-    def graded_dimension(self, degree, weight):
-        """dim of the (degree, weight) block of the irreducible quotient."""
-        return self.block_basis(degree, weight).rank
 
     def block_support(self, max_degree):
-        """All blocks with nonzero dimension up to max_degree, found by
-        closure from the top block in topological order (see the module
-        docstring for why the closure is complete and why every suffix
-        block comes first).  The blocks scanned are the top block and every
-        one-step target of a nonzero block; each is scanned when it leaves
-        the heap.  Returns {(degree, weight): BlockBasis}."""
+        """All blocks with nonzero dimension up to max_degree: the top block
+        and every block reached from it by storable steps through nonzero
+        blocks (see the module docstring for why this is complete).  Blocks
+        leave a heap in topological order, so each one's predecessors are
+        built before it.  Returns {(degree, weight): BlockBasis}."""
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative, got %d" % max_degree)
         start = (0, self.lam_wt)
@@ -488,8 +439,8 @@ class VermaModule:
         if vec.is_zero_verma():
             return True
         degree, weight = vec.block()
-        for mono in self.block_basis(degree, weight).basis:
-            if self.kernel.pair_mono(mono, vec.terms):
+        for word in self.block_basis(degree, weight).basis:
+            if self.kernel.pair_mono(word, vec.terms):
                 return False
         return True
 
@@ -568,20 +519,5 @@ def algebra_add(a, b, factor=1):
             out[k] = cc
         else:
             out.pop(k, None)
-    return out
-
-
-def algebra_mul(a, b):
-    uk = ukernel()
-    out = {}
-    for (dc1, m1), c1 in a.items():
-        for (dc2, m2), c2 in b.items():
-            for (dc3, m3), c3 in uk.mul_mono(m1, m2).items():
-                k = (dc1 + dc2 + dc3, m3)
-                cc = out.get(k, 0) + c1 * c2 * c3
-                if cc:
-                    out[k] = cc
-                else:
-                    out.pop(k, None)
     return out
 

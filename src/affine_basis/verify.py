@@ -202,9 +202,10 @@ def _vector_proportionality(u, cand, module):
 
 def verify_c0_nonvanishing(kind, cache_dir=None):
     """Certify the mode-0 string: x21'(0)^c applied to the highest weight
-    vector is nonzero in the quotient exactly for c <= k1.  The monomial is
-    the only one in its block, so its norm decides: the block basis keeps it
-    with that norm when it is nonzero and is empty otherwise."""
+    vector is nonzero in the quotient exactly for c <= k1.  The check first
+    certifies that the monomial is the only normal-ordered monomial of its
+    block, so its norm decides: the block basis keeps the monomial's own
+    vector, with that norm, when it is nonzero and is empty otherwise."""
     t0 = time.perf_counter()
     module = VermaModule(kind.spec(), gens=GEN_C2, cache_dir=cache_dir)
     k1 = kind.spec().k1
@@ -212,11 +213,14 @@ def verify_c0_nonvanishing(kind, cache_dir=None):
     ok = True
     for c in range(k1 + 2):
         mono = (affine.encode(0, 3),) * c
-        block = module.block_basis(0, module.abs_weight(mono))
-        if block.candidates != 1:
+        weight = module.abs_weight(mono)
+        if module.mode0_monomials(weight) != [mono]:
             ok = False
             norms.append(None)
             continue
+        block = module.block_basis(0, weight)
+        if block.rank and block.vectors != ({mono: 1},):
+            ok = False
         norm = block.matrix[0][0] if block.rank == 1 else 0
         norms.append(norm)
         if c <= k1 and norm == 0:
@@ -332,7 +336,7 @@ def verify_independence(kind, max_degree, cache_dir=None):
 def verify_spanning(kind, max_degree, cache_dir=None):
     """Certify that the admissible families span every block of the target
     space up to max_degree: the Gram rank of the admissible family equals
-    the rank of the full PBW family of the block (the block dimension).
+    the block dimension (the rank of the block basis).
     Together with verify_independence this certifies the basis property."""
     t0 = time.perf_counter()
     module = kind.module(cache_dir)

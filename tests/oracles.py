@@ -3,13 +3,13 @@
 Everything here is deliberately reimplemented from first principles, without
 calling into the package internals being tested: plain 4x4 matrix arithmetic
 for the finite algebra, the Euler recurrence for partition numbers, a direct
-search for colored partitions, and a nondeterministic-order rewriting engine
-for normal ordering.  When the package and an oracle agree, the agreement is
+search for colored partitions and for PBW monomials, the Weyl group of the
+finite weights, and a nondeterministic-order rewriting engine for normal
+ordering.  When the package and an oracle agree, the agreement is
 between two codepaths that share nothing but the definitions.
 """
 
 from fractions import Fraction
-import itertools
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +195,16 @@ def brute_force_colored(max_degree, freq_cap):
                 for cj in range(cap + 1)
             ]
         )
+    combos = [((), 0)]  # frequency triples of the sizes so far, degree
+    for j, options in enumerate(per_size):
+        combos = [
+            (combo + (f,), degree + j * sum(f))
+            for combo, degree in combos
+            for f in options
+            if degree + j * sum(f) <= max_degree
+        ]
     out = set()
-    for combo in itertools.product(*per_size):
-        degree = sum(j * sum(f) for j, f in enumerate(combo))
-        if degree > max_degree:
-            continue
+    for combo, _ in combos:
         a = tuple((j, f[0]) for j, f in enumerate(combo) if f[0])
         b = tuple((j, f[1]) for j, f in enumerate(combo) if f[1])
         c = tuple((j, f[2]) for j, f in enumerate(combo) if f[2])
@@ -226,6 +231,77 @@ def check_dc_text(freqs, k):
         if f("c", i) + f("b", i + 1) + f("c", i + 1) > k:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# PBW monomials of a block by direct search
+# ---------------------------------------------------------------------------
+
+
+def pbw_monomials(gens, weights, lam, degree, weight):
+    """Every normal-ordered monomial over the generator bases `gens` whose
+    vector lies in the (degree, weight) block of the highest weight module
+    of finite weight `lam`, in decreasing order.  A monomial is a weakly
+    decreasing tuple of storable codes 16*mode + base (negative mode, or
+    mode 0 with base 0..3); its modes sum to -degree and its base weights
+    (`weights[base]`) to weight - lam.  Searched as multisets of codes,
+    negative modes first: their degrees must add up to `degree`, and then
+    each mode-0 factor lowers 2*w1 + w2 by at least 1, which bounds the
+    mode-0 factors by the target."""
+    target = (weight[0] - lam[0], weight[1] - lam[1])
+    floor = 2 * target[0] + target[1]
+    codes = [16 * -n + b for n in range(degree, 0, -1) for b in gens]
+    codes += [b for b in gens if b < 4]
+    out = []
+
+    def rec(i, mono, deg, wt):
+        if deg == degree and wt == target:
+            out.append(tuple(sorted(mono, reverse=True)))
+            return
+        if i == len(codes):
+            return
+        code = codes[i]
+        n, w = -(code >> 4), weights[code & 15]
+        if not n and deg < degree:
+            return  # only mode-0 codes are left
+        nxt = (wt[0] + w[0], wt[1] + w[1])
+        if deg + n <= degree if n else 2 * nxt[0] + nxt[1] >= floor:
+            rec(i, mono + [code], deg + n, nxt)
+        rec(i + 1, mono, deg, wt)
+
+    rec(0, [], 0, (0, 0))
+    return sorted(out, reverse=True)
+
+
+def gram(pair, items):
+    """The full Gram matrix [[pair(a, b) for b in items] for a in items]."""
+    return [[pair(a, b) for b in items] for a in items]
+
+
+# ---------------------------------------------------------------------------
+# Weyl group of the finite weights
+# ---------------------------------------------------------------------------
+
+
+def weyl_orbit(weight):
+    """The orbit of an eps-coordinate weight (w1, w2) under W(C2): the 8
+    signed permutations of its coordinates."""
+    w1, w2 = weight
+    return {(s1 * a, s2 * b) for a, b in ((w1, w2), (w2, w1)) for s1 in (1, -1) for s2 in (1, -1)}
+
+
+def weyl_violations(dims):
+    """Pairs of blocks (degree, w), (degree, s.w) whose dimensions differ,
+    for `dims` a {(degree, weight): dimension} map that omits zeros.  Each
+    degree slice of an integrable highest weight module is a finite-
+    dimensional module of the finite algebra, so its weight multiplicities
+    are Weyl-invariant and the list is empty."""
+    bad = []
+    for (d, w), n in sorted(dims.items()):
+        for image in sorted(weyl_orbit(w)):
+            if dims.get((d, image), 0) != n:
+                bad.append(((d, w), (d, image)))
+    return bad
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from affine_basis.partitions import (
     C2FS,
     ColoredPartition,
     enumerate_admissible,
-    enumerate_colored,
 )
 from affine_basis.pbw import GEN_A1, GEN_C2, HighestWeightSpec, VermaModule
 from affine_basis.verify import (
@@ -131,7 +130,7 @@ def test_criterion_3_character_cross_check(session_cache):
     # per-block: the weight-2m slice at degree d has dimension p(d - m^2)
     for d in range(7):
         for m in range(-2, 3):
-            got = module.graded_dimension(d, (2 * m, 0))
+            got = module.block_basis(d, (2 * m, 0)).rank
             ok = ok and got == oracles.a1_level1_block_dim(d, m)
     record_criterion(
         3,
@@ -260,7 +259,8 @@ def test_criterion_9_negative_controls(session_cache):
             word = kind.monomial_word(pi)
             key = (affine.word_degree(word), module.abs_weight(word))
             by_block.setdefault(key, []).append(pi)
-        for pi in enumerate_colored(3, 3):
+        for a, b, c in oracles.brute_force_colored(3, 3):
+            pi = ColoredPartition(a=a, b=b, c=c)
             if not kind.satisfies_ic(pi):
                 continue
             from affine_basis.partitions import satisfies_dc

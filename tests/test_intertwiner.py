@@ -49,8 +49,8 @@ def test_truncated_module_blocks():
 def test_coordinates_recover_basis_vectors():
     key = SOURCE.block_keys()[-1]
     basis = SOURCE.basis[key]
-    for i, mono in enumerate(basis):
-        coords = SOURCE.coordinates(key, {mono: 1})
+    for i, vec in enumerate(SOURCE.vectors[key]):
+        coords = SOURCE.coordinates(key, vec)
         expected = [Fraction(int(j == i)) for j in range(len(basis))]
         assert coords == expected
 

@@ -1,6 +1,9 @@
 """Kernel semantics: the module action, pairing, Gram and enveloping-product
 kernels and the integer rank."""
 
+from hypothesis import given, settings, strategies as st
+
+import oracles
 from affine_basis import affine, kernels
 from affine_basis.cartan import build_c2
 from affine_basis.pbw import HighestWeightSpec, VermaModule, GEN_A1, GEN_C2
@@ -62,7 +65,7 @@ def test_level_enters_through_the_central_term():
         (HighestWeightSpec(0, 1, 0), 2),   # level 1, weight(h1) = 1
     ):
         module = VermaModule(spec, gens=GEN_A1)
-        f1 = module.vector((affine.encode(-1, 0),))
+        f1 = module.act_word((affine.encode(-1, 0),))
         assert module.pair(f1, f1) == expected, spec
 
 
@@ -85,14 +88,34 @@ def test_adjointness_of_the_contravariant_form():
 
 def test_gram_is_symmetric_and_matches_pairings():
     module = VermaModule(HighestWeightSpec(0, 0, 1), gens=GEN_C2)
-    monos = module.pbw_monomials(2, module.lam_wt)
-    g = module.kernel.gram(monos)
+    monos = oracles.pbw_monomials(module.gens, module.table.weights, module.lam_wt, 2, module.lam_wt)
+    g = oracles.gram(module.kernel.pair_monos, monos)
     n = len(monos)
     assert n > 1
     for i in range(n):
         for j in range(n):
             assert g[i][j] == g[j][i]
-            assert g[i][j] == module.kernel.pair_monos(monos[i], monos[j])
+            assert g[i][j] == module.kernel.pair_mono(monos[i], {monos[j]: 1})
+
+
+PAIR_KERNEL = _make_kernel(HighestWeightSpec(0, 1, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-2, 1), st.integers(0, 9)), max_size=4),
+    st.lists(st.tuples(st.integers(-2, 0), st.integers(0, 3)), max_size=3),
+)
+def test_pair_monos_peels_any_word(word, probe):
+    # pair_monos(word, m) peels the word's factors one by one; for a word in
+    # any order (raising, Cartan and repeated factors included) it equals
+    # the pairing of the straightened vector of the word with m
+    k = PAIR_KERNEL
+    word = tuple(affine.encode(mode, base) for mode, base in word)
+    vec = k.act_word(word, {(): 1})
+    probe = tuple(sorted((affine.encode(mode, base) for mode, base in probe), reverse=True))
+    for m in list(vec) + [probe]:
+        assert k.pair_monos(word, m) == sum(c * k.pair_monos(m2, m) for m2, c in vec.items())
 
 
 def test_pair_mono_is_linear_in_the_vector():

@@ -14,7 +14,6 @@ from affine_basis.partitions import (
     ColoredPartition,
     _literal_word,
     enumerate_admissible,
-    enumerate_colored,
     ic_propagation,
     satisfies_dc,
     satisfies_ic_a1,
@@ -26,6 +25,15 @@ from affine_basis.pbw import GEN_A1, GEN_COLORS, HighestWeightSpec
 
 def P(a=(), b=(), c=()):
     return ColoredPartition.of(a=a, b=b, c=c)
+
+
+def colored(max_degree, freq_cap):
+    """Every colored partition of the direct-search oracle, as records."""
+    return [ColoredPartition(a=a, b=b, c=c) for a, b, c in oracles.brute_force_colored(max_degree, freq_cap)]
+
+
+def _freqs_of(pi):
+    return {(color, j): f for color, pairs in (("a", pi.a), ("b", pi.b), ("c", pi.c)) for j, f in pairs}
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +72,7 @@ def test_split_c0():
 
 
 def test_capacity_vanishes_only_without_b_and_c_parts():
-    for pi in enumerate_colored(4, 2):
+    for pi in colored(4, 2):
         expect_zero = not pi.b and not pi.c
         assert (pi.n_prime() == 0) == expect_zero
         assert (pi.n_of() == 0) == expect_zero
@@ -86,7 +94,7 @@ def test_tag_and_jsonl():
 
 
 def test_sort_key_orders_by_degree_first():
-    pis = enumerate_colored(3, 1)
+    pis = enumerate_admissible(A1Standard(1, 1), 3)
     degrees = [pi.degree for pi in pis]
     assert degrees == sorted(degrees)
     assert pis == sorted(pis, key=ColoredPartition.sort_key)
@@ -115,12 +123,8 @@ def test_difference_conditions_hand_cases():
 
 def test_difference_conditions_match_text_oracle():
     for level in (1, 2):
-        for pi in enumerate_colored(4, level + 1):
-            freqs = {}
-            for color, pairs in (("a", pi.a), ("b", pi.b), ("c", pi.c)):
-                for j, f in pairs:
-                    freqs[(color, j)] = f
-            assert satisfies_dc(pi, level) == oracles.check_dc_text(freqs, level), (
+        for pi in colored(4, level + 1):
+            assert satisfies_dc(pi, level) == oracles.check_dc_text(_freqs_of(pi), level), (
                 level,
                 pi,
             )
@@ -146,13 +150,24 @@ def test_initial_conditions():
 
 
 def test_enumeration_matches_brute_force():
-    got = {(pi.a, pi.b, pi.c) for pi in enumerate_colored(4, 2)}
-    assert got == oracles.brute_force_colored(4, 2)
+    # the direct search over every colored partition within the level,
+    # filtered by the difference conditions read from their text and by the
+    # kind's initial conditions, gives the same list in the same order
+    for kind in (A1Standard(1, 0), A1Standard(0, 2), A1Standard(1, 2), C2FS(0, 1, 1), C2FS(2, 0, 1)):
+        expected = sorted(
+            (
+                pi
+                for pi in colored(4, kind.level)
+                if oracles.check_dc_text(_freqs_of(pi), kind.level) and kind.satisfies_ic(pi)
+            ),
+            key=ColoredPartition.sort_key,
+        )
+        assert enumerate_admissible(kind, 4) == expected, kind
 
 
 def test_enumeration_has_no_duplicates():
-    pis = enumerate_colored(5, 2)
-    assert len(pis) == len(set(pis))
+    pis = enumerate_admissible(A1Standard(1, 1), 5)
+    assert len(pis) == len(set(pis)) > 0
 
 
 def test_admissible_hand_lists_for_the_level_one_vacuum_kind():

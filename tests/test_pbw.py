@@ -7,7 +7,7 @@ import random
 import pytest
 
 import oracles
-from affine_basis import affine, linalg, pbw
+from affine_basis import affine, cache, linalg, pbw
 from affine_basis.pbw import (
     GEN_A1,
     GEN_C2,
@@ -16,7 +16,6 @@ from affine_basis.pbw import (
     PBWMonomial,
     VermaModule,
     algebra_add,
-    algebra_mul,
     straighten,
 )
 
@@ -40,7 +39,7 @@ def test_long_root_vacuum_blocks_match_partition_numbers():
     module = VermaModule(HighestWeightSpec(1, 0, 0), gens=GEN_A1)
     for d in range(6):
         for m in range(-d - 1, d + 2):
-            dim = module.graded_dimension(d, (2 * m, 0))
+            dim = module.block_basis(d, (2 * m, 0)).rank
             assert dim == oracles.a1_level1_block_dim(d, m), (d, m)
 
 
@@ -55,17 +54,54 @@ def test_degree_zero_slices_of_the_level_one_modules():
 # ---------------------------------------------------------------------------
 
 
+def _oracle_monomials(module, key):
+    return oracles.pbw_monomials(module.gens, module.table.weights, module.lam_wt, *key)
+
+
 def test_block_basis_agrees_with_full_gram_rank():
+    # every block up to degree 2 that holds a PBW monomial, with weights in
+    # the box around the support, reached by the closure or not: the basis
+    # rank is the Gram rank of all the block's monomials
     module = VermaModule(HighestWeightSpec(0, 1, 0), gens=GEN_C2)
-    for key in module.block_support(2):
-        bb = module.block_basis(*key)
-        monos = module.pbw_monomials(*key)
-        assert bb.rank == pbw.rank_int(module.kernel.gram(monos)), key
-        assert bb.candidates == len(monos)
-        assert set(bb.basis) <= set(monos)
-        # the chosen Gram matrix is nonsingular (it is a true basis)
-        if bb.rank:
-            linalg.invert(bb.matrix)
+    support = module.block_support(2)
+    assert all(abs(w1) <= 3 and abs(w2) <= 3 for _, (w1, w2) in support)
+    checked = unreached = 0
+    for d in range(3):
+        for w1 in range(-3, 4):
+            for w2 in range(-3, 4):
+                key = (d, (w1, w2))
+                monos = _oracle_monomials(module, key)
+                if not monos:
+                    continue
+                bb = module.block_basis(*key)
+                full = pbw.rank_int(oracles.gram(module.kernel.pair_monos, monos))
+                assert bb.rank == full, key
+                checked += 1
+                unreached += key not in support
+                # each kept word's vector is a combination of the block's
+                # monomials, and the stored Gram matrix is their pairing
+                for i, vec in enumerate(bb.vectors):
+                    assert set(vec) <= set(monos), key
+                    for j, word in enumerate(bb.basis):
+                        assert bb.matrix[j][i] == module.kernel.pair_mono(word, vec)
+                # the chosen Gram matrix is nonsingular (it is a true basis)
+                if bb.rank:
+                    linalg.invert(bb.matrix)
+    assert checked > len(support) and unreached > 0
+
+
+@pytest.mark.parametrize("labels", [(0, 1, 0), (0, 0, 1)])
+def test_block_dimensions_are_weyl_invariant(labels):
+    # an independent check on the Gram ranks: each degree slice is a
+    # finite-dimensional sp4-module, so dim(d, w) = dim(d, s.w) for the
+    # 8 signed permutations s of (w1, w2)
+    support = VermaModule(HighestWeightSpec(*labels), gens=GEN_C2).block_support(3)
+    dims = {key: bb.rank for key, bb in support.items()}
+    assert oracles.weyl_violations(dims) == []
+    # negative control: dropping one vector from one block is seen
+    key = max(dims)
+    dims[key] -= 1
+    assert oracles.weyl_violations(dims)
 
 
 def test_block_basis_is_cached_in_memory():
@@ -77,11 +113,11 @@ def test_zero_in_quotient_detects_the_level_bound():
     # at level 1 the square of the long-root raising mode is null, the
     # single application is not
     module = VermaModule(HighestWeightSpec(1, 0, 0), gens=GEN_A1)
-    one = module.vector((E1,))
-    two = module.vector((E1, E1))
+    one = ModuleVector(module, {(E1,): 1})
+    two = ModuleVector(module, {(E1, E1): 1})
     assert not one.is_zero_verma() and not module.zero_in_quotient(one)
     assert not two.is_zero_verma() and module.zero_in_quotient(two)
-    assert module.zero_in_quotient(two.scale(5))
+    assert module.zero_in_quotient(ModuleVector(module, {(E1, E1): 5}))
     assert module.zero_in_quotient(module.vacuum().add(module.vacuum(), -1))
 
 
@@ -90,14 +126,20 @@ def test_pbw_monomials_enumeration():
     # degree-2 monomials at weight 0: e(-1)f(-1), h(-1)^2, h(-2), f(-1)e(-1)
     # normal order collapses the last to the first; enumeration is of
     # normal-ordered words only
-    monos = module.pbw_monomials(2, (0, 0))
+    monos = _oracle_monomials(module, (2, (0, 0)))
     assert (affine.encode(-1, 9), affine.encode(-1, 0)) in monos
     assert (affine.encode(-1, 6), affine.encode(-1, 6)) in monos
     assert (affine.encode(-2, 6),) in monos
     assert all(affine.is_normal_ordered(m) for m in monos)
     assert monos == sorted(monos, reverse=True)
     # empty block: no monomials can reach a raised weight at degree 0
-    assert module.pbw_monomials(0, (2, 0)) == []
+    assert _oracle_monomials(module, (0, (2, 0))) == []
+    # the degree-0 monomials that the c0 check counts agree with the oracle
+    c2 = VermaModule(HighestWeightSpec(0, 1, 1), gens=GEN_C2)
+    for w1 in range(-4, 3):
+        for w2 in range(-4, 4):
+            got = sorted(c2.mode0_monomials((w1, w2)), reverse=True)
+            assert got == _oracle_monomials(c2, (0, (w1, w2))), (w1, w2)
 
 
 def test_vacuum_and_act_word():
@@ -115,10 +157,10 @@ def test_module_vector_block_and_validation():
     mixed = ModuleVector(module, {(E1,): 1, (F1,): 1})
     with pytest.raises(ValueError):
         mixed.block()
-    assert module.vector((E1,)).block() == (1, (2, 0))
+    assert ModuleVector(module, {(E1,): 1}).block() == (1, (2, 0))
     assert ModuleVector(module, {}).block() is None
     with pytest.raises(ValueError):
-        module.vector((affine.encode(1, 9),))  # not storable
+        PBWMonomial((affine.encode(1, 9),))  # not storable
 
 
 def test_pbw_monomial_factors_and_tag():
@@ -194,6 +236,16 @@ def test_straighten_is_consistent_with_module_action():
         assert direct.terms == total, word
 
 
+def algebra_mul(a, b):
+    """Product of two enveloping-algebra elements, straightened."""
+    out = {}
+    for (dc1, m1), c1 in a.items():
+        for (dc2, m2), c2 in b.items():
+            for (dc3, m3), c3 in pbw.ukernel().mul_mono(m1, m2).items():
+                out = algebra_add(out, {(dc1 + dc2 + dc3, m3): c1 * c2 * c3})
+    return out
+
+
 def test_algebra_product_is_associative_and_ad_is_a_derivation():
     x = {(0, (affine.encode(1, 9),)): 1}
     y = {(0, (F1,)): 1}
@@ -210,7 +262,7 @@ def test_algebra_product_is_associative_and_ad_is_a_derivation():
 
 
 # ---------------------------------------------------------------------------
-# the scan: topological order, zero-suffix rule, positivity guard
+# the closure scan: direct calls, positivity guard
 # ---------------------------------------------------------------------------
 
 
@@ -220,7 +272,7 @@ def test_algebra_product_is_associative_and_ad_is_a_derivation():
 def test_block_bases_do_not_depend_on_the_scan_order(labels, gens, depth):
     spec = HighestWeightSpec(*labels)
     support = VermaModule(spec, gens=gens).block_support(depth)
-    # reverse order: most suffix blocks come after the blocks that need them
+    # reverse order: a direct call builds the blocks below it first
     fresh = VermaModule(spec, gens=gens)
     for key in sorted(support, reverse=True):
         bb = fresh.block_basis(*key)
@@ -228,55 +280,42 @@ def test_block_bases_do_not_depend_on_the_scan_order(labels, gens, depth):
         assert (bb.basis, bb.matrix, bb.candidates) == (ref.basis, ref.matrix, ref.candidates), key
 
 
-def test_zero_suffix_rule_decides_candidates_without_pairing():
-    module = VermaModule(HighestWeightSpec(0, 1, 0), gens=GEN_C2)
-    module.block_support(2)
-    assert module.skipped > 0
-    assert module.scanned + module.skipped == sum(bb.candidates for bb in module._bases.values())
-    # every monomial the scans recorded is zero against the final block bases
-    for mono in module._zero:
-        assert module.zero_in_quotient(module.vector(mono)), mono
-
-
 def test_negative_minor_raises():
-    # negative control: a zero-norm candidate that pairs nonzero with a kept
-    # vector would make the form indefinite; the scan must refuse it
-    spec, key = HighestWeightSpec(1, 0, 0), (2, (-2, 0))
-    ref = VermaModule(spec, gens=GEN_A1).block_basis(*key)
+    # negative control: a zero candidate that pairs nonzero with a kept
+    # word would make the form indefinite; the scan must refuse it
+    spec, key = HighestWeightSpec(1, 0, 0), (3, (-2, 0))
     module = VermaModule(spec, gens=GEN_A1)
-    monos = module.pbw_monomials(*key)
+    ref = module.block_basis(*key)
+    words = [w for w, _, _ in module._candidates(key)]
+    vectors = {w: module.kernel.act_word((x,), parent) for w, x, parent in module._candidates(key)}
     kept = ref.basis[0]
     target = next(
-        m for m in monos[monos.index(kept) + 1:]
-        if m not in ref.basis and module.kernel.pair_monos(m, m) == 0
+        w for w in words[words.index(kept) + 1:]
+        if w not in ref.basis and vectors[w] and module.kernel.pair_mono(w, vectors[w]) == 0
     )
-    real = module.kernel.pair_monos
+    module = VermaModule(spec, gens=GEN_A1)
+    real = module.kernel.pair_mono
 
-    def poisoned(m1, m2):
-        if (m1, m2) == (kept, target):
+    def poisoned(word, vec):
+        if word == kept and vec == vectors[target]:
             return 1
-        return real(m1, m2)
+        return real(word, vec)
 
-    module.kernel.pair_monos = poisoned
+    module.kernel.pair_mono = poisoned
     with pytest.raises(ArithmeticError):
         module.block_basis(*key)
 
 
-def test_cached_blocks_do_not_seed_the_zero_set(tmp_path):
-    spec, cache_dir = HighestWeightSpec(1, 0, 0), str(tmp_path)
-    VermaModule(spec, gens=GEN_A1, cache_dir=cache_dir).block_support(3)
-    warm = VermaModule(spec, gens=GEN_A1, cache_dir=cache_dir)
-    warm.block_support(3)
-    assert warm.cache.misses == 0
-    assert warm.scanned == warm.skipped == 0 and not warm._zero
-    fresh = VermaModule(spec, gens=GEN_A1)
-    fresh.block_support(3)
-    before = fresh.skipped
-    key = (4, (-4, 0))
-    a, b = fresh.block_basis(*key), warm.block_basis(*key)
-    assert fresh.skipped > before
-    assert warm.skipped == 0 and warm.scanned == b.candidates
-    assert (a.basis, a.matrix) == (b.basis, b.matrix)
+def test_unreached_blocks_are_empty():
+    # a block with PBW monomials that no storable step reaches from a
+    # nonzero block is empty, with no candidates
+    module = VermaModule(HighestWeightSpec(1, 0, 0), gens=GEN_A1)
+    # at level 1, e(-1)^2 kills the vacuum, so nothing reaches e(-1)^3
+    key = (3, (6, 0))
+    assert _oracle_monomials(module, key) == [(E1,) * 3]
+    assert module.block_basis(2, (4, 0)).rank == 0
+    bb = module.block_basis(*key)
+    assert bb.rank == bb.candidates == 0 and bb.basis == ()
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +356,45 @@ def test_singular_cached_gram_is_recomputed(tmp_path):
     cache_dir = str(tmp_path)
     spec = HighestWeightSpec(0, 1, 0)
     m1 = VermaModule(spec, gens=GEN_C2, cache_dir=cache_dir)
-    cold = m1.block_basis(2, m1.lam_wt)
+    key = (2, m1.lam_wt)
+    cold = m1.block_basis(*key)
     assert cold.rank >= 2
-    (path,) = tmp_path.glob("*.json")
+    path = tmp_path / (m1._cache_key(key, [w for w, _, _ in m1._candidates(key)]) + ".json")
     good = json.loads(path.read_text())
     path.write_text(json.dumps({"chosen": [0, 1], "gram": [["1", "2"], ["2", "4"]]}))
     m2 = VermaModule(spec, gens=GEN_C2, cache_dir=cache_dir)
-    warm = m2.block_basis(2, m2.lam_wt)
-    assert m2.cache.misses == 1 and m2.cache.hits == 0
+    warm = m2.block_basis(*key)
+    # every block below is read back; only the poisoned entry misses
+    assert m2.cache.misses == 1 and m2.cache.hits == m1.cache.misses - 1
     assert warm.basis == cold.basis and warm.matrix == cold.matrix
     assert json.loads(path.read_text()) == good
+
+
+def test_cache_entries_of_another_tag_or_candidate_list_are_never_used(tmp_path, monkeypatch):
+    # negative control: a valid-looking entry that keeps one vector of a
+    # rank >= 2 block, stored under the old entry tag for the same candidate
+    # words, or under the current tag for other candidate lists, must never
+    # be read for the block
+    spec, key = HighestWeightSpec(0, 1, 0), (2, (1, 0))
+    ref = VermaModule(spec, gens=GEN_C2)
+    expected = ref.block_basis(*key)
+    assert expected.rank >= 2
+    words = [w for w, _, _ in ref._candidates(key)]
+    bogus = {"chosen": [0], "gram": [[str(expected.matrix[0][0])]]}
+    assert pbw._valid_basis_entry(bogus, len(words))
+    keys = [ref._cache_key(key, other) for other in (words[::-1], words[:-1], words + words[:1])]
+    monkeypatch.setattr(cache, "BLOCK_TAG", "basis")
+    keys.append(ref._cache_key(key, words))
+    monkeypatch.undo()
+    assert ref._cache_key(key, words) not in keys
+    for k in keys:
+        (tmp_path / (k + ".json")).write_text(json.dumps(bogus))
+    module = VermaModule(spec, gens=GEN_C2, cache_dir=str(tmp_path))
+    got = module.block_basis(*key)
+    assert (got.basis, got.matrix) == (expected.basis, expected.matrix)
+    assert module.cache.hits == 0
+    for k in keys:
+        assert json.loads((tmp_path / (k + ".json")).read_text()) == bogus
 
 
 @pytest.mark.parametrize(
