@@ -12,8 +12,8 @@ monomial acting on a highest weight vector) iff le < 4: every negative-mode
 element, and at mode zero exactly the four negative root vectors
 x1'1', x2'1', x2'2', x21' (indices 0..3).
 
-The central extension enters only through brackets: [x(i), y(j)] =
-[x,y](i+j) + i * <x,y> * delta_{i+j,0} * c.
+The central extension enters only through brackets, which the pairing
+kernel applies: [x(i), y(j)] = [x,y](i+j) + i * <x,y> * delta_{i+j,0} * c.
 
 The color gradation splits the finite algebra by the pairing of weights with
 the direction omega2 = eps1 + eps2 (values -1, 0, 1).  The top component
@@ -21,8 +21,6 @@ the direction omega2 = eps1 + eps2 (values -1, 0, 1).  The top component
 its loop span, together with the central element, is the subalgebra whose
 highest weight orbits are the principal subspaces studied here.
 """
-
-from dataclasses import dataclass
 
 from . import cartan
 from .cartan import build_c2, inner, OMEGA2
@@ -33,14 +31,6 @@ MODE_SHIFT = 4
 
 def encode(mode, base):
     return (mode << MODE_SHIFT) + base
-
-
-def mode_of(le):
-    return le >> MODE_SHIFT
-
-
-def base_of(le):
-    return le & BASE_MASK
 
 
 def decode(le):
@@ -84,29 +74,6 @@ def grade_component(n):
 COLOR_BASES = grade_component(1)
 
 
-@dataclass(frozen=True)
-class AffineTerm:
-    """Result of a loop bracket: a finite sum of loop elements plus a
-    multiple of the central element."""
-
-    terms: tuple  # tuple of (coeff, le), coeff a nonzero integer
-    central: int
-
-    def is_zero(self):
-        return not self.terms and self.central == 0
-
-
-def loop_bracket(le1, le2, table=None):
-    """[x(i), y(j)] in the affine algebra, exactly."""
-    if table is None:
-        table = build_c2()
-    i, b1 = decode(le1)
-    j, b2 = decode(le2)
-    terms = tuple((c, encode(i + j, k)) for c, k in table.bracket[b1][b2])
-    central = i * table.form[b1][b2] if i + j == 0 else 0
-    return AffineTerm(terms=terms, central=central)
-
-
 # ---------------------------------------------------------------------------
 # words and monomials (raw tuple level; module semantics live in pbw)
 # ---------------------------------------------------------------------------
@@ -130,15 +97,4 @@ def is_normal_ordered(word):
     """Weakly decreasing factor codes, all storable."""
     return all(storable(le) for le in word) and all(
         word[i] >= word[i + 1] for i in range(len(word) - 1)
-    )
-
-
-def transpose_word(word, table=None):
-    """Image of a monomial word under the contravariant involution: reverse
-    the factors, transpose each base, negate each mode."""
-    if table is None:
-        table = build_c2()
-    sigma = table.sigma
-    return tuple(
-        encode(-(le >> MODE_SHIFT), sigma[le & BASE_MASK]) for le in reversed(word)
     )

@@ -170,31 +170,6 @@ class StructureTable:
             raise ValueError("basis element %d is not an ad-eigenvector" % i)
         return c
 
-    # -- queries ------------------------------------------------------------
-
-    def bracket_of(self, i, j):
-        return self.bracket[i][j]
-
-    def form_of(self, i, j):
-        return self.form[i][j]
-
-    def weight_of(self, i):
-        return self.weights[i]
-
-    def is_cartan(self, i):
-        return i in CARTAN
-
-    def is_root_vector(self, i):
-        return i not in CARTAN
-
-    def eigenvalue(self, h, weight):
-        """weight(h) for h a Cartan basis index and weight in eps-coordinates."""
-        if h == H1:
-            return weight[0]
-        if h == H2:
-            return weight[1]
-        raise ValueError("not a Cartan basis index: %r" % (h,))
-
     # -- export -------------------------------------------------------------
 
     def to_json(self):
@@ -257,11 +232,6 @@ OMEGA2 = (1, 1)         # fundamental weight for alpha2 (minuscule coweight dir.
 def inner(u, v):
     """Normalized invariant pairing on weight space: <eps_i, eps_j> = delta/2."""
     return Fraction(u[0] * v[0] + u[1] * v[1], 2)
-
-
-def coroot_pairing(weight, root):
-    """<weight, root^vee> = 2<weight, root>/<root, root>."""
-    return 2 * inner(weight, root) / inner(root, root)
 
 
 def finite_weight(k1, k2):

@@ -4,10 +4,11 @@ A TruncatedModule is a finite exact model of an irreducible module up to a
 degree window D: for every (degree, weight) block it stores the block basis
 of the Verma engine (words of loop codes, each built from a basis word of the
 block below it, with their Verma vectors; a true basis of the block), the
-nonsingular Gram matrix of that basis, and exact rational action matrices of
-loop elements between blocks.  Coordinates are always recovered through the
-contravariant pairing, so the model is faithful: no quotient basis is ever
-guessed.
+nonsingular Gram matrix of that basis, and exact action matrices of loop
+elements between blocks, as integer rows over one positive denominator.
+Coordinates are always recovered through the contravariant pairing and the
+fraction-free inverse of the Gram matrix, so the model is faithful: no
+quotient basis is ever guessed.
 
 TensorModule combines several truncated modules with the coproduct action
 (sum over slots) and the product pairing.  Levels add; the tensor of level-1
@@ -20,8 +21,11 @@ and commutes with the three color operators at every mode.  solve_w finds
 all such maps inside the window degree by degree, by exact linear algebra,
 and reports the dimension of the solution space at each degree; the
 returned map is the deterministic particular solution.  Action matrices and
-intertwiner blocks are plain lists of rows of their block's shape; a zero map
-is a zero matrix, with no rows when the target block is empty.
+intertwiner blocks are plain lists of integer rows of their block's shape,
+over one denominator per action matrix and one per degree of w; a zero map
+is a zero matrix, with no rows when the target block is empty.  The tensor
+layer keeps integer coefficients and makes a Fraction only where a
+denominator is not 1.
 
 w_{k1, s} applies w to the last s tensor slots.  The projection-chain
 verifier certifies, entirely inside tensor models, that the mode-0 block of
@@ -80,12 +84,21 @@ class TruncatedModule:
             (key[1][0] + w[0], key[1][1] + w[1]),
         )
 
+    def gram_inverse(self, key):
+        """(adj, det) of the block's Gram matrix from the fraction-free
+        `invert`, computed once per block: adj / det is its inverse."""
+        inv = self._gram_inv.get(key)
+        if inv is None:
+            inv = invert(self.gram[key])
+            self._gram_inv[key] = inv
+        return inv
+
     def coordinates(self, key, terms):
-        """Coordinates of a vector (dict of monomials, supported on block
-        `key`) in the chosen basis, via the pairing of each basis word with
-        the vector: the block's inverse Gram matrix is held as integer rows
-        over one common denominator, so each call is integer dot products
-        and one division per coordinate."""
+        """Integer numerators of the coordinates of a vector (dict of
+        monomials, supported on block `key`) in the chosen basis, over the
+        block's denominator gram_inverse(key)[1]: the pairings of the basis
+        words with the vector, times the integer adjugate of the Gram
+        matrix."""
         basis = self.basis.get(key, ())
         if not basis:
             # dimension 0: the vector must vanish in the quotient, which its
@@ -99,20 +112,17 @@ class TruncatedModule:
                 )
             return []
         p = [self.verma.kernel.pair_mono(m, terms) for m in basis]
-        inv = self._gram_inv.get(key)
-        if inv is None:
-            inv = _integer_inverse(invert(self.gram[key]))
-            self._gram_inv[key] = inv
-        rows, den = inv
-        return [Fraction(sum(a * b for a, b in zip(row, p)), den) for row in rows]
+        adj, _ = self.gram_inverse(key)
+        return [sum(a * b for a, b in zip(row, p)) for row in adj]
 
     def act_matrix(self, le, key):
         """Matrix of x(le) from block `key` to its target block, in the
         chosen bases, exact: x(le) acts on the Verma vector of each basis
-        word.  Returns (target_key, rows): dim(target) rows of dim(key)
-        entries, so an empty target gives no rows.  Every image goes through
-        `coordinates`, which certifies that images landing in an empty block
-        vanish."""
+        word.  Returns (target_key, rows, den): dim(target) integer rows of
+        dim(key) entries over the positive denominator den, reduced by their
+        gcd, so an empty target gives no rows and a zero map has den 1.
+        Every image goes through `coordinates`, which certifies that images
+        landing in an empty block vanish."""
         memo_key = (le, key)
         if memo_key in self._act:
             return self._act[memo_key]
@@ -123,15 +133,20 @@ class TruncatedModule:
             self.coordinates(tgt, self.verma.kernel.act_word((le,), vec))
             for vec in self.vectors.get(key, ())
         ]
-        out = (tgt, [[col[r] for col in cols] for r in range(self.dim(tgt))])
+        rows = [[col[r] for col in cols] for r in range(self.dim(tgt))]
+        den = self.gram_inverse(tgt)[1] if rows and cols else 1
+        g = math.gcd(den, *(x for row in rows for x in row))
+        if g != 1:
+            rows = [[x // g for x in row] for row in rows]
+            den //= g
+        out = (tgt, rows, den)
         self._act[memo_key] = out
         return out
 
 
-def _integer_inverse(inv):
-    """A Fraction matrix as (integer rows, common denominator)."""
-    den = math.lcm(*(x.denominator for row in inv for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in inv], den
+def _q(num, den):
+    """num / den, as an int when den is 1."""
+    return num if den == 1 else Fraction(num, den)
 
 
 _TRUNC_CACHE = {}
@@ -160,21 +175,21 @@ class TensorModule:
         for f in self.factors:
             if f.basis.get(f.top_key(), ()) != ((),):
                 raise AssertionError("top block basis is not the vacuum monomial")
-        return {state: Fraction(1)}
+        return {state: 1}
 
     def act_le(self, le, vec):
         out = {}
         for state, coeff in vec.items():
             for slot, (d, wt, i) in enumerate(state):
                 factor = self.factors[slot]
-                tgt, rows = factor.act_matrix(le, (d, wt))
+                tgt, rows, den = factor.act_matrix(le, (d, wt))
                 for r, row in enumerate(rows):
                     if not row[i]:
                         continue
                     new_state = state[:slot] + ((tgt[0], tgt[1], r),) + state[slot + 1 :]
                     if sum(s[0] for s in new_state) > self.max_degree:
                         raise ValueError("tensor action leaves the degree window")
-                    cc = out.get(new_state, Fraction(0)) + coeff * row[i]
+                    cc = out.get(new_state, 0) + coeff * _q(row[i], den)
                     if cc:
                         out[new_state] = cc
                     else:
@@ -194,7 +209,7 @@ class TensorModule:
         by_blocks = {}
         for sv, cv in v.items():
             by_blocks.setdefault(tuple(s[:2] for s in sv), []).append((sv, cv))
-        total = Fraction(0)
+        total = 0
         for su, cu in u.items():
             for sv, cv in by_blocks.get(tuple(s[:2] for s in su), ()):
                 prod = cu * cv
@@ -213,30 +228,32 @@ class TensorModule:
 
 @dataclass
 class IntertwinerMap:
-    """Weight-shift map between two truncated modules: one exact rational
-    dim(shift(key)) x dim(key) matrix per source block `key`, shifting
-    finite weights by eps1; a block the map kills holds a zero matrix.
-    `freedom` records the solution-space dimension found at each degree (0
-    means the normalized map is unique there)."""
+    """Weight-shift map between two truncated modules, shifting finite
+    weights by eps1: one integer dim(shift(key)) x dim(key) matrix per
+    source block `key`, over the positive denominator dens[degree] of its
+    degree; a block the map kills holds a zero matrix.  `freedom` records
+    the solution-space dimension found at each degree (0 means the
+    normalized map is unique there)."""
 
     source: TruncatedModule
     target: TruncatedModule
     blocks: dict
+    dens: dict
     freedom: dict = field(default_factory=dict)
 
     def block(self, key):
-        """The matrix on block `key`; a zero matrix outside the solved
+        """(rows, den): the integer matrix on block `key` and the
+        denominator of its degree; a zero matrix over 1 outside the solved
         blocks."""
         if key in self.blocks:
-            return self.blocks[key]
-        return _zeros(self.target.dim(_shift(key)), self.source.dim(key))
+            return self.blocks[key], self.dens[key[0]]
+        return _zeros(self.target.dim(_shift(key)), self.source.dim(key)), 1
 
     def apply_block(self, key, coeffs):
         """Target block and image coordinates of a source-block coordinate
         vector."""
-        return _shift(key), [
-            sum((a * x for a, x in zip(row, coeffs)), Fraction(0)) for row in self.block(key)
-        ]
+        rows, den = self.block(key)
+        return _shift(key), [_q(sum(a * x for a, x in zip(row, coeffs)), den) for row in rows]
 
 
 def _shift(key):
@@ -244,24 +261,27 @@ def _shift(key):
 
 
 def _zeros(n_rows, n_cols):
-    return [[Fraction(0)] * n_cols for _ in range(n_rows)]
+    return [[0] * n_cols for _ in range(n_rows)]
 
 
 def _matmul(a, b, n_cols):
-    """The product a.b of row lists, where b has n_cols columns (stated
-    because b may have no rows)."""
+    """The product a.b of integer row lists, where b has n_cols columns
+    (stated because b may have no rows)."""
     cols = [[row[c] for row in b] for c in range(n_cols)]
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in a]
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def solve_w(source, target, max_degree=None, colors=affine.COLOR_BASES):
     """Solve for all maps source -> target that shift finite weights by
     eps1, kill the source top vector, normalize the weight-(0,1) top basis
     vector to the target top, and commute with every color operator inside
-    the window.  Returns (IntertwinerMap, report dict)."""
+    the window.  The equations are assembled as integer rows; the solution
+    at each degree is stored as integer rows over that degree's common
+    denominator.  Returns (IntertwinerMap, report dict)."""
     if max_degree is None:
         max_degree = min(source.max_degree, target.max_degree)
     blocks = {}
+    dens = {}
     freedom = {}
     consistent = True
     for d in range(max_degree + 1):
@@ -277,28 +297,33 @@ def solve_w(source, target, max_degree=None, colors=affine.COLOR_BASES):
         rows = []
         rhs = []
 
-        def w_entry(key, r, c, sign, row):
-            """Add sign * W[key][r][c] to a sparse equation row (current
-            unknowns), or return the known value (solved lower degrees)."""
-            if key in var_index:
+        def add_equation(parts, const):
+            """Add sum(coeff * W[key][r][c]) + const = 0 as an integer row
+            over the current unknowns.  Blocks of lower degrees are solved,
+            integer rows over their degree's denominator, so the equation is
+            scaled by the lcm of the denominators it references."""
+            known_dens = []
+            for key, _, _, _ in parts:
+                if key in var_index:
+                    continue
+                if key not in blocks:
+                    raise AssertionError(
+                        "equation references an unsolved block %r at stage %d" % (key, d)
+                    )
+                known_dens.append(dens[key[0]])
+            scale = math.lcm(*known_dens)
+            row = {}
+            known = const * scale
+            for key, r, c, coeff in parts:
+                if key not in var_index:
+                    known += coeff * blocks[key][r][c] * (scale // dens[key[0]])
+                    continue
                 col = var_index[key] + r * source.dim(key) + c
-                cc = row.get(col, Fraction(0)) + sign
+                cc = row.get(col, 0) + coeff * scale
                 if cc:
                     row[col] = cc
                 else:
                     row.pop(col, None)
-                return Fraction(0)
-            if key not in blocks:
-                raise AssertionError(
-                    "equation references an unsolved block %r at stage %d" % (key, d)
-                )
-            return sign * blocks[key][r][c]
-
-        def add_equation(parts, const):
-            row = {}
-            known = Fraction(const)
-            for key, r, c, sign in parts:
-                known += w_entry(key, r, c, sign, row)
             if row or known:
                 rows.append(row)
                 rhs.append(-known)
@@ -320,16 +345,15 @@ def solve_w(source, target, max_degree=None, colors=affine.COLOR_BASES):
         for base in colors:
             for key in src_keys:
                 for n in range(0, d + 1):
-                    for parts, const in _commutation_parts(
-                        source, target, key, affine.encode(n, base)
-                    ):
-                        add_equation(parts, const)
+                    for parts in _commutation_parts(source, target, key, affine.encode(n, base)):
+                        add_equation(parts, 0)
             for n in range(1, d + 1):
                 le = affine.encode(-n, base)
                 for key in [k for k in source.block_keys() if k[0] == d - n]:
-                    for parts, const in _commutation_parts(source, target, key, le):
-                        add_equation(parts, const)
+                    for parts in _commutation_parts(source, target, key, le):
+                        add_equation(parts, 0)
 
+        sol = []
         if nvars or rows:
             sol, n_free = solve_sparse(rows, rhs, nvars)
             if sol is None:
@@ -339,26 +363,27 @@ def solve_w(source, target, max_degree=None, colors=affine.COLOR_BASES):
             freedom[d] = n_free
         else:
             freedom[d] = 0
+        den = math.lcm(*(x.denominator for x in sol))
+        dens[d] = den
         for key in src_keys:
             n1 = source.dim(key)
             n2 = target.dim(_shift(key))
             if key in var_index:
                 start = var_index[key]
-                blocks[key] = [
-                    [sol[start + r * n1 + c] for c in range(n1)] for r in range(n2)
-                ]
+                nums = [x.numerator * (den // x.denominator) for x in sol[start : start + n1 * n2]]
+                blocks[key] = [nums[r * n1 : (r + 1) * n1] for r in range(n2)]
             else:  # no unknowns: the zero map
                 blocks[key] = _zeros(n2, n1)
-    wmap = IntertwinerMap(source=source, target=target, blocks=blocks, freedom=freedom)
+    wmap = IntertwinerMap(source=source, target=target, blocks=blocks, dens=dens, freedom=freedom)
     report = {"consistent": consistent, "freedom": dict(freedom)}
     return wmap, report
 
 
 def _commutation_parts(source, target, key, le):
     """Equations W_{T1} A1 - A2 W_{S} = 0 for one source block and one loop
-    element, as lists of (block, r, c, sign) parts (constants handled by the
-    assembler through solved blocks).  No equations when the action leaves
-    the window."""
+    element, multiplied by the denominators d1, d2 of A1 = a1/d1 and
+    A2 = a2/d2, as lists of (block, r, c, integer coefficient) parts.  No
+    equations when the action leaves the window."""
     t1 = source.target_key(le, key)
     if t1[0] < 0 or t1[0] > source.max_degree:
         return []
@@ -366,8 +391,8 @@ def _commutation_parts(source, target, key, le):
     t2 = _shift(t1)
     if t2[0] > target.max_degree:
         return []
-    _, a1 = source.act_matrix(le, key)
-    _, a2 = target.act_matrix(le, s2)
+    _, a1, d1 = source.act_matrix(le, key)
+    _, a2, d2 = target.act_matrix(le, s2)
     n1s = source.dim(key)
     n1t = source.dim(t1)
     n2s = target.dim(s2)
@@ -376,16 +401,16 @@ def _commutation_parts(source, target, key, le):
     for r in range(n2t):
         for c in range(n1s):
             parts = []
-            # (W_{T1} A1)[r][c] = sum_m W_{T1}[r][m] * A1[m][c]
+            # d2 (W_{T1} a1)[r][c] = d2 sum_m W_{T1}[r][m] * a1[m][c]
             for m in range(n1t):
                 if a1[m][c]:
-                    parts.append((t1, r, m, Fraction(a1[m][c])))
-            # -(A2 W_S)[r][c] = -sum_m A2[r][m] * W_S[m][c]
+                    parts.append((t1, r, m, a1[m][c] * d2))
+            # -d1 (a2 W_S)[r][c] = -d1 sum_m a2[r][m] * W_S[m][c]
             for m in range(n2s):
                 if a2[r][m]:
-                    parts.append((key, m, c, -Fraction(a2[r][m])))
+                    parts.append((key, m, c, -a2[r][m] * d1))
             if parts:
-                eqs.append((parts, 0))
+                eqs.append(parts)
     return eqs
 
 
@@ -404,7 +429,7 @@ def verify_intertwiner(max_degree, cache_dir=None):
     v1_killed = None
     commutes = None
     if ok:
-        _, img = wmap.apply_block(source.top_key(), [Fraction(1)])
+        _, img = wmap.apply_block(source.top_key(), [1])
         v1_killed = not any(img)
         commutes = _check_commutation(source, target, wmap, max_degree)
         ok = v1_killed and commutes
@@ -423,22 +448,32 @@ def verify_intertwiner(max_degree, cache_dir=None):
 
 def _check_commutation(source, target, wmap, max_degree):
     """W[t1].A1 == A2.W[key] for every source block `key` and every color
-    loop element x with x(key) = t1 inside the window.  It reads only the
-    solved blocks and the action matrices, never the solver's equations."""
+    loop element x with x(key) = t1 inside the window, as integer products
+    cross-multiplied by the denominators: with A1 = a1/d1, A2 = a2/d2,
+    W[t1] over e1 and W[key] over e, it checks
+    (W[t1].a1) * d2 * e == (a2.W[key]) * e1 * d1.  It reads only the solved
+    blocks and the action matrices, never the solver's equations."""
     for key in source.block_keys():
         n1 = source.dim(key)
-        w = wmap.block(key)
+        w, e = wmap.block(key)
         for base in affine.COLOR_BASES:
             for n in range(-max_degree, max_degree + 1):
                 le = affine.encode(-n, base)
                 t1 = source.target_key(le, key)
                 if t1[0] < 0 or t1[0] > max_degree:
                     continue
-                _, a1 = source.act_matrix(le, key)
-                _, a2 = target.act_matrix(le, _shift(key))
-                if _matmul(wmap.block(t1), a1, n1) != _matmul(a2, w, n1):
+                _, a1, d1 = source.act_matrix(le, key)
+                _, a2, d2 = target.act_matrix(le, _shift(key))
+                w1, e1 = wmap.block(t1)
+                left = _matmul(w1, a1, n1)
+                right = _matmul(a2, w, n1)
+                if _scaled(left, d2 * e) != _scaled(right, e1 * d1):
                     return False
     return True
+
+
+def _scaled(rows, s):
+    return [[x * s for x in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +489,15 @@ def build_w_ks(wmap, n_slots, s):
     def apply(vec):
         out = {}
         for state, coeff in vec.items():
-            expansions = [[(state[i], Fraction(1))] for i in range(n_slots)]
+            expansions = [[(state[i], 1)] for i in range(n_slots)]
+            den = 1
             for slot in range(n_slots - s, n_slots):
                 d, wt, i = state[slot]
                 tgt = _shift((d, wt))
+                rows, e = wmap.block((d, wt))
+                den *= e
                 expansions[slot] = [
-                    ((tgt[0], tgt[1], r), row[i])
-                    for r, row in enumerate(wmap.block((d, wt)))
-                    if row[i]
+                    ((tgt[0], tgt[1], r), row[i]) for r, row in enumerate(rows) if row[i]
                 ]
             for combo in itertools.product(*expansions):
                 new_state = tuple(t for t, _ in combo)
@@ -469,7 +505,7 @@ def build_w_ks(wmap, n_slots, s):
                 for _, f in combo:
                     val *= f
                 if val:
-                    cc = out.get(new_state, Fraction(0)) + val
+                    cc = out.get(new_state, 0) + _q(val, den)
                     if cc:
                         out[new_state] = cc
                     else:
@@ -610,7 +646,7 @@ def verify_cross_model(kind, max_degree, cache_dir=None):
             a = verma.pair(verma.act_word(wi), verma.act_word(wj))
             b = tensor.pair(tensor.act_word(wi), tensor.act_word(wj))
             checked += 1
-            if Fraction(a) != b:
+            if a != b:
                 ok = False
                 mismatches.append(
                     {

@@ -5,11 +5,12 @@ elimination (kernels.rank_int).  The hot routines here are fraction-free as
 well: bordered_minor grows the leading principal minors of a symmetric
 integer matrix one row at a time (Bareiss' integer-preserving update, used
 for basis selection), and solve_sparse runs Gauss-Jordan on integer rows
-kept primitive by dividing out their content.  Rationals appear only in the
-results they return.
+kept primitive by dividing out their content, and invert returns an integer
+adjugate over the determinant (Bareiss Gauss-Jordan).  Rationals appear only
+in the solution solve_sparse returns.
 
-The dense routines (nullspace, solve, invert) serve small outer-layer
-systems and run on fractions.Fraction.
+The dense routines nullspace and solve serve small outer-layer systems and
+run on fractions.Fraction.
 """
 
 from fractions import Fraction
@@ -205,11 +206,28 @@ def leading_minors(rows):
 
 
 def invert(a_rows):
-    """Inverse of a square nonsingular matrix, as Fraction rows; raises
-    ValueError when singular."""
+    """Fraction-free inverse of a square nonsingular integer matrix a.
+    Returns (adj, det) with a.adj == det.I and det > 0: adj is the adjugate
+    of a, negated when det(a) < 0.  Bareiss' integer-preserving
+    Gauss-Jordan on [a | I], swapping rows on a zero pivot: every division
+    is exact, since each entry is a minor of the augmented matrix, and the
+    last pivot is +-det(a).  Raises ValueError when a is singular."""
     n = len(a_rows)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a_rows)]
-    m, pivots = _rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in m[:n]]
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a_rows)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        m[k], m[piv] = m[piv], m[k]
+        mk = m[k]
+        p = mk[k]
+        for i in range(n):
+            if i != k:
+                mi = m[i]
+                f = mi[k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(mi, mk)]
+        prev = p
+    if prev < 0:
+        return [[-x for x in row[n:]] for row in m], -prev
+    return [row[n:] for row in m], prev

@@ -27,6 +27,7 @@ depending on the module kind).
 """
 
 from dataclasses import dataclass
+import functools
 
 from . import affine
 from .pbw import HighestWeightSpec, VermaModule, GEN_A1, GEN_COLORS
@@ -257,7 +258,17 @@ class C2FS:
 
 def enumerate_admissible(kind, max_degree):
     """Admissible colored partitions for the module kind, degree at most
-    max_degree, deterministically ordered (by sort_key).  Generated size by
+    max_degree, deterministically ordered (by sort_key), as a fresh list.
+    The partitions are immutable, so every list is a copy of one memoised
+    tuple per (kind, max_degree)."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative, got %d" % max_degree)
+    return list(_admissible(kind, max_degree))
+
+
+@functools.lru_cache(maxsize=64)
+def _admissible(kind, max_degree):
+    """The tuple enumerate_admissible copies.  Generated size by
     size, j = 0, 1, ..., max_degree: the frequencies at size j are chosen
     within the level and the degree budget, and the four difference windows
     on sizes (j-1, j) are checked as soon as both are known; the window on
@@ -266,8 +277,6 @@ def enumerate_admissible(kind, max_degree):
     conditions accept among all colored partitions of degree <= max_degree:
     the windows on sizes above max_degree hold trivially, and each window
     bounds every single frequency by the level."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative, got %d" % max_degree)
     k = kind.level
     out = []
 
@@ -306,7 +315,7 @@ def enumerate_admissible(kind, max_degree):
 
     rec(0, max_degree, (0, 0, 0), ((), (), ()))
     out.sort(key=ColoredPartition.sort_key)
-    return out
+    return tuple(out)
 
 
 def ic_propagation(pi, kind):

@@ -2,11 +2,14 @@
 
 Everything here is deliberately reimplemented from first principles, without
 calling into the package internals being tested: plain 4x4 matrix arithmetic
-for the finite algebra, the Euler recurrence for partition numbers, a direct
-search for colored partitions and for PBW monomials, the Weyl group of the
-finite weights, and a nondeterministic-order rewriting engine for normal
-ordering.  When the package and an oracle agree, the agreement is
-between two codepaths that share nothing but the definitions.
+for the finite algebra, the loop bracket with its central term over given
+structure constants, the Euler recurrence for partition numbers, a direct
+search for colored partitions and for PBW
+monomials, Fraction elimination for inverses and determinants and for the
+intertwiner's commutation identity, the Weyl group of the finite weights,
+and a nondeterministic-order rewriting engine for normal ordering.  When the
+package and an oracle agree, the agreement is between two codepaths that
+share nothing but the definitions.
 """
 
 from fractions import Fraction
@@ -121,6 +124,28 @@ def bracket_coeffs(i, j):
 def form_value(i, j):
     """Invariant form <b_i, b_j>: the 4x4 matrix trace form."""
     return trace(mmul(BASIS[i], BASIS[j]))
+
+
+def coroot_pairing(weight, root):
+    """<weight, root^vee> = 2<weight, root>/<root, root>, for eps-coordinate
+    weights (the eps basis is orthogonal, so the common scale cancels)."""
+    return Fraction(2 * (weight[0] * root[0] + weight[1] * root[1]), root[0] ** 2 + root[1] ** 2)
+
+
+# ---------------------------------------------------------------------------
+# loop algebra: the bracket with its central term
+# ---------------------------------------------------------------------------
+
+
+def loop_bracket(le1, le2, bracket, form):
+    """[x(i), y(j)] = [x, y](i+j) + i <x, y> delta_{i+j,0} c for loop codes
+    le = 16 * mode + base, over finite structure constants given as
+    bracket(b1, b2) -> {base: coeff} and form(b1, b2).  Returns
+    ({code: coeff}, central coefficient)."""
+    i, b1 = divmod(le1, 16)
+    j, b2 = divmod(le2, 16)
+    terms = {16 * (i + j) + k: c for k, c in bracket(b1, b2).items() if c}
+    return terms, (i * form(b1, b2) if i + j == 0 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +301,89 @@ def pbw_monomials(gens, weights, lam, degree, weight):
 def gram(pair, items):
     """The full Gram matrix [[pair(a, b) for b in items] for a in items]."""
     return [[pair(a, b) for b in items] for a in items]
+
+
+# ---------------------------------------------------------------------------
+# dense linear algebra over Fraction, and the intertwiner identity
+# ---------------------------------------------------------------------------
+
+
+def inverse_fraction(rows):
+    """Inverse of a square matrix by Fraction RREF of [a | I], or None when
+    it is singular."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            return None
+        m[c], m[piv] = m[piv], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return [row[n:] for row in m]
+
+
+def det_fraction(rows):
+    """Determinant by Fraction elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
+def _fraction_matmul(a, b, n_cols):
+    return [
+        [sum((row[k] * b[k][c] for k in range(len(b))), Fraction(0)) for c in range(n_cols)]
+        for row in a
+    ]
+
+
+def commutes_fraction(source, target, wmap, loop_elements, max_degree):
+    """Reference commutation check for a weight-shift map W (integer rows
+    `wmap.blocks[key]` over `wmap.dens[degree]`): every W and action matrix
+    is turned into Fraction entries and W[t1].A1 == A2.W[key] is compared
+    for each source block `key` and loop element whose image t1 lies in
+    the degree window.  Only the action matrices and W are read."""
+
+    def shift(key):
+        return (key[0], (key[1][0] + 1, key[1][1]))
+
+    def w_block(key):
+        if key in wmap.blocks:
+            den = wmap.dens[key[0]]
+            return [[Fraction(x, den) for x in row] for row in wmap.blocks[key]]
+        return [[Fraction(0)] * source.dim(key) for _ in range(target.dim(shift(key)))]
+
+    def action(module, le, key):
+        _, rows, den = module.act_matrix(le, key)
+        return [[Fraction(x, den) for x in row] for row in rows]
+
+    for key in source.block_keys():
+        n1 = source.dim(key)
+        for le in loop_elements:
+            t1 = source.target_key(le, key)
+            if not 0 <= t1[0] <= max_degree:
+                continue
+            left = _fraction_matmul(w_block(t1), action(source, le, key), n1)
+            right = _fraction_matmul(action(target, le, shift(key)), w_block(key), n1)
+            if left != right:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

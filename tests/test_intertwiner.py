@@ -1,9 +1,11 @@
 """Truncated modules, tensor models, and the color intertwiner."""
 
 from fractions import Fraction
+import math
 
 import pytest
 
+import oracles
 from affine_basis import affine
 from affine_basis import intertwiner
 from affine_basis.intertwiner import (
@@ -47,12 +49,18 @@ def test_truncated_module_blocks():
 
 
 def test_coordinates_recover_basis_vectors():
-    key = SOURCE.block_keys()[-1]
-    basis = SOURCE.basis[key]
-    for i, vec in enumerate(SOURCE.vectors[key]):
-        coords = SOURCE.coordinates(key, vec)
-        expected = [Fraction(int(j == i)) for j in range(len(basis))]
-        assert coords == expected
+    # integer numerators over the block's denominator: each basis vector
+    # has unit coordinates, and the denominator is the Gram determinant
+    dens = set()
+    for key in SOURCE.block_keys():
+        adj, den = SOURCE.gram_inverse(key)
+        assert den == abs(oracles.det_fraction(SOURCE.gram[key]))
+        dens.add(den)
+        for i, vec in enumerate(SOURCE.vectors[key]):
+            coords = SOURCE.coordinates(key, vec)
+            assert all(isinstance(x, int) for x in coords)
+            assert coords == [den * int(j == i) for j in range(SOURCE.dim(key))]
+    assert max(dens) > 1  # some block is not unimodular
 
 
 def test_coordinates_reject_nonnull_vectors_in_empty_blocks():
@@ -71,17 +79,45 @@ def test_act_matrix_window_guard():
 def test_act_matrix_entries_match_kernel_action():
     le = affine.encode(-1, 0)
     key = SOURCE.top_key()
-    tgt, rows = SOURCE.act_matrix(le, key)
+    tgt, rows, den = SOURCE.act_matrix(le, key)
     assert tgt == (1, (-1, 0))
     image = SOURCE.verma.kernel.act_le(le, SOURCE.basis[key][0])
-    assert rows is not None
     coords = SOURCE.coordinates(tgt, image)
-    assert [rows[r][0] for r in range(len(rows))] == coords
+    coord_den = SOURCE.gram_inverse(tgt)[1]
+    assert [Fraction(rows[r][0], den) for r in range(len(rows))] == [
+        Fraction(x, coord_den) for x in coords
+    ]
     # raising the top along the long root leaves the quotient: the image
     # block is empty at level 1, so the zero map has no rows
-    tgt2, rows2 = SOURCE.act_matrix(affine.encode(-1, 9), key)
+    tgt2, rows2, den2 = SOURCE.act_matrix(affine.encode(-1, 9), key)
     assert tgt2 == (1, (3, 0))
-    assert rows2 == [] and SOURCE.dim(tgt2) == 0
+    assert rows2 == [] and den2 == 1 and SOURCE.dim(tgt2) == 0
+
+
+def test_act_matrices_are_reduced_integer_rows_matching_the_kernel():
+    # every action matrix of the window: integer rows of the block's shape
+    # over a positive denominator that shares no factor with all entries,
+    # and each column is the kernel action of x on that basis vector
+    for key in SOURCE.block_keys():
+        for base in affine.COLOR_BASES + (0, 3):
+            for n in (-1, 0, 1):
+                le = affine.encode(n, base)
+                tgt = SOURCE.target_key(le, key)
+                if not 0 <= tgt[0] <= SOURCE.max_degree:
+                    continue
+                got, rows, den = SOURCE.act_matrix(le, key)
+                assert got == tgt and den > 0
+                assert len(rows) == SOURCE.dim(tgt)
+                assert all(len(row) == SOURCE.dim(key) for row in rows)
+                assert all(isinstance(x, int) for row in rows for x in row)
+                assert math.gcd(den, *(x for row in rows for x in row)) == 1
+                if not rows:
+                    continue
+                coord_den = SOURCE.gram_inverse(tgt)[1]
+                for c, vec in enumerate(SOURCE.vectors[key]):
+                    image = SOURCE.verma.kernel.act_word((le,), vec)
+                    coords = SOURCE.coordinates(tgt, image)
+                    assert [x * den for x in coords] == [row[c] * coord_den for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -102,49 +138,81 @@ def test_solve_w_is_deterministic_and_normalized():
     w2, r2 = solve_w(SOURCE, TARGET, 2)
     assert r1 == r2
     assert w1.blocks == w2.blocks
+    assert w1.dens == w2.dens
     assert w1.freedom == w2.freedom
     assert r1["consistent"] is True
     # normalization: the weight-(0,1) degree-0 block maps by the identity
-    assert w1.blocks[(0, (0, 1))] == [[Fraction(1)]]
+    assert w1.block((0, (0, 1))) == ([[w1.dens[0]]], w1.dens[0])
     # the source top vector is killed: its block is an all-zero dim x 1 matrix
     top = SOURCE.top_key()
     n_top = TARGET.dim(intertwiner._shift(top))
-    assert w1.blocks[top] == [[Fraction(0)]] * n_top
-    # every block is a plain dim(shift(key)) x dim(key) matrix
+    assert w1.blocks[top] == [[0]] * n_top
+    # every block is a plain dim(shift(key)) x dim(key) integer matrix over
+    # the positive, fully reduced denominator of its degree
     assert set(w1.blocks) == set(SOURCE.block_keys())
+    assert set(w1.dens) == {0, 1, 2}
     for key, mat in w1.blocks.items():
         assert isinstance(mat, list)
         assert len(mat) == TARGET.dim(intertwiner._shift(key))
         assert all(len(row) == SOURCE.dim(key) for row in mat)
+        assert all(isinstance(x, int) for row in mat for x in row)
+    for d, den in w1.dens.items():
+        nums = [x for key, mat in w1.blocks.items() if key[0] == d for row in mat for x in row]
+        assert den > 0 and math.gcd(den, *nums) == 1
 
 
 def test_apply_block_shifts_by_eps1():
     w, _ = solve_w(SOURCE, TARGET, 2)
     key = (0, (0, 1))
-    tgt, out = w.apply_block(key, [Fraction(3)])
+    tgt, out = w.apply_block(key, [3])
     assert tgt == (0, (0 + EPS1[0], 1 + EPS1[1]))
-    assert out == [Fraction(3)]
+    assert out == [3]
+    # the denominator of the degree is applied exactly, and integer
+    # coordinates stay integers through a denominator-1 block
+    doubled = IntertwinerMap(SOURCE, TARGET, w.blocks, {**w.dens, 0: 2 * w.dens[0]}, w.freedom)
+    assert doubled.apply_block(key, [3]) == (tgt, [Fraction(3, 2)])
+    plain = IntertwinerMap(SOURCE, TARGET, {key: [[5]]}, {0: 1}, w.freedom)
+    _, out = plain.apply_block(key, [3])
+    assert out == [15] and type(out[0]) is int
     # a block outside the source maps by zero into its shifted block
-    assert w.apply_block((0, (9, 9)), [Fraction(1)]) == ((0, (10, 9)), [])
+    assert w.apply_block((0, (9, 9)), [1]) == ((0, (10, 9)), [])
+
+
+def _perturbed_maps(w):
+    """(label, map) for every single-entry perturbation of w: 1 added to one
+    numerator, or one degree's denominator changed."""
+    for key, mat in w.blocks.items():
+        for r, row in enumerate(mat):
+            for c in range(len(row)):
+                blocks = {k: [list(rw) for rw in m] for k, m in w.blocks.items()}
+                blocks[key][r][c] += 1
+                yield (key, r, c), IntertwinerMap(SOURCE, TARGET, blocks, w.dens, w.freedom)
+    for d, den in w.dens.items():
+        for new_den in (den + 1, 2 * den):
+            dens = {**w.dens, d: new_den}
+            yield (d, new_den), IntertwinerMap(SOURCE, TARGET, w.blocks, dens, w.freedom)
 
 
 def test_commutation_check_rejects_every_single_entry_perturbation():
     # negative control: the post-hoc check must catch a wrong W.  Adding 1
-    # to any one entry of any solved block breaks commutation somewhere.
+    # to any one numerator of any solved block, or changing the denominator
+    # of any one degree, breaks commutation somewhere.
     w, _ = solve_w(SOURCE, TARGET, 2)
     assert intertwiner._check_commutation(SOURCE, TARGET, w, 2)
-    entries = [
-        (key, r, c)
-        for key, mat in w.blocks.items()
-        for r, row in enumerate(mat)
-        for c in range(len(row))
-    ]
-    assert entries
-    for key, r, c in entries:
-        blocks = {k: [list(row) for row in mat] for k, mat in w.blocks.items()}
-        blocks[key][r][c] += 1
-        bad = IntertwinerMap(SOURCE, TARGET, blocks, w.freedom)
-        assert not intertwiner._check_commutation(SOURCE, TARGET, bad, 2), (key, r, c)
+    perturbed = list(_perturbed_maps(w))
+    assert len(perturbed) > len(w.dens) * 2
+    for label, bad in perturbed:
+        assert not intertwiner._check_commutation(SOURCE, TARGET, bad, 2), label
+
+
+def test_commutation_check_agrees_with_the_fraction_reference():
+    # the integer cross-multiplied check against a Fraction recomputation
+    # of both products, on the solved W and on its perturbations
+    w, _ = solve_w(SOURCE, TARGET, 2)
+    loop_elements = [affine.encode(n, b) for b in affine.COLOR_BASES for n in range(-2, 3)]
+    assert oracles.commutes_fraction(SOURCE, TARGET, w, loop_elements, 2)
+    for label, bad in _perturbed_maps(w):
+        assert not oracles.commutes_fraction(SOURCE, TARGET, bad, loop_elements, 2), label
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,8 @@ def test_adjointness_of_the_contravariant_form():
     monos = _sample_monomials()[:12]
     codes = [affine.encode(-1, 9), affine.encode(-1, 5), affine.encode(0, 3)]
     for le in codes:
-        dual = affine.encode(-affine.mode_of(le), TABLE.sigma[affine.base_of(le)])
+        mode, base = affine.decode(le)
+        dual = affine.encode(-mode, TABLE.sigma[base])
         for u in monos:
             xu = k.act_le(le, u)
             for w in monos:

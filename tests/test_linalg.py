@@ -8,6 +8,7 @@ import random
 from hypothesis import given, settings, strategies as st
 import pytest
 
+import oracles
 from affine_basis import kernels, linalg
 
 
@@ -78,18 +79,16 @@ def test_invert_roundtrip_and_singular():
     done = 0
     while done < 15:
         n = rng.randint(1, 5)
-        a = _rand_matrix(rng, n, n)
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         if _rank(a) < n:
             continue
-        inv = linalg.invert(a)
-        prod = _matmul(a, inv)
-        assert prod == [
-            [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)
-        ]
+        adj, det = linalg.invert(a)
+        assert det > 0
+        assert _matmul(a, adj) == [[det * int(i == j) for j in range(n)] for i in range(n)]
         done += 1
+    assert linalg.invert([]) == ([], 1)
     with pytest.raises(ValueError):
-        linalg.invert([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+        linalg.invert([[1, 2], [2, 4]])
 
 
 def _dense_from_sparse(rows, nvars):
@@ -158,8 +157,41 @@ def _schur_greedy_reference(g):
         comps.append(s)
         if s:
             kept.append(c)
-            inv = linalg.invert([[g[i][j] for j in kept] for i in kept])
+            inv = oracles.inverse_fraction([[g[i][j] for j in kept] for i in kept])
     return kept, comps
+
+
+@st.composite
+def square_integer_matrices(draw):
+    """Random square integer matrices: dense ones (mostly nonsingular),
+    ones with a zero leading entry or a zero leading 2 x 2 minor, which
+    need a row swap, and singular ones with a repeated combination of
+    rows."""
+    n = draw(st.integers(1, 6))
+    a = [[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["dense", "zero corner", "zero minor", "singular"]))
+    if shape == "zero corner":
+        a[0][0] = 0
+    elif shape == "zero minor" and n >= 2:
+        a[1] = [2 * x for x in a[0][:2]] + a[1][2:]
+    elif shape == "singular" and n >= 2:
+        k = draw(st.integers(-2, 2))
+        a[-1] = [x + k * y for x, y in zip(a[0], a[1 % (n - 1)])]
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_integer_matrices())
+def test_invert_matches_the_fraction_inverse(a):
+    reference = oracles.inverse_fraction(a)
+    if reference is None:
+        with pytest.raises(ValueError):
+            linalg.invert(a)
+        return
+    adj, det = linalg.invert(a)
+    assert all(isinstance(x, int) for row in adj for x in row)
+    assert det > 0 and det == abs(oracles.det_fraction(a))
+    assert [[Fraction(x, det) for x in row] for row in adj] == reference
 
 
 @st.composite

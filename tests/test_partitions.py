@@ -222,7 +222,7 @@ def test_literal_word_order_contract():
     word = _literal_word(pi, A1_BASES)
     # weakly increasing codes, mode-0 factors rightmost
     assert all(word[i] <= word[i + 1] for i in range(len(word) - 1))
-    modes = [affine.mode_of(le) for le in word]
+    modes = [affine.decode(le)[0] for le in word]
     assert modes == sorted(modes)
     assert modes[-1] == 0
     # sizes decrease left to right; within a size the color order is c, b, a
@@ -235,7 +235,7 @@ def test_literal_word_order_contract():
         (0, A1_BASES["c"]),
     ]
     cword = _literal_word(pi, COLOR_BASES_MAP)
-    assert [affine.base_of(le) for le in cword] == [
+    assert [affine.decode(le)[1] for le in cword] == [
         COLOR_BASES_MAP["a"],
         COLOR_BASES_MAP["c"],
         COLOR_BASES_MAP["b"],
