@@ -8,8 +8,6 @@ from .cartan import StructureTable, build_c2, a1_subalgebra, inner, table_hash
 from .pbw import (
     BlockBasis,
     HighestWeightSpec,
-    PBWMonomial,
-    ModuleVector,
     VermaModule,
     GEN_A1,
     GEN_C2,
@@ -65,8 +63,6 @@ __all__ = [
     "GEN_COLORS",
     "HighestWeightSpec",
     "IntertwinerMap",
-    "ModuleVector",
-    "PBWMonomial",
     "StepReport",
     "StructureTable",
     "TensorModule",

@@ -170,31 +170,6 @@ class StructureTable:
             raise ValueError("basis element %d is not an ad-eigenvector" % i)
         return c
 
-    # -- export -------------------------------------------------------------
-
-    def to_json(self):
-        payload = {
-            "version": self.VERSION,
-            "basis": list(TAGS),
-            "weights": [list(w) for w in self.weights],
-            "cartan": list(CARTAN),
-            "sigma": list(self.sigma),
-            "bracket": [
-                [i, j, [[c, k] for c, k in self.bracket[i][j]]]
-                for i in range(10)
-                for j in range(10)
-                if self.bracket[i][j]
-            ],
-            "form": [
-                [i, j, self.form[i][j]]
-                for i in range(10)
-                for j in range(10)
-                if self.form[i][j]
-            ],
-        }
-        payload["hash"] = table_hash(self)
-        return json.dumps(payload, sort_keys=True)
-
 
 def table_hash(table):
     """Stable content hash of the structure constants (used to key caches)."""

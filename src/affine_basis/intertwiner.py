@@ -275,9 +275,10 @@ def solve_w(source, target, max_degree=None, colors=affine.COLOR_BASES):
     """Solve for all maps source -> target that shift finite weights by
     eps1, kill the source top vector, normalize the weight-(0,1) top basis
     vector to the target top, and commute with every color operator inside
-    the window.  The equations are assembled as integer rows; the solution
-    at each degree is stored as integer rows over that degree's common
-    denominator.  Returns (IntertwinerMap, report dict)."""
+    the window.  The equations are assembled as integer rows; solve_sparse
+    returns each degree's solution as integer numerators over one common
+    denominator, which are stored as they are.  Returns
+    (IntertwinerMap, report dict)."""
     if max_degree is None:
         max_degree = min(source.max_degree, target.max_degree)
     blocks = {}
@@ -353,25 +354,19 @@ def solve_w(source, target, max_degree=None, colors=affine.COLOR_BASES):
                     for parts in _commutation_parts(source, target, key, le):
                         add_equation(parts, 0)
 
-        sol = []
-        if nvars or rows:
-            sol, n_free = solve_sparse(rows, rhs, nvars)
-            if sol is None:
-                consistent = False
-                freedom[d] = None
-                break
-            freedom[d] = n_free
-        else:
-            freedom[d] = 0
-        den = math.lcm(*(x.denominator for x in sol))
+        nums, den, n_free = solve_sparse(rows, rhs, nvars)
+        if nums is None:
+            consistent = False
+            freedom[d] = None
+            break
+        freedom[d] = n_free
         dens[d] = den
         for key in src_keys:
             n1 = source.dim(key)
             n2 = target.dim(_shift(key))
             if key in var_index:
                 start = var_index[key]
-                nums = [x.numerator * (den // x.denominator) for x in sol[start : start + n1 * n2]]
-                blocks[key] = [nums[r * n1 : (r + 1) * n1] for r in range(n2)]
+                blocks[key] = [nums[start + r * n1 : start + (r + 1) * n1] for r in range(n2)]
             else:  # no unknowns: the zero map
                 blocks[key] = _zeros(n2, n1)
     wmap = IntertwinerMap(source=source, target=target, blocks=blocks, dens=dens, freedom=freedom)

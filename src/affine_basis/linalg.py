@@ -1,116 +1,39 @@
-"""Small exact linear algebra helpers over the rationals.
+"""Small exact linear algebra helpers over the integers.
 
-Ranks of large integer Gram matrices go through the kernel's fraction-free
-elimination (kernels.rank_int).  The hot routines here are fraction-free as
-well: bordered_minor grows the leading principal minors of a symmetric
-integer matrix one row at a time (Bareiss' integer-preserving update, used
-for basis selection), and solve_sparse runs Gauss-Jordan on integer rows
-kept primitive by dividing out their content, and invert returns an integer
-adjugate over the determinant (Bareiss Gauss-Jordan).  Rationals appear only
-in the solution solve_sparse returns.
-
-The dense routines nullspace and solve serve small outer-layer systems and
-run on fractions.Fraction.
+Every routine here takes integer matrices and returns integers.  Ranks of
+large integer Gram matrices go through the kernel's fraction-free
+elimination (kernels.rank_int).  bordered_minor grows the leading principal
+minors of a symmetric integer matrix one row at a time (Bareiss'
+integer-preserving update, used for basis selection); solve_sparse runs
+Gauss-Jordan on integer rows kept primitive by dividing out their content
+and returns its solution as integer numerators over one common denominator;
+invert returns an integer adjugate over the determinant (Bareiss
+Gauss-Jordan).
 """
 
 from fractions import Fraction
 import math
 
-# The one rational type; the benchmark's environment stamp reads it.
+# Not used by the routines here: kept only because the benchmark's
+# environment stamp reads it.
 _Q = Fraction
 
 
-def _rref(rows):
-    """Reduced row echelon form over Fraction, in place on a fresh copy.
-    Returns (matrix, pivot_cols)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = -1
-        for rr in range(r, nr):
-            if m[rr][c]:
-                piv = rr
-                break
-        if piv < 0:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        mr = m[r]
-        for rr in range(nr):
-            if rr != r and m[rr][c]:
-                f = m[rr][c]
-                m[rr] = [a - f * b for a, b in zip(m[rr], mr)]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return m, pivots
-
-
-def nullspace(rows):
-    """Basis of the right nullspace (list of Fraction vectors), from RREF;
-    deterministic: one basis vector per free column, in column order."""
-    if not rows:
-        return []
-    nc = len(rows[0])
-    m, pivots = _rref(rows)
-    return _null_basis(m, pivots, nc)
-
-
-def _null_basis(m, pivots, nc):
-    """One nullspace vector per free column of the RREF m (pivots in
-    columns below nc), in column order."""
-    basis = []
-    for fc in range(nc):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
-
-
-def solve(a_rows, b):
-    """Solve A x = b exactly.  Returns (particular, nullspace_basis) with
-    particular None when inconsistent.  Free variables are set to zero, so
-    the particular solution is deterministic.  One elimination serves both
-    answers: the augmented RREF restricted to the coefficient columns is an
-    RREF of A (the extra pivot, if any, sits in the constant column)."""
-    nr = len(a_rows)
-    nc = len(a_rows[0]) if nr else 0
-    aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
-    m, pivots = _rref(aug)
-    pivots_a = [p for p in pivots if p < nc]
-    null = _null_basis(m, pivots_a, nc)
-    if nc in pivots:
-        return None, null
-    x = [Fraction(0)] * nc
-    for r, pc in enumerate(pivots_a):
-        x[pc] = m[r][nc]
-    return x, null
-
-
 def solve_sparse(rows, rhs, nvars):
-    """Exact solve for sparse systems: each row is a dict {column: value}.
-    Returns (particular, n_free) with particular None when inconsistent;
-    free variables are set to zero.  Each equation is scaled to integers
-    once; a fully reduced (Gauss-Jordan) set of primitive integer pivot rows
-    is kept, keyed by pivot column (the smallest column of the row when it
-    is added), so work scales with the nonzero structure instead of the full
-    matrix size.  The pivot rows end up as the reduced row echelon form up
-    to row scaling, so the answer is that of solve()."""
+    """Exact solve of an integer system given as sparse rows: each row is a
+    dict {column: int} and rhs a list of ints.  Returns (nums, den, n_free):
+    the particular solution x = nums / den with free variables set to zero,
+    as integer numerators over one positive common denominator with
+    gcd(den, *nums) == 1, and the number of free variables; nums and den
+    are None when the system is inconsistent.  A fully reduced
+    (Gauss-Jordan) set of primitive integer pivot rows is kept, keyed by
+    pivot column (the smallest column of the row when it is added), so work
+    scales with the nonzero structure instead of the full matrix size.  The
+    pivot rows end up as the reduced row echelon form up to row scaling."""
     pivrows = {}
     inconsistent = False
-    for row, b in zip(rows, rhs):
-        den = math.lcm(b.denominator, *(v.denominator for v in row.values()))
-        r = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
-        bb = b.numerator * (den // b.denominator)
+    for row, bb in zip(rows, rhs):
+        r = {c: v for c, v in row.items() if v}
         for c in list(r):
             if c in pivrows and c in r:
                 bb = _eliminate(r, bb, c, *pivrows[c])
@@ -127,11 +50,13 @@ def solve_sparse(rows, rhs, nvars):
         pivrows[p] = (r, bb)
     n_free = nvars - len(pivrows)
     if inconsistent:
-        return None, n_free
-    x = [Fraction(0)] * nvars
+        return None, None, n_free
+    # x[p] = pb / prow[p]; den is the lcm of the reduced denominators
+    den = math.lcm(*(prow[p] // math.gcd(pb, prow[p]) for p, (prow, pb) in pivrows.items()))
+    nums = [0] * nvars
     for p, (prow, pb) in pivrows.items():
-        x[p] = Fraction(pb, prow[p])
-    return x, n_free
+        nums[p] = pb * den // prow[p]
+    return nums, den, n_free
 
 
 def _eliminate(r, b, c, prow, pb):

@@ -2,7 +2,8 @@
 
 Everything is computed inside a Verma-type module M with highest weight
 vector v: monomial vectors are normal-ordered words applied to v, vectors
-are integer combinations of them, and the irreducible quotient L is reached
+are integer combinations of them, held everywhere as the kernel's plain
+dicts {monomial: coefficient}, and the irreducible quotient L is reached
 exactly through the contravariant (Gram) form.  Its radical is the maximal
 submodule (Kac, Infinite-Dimensional Lie Algebras, ch. 9), so a vector is
 zero in L iff it pairs to zero with a spanning family of its (degree,
@@ -80,84 +81,6 @@ class HighestWeightSpec:
         return (self.k0, self.k1, self.k2)
 
 
-@dataclass(frozen=True)
-class PBWMonomial:
-    """A normal-ordered monomial: weakly decreasing tuple of loop codes."""
-
-    codes: tuple
-
-    def __post_init__(self):
-        if not affine.is_normal_ordered(self.codes):
-            raise ValueError("factors are not normal ordered or not storable")
-
-    @property
-    def degree(self):
-        return affine.word_degree(self.codes)
-
-    def factors(self):
-        """Run-length factorization [(mode, base, exponent)]."""
-        out = []
-        for le in self.codes:
-            mode, base = affine.decode(le)
-            if out and out[-1][0] == mode and out[-1][1] == base:
-                out[-1][2] += 1
-            else:
-                out.append([mode, base, 1])
-        return [tuple(t) for t in out]
-
-    def tag(self):
-        return " ".join(
-            "%s%s" % (affine.tag_of(affine.encode(m, b)), "^%d" % e if e > 1 else "")
-            for m, b, e in self.factors()
-        ) or "1"
-
-
-class ModuleVector:
-    """A finite integer/rational combination of PBW monomial vectors."""
-
-    __slots__ = ("module", "terms")
-
-    def __init__(self, module, terms):
-        self.module = module
-        self.terms = {m: c for m, c in terms.items() if c}
-
-    def is_zero_verma(self):
-        return not self.terms
-
-    def block(self):
-        """(degree, weight) common to all terms; None for the zero vector.
-        Raises if the vector is not homogeneous."""
-        blocks = {
-            (affine.word_degree(m), self.module.abs_weight(m)) for m in self.terms
-        }
-        if not blocks:
-            return None
-        if len(blocks) > 1:
-            raise ValueError("vector is not homogeneous: blocks %r" % (sorted(blocks),))
-        return blocks.pop()
-
-    def add(self, other, factor=1):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            cc = out.get(m, 0) + factor * c
-            if cc:
-                out[m] = cc
-            else:
-                out.pop(m, None)
-        return ModuleVector(self.module, out)
-
-    def __eq__(self, other):
-        return isinstance(other, ModuleVector) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "<0>"
-        bits = []
-        for m in sorted(self.terms, reverse=True):
-            bits.append("%s * %s.v" % (self.terms[m], PBWMonomial(m).tag()))
-        return "<" + " + ".join(bits) + ">"
-
-
 @dataclass
 class BlockBasis:
     """A true basis of one (degree, weight) block of the irreducible
@@ -165,7 +88,7 @@ class BlockBasis:
     nonsingular Gram matrix, found incrementally.  Each basis element is a
     word of loop codes, `(x,) + b` for a basis word b of the block below,
     and `()` for the top block; `vectors` holds each word's vector in the
-    Verma module (a dict of normal-ordered monomials).  `candidates` counts
+    Verma module, a plain dict like every vector here.  `candidates` counts
     the closure candidates scanned; rank == len(basis)."""
 
     degree: int
@@ -202,13 +125,11 @@ class VermaModule:
     # -- vectors ----------------------------------------------------------
 
     def vacuum(self):
-        return ModuleVector(self, {(): 1})
+        return {(): 1}
 
     def act_word(self, word, vec=None):
         """Apply a word of loop codes (leftmost factor acts last)."""
-        if vec is None:
-            vec = self.vacuum()
-        return ModuleVector(self, self.kernel.act_word(tuple(word), vec.terms))
+        return self.kernel.act_word(tuple(word), self.vacuum() if vec is None else vec)
 
     def abs_weight(self, mono):
         sh = affine.word_weight(mono)
@@ -217,8 +138,8 @@ class VermaModule:
     def pair(self, u, v):
         """Contravariant form <u, v>, exact."""
         total = 0
-        for m, c in u.terms.items():
-            total += c * self.kernel.pair_mono(m, v.terms)
+        for m, c in u.items():
+            total += c * self.kernel.pair_mono(m, v)
         return total
 
     def mode0_monomials(self, weight):
@@ -435,12 +356,16 @@ class VermaModule:
         """True iff the vector maps to zero in the irreducible quotient,
         i.e. pairs to zero with a spanning family of its block (the radical
         of the contravariant form is the maximal submodule, and the block
-        basis spans the block)."""
-        if vec.is_zero_verma():
+        basis spans the block).  Raises ValueError if the vector is not
+        homogeneous, i.e. its terms lie in more than one block."""
+        blocks = {(affine.word_degree(m), self.abs_weight(m)) for m in vec}
+        if not blocks:
             return True
-        degree, weight = vec.block()
+        if len(blocks) > 1:
+            raise ValueError("vector is not homogeneous: blocks %r" % (sorted(blocks),))
+        degree, weight = blocks.pop()
         for word in self.block_basis(degree, weight).basis:
-            if self.kernel.pair_mono(word, vec.terms):
+            if self.kernel.pair_mono(word, vec):
                 return False
         return True
 
@@ -495,20 +420,7 @@ def ukernel():
 def straighten(word):
     """Normal-ordered form of a word of loop codes in the enveloping
     algebra: dict {(central_exponent, monomial): int}."""
-    out = {(0, ()): 1}
-    for le in reversed(tuple(word)):
-        uk = ukernel()
-        nxt = {}
-        for (dc, m), c in out.items():
-            for (dc2, m2), c2 in uk.mul_le(le, m).items():
-                k = (dc + dc2, m2)
-                cc = nxt.get(k, 0) + c * c2
-                if cc:
-                    nxt[k] = cc
-                else:
-                    nxt.pop(k, None)
-        out = nxt
-    return out
+    return ukernel().mul_mono(tuple(word), ())
 
 
 def algebra_add(a, b, factor=1):

@@ -6,7 +6,9 @@ whether it held exactly, and a witness (extracted scalars, rank tables, or
 the offending object on failure).  Nothing is asserted from formulas alone:
 scalars are extracted from straightened expressions and reported, identities
 are checked coefficient by coefficient, and passage to the irreducible
-quotient always goes through the contravariant pairing.
+quotient always goes through the contravariant pairing.  Vectors are the
+plain dicts of the pbw layer and every rank is the integer rank of a Gram
+matrix (pbw.rank_int), so a Fraction appears only in a witness scalar.
 
 The derivation T is the commutator action of the middle color x12 at mode 0.
 On the long-root triple it acts as a chain f -> x21' -> x22 (and h -> x12)
@@ -19,13 +21,13 @@ be mutated, which is how the negative controls poison it.
 from dataclasses import dataclass, field
 from fractions import Fraction
 import json
+import operator
 import time
 
 from . import affine
 from . import partitions as parts_mod
 from . import pbw
 from .cartan import build_c2, X12
-from .linalg import nullspace
 from .pbw import VermaModule, GEN_C2, straighten, algebra_add
 
 
@@ -137,14 +139,17 @@ def verify_t_power(kind, pi, table=None):
     )
 
 
-def _proportionality(u, v):
-    """Scalar s with u == s * v exactly, for vectors held as dicts of
-    coefficients; None if v is empty or the two are not proportional."""
+def _proportionality(u, v, is_zero=operator.not_):
+    """Scalar s with u == s * v, for vectors held as dicts of coefficients:
+    s is read off one term of v and u - s*v must satisfy is_zero (by
+    default, every coefficient vanishes; translation passes the module's
+    zero_in_quotient).  None if v is empty or the two are not
+    proportional."""
     if not v:
         return None
     key = next(iter(v))
     s = Fraction(u.get(key, 0)) / v[key]
-    return None if algebra_add(u, v, -s) else s
+    return s if is_zero(algebra_add(u, v, -s)) else None
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +176,11 @@ def verify_translation(kind, pi, cache_dir=None, module=None):
         affine.encode(0, 3),
     ) * c0
     cand = module.act_word(cand_word)
-    mu = _vector_proportionality(u, cand, module)
+    mu = _proportionality(u, cand, module.zero_in_quotient)
     ok = mu is not None and mu != 0
     killed = None
     if ok:
-        u2 = module.act_word(raiser * (n + 1) + word)
-        killed = u2.is_zero_verma() or module.zero_in_quotient(u2)
+        killed = module.zero_in_quotient(module.act_word(raiser * (n + 1) + word))
         ok = killed
     return StepReport(
         step="translation",
@@ -185,19 +189,6 @@ def verify_translation(kind, pi, cache_dir=None, module=None):
         witness={"mu": _fmt(mu) if mu is not None else None, "killed": killed},
         seconds=time.perf_counter() - t0,
     )
-
-
-def _vector_proportionality(u, cand, module):
-    """Scalar s with u == s*cand in the irreducible quotient; None if the
-    vectors are not proportional there."""
-    if cand.is_zero_verma():
-        return None
-    key = next(iter(cand.terms))
-    s = Fraction(u.terms.get(key, 0), cand.terms[key])
-    diff = u.add(cand, -s)
-    if diff.is_zero_verma() or module.zero_in_quotient(diff):
-        return s
-    return None
 
 
 def verify_c0_nonvanishing(kind, cache_dir=None):
@@ -268,7 +259,7 @@ def _family_gram(module, vecs):
 def _independence_block(kind, module, key, pis):
     vecs = _block_vectors(kind, module, pis)
     gram = _family_gram(module, vecs)
-    rank = pbw.rank_int([[int(x) for x in row] for row in gram])
+    rank = pbw.rank_int(gram)
     entry = {
         "degree": key[0],
         "weight": list(key[1]),
@@ -281,26 +272,16 @@ def _independence_block(kind, module, key, pis):
 
 
 def _minimal_dependent(gram, pis):
-    """Tags of a minimal dependent subfamily, extracted from a nullvector of
-    the Gram matrix and greedily shrunk."""
-    null = nullspace(gram)
-    if not null:
-        return []
-    support = [i for i, x in enumerate(null[0]) if x]
-
-    def dependent(idx):
-        sub = [[gram[i][j] for j in idx] for i in idx]
-        return bool(nullspace(sub))
-
-    changed = True
-    while changed:
-        changed = False
-        for i in list(support):
-            trial = [j for j in support if j != i]
-            if trial and dependent(trial):
-                support = trial
-                changed = True
-                break
+    """Tags of a minimal dependent subfamily of a dependent family, given
+    its integer Gram matrix: one pass over the members drops each one whose
+    removal leaves the Gram rank below the size.  One pass suffices: a
+    member kept once stays needed, since dropping it from a smaller family
+    leaves a subfamily of an independent one."""
+    support = list(range(len(pis)))
+    for i in range(len(pis)):
+        trial = [j for j in support if j != i]
+        if pbw.rank_int([[gram[a][b] for b in trial] for a in trial]) < len(trial):
+            support = trial
     return [pis[i].tag() for i in support]
 
 
@@ -351,7 +332,7 @@ def verify_spanning(kind, max_degree, cache_dir=None):
         group = groups.get(key, [])
         vecs = _block_vectors(kind, module, group)
         gram = _family_gram(module, vecs)
-        adm_rank = pbw.rank_int([[int(x) for x in row] for row in gram])
+        adm_rank = pbw.rank_int(gram)
         entry = {
             "degree": key[0],
             "weight": list(key[1]),

@@ -4,10 +4,10 @@ Everything here is deliberately reimplemented from first principles, without
 calling into the package internals being tested: plain 4x4 matrix arithmetic
 for the finite algebra, the loop bracket with its central term over given
 structure constants, the Euler recurrence for partition numbers, a direct
-search for colored partitions and for PBW
-monomials, Fraction elimination for inverses and determinants and for the
-intertwiner's commutation identity, the Weyl group of the finite weights,
-and a nondeterministic-order rewriting engine for normal ordering.  When the
+search for colored partitions and for PBW monomials, Fraction elimination
+for solves, nullspaces, inverses and determinants and for the intertwiner's
+commutation identity, the Weyl group of the finite weights, and a
+nondeterministic-order rewriting engine for normal ordering.  When the
 package and an oracle agree, the agreement is between two codepaths that
 share nothing but the definitions.
 """
@@ -306,6 +306,67 @@ def gram(pair, items):
 # ---------------------------------------------------------------------------
 # dense linear algebra over Fraction, and the intertwiner identity
 # ---------------------------------------------------------------------------
+
+
+def _rref_fraction(rows):
+    """Reduced row echelon form over Fraction of a fresh copy of rows.
+    Returns (matrix, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((rr for rr in range(r, len(m)) if m[rr][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for rr in range(len(m)):
+            if rr != r and m[rr][c]:
+                f = m[rr][c]
+                m[rr] = [a - f * b for a, b in zip(m[rr], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def _null_basis_fraction(m, pivots, nc):
+    """One nullspace vector per free column of the RREF m, in column order."""
+    basis = []
+    for fc in range(nc):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * nc
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis
+
+
+def nullspace_fraction(rows, nc):
+    """Basis of the right nullspace of a matrix with nc columns, one Fraction
+    vector per free column of its RREF, in column order."""
+    if not rows:
+        return _null_basis_fraction([], [], nc)
+    m, pivots = _rref_fraction(rows)
+    return _null_basis_fraction(m, pivots, nc)
+
+
+def solve_fraction(a_rows, b, nc):
+    """Solve A x = b over Fraction for a matrix with nc columns.  Returns
+    (particular, nullspace basis), particular None when inconsistent and
+    with its free variables set to zero otherwise."""
+    m, pivots = _rref_fraction([list(row) + [bv] for row, bv in zip(a_rows, b)])
+    pivots_a = [p for p in pivots if p < nc]
+    null = _null_basis_fraction(m, pivots_a, nc)
+    if nc in pivots:
+        return None, null
+    x = [Fraction(0)] * nc
+    for r, pc in enumerate(pivots_a):
+        x[pc] = m[r][nc]
+    return x, null
 
 
 def inverse_fraction(rows):

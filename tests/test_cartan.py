@@ -1,7 +1,6 @@
 """The finite structure table against the independent matrix oracle."""
 
 import itertools
-import json
 
 import pytest
 
@@ -120,10 +119,7 @@ def test_table_hash_and_json_are_stable():
     fresh = cartan.StructureTable()
     assert cartan.table_hash(fresh) == cartan.table_hash(TABLE)
     assert len(cartan.table_hash(TABLE)) == 16
-    payload = json.loads(TABLE.to_json())
-    assert payload["basis"] == list(cartan.TAGS)
-    assert payload["hash"] == cartan.table_hash(TABLE)
-    assert payload["sigma"][cartan.X11] == cartan.X1B1B
+    assert TABLE.sigma[cartan.X11] == cartan.X1B1B
 
 
 def test_build_c2_is_shared():

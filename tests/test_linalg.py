@@ -1,5 +1,5 @@
-"""Exact linear algebra: nullspaces, solving, inversion, sparse solve, and
-the fraction-free routines checked against Fraction references."""
+"""Exact integer linear algebra: inversion, sparse solve and the bordered
+minors, checked against Fraction references."""
 
 from fractions import Fraction
 import math
@@ -12,12 +12,8 @@ import oracles
 from affine_basis import kernels, linalg
 
 
-def _rand_matrix(rng, nr, nc, lo=-5, hi=5):
-    return [[Fraction(rng.randint(lo, hi)) for _ in range(nc)] for _ in range(nr)]
-
-
 def _matvec(a, x):
-    return [sum((row[i] * x[i] for i in range(len(x))), Fraction(0)) for row in a]
+    return [sum(v * y for v, y in zip(row, x)) for row in a]
 
 
 def _matmul(a, b):
@@ -30,57 +26,13 @@ def _matmul(a, b):
     ]
 
 
-def _rank(rows):
-    """Reference rank: each rational row scaled to integers, then the
-    kernel's fraction-free elimination."""
-    scaled = []
-    for row in rows:
-        den = math.lcm(*(Fraction(x).denominator for x in row))
-        scaled.append([int(x * den) for x in row])
-    return kernels.rank_int(scaled)
-
-
-def test_nullspace_vectors_annihilate():
-    rng = random.Random(13)
-    for _ in range(25):
-        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-        a = _rand_matrix(rng, nr, nc)
-        basis = linalg.nullspace(a)
-        assert len(basis) == nc - _rank(a)
-        for v in basis:
-            assert _matvec(a, v) == [Fraction(0)] * nr
-        # basis vectors are independent
-        if basis:
-            assert _rank(basis) == len(basis)
-
-
-def test_solve_consistent_and_inconsistent():
-    rng = random.Random(17)
-    for _ in range(40):
-        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-        a = _rand_matrix(rng, nr, nc)
-        x_true = [Fraction(rng.randint(-4, 4)) for _ in range(nc)]
-        b = _matvec(a, x_true)
-        x, null = linalg.solve(a, b)
-        assert x is not None
-        assert _matvec(a, x) == b
-        assert len(null) == nc - _rank(a)
-        for v in null:
-            assert _matvec(a, v) == [Fraction(0)] * nr
-    # a visibly inconsistent system
-    a = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-    x, null = linalg.solve(a, [Fraction(1), Fraction(3)])
-    assert x is None
-    assert len(null) == 1
-
-
 def test_invert_roundtrip_and_singular():
     rng = random.Random(19)
     done = 0
     while done < 15:
         n = rng.randint(1, 5)
         a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        if _rank(a) < n:
+        if kernels.rank_int(a) < n:
             continue
         adj, det = linalg.invert(a)
         assert det > 0
@@ -92,9 +44,22 @@ def test_invert_roundtrip_and_singular():
 
 
 def _dense_from_sparse(rows, nvars):
-    return [
-        [Fraction(row.get(c, 0)) for c in range(nvars)] for row in rows
-    ]
+    return [[row.get(c, 0) for c in range(nvars)] for row in rows]
+
+
+def _check_against_the_fraction_solver(rows, rhs, nvars, result):
+    """solve_sparse's (nums, den, n_free) against the dense Fraction solve:
+    the same particular solution, as reduced integer numerators over one
+    positive denominator, and the same number of free variables."""
+    nums, den, n_free = result
+    x_ref, null = oracles.solve_fraction(_dense_from_sparse(rows, nvars), rhs, nvars)
+    assert n_free == len(null)
+    if x_ref is None:
+        assert nums is None and den is None
+        return
+    assert all(type(x) is int for x in nums) and type(den) is int
+    assert den > 0 and math.gcd(den, *nums) == 1
+    assert [Fraction(x, den) for x in nums] == x_ref
 
 
 def test_solve_sparse_agrees_with_dense_solver():
@@ -109,33 +74,33 @@ def test_solve_sparse_agrees_with_dense_solver():
                 if rng.random() < 0.4:
                     v = rng.randint(-4, 4)
                     if v:
-                        row[c] = Fraction(v)
+                        row[c] = v
             rows.append(row)
-        x_true = [Fraction(rng.randint(-3, 3)) for _ in range(nvars)]
+        x_true = [rng.randint(-3, 3) for _ in range(nvars)]
         dense = _dense_from_sparse(rows, nvars)
         rhs = _matvec(dense, x_true)
-        x, n_free = linalg.solve_sparse(rows, rhs, nvars)
-        assert x is not None
-        assert _matvec(dense, x) == rhs
-        assert n_free == len(linalg.nullspace(dense))
-        # shifting the rhs by a left-nullspace vector forces inconsistency:
-        # the shifted rhs is no longer orthogonal to that vector
-        left_null = linalg.nullspace([list(col) for col in zip(*dense)])
+        copies = [dict(row) for row in rows]
+        result = linalg.solve_sparse(rows, rhs, nvars)
+        assert rows == copies  # the input rows are not modified
+        _check_against_the_fraction_solver(rows, rhs, nvars, result)
+        nums, den, _ = result
+        assert _matvec(dense, nums) == [den * b for b in rhs]
+        # shifting the rhs by an integer left-nullspace vector y forces
+        # inconsistency: y.rhs == 0 but y.(rhs + y) == y.y > 0
+        left_null = oracles.nullspace_fraction([list(col) for col in zip(*dense)], neqs)
         if left_null:
-            bad = [rhs[i] + left_null[0][i] for i in range(neqs)]
-            x2, _ = linalg.solve_sparse(rows, bad, nvars)
-            assert x2 is None
+            scale = math.lcm(*(x.denominator for x in left_null[0]))
+            bad = [b + int(y * scale) for b, y in zip(rhs, left_null[0])]
+            assert linalg.solve_sparse(rows, bad, nvars)[:2] == (None, None)
 
 
 def test_solve_sparse_empty_and_zero_rows():
-    x, n_free = linalg.solve_sparse([], [], 3)
-    assert x == [Fraction(0)] * 3
-    assert n_free == 3
+    assert linalg.solve_sparse([], [], 3) == ([0, 0, 0], 1, 3)
     # zero row with zero rhs is vacuous; with nonzero rhs inconsistent
-    x, n_free = linalg.solve_sparse([{}], [Fraction(0)], 2)
-    assert x == [Fraction(0), Fraction(0)] and n_free == 2
-    x, n_free = linalg.solve_sparse([{}], [Fraction(1)], 2)
-    assert x is None
+    assert linalg.solve_sparse([{}], [0], 2) == ([0, 0], 1, 2)
+    assert linalg.solve_sparse([{}], [1], 2) == (None, None, 2)
+    # zero entries are ignored; x1 = 1/2 over the common denominator 2
+    assert linalg.solve_sparse([{0: 0, 1: 2}], [1], 2) == ([0, 1], 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +200,12 @@ def test_bordered_minor_keep_test_matches_schur_complements(case):
 
 
 @st.composite
-def sparse_rational_systems(draw):
+def sparse_integer_systems(draw):
+    """Sparse integer systems, consistent (the rhs of an integer solution)
+    or with a random rhs, which is usually inconsistent."""
     nvars = draw(st.integers(1, 7))
     neqs = draw(st.integers(1, 8))
-    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    entry = st.integers(-4, 4)
     rows = [
         draw(st.dictionaries(st.integers(0, nvars - 1), entry, max_size=nvars))
         for _ in range(neqs)
@@ -247,15 +214,12 @@ def sparse_rational_systems(draw):
         x_true = [draw(entry) for _ in range(nvars)]
         rhs = _matvec(_dense_from_sparse(rows, nvars), x_true)
     else:
-        rhs = [draw(entry) for _ in range(neqs)]  # usually inconsistent
+        rhs = [draw(entry) for _ in range(neqs)]
     return rows, rhs, nvars
 
 
 @settings(max_examples=150, deadline=None)
-@given(sparse_rational_systems())
+@given(sparse_integer_systems())
 def test_solve_sparse_matches_the_dense_solver(system):
     rows, rhs, nvars = system
-    x, n_free = linalg.solve_sparse(rows, rhs, nvars)
-    x_dense, null = linalg.solve(_dense_from_sparse(rows, nvars), rhs)
-    assert x == x_dense
-    assert n_free == len(null)
+    _check_against_the_fraction_solver(rows, rhs, nvars, linalg.solve_sparse(rows, rhs, nvars))

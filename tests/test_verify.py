@@ -190,26 +190,37 @@ def test_dc_violator_creates_a_rank_deficit():
     module = kind.module()
     violator = P(b={1: 1}, c={1: 1})
     assert not kind.admissible(violator)
-    word = kind.monomial_word(violator)
-    key = (affine.word_degree(word), module.abs_weight(word))
-    block_pis = [
-        pi
-        for pi in enumerate_admissible(kind, 2)
-        if (
-            affine.word_degree(kind.monomial_word(pi)),
-            module.abs_weight(kind.monomial_word(pi)),
-        )
-        == key
-    ]
+
+    def block_of(pi):
+        word = kind.monomial_word(pi)
+        return affine.word_degree(word), module.abs_weight(word)
+
+    key = block_of(violator)
+    admissible = enumerate_admissible(kind, 2)
+    block_pis = [pi for pi in admissible if block_of(pi) == key]
     assert block_pis  # the violator's block is populated by admissible vectors
-    family = block_pis + [violator]
+    # a member of another block pairs to zero with the rest, so it lies in
+    # no dependent subfamily: the extraction must shrink it away
+    other = next(pi for pi in admissible if block_of(pi) != key)
+    family = [other] + block_pis + [violator]
     vecs = [module.act_word(kind.monomial_word(pi)) for pi in family]
     gram = verify._family_gram(module, vecs)
     rank = pbw.rank_int([[int(x) for x in row] for row in gram])
-    assert rank == len(block_pis)  # deficit of exactly the appended vector
+    assert rank == len(family) - 1  # deficit of exactly the appended vector
     tags = verify._minimal_dependent(gram, family)
     assert tags  # a concrete dependent subfamily is extracted
-    assert violator.tag() in tags
+    assert violator.tag() in tags and other.tag() not in tags
+
+    def sub_rank(idx):
+        return pbw.rank_int([[gram[i][j] for j in idx] for i in idx])
+
+    index = {pi.tag(): i for i, pi in enumerate(family)}
+    subset = [index[t] for t in tags]
+    assert sub_rank(subset) < len(subset)
+    # minimal: dropping any one member leaves a family of full Gram rank
+    for i in subset:
+        rest = [j for j in subset if j != i]
+        assert sub_rank(rest) == len(rest)
 
 
 # ---------------------------------------------------------------------------
