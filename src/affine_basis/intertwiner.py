@@ -10,6 +10,18 @@ Coordinates are always recovered through the contravariant pairing and the
 fraction-free inverse of the Gram matrix, so the model is faithful: no
 quotient basis is ever guessed.
 
+Models are kept per module, not per window.  get_truncated holds one store
+for each (highest weight, cache directory): one Verma module, whose block
+bases every window reads, one action-matrix memo and one Gram-inverse memo.
+The model of a window is a view of that store with its own max_degree and
+block list, built by block_support(window) over the bases already built,
+so a smaller window requested after a larger one scans nothing.  A block
+basis, and so every action matrix and inverse, is the same at every
+window; each view checks its own window before it reads the shared memo.
+The projection chain takes w from one per-process memo keyed by the two
+models and the window (_solved_w); verify_intertwiner solves for itself,
+since it certifies that solve.
+
 TensorModule combines several truncated modules with the coproduct action
 (sum over slots) and the product pairing.  Levels add; the tensor of level-1
 modules is the exact arena for level-k arguments.
@@ -52,12 +64,24 @@ EPS1 = (1, 0)
 class TruncatedModule:
     """Exact finite model of the irreducible module of `spec` up to degree
     max_degree.  Blocks are discovered by the Verma engine's support
-    closure, so the block list is provably complete within the window."""
+    closure, so the block list is provably complete within the window.
 
-    def __init__(self, spec, max_degree, cache_dir=None):
+    `_shared`, another model of the same module and cache directory, makes
+    this one a view of the same store (see the module docstring): it reuses
+    that model's Verma module, action-matrix memo and Gram-inverse memo, so
+    only the window and the block list are its own."""
+
+    def __init__(self, spec, max_degree, cache_dir=None, _shared=None):
         self.spec = spec
         self.max_degree = max_degree
-        self.verma = VermaModule(spec, gens=GEN_C2, cache_dir=cache_dir)
+        if _shared is None:
+            self.verma = VermaModule(spec, gens=GEN_C2, cache_dir=cache_dir)
+            self._act = {}
+            self._gram_inv = {}
+        else:
+            self.verma = _shared.verma
+            self._act = _shared._act
+            self._gram_inv = _shared._gram_inv
         self.basis = {}
         self.vectors = {}
         self.gram = {}
@@ -65,8 +89,6 @@ class TruncatedModule:
             self.basis[key] = blk.basis
             self.vectors[key] = blk.vectors
             self.gram[key] = blk.matrix
-        self._act = {}
-        self._gram_inv = {}
 
     def dim(self, key):
         return len(self.basis.get(key, ()))
@@ -122,13 +144,16 @@ class TruncatedModule:
         dim(key) entries over the positive denominator den, reduced by their
         gcd, so an empty target gives no rows and a zero map has den 1.
         Every image goes through `coordinates`, which certifies that images
-        landing in an empty block vanish."""
+        landing in an empty block vanish.  The window is checked before the
+        memo, which the views of one module share."""
+        if not 0 <= key[0] + affine.degree_of(le) <= self.max_degree:
+            raise ValueError(
+                "action leaves the degree window: %r -> %r" % (key, self.target_key(le, key))
+            )
         memo_key = (le, key)
         if memo_key in self._act:
             return self._act[memo_key]
         tgt = self.target_key(le, key)
-        if tgt[0] > self.max_degree or tgt[0] < 0:
-            raise ValueError("action leaves the degree window: %r -> %r" % (key, tgt))
         cols = [
             self.coordinates(tgt, self.verma.kernel.act_word((le,), vec))
             for vec in self.vectors.get(key, ())
@@ -153,11 +178,17 @@ _TRUNC_CACHE = {}
 
 
 def get_truncated(spec, max_degree, cache_dir=None):
-    key = (spec.as_tuple(), max_degree, cache_dir)
-    mod = _TRUNC_CACHE.get(key)
+    """The model of `spec` up to degree max_degree, one per window.
+    _TRUNC_CACHE holds one entry per (spec, cache_dir), a {window: model}
+    dict whose models are views of one store (see TruncatedModule): the
+    first window builds the Verma module, and a later window scans only
+    the blocks that no earlier one built, none if it is smaller."""
+    views = _TRUNC_CACHE.setdefault((spec.as_tuple(), cache_dir), {})
+    mod = views.get(max_degree)
     if mod is None:
-        mod = TruncatedModule(spec, max_degree, cache_dir=cache_dir)
-        _TRUNC_CACHE[key] = mod
+        shared = next(iter(views.values()), None)
+        mod = TruncatedModule(spec, max_degree, cache_dir=cache_dir, _shared=shared)
+        views[max_degree] = mod
     return mod
 
 
@@ -374,6 +405,24 @@ def solve_w(source, target, max_degree=None, colors=affine.COLOR_BASES):
     return wmap, report
 
 
+_SOLVED_W = {}
+
+
+def _solved_w(source, target, window):
+    """solve_w(source, target, window), solved once per process for each
+    pair of models and window; the sweeps and the projection chain read w
+    here.  The models are views that never change once built, so the key
+    pins the inputs; and since solve_w at degree d reads only blocks and
+    action matrices of degrees <= d, w below a degree does not depend on
+    the window either, which is why one w serves every shallower window."""
+    key = (source, target, window)
+    solved = _SOLVED_W.get(key)
+    if solved is None:
+        solved = solve_w(source, target, window)
+        _SOLVED_W[key] = solved
+    return solved
+
+
 def _commutation_parts(source, target, key, le):
     """Equations W_{T1} A1 - A2 W_{S} = 0 for one source block and one loop
     element, multiplied by the denominators d1, d2 of A1 = a1/d1 and
@@ -522,10 +571,10 @@ def verify_projection_chain(kind, pi, cache_dir=None, solved=None):
 
     `solved` is the (IntertwinerMap, report) pair of solve_w on a window at
     least as deep as the partition's, as sweep_projection_chain shares it;
-    by default w is solved here on the partition's own window.  solve_w
-    works degree by degree and the blocks below a degree do not depend on
-    the window, so both give the same w and the same `freedom` up to the
-    partition's depth."""
+    by default w is the one _solved_w holds for the partition's own window.
+    solve_w works degree by degree and the blocks below a degree do not
+    depend on the window, so both give the same w and the same `freedom` up
+    to the partition's depth."""
     t0 = time.perf_counter()
     from .pbw import HighestWeightSpec
 
@@ -535,7 +584,7 @@ def verify_projection_chain(kind, pi, cache_dir=None, solved=None):
     m0 = get_truncated(HighestWeightSpec(1, 0, 0), depth, cache_dir)
     m1 = get_truncated(HighestWeightSpec(0, 1, 0), depth, cache_dir)
     m2 = get_truncated(HighestWeightSpec(0, 0, 1), depth, cache_dir)
-    wmap, report = solved if solved is not None else solve_w(m1, m2, depth)
+    wmap, report = solved if solved is not None else _solved_w(m1, m2, depth)
     freedom = {d: f for d, f in report["freedom"].items() if d <= depth}
     if None in freedom.values():
         return StepReport(
@@ -583,14 +632,15 @@ def verify_projection_chain(kind, pi, cache_dir=None, solved=None):
 
 def sweep_projection_chain(kind, max_degree, cache_dir=None):
     """verify_projection_chain over every admissible partition up to
-    max_degree, aggregated into one report.  w is solved once, on the
-    window of the deepest partition, and shared by every partition."""
+    max_degree, aggregated into one report.  w is taken once, from
+    _solved_w on the window of the deepest partition, and shared by every
+    partition, so sweeps of the same depth share one solve."""
     t0 = time.perf_counter()
     from .pbw import HighestWeightSpec
 
     pis = parts_mod.enumerate_admissible(kind, max_degree)
     depth = max([1] + [pi.degree for pi in pis])
-    solved = solve_w(
+    solved = _solved_w(
         get_truncated(HighestWeightSpec(0, 1, 0), depth, cache_dir),
         get_truncated(HighestWeightSpec(0, 0, 1), depth, cache_dir),
         depth,
@@ -617,7 +667,8 @@ def sweep_projection_chain(kind, max_degree, cache_dir=None):
 def verify_cross_model(kind, max_degree, cache_dir=None):
     """Certify that the Verma-engine pairing and the tensor-model pairing
     agree on every pair of admissible long-root monomial vectors in the same
-    block (two independent computations of the same contravariant form)."""
+    block (two independent computations of the same contravariant form).
+    Each word's vector is computed once in each model."""
     t0 = time.perf_counter()
     from .pbw import HighestWeightSpec
 
@@ -628,18 +679,18 @@ def verify_cross_model(kind, max_degree, cache_dir=None):
     tensor = TensorModule([m0] * k0 + [m1] * k1, max_degree)
     pis = parts_mod.enumerate_admissible(kind, max_degree)
     words = [kind.monomial_word(pi) for pi in pis]
+    blocks = [(affine.word_degree(word), affine.word_weight(word)) for word in words]
+    verma_vecs = [verma.act_word(word) for word in words]
+    tensor_vecs = [tensor.act_word(word) for word in words]
     checked = 0
     ok = True
     mismatches = []
     for i in range(len(pis)):
         for j in range(i, len(pis)):
-            wi, wj = words[i], words[j]
-            if affine.word_degree(wi) != affine.word_degree(wj):
+            if blocks[i] != blocks[j]:
                 continue
-            if affine.word_weight(wi) != affine.word_weight(wj):
-                continue
-            a = verma.pair(verma.act_word(wi), verma.act_word(wj))
-            b = tensor.pair(tensor.act_word(wi), tensor.act_word(wj))
+            a = verma.pair(verma_vecs[i], verma_vecs[j])
+            b = tensor.pair(tensor_vecs[i], tensor_vecs[j])
             checked += 1
             if a != b:
                 ok = False

@@ -174,12 +174,17 @@ COLOR_BASES_MAP = {"a": 9, "b": 8, "c": 5}  # x11, x12, x22
 def _literal_word(pi, bases):
     """Factor codes in the literal order: part sizes decreasing left to
     right; within one size the c, b, a factors in that order.  The result is
-    weakly increasing in code order with mode-0 factors rightmost."""
+    weakly increasing in code order with mode-0 factors rightmost.  Built in
+    one pass: the stored (size, frequency) runs, sorted by decreasing size
+    and then by color c, b, a."""
+    runs = sorted(
+        (-j, rank, f, bases[color])
+        for rank, (color, pairs) in enumerate((("c", pi.c), ("b", pi.b), ("a", pi.a)))
+        for j, f in pairs
+    )
     word = []
-    for j in range(pi.max_part, -1, -1):
-        for color in ("c", "b", "a"):
-            freq = {"a": pi.a_at, "b": pi.b_at, "c": pi.c_at}[color](j)
-            word.extend([affine.encode(-j, bases[color])] * freq)
+    for mode, _, f, base in runs:
+        word.extend([affine.encode(mode, base)] * f)
     return tuple(word)
 
 
@@ -258,35 +263,33 @@ class C2FS:
 
 def enumerate_admissible(kind, max_degree):
     """Admissible colored partitions for the module kind, degree at most
-    max_degree, deterministically ordered (by sort_key), as a fresh list.
-    The partitions are immutable, so every list is a copy of one memoised
-    tuple per (kind, max_degree)."""
+    max_degree, deterministically ordered (by sort_key), as a fresh list:
+    the partitions of _admissible(kind.level, max_degree) that satisfy the
+    kind's initial conditions, which constrain only the finished partition."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative, got %d" % max_degree)
-    return list(_admissible(kind, max_degree))
+    return [pi for pi in _admissible(kind.level, max_degree) if kind.satisfies_ic(pi)]
 
 
 @functools.lru_cache(maxsize=64)
-def _admissible(kind, max_degree):
-    """The tuple enumerate_admissible copies.  Generated size by
-    size, j = 0, 1, ..., max_degree: the frequencies at size j are chosen
-    within the level and the degree budget, and the four difference windows
-    on sizes (j-1, j) are checked as soon as both are known; the window on
-    the last size is checked against zeros, and the initial conditions at
-    the leaf.  This is the set satisfies_dc and the kind's initial
-    conditions accept among all colored partitions of degree <= max_degree:
-    the windows on sizes above max_degree hold trivially, and each window
-    bounds every single frequency by the level."""
-    k = kind.level
+def _admissible(k, max_degree):
+    """Every colored partition of degree <= max_degree that satisfies the
+    difference conditions at level k, ordered by sort_key, as one memoised
+    tuple per (level, max_degree).  Generated size by size, j = 0, 1, ...,
+    max_degree: the frequencies at size j are chosen within the level and
+    the degree budget, and the four difference windows on sizes (j-1, j)
+    are checked as soon as both are known; the window on the last size is
+    checked against zeros.  This is the set satisfies_dc accepts among all
+    colored partitions of degree <= max_degree: the windows on sizes above
+    max_degree hold trivially, and each window bounds every single
+    frequency by the level."""
     out = []
 
     def rec(j, budget, prev, acc):
         a_i, b_i, c_i = prev
         if j > max_degree:
             if a_i + b_i <= k and c_i + b_i <= k:
-                pi = ColoredPartition(*acc)
-                if kind.satisfies_ic(pi):
-                    out.append(pi)
+                out.append(ColoredPartition(*acc))
             return
         cap = k if j == 0 else min(k, budget // j)
         for aj in range(cap + 1):

@@ -121,6 +121,7 @@ class VermaModule:
         self.cache = cache_mod.GramCache(cache_dir)
         self._table_hash = table_hash(self.table)
         self._bases = {}
+        self._steps = {}
 
     # -- vectors ----------------------------------------------------------
 
@@ -182,15 +183,24 @@ class VermaModule:
         out = []
         for mode in range(-degree, 1):
             d = degree + mode
-            for b in self.gens:
-                le = affine.encode(mode, b)
-                if not affine.storable(le):
-                    continue
-                wb = self.table.weights[b]
-                p1, p2 = w1 - wb[0], w2 - wb[1]
+            for le, (x1, x2) in self._storable_steps(mode):
+                p1, p2 = w1 - x1, w2 - x2
                 if p1 - lam1 <= 2 * d and p1 - lam1 + p2 - lam2 <= 2 * d:
                     out.append((le, (d, (p1, p2))))
         return out
+
+    def _storable_steps(self, mode):
+        """[(code, weight)] of the storable generators at `mode`, in
+        ascending code order; one table per mode and module."""
+        steps = self._steps.get(mode)
+        if steps is None:
+            steps = []
+            for b in self.gens:
+                le = affine.encode(mode, b)
+                if affine.storable(le):
+                    steps.append((le, self.table.weights[b]))
+            self._steps[mode] = steps
+        return steps
 
     def block_basis(self, degree, weight):
         """A true basis of the (degree, weight) block of the irreducible
@@ -226,21 +236,28 @@ class VermaModule:
         if bb is None:
             todo, stack = {key}, [key]
             while stack:
-                for _, pred in self._predecessors(stack.pop()):
+                k = stack.pop()
+                step = self._predecessors(k)
+                if k == key:
+                    preds = step  # handed to its scan; no other list is kept
+                for _, pred in step:
                     if pred not in self._bases and pred not in todo:
                         todo.add(pred)
                         stack.append(pred)
             for k in sorted(todo, key=_topological_key):
-                self._bases[k] = self._scan(k)
+                self._bases[k] = self._scan(k, preds if k == key else None)
             bb = self._bases[key]
         return bb
 
-    def _candidates(self, key):
+    def _candidates(self, key, preds=None):
         """The closure candidates of a block whose predecessors are built,
-        in scan order, as (word, x, vector of the parent word)."""
+        in scan order, as (word, x, vector of the parent word).  `preds` is
+        the block's _predecessors list when the caller has it already."""
+        if preds is None:
+            preds = self._predecessors(key)
         return [
             ((x,) + b, x, vec)
-            for x, pred in self._predecessors(key)
+            for x, pred in preds
             for b, vec in zip(self._bases[pred].basis, self._bases[pred].vectors)
         ]
 
@@ -254,12 +271,13 @@ class VermaModule:
             words,
         )
 
-    def _scan(self, key):
-        """The basis of one block whose predecessors are all built."""
+    def _scan(self, key, preds=None):
+        """The basis of one block whose predecessors are all built; `preds`
+        as for _candidates."""
         degree, weight = key
         if key == (0, self.lam_wt):
             return BlockBasis(degree, weight, ((),), [[1]], 1, 1, ({(): 1},))
-        cands = self._candidates(key)
+        cands = self._candidates(key, preds)
         words = [word for word, _, _ in cands]
 
         def vector(j):

@@ -237,6 +237,19 @@ def brute_force_colored(max_degree, freq_cap):
     return out
 
 
+def literal_word_reference(pi, bases):
+    """The literal factor order of a colored partition by a per-size loop,
+    as (mode, base) pairs: sizes from the largest part down to 0, and
+    within one size the c, b, a factors in that order."""
+    freqs = {"a": dict(pi.a), "b": dict(pi.b), "c": dict(pi.c)}
+    top = max([0] + [j for f in freqs.values() for j in f])
+    word = []
+    for j in range(top, -1, -1):
+        for color in ("c", "b", "a"):
+            word.extend([(-j, bases[color])] * freqs[color].get(j, 0))
+    return word
+
+
 def check_dc_text(freqs, k):
     """Difference conditions straight from their inequality text; freqs is a
     function (color, size) -> frequency."""

@@ -115,7 +115,7 @@ def test_decompose_roundtrip_and_rejection():
         cartan.decompose(oracles.e(0, 1))  # half of a short root vector
 
 
-def test_table_hash_and_json_are_stable():
+def test_table_hash_and_sigma_are_stable():
     fresh = cartan.StructureTable()
     assert cartan.table_hash(fresh) == cartan.table_hash(TABLE)
     assert len(cartan.table_hash(TABLE)) == 16

@@ -12,6 +12,7 @@ from affine_basis.intertwiner import (
     EPS1,
     IntertwinerMap,
     TensorModule,
+    TruncatedModule,
     build_w_ks,
     get_truncated,
     solve_w,
@@ -74,6 +75,43 @@ def test_coordinates_reject_nonnull_vectors_in_empty_blocks():
 def test_act_matrix_window_guard():
     with pytest.raises(ValueError):
         SOURCE.act_matrix(affine.encode(-3, 9), SOURCE.top_key())
+
+
+def test_smaller_window_view_equals_a_model_built_alone(monkeypatch):
+    # a window-2 model taken after the window-3 one is a view of the same
+    # store: it scans no block, and it is the model a window-2 build gives
+    spec = HighestWeightSpec(0, 1, 0)
+    alone = TruncatedModule(spec, 2)
+    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
+    deep = get_truncated(spec, 3)
+    scans = []
+    real_scan = VermaModule._scan
+
+    def counting(self, key, *args):
+        scans.append(key)
+        return real_scan(self, key, *args)
+
+    monkeypatch.setattr(VermaModule, "_scan", counting)
+    view = get_truncated(spec, 2)
+    assert scans == []
+    assert view is not deep and view.verma is deep.verma
+    assert len(intertwiner._TRUNC_CACHE) == 1
+    assert (deep.max_degree, view.max_degree) == (3, 2)
+    assert view.block_keys() == alone.block_keys() != deep.block_keys()
+    assert view.basis == alone.basis
+    assert view.gram == alone.gram
+    for key in view.block_keys():
+        for base in affine.COLOR_BASES:
+            for n in (-2, -1, 0, 1, 2):
+                le = affine.encode(n, base)
+                if 0 <= view.target_key(le, key)[0] <= 2:
+                    assert view.act_matrix(le, key) == alone.act_matrix(le, key), (key, le)
+    # the window is checked before the memo the views share: the window-3
+    # model has this action memoised, the window-2 view must still refuse it
+    x = affine.encode(-3, 9)
+    assert deep.act_matrix(x, deep.top_key())[0][0] == 3
+    with pytest.raises(ValueError):
+        view.act_matrix(x, view.top_key())
 
 
 def test_act_matrix_entries_match_kernel_action():
@@ -296,7 +334,7 @@ def test_projection_chain_sweep_level_two():
 def test_projection_chain_sweep_solves_w_once(monkeypatch):
     kind = A1Standard(0, 2)
     pis = enumerate_admissible(kind, 2)
-    direct = [verify_projection_chain(kind, pi) for pi in pis]  # one solve each
+    direct = [verify_projection_chain(kind, pi) for pi in pis]  # each on its own window
     calls = []
     real = intertwiner.solve_w
 
@@ -305,6 +343,7 @@ def test_projection_chain_sweep_solves_w_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(intertwiner, "solve_w", counting)
+    monkeypatch.setattr(intertwiner, "_SOLVED_W", {})  # the direct calls filled it
     rep = sweep_projection_chain(kind, 2)
     assert len(calls) == 1
     assert rep.ok
@@ -316,6 +355,39 @@ def test_projection_chain_sweep_solves_w_once(monkeypatch):
     solved = real(*calls[0])
     for pi, r in zip(pis, direct):
         assert verify_projection_chain(kind, pi, None, solved).witness == r.witness
+
+
+def test_sweeps_of_one_depth_share_one_solve(monkeypatch):
+    calls = []
+    real = intertwiner.solve_w
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(intertwiner, "solve_w", counting)
+    monkeypatch.setattr(intertwiner, "_SOLVED_W", {})
+    assert sweep_projection_chain(A1Standard(0, 1), 2).ok
+    assert sweep_projection_chain(A1Standard(1, 1), 2).ok
+    assert len(calls) == 1
+    assert calls[0][2] == 2
+
+
+def test_cross_model_computes_each_tensor_vector_once(monkeypatch):
+    calls = []
+    real = TensorModule.act_word
+
+    def counting(self, word, vec=None):
+        calls.append(tuple(word))
+        return real(self, word, vec)
+
+    monkeypatch.setattr(TensorModule, "act_word", counting)
+    kind = A1Standard(1, 1)
+    rep = verify_cross_model(kind, 2)
+    assert rep.ok
+    words = [kind.monomial_word(pi) for pi in enumerate_admissible(kind, 2)]
+    assert sorted(calls) == sorted(words)
+    assert rep.witness["pairs_checked"] > len(words)
 
 
 def test_cross_model_agreement():

@@ -245,6 +245,17 @@ def test_literal_word_order_contract():
     assert affine.word_degree(word) == pi.degree
 
 
+def test_literal_word_matches_the_per_size_reference():
+    # every colored partition of degree <= 5 with frequencies <= 2, in both
+    # monomial families: the one-pass sort gives the per-size loop's word
+    pis = colored(5, 2)
+    assert len(pis) > 1000
+    for pi in pis:
+        for bases in (A1_BASES, COLOR_BASES_MAP):
+            word = [affine.decode(le) for le in _literal_word(pi, bases)]
+            assert word == oracles.literal_word_reference(pi, bases), (pi, bases)
+
+
 def test_monomial_word_degree_always_matches():
     kind = A1Standard(1, 1)
     for pi in enumerate_admissible(kind, 3):
