@@ -22,7 +22,6 @@ its loop span, together with the central element, is the subalgebra whose
 highest weight orbits are the principal subspaces studied here.
 """
 
-from . import cartan
 from .cartan import build_c2, inner, OMEGA2
 
 BASE_MASK = 15
@@ -50,11 +49,6 @@ def degree_of(le):
 
 def weight_of(le):
     return build_c2().weights[le & BASE_MASK]
-
-
-def tag_of(le):
-    mode, base = decode(le)
-    return "%s(%d)" % (cartan.TAGS[base], mode)
 
 
 def color_grade(base):
@@ -91,10 +85,3 @@ def word_weight(word):
         a += w[0]
         b += w[1]
     return (a, b)
-
-
-def is_normal_ordered(word):
-    """Weakly decreasing factor codes, all storable."""
-    return all(storable(le) for le in word) and all(
-        word[i] >= word[i + 1] for i in range(len(word) - 1)
-    )

@@ -15,9 +15,14 @@ for each (highest weight, cache directory): one Verma module, whose block
 bases every window reads, one action-matrix memo and one Gram-inverse memo.
 The model of a window is a view of that store with its own max_degree and
 block list, built by block_support(window) over the bases already built,
-so a smaller window requested after a larger one scans nothing.  A block
-basis, and so every action matrix and inverse, is the same at every
-window; each view checks its own window before it reads the shared memo.
+so a smaller window requested after a larger one scans nothing.  A build
+that scans a block ends by emptying the kernel's straightening memo
+(VermaKernel.clear_act_memo): the action matrices read afterwards pair
+through the pair memo, which stays, so the memo that dominates a build's
+memory lives for one build only.  A view that scans nothing leaves the
+memo as the action matrices have refilled it.  A block basis, and so
+every action matrix and inverse, is the same at every window; each view
+checks its own window before it reads the shared memo.
 The projection chain takes w from one per-process memo keyed by the two
 models and the window (_solved_w); verify_intertwiner solves for itself,
 since it certifies that solve.
@@ -85,10 +90,13 @@ class TruncatedModule:
         self.basis = {}
         self.vectors = {}
         self.gram = {}
+        built = len(self.verma._bases)
         for key, blk in self.verma.block_support(max_degree).items():
             self.basis[key] = blk.basis
             self.vectors[key] = blk.vectors
             self.gram[key] = blk.matrix
+        if len(self.verma._bases) > built:
+            self.verma.kernel.clear_act_memo()
 
     def dim(self, key):
         return len(self.basis.get(key, ()))

@@ -12,6 +12,20 @@ passed in as plain nested tuples):
     between operators rather than vectors.
   * rank_int    -- fraction-free (Bareiss) row reduction rank over Z.
 
+Memos.  Each kernel object owns its memos, and they live as long as it
+does unless its owner drops one:
+
+  * VermaKernel._memo  -- act_le results (straightening).  A truncated
+    model's store (intertwiner.TruncatedModule) empties it after each model
+    build that scanned a block, through clear_act_memo: the action
+    matrices read afterwards mostly hit the pair memo, so straightening
+    results stay only while a build needs them.
+  * VermaKernel._pmemo -- pair_monos results.  Kept for the life of the
+    kernel: block bases are built from the bases below, so later builds,
+    coordinates and action matrices pair the same words again.
+  * UKernel._memo      -- mul_le results, for the life of the kernel (one
+    per process, pbw.ukernel).
+
 Encoding: a loop element x(n) is the integer le = 16*n + base (see affine).
 Monomials are tuples of codes, weakly decreasing left to right; the empty
 tuple is the highest weight vector.  Vectors are dicts {monomial: coeff}
@@ -95,6 +109,11 @@ class VermaKernel:
             out = acc
         self._memo[key] = out
         return out
+
+    def clear_act_memo(self):
+        """Empty the straightening memo (act_le results); the pair memo is
+        kept.  Results do not change: act_le recomputes what it needs."""
+        self._memo.clear()
 
     def act_word(self, word, vec):
         """Apply a word of loop elements (leftmost acts last) to a vector."""

@@ -5,8 +5,10 @@ large integer Gram matrices go through the kernel's fraction-free
 elimination (kernels.rank_int).  bordered_minor grows the leading principal
 minors of a symmetric integer matrix one row at a time (Bareiss'
 integer-preserving update, used for basis selection); solve_sparse runs
-Gauss-Jordan on integer rows kept primitive by dividing out their content
-and returns its solution as integer numerators over one common denominator;
+Gauss-Jordan on integer rows kept primitive by dividing out their content,
+finding the rows a new pivot must reduce through an index from each
+non-pivot column to the pivot rows that hold it, and returns its solution
+as integer numerators over one common denominator;
 invert returns an integer adjugate over the determinant (Bareiss
 Gauss-Jordan).
 """
@@ -29,8 +31,16 @@ def solve_sparse(rows, rhs, nvars):
     (Gauss-Jordan) set of primitive integer pivot rows is kept, keyed by
     pivot column (the smallest column of the row when it is added), so work
     scales with the nonzero structure instead of the full matrix size.  The
-    pivot rows end up as the reduced row echelon form up to row scaling."""
+    pivot rows end up as the reduced row echelon form up to row scaling.
+
+    Column index.  `holders` maps each non-pivot column to the pivot
+    columns of the rows it has entered, so a new pivot reduces exactly the
+    rows that hold its column instead of testing every pivot row.  A column
+    that later cancels out of a row leaves a stale entry, which is skipped.
+    Each row's reduction by the new pivot row does not depend on the
+    others, so the result is the one a scan of every pivot row gives."""
     pivrows = {}
+    holders = {}
     inconsistent = False
     for row, bb in zip(rows, rhs):
         r = {c: v for c, v in row.items() if v}
@@ -43,10 +53,18 @@ def solve_sparse(rows, rhs, nvars):
             continue
         bb = _make_primitive(r, bb)
         p = min(r)
-        for q, (qrow, qb) in pivrows.items():
-            if p in qrow:
-                qb = _eliminate(qrow, qb, p, r, bb)
-                pivrows[q] = (qrow, _make_primitive(qrow, qb))
+        others = [c for c in r if c != p]
+        for q in holders.pop(p, ()):
+            qrow, qb = pivrows[q]
+            if p not in qrow:
+                continue  # stale: p cancelled out of row q
+            for c in others:
+                if c not in qrow:  # c enters row q now
+                    holders.setdefault(c, []).append(q)
+            qb = _eliminate(qrow, qb, p, r, bb)
+            pivrows[q] = (qrow, _make_primitive(qrow, qb))
+        for c in others:
+            holders.setdefault(c, []).append(p)
         pivrows[p] = (r, bb)
     n_free = nvars - len(pivrows)
     if inconsistent:

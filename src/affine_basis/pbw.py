@@ -30,7 +30,8 @@ Blocks are built in topological order, by increasing
 (degree, -(2*w1 + w2)).  Every storable step raises that key: a negative
 mode raises the degree, and the mode-0 storable generators (bases 0-3, of
 weights (-2,0), (-1,-1), (0,-2), (-1,1)) lower 2*w1 + w2 by 4, 3, 2 or 1.
-So every predecessor of a block is built before it.
+So every predecessor of a block is built before it, or, in block_support,
+known to be empty because the closure has not reached it.
 
 Module kinds are distinguished only by the generator subset used for
 monomials:
@@ -202,7 +203,7 @@ class VermaModule:
             self._steps[mode] = steps
         return steps
 
-    def block_basis(self, degree, weight):
+    def block_basis(self, degree, weight, walk=True):
         """A true basis of the (degree, weight) block of the irreducible
         quotient, built from the bases of the blocks below it.
 
@@ -213,7 +214,10 @@ class VermaModule:
         (see the module docstring), so a block with no candidates is empty.
         A call builds every block below this one that is not built yet,
         predecessors first, so a direct call gives the same basis as
-        block_support.
+        block_support.  block_support passes walk=False: it builds blocks
+        in topological order, so a predecessor it has not built was never
+        reached by the closure and is empty; such a predecessor adds no
+        candidate and is not built.
 
         Selection.  A candidate is kept iff its Gram-Schur complement against
         the words already kept is nonzero; each kept word is paired with the
@@ -233,7 +237,9 @@ class VermaModule:
         overwritten."""
         key = (degree, tuple(weight))
         bb = self._bases.get(key)
-        if bb is None:
+        if bb is None and not walk:
+            bb = self._bases[key] = self._scan(key)
+        elif bb is None:
             todo, stack = {key}, [key]
             while stack:
                 k = stack.pop()
@@ -250,16 +256,19 @@ class VermaModule:
         return bb
 
     def _candidates(self, key, preds=None):
-        """The closure candidates of a block whose predecessors are built,
-        in scan order, as (word, x, vector of the parent word).  `preds` is
-        the block's _predecessors list when the caller has it already."""
+        """The closure candidates of a block, in scan order, as (word, x,
+        vector of the parent word); a predecessor that is not built adds
+        none (block_basis builds every predecessor first, except those
+        block_support knows are empty).  `preds` is the block's
+        _predecessors list when the caller has it already."""
         if preds is None:
             preds = self._predecessors(key)
-        return [
-            ((x,) + b, x, vec)
-            for x, pred in preds
-            for b, vec in zip(self._bases[pred].basis, self._bases[pred].vectors)
-        ]
+        out = []
+        for x, pred in preds:
+            blk = self._bases.get(pred)
+            if blk is not None:
+                out.extend(((x,) + b, x, vec) for b, vec in zip(blk.basis, blk.vectors))
+        return out
 
     def _cache_key(self, key, words):
         return cache_mod.block_key(
@@ -338,8 +347,11 @@ class VermaModule:
         """All blocks with nonzero dimension up to max_degree: the top block
         and every block reached from it by storable steps through nonzero
         blocks (see the module docstring for why this is complete).  Blocks
-        leave a heap in topological order, so each one's predecessors are
-        built before it.  Returns {(degree, weight): BlockBasis}."""
+        leave a heap in topological order, so each reached predecessor of a
+        block is built before it.  Only reached blocks are built: a
+        predecessor still unbuilt when its successor leaves the heap was
+        never reached, so it is empty and block_basis(walk=False) skips it.
+        Returns {(degree, weight): BlockBasis}."""
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative, got %d" % max_degree)
         start = (0, self.lam_wt)
@@ -348,7 +360,7 @@ class VermaModule:
         heap = [_topological_key(start)]
         while heap:
             d, _, wt = heapq.heappop(heap)
-            blk = self.block_basis(d, wt)
+            blk = self.block_basis(d, wt, walk=False)
             if not blk.rank:
                 continue
             support[(d, wt)] = blk

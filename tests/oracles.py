@@ -276,6 +276,19 @@ def check_dc_text(freqs, k):
 # ---------------------------------------------------------------------------
 
 
+def is_normal_ordered(word):
+    """A word of codes 16*mode + base is a normal-ordered monomial: its
+    codes weakly decrease and each is storable (negative mode, or mode 0
+    with base 0..3, i.e. code < 4)."""
+    return all(code < 4 for code in word) and all(a >= b for a, b in zip(word, word[1:]))
+
+
+def tag_of(code, tags):
+    """Name of the loop element with code 16*mode + base, as
+    "<tags[base]>(<mode>)"; the mode is the floor quotient by 16."""
+    return "%s(%d)" % (tags[code % 16], code // 16)
+
+
 def pbw_monomials(gens, weights, lam, degree, weight):
     """Every normal-ordered monomial over the generator bases `gens` whose
     vector lies in the (degree, weight) block of the highest weight module

@@ -1,6 +1,8 @@
 """Truncated modules, tensor models, and the color intertwiner."""
 
 from fractions import Fraction
+import hashlib
+import json
 import math
 
 import pytest
@@ -114,6 +116,32 @@ def test_smaller_window_view_equals_a_model_built_alone(monkeypatch):
         view.act_matrix(x, view.top_key())
 
 
+def test_a_model_build_frees_the_straightening_memo(monkeypatch):
+    # a build that scans blocks empties the kernel's straightening memo and
+    # keeps its pair memo; a smaller window scans nothing and leaves the
+    # memo as the action matrices refilled it
+    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
+    spec = HighestWeightSpec(0, 1, 0)
+    model = get_truncated(spec, 2)
+    kernel = model.verma.kernel
+    assert not kernel._memo and kernel._pmemo
+    for key in model.block_keys():
+        for base in affine.COLOR_BASES:
+            if model.target_key(affine.encode(-1, base), key)[0] <= 2:
+                model.act_matrix(affine.encode(-1, base), key)
+    refilled = dict(kernel._memo)
+    assert refilled
+    view = get_truncated(spec, 1)
+    assert view.verma is model.verma and kernel._memo == refilled
+    alone = TruncatedModule(spec, 1)
+    for key in view.block_keys():
+        for base in affine.COLOR_BASES:
+            for n in (-1, 0, 1):
+                le = affine.encode(n, base)
+                if 0 <= view.target_key(le, key)[0] <= 1:
+                    assert view.act_matrix(le, key) == alone.act_matrix(le, key), (key, le)
+
+
 def test_act_matrix_entries_match_kernel_action():
     le = affine.encode(-1, 0)
     key = SOURCE.top_key()
@@ -197,6 +225,26 @@ def test_solve_w_is_deterministic_and_normalized():
     for d, den in w1.dens.items():
         nums = [x for key, mat in w1.blocks.items() if key[0] == d for row in mat for x in row]
         assert den > 0 and math.gcd(den, *nums) == 1
+
+
+def test_w_at_depth_three_is_pinned():
+    # the solved map itself, not only its freedom: a change to the
+    # elimination or to a block basis that moves W moves this digest
+    src = get_truncated(HighestWeightSpec(0, 1, 0), 3)
+    tgt = get_truncated(HighestWeightSpec(0, 0, 1), 3)
+    w, rep = solve_w(src, tgt, 3)
+    canonical = json.dumps(
+        {
+            "blocks": sorted([[k[0], list(k[1]), rows] for k, rows in w.blocks.items()]),
+            "dens": sorted(w.dens.items()),
+            "freedom": sorted(rep["freedom"].items()),
+        },
+        sort_keys=True,
+    )
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "ff6cec74977990bc30006ba3f1aa04b237a93c0d177056f5b0cadb698f2af176"
+    )
+    assert set(rep["freedom"].values()) == {0}
 
 
 def test_apply_block_shifts_by_eps1():

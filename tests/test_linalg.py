@@ -103,6 +103,17 @@ def test_solve_sparse_empty_and_zero_rows():
     assert linalg.solve_sparse([{0: 0, 1: 2}], [1], 2) == ([0, 1], 2, 1)
 
 
+def test_solve_sparse_skips_a_column_that_cancelled_out_of_a_pivot_row():
+    # row 0 holds column 3 when it becomes a pivot row; pivot 2's row
+    # cancels column 3 out of it, so when column 3 becomes a pivot the
+    # index still lists row 0, which must be skipped, not reduced
+    rows = [{0: 1, 2: 1, 3: 1}, {2: 1, 3: 1}, {3: 2, 4: 1}, {1: 3, 4: 1}]
+    rhs = [1, 2, 3, 5]
+    result = linalg.solve_sparse(rows, rhs, 5)
+    _check_against_the_fraction_solver(rows, rhs, 5, result)
+    assert result[2] == 1
+
+
 # ---------------------------------------------------------------------------
 # fraction-free routines against Fraction references (property tests)
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def test_pbw_monomials_enumeration():
     assert (affine.encode(-1, 9), affine.encode(-1, 0)) in monos
     assert (affine.encode(-1, 6), affine.encode(-1, 6)) in monos
     assert (affine.encode(-2, 6),) in monos
-    assert all(affine.is_normal_ordered(m) for m in monos)
+    assert all(oracles.is_normal_ordered(m) for m in monos)
     assert monos == sorted(monos, reverse=True)
     # empty block: no monomials can reach a raised weight at degree 0
     assert _oracle_monomials(module, (0, (2, 0))) == []
@@ -252,7 +252,11 @@ def test_algebra_product_is_associative_and_ad_is_a_derivation():
 )
 def test_block_bases_do_not_depend_on_the_scan_order(labels, gens, depth):
     spec = HighestWeightSpec(*labels)
-    support = VermaModule(spec, gens=gens).block_support(depth)
+    module = VermaModule(spec, gens=gens)
+    support = module.block_support(depth)
+    # block_support builds reached blocks only, and a reached block has a
+    # candidate from the nonzero block that reached it
+    assert all(bb.candidates for bb in module._bases.values())
     # reverse order: a direct call builds the blocks below it first
     fresh = VermaModule(spec, gens=gens)
     for key in sorted(support, reverse=True):
