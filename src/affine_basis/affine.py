@@ -32,10 +32,6 @@ def encode(mode, base):
     return (mode << MODE_SHIFT) + base
 
 
-def decode(le):
-    return (le >> MODE_SHIFT, le & BASE_MASK)
-
-
 def storable(le):
     """True if le may appear in a normal-ordered monomial applied to a
     highest weight vector (negative mode, or mode 0 negative root vector)."""

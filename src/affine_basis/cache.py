@@ -14,7 +14,7 @@ candidate scheme (the "basis" entries indexed PBW monomial lists) hashes to
 another key and is never read as a closure entry.
 
 Trust boundary.  Unreadable entries are misses.  A block-basis entry is also
-checked on load (pbw.VermaModule.block_basis): its chosen indices must be
+checked on load (pbw.VermaModule._scan): its chosen indices must be
 strictly increasing and in range, and its Gram matrix symmetric with every
 leading principal minor positive, so a cached basis is always independent;
 an entry that fails is a miss and is recomputed and overwritten.  What is

@@ -139,7 +139,6 @@ class StructureTable:
     VERSION = 1
 
     def __init__(self):
-        self.dim = 10
         self.bracket = tuple(
             tuple(
                 tuple(

@@ -310,16 +310,16 @@ def _matmul(a, b, n_cols):
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
-def solve_w(source, target, max_degree=None, colors=affine.COLOR_BASES):
+def solve_w(source, target, max_degree):
     """Solve for all maps source -> target that shift finite weights by
     eps1, kill the source top vector, normalize the weight-(0,1) top basis
     vector to the target top, and commute with every color operator inside
-    the window.  The equations are assembled as integer rows; solve_sparse
-    returns each degree's solution as integer numerators over one common
-    denominator, which are stored as they are.  Returns
-    (IntertwinerMap, report dict)."""
-    if max_degree is None:
-        max_degree = min(source.max_degree, target.max_degree)
+    the window, which must lie in both models.  The equations are
+    assembled as integer rows; solve_sparse returns each degree's solution
+    as integer numerators over one common denominator, which are stored as
+    they are.  Returns (IntertwinerMap, report dict)."""
+    if not 0 <= max_degree <= min(source.max_degree, target.max_degree):
+        raise ValueError("window %d is not inside both models" % max_degree)
     blocks = {}
     dens = {}
     freedom = {}
@@ -382,7 +382,7 @@ def solve_w(source, target, max_degree=None, colors=affine.COLOR_BASES):
         #     already solved, or is degree d itself at mode 0);
         #   * sources at lower degrees d-n with lowering mode -n (the image
         #     lands at degree d).
-        for base in colors:
+        for base in affine.COLOR_BASES:
             for key in src_keys:
                 for n in range(0, d + 1):
                     for parts in _commutation_parts(source, target, key, affine.encode(n, base)):
@@ -434,15 +434,11 @@ def _solved_w(source, target, window):
 def _commutation_parts(source, target, key, le):
     """Equations W_{T1} A1 - A2 W_{S} = 0 for one source block and one loop
     element, multiplied by the denominators d1, d2 of A1 = a1/d1 and
-    A2 = a2/d2, as lists of (block, r, c, integer coefficient) parts.  No
-    equations when the action leaves the window."""
+    A2 = a2/d2, as lists of (block, r, c, integer coefficient) parts; the
+    image lies in solve_w's window."""
     t1 = source.target_key(le, key)
-    if t1[0] < 0 or t1[0] > source.max_degree:
-        return []
     s2 = _shift(key)
     t2 = _shift(t1)
-    if t2[0] > target.max_degree:
-        return []
     _, a1, d1 = source.act_matrix(le, key)
     _, a2, d2 = target.act_matrix(le, s2)
     n1s = source.dim(key)

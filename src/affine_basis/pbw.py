@@ -7,7 +7,9 @@ dicts {monomial: coefficient}, and the irreducible quotient L is reached
 exactly through the contravariant (Gram) form.  Its radical is the maximal
 submodule (Kac, Infinite-Dimensional Lie Algebras, ch. 9), so a vector is
 zero in L iff it pairs to zero with a spanning family of its (degree,
-weight) block, and graded dimensions of L are Gram ranks.  This avoids any
+weight) block, and graded dimensions of L are Gram ranks.  The highest
+weight is dominant integral, so the form is positive definite on L (Kac,
+Thm 11.7): a vector is zero in L iff its norm is zero.  This avoids any
 reliance on character formulas.
 
 Blocks are indexed by (degree, finite weight), with degree counting total
@@ -26,12 +28,12 @@ where L is nonzero ("support") are the top block and the blocks reached
 from it by single storable steps through nonzero blocks; no weight-support
 assumption enters.
 
-Blocks are built in topological order, by increasing
-(degree, -(2*w1 + w2)).  Every storable step raises that key: a negative
-mode raises the degree, and the mode-0 storable generators (bases 0-3, of
-weights (-2,0), (-1,-1), (0,-2), (-1,1)) lower 2*w1 + w2 by 4, 3, 2 or 1.
-So every predecessor of a block is built before it, or, in block_support,
-known to be empty because the closure has not reached it.
+One build path.  Only block_support builds blocks, in topological order:
+by increasing (degree, -(2*w1 + w2)).  Every storable step raises that
+key: a negative mode raises the degree, and the mode-0 storable generators
+(bases 0-3, of weights (-2,0), (-1,-1), (0,-2), (-1,1)) lower 2*w1 + w2 by
+4, 3, 2 or 1.  So a predecessor not built yet was never reached and is
+empty.  VermaModule._closed is the highest degree the closure has run to.
 
 Module kinds are distinguished only by the generator subset used for
 monomials:
@@ -123,6 +125,7 @@ class VermaModule:
         self._table_hash = table_hash(self.table)
         self._bases = {}
         self._steps = {}
+        self._closed = -1  # highest degree block_support has run to
 
     # -- vectors ----------------------------------------------------------
 
@@ -170,26 +173,6 @@ class VermaModule:
 
     # -- block bases ---------------------------------------------------------
 
-    def _predecessors(self, key):
-        """[(x, block)] for every storable code x over the generators such
-        that x steps from `block` to `key` and `block` holds a monomial
-        vector, in the scan order: ascending codes, i.e. the deepest mode
-        first and bases upwards within a mode.  The longest steps come
-        first, so the kept words stay short and their vectors small.  The
-        weight bound: a storable factor of degree n adds at most 2n to eps1
-        and to eps1 + eps2 of the weight (a mode-0 factor adds at most 0),
-        so a block outside it is empty in the Verma module already."""
-        degree, (w1, w2) = key
-        lam1, lam2 = self.lam_wt
-        out = []
-        for mode in range(-degree, 1):
-            d = degree + mode
-            for le, (x1, x2) in self._storable_steps(mode):
-                p1, p2 = w1 - x1, w2 - x2
-                if p1 - lam1 <= 2 * d and p1 - lam1 + p2 - lam2 <= 2 * d:
-                    out.append((le, (d, (p1, p2))))
-        return out
-
     def _storable_steps(self, mode):
         """[(code, weight)] of the storable generators at `mode`, in
         ascending code order; one table per mode and module."""
@@ -203,7 +186,7 @@ class VermaModule:
             self._steps[mode] = steps
         return steps
 
-    def block_basis(self, degree, weight, walk=True):
+    def block_basis(self, degree, weight):
         """A true basis of the (degree, weight) block of the irreducible
         quotient, built from the bases of the blocks below it.
 
@@ -212,12 +195,9 @@ class VermaModule:
         predecessor block (degree, weight) - x; the vector of (x,) + b is x
         applied to the vector of b.  They span the block in the quotient
         (see the module docstring), so a block with no candidates is empty.
-        A call builds every block below this one that is not built yet,
-        predecessors first, so a direct call gives the same basis as
-        block_support.  block_support passes walk=False: it builds blocks
-        in topological order, so a predecessor it has not built was never
-        reached by the closure and is empty; such a predecessor adds no
-        candidate and is not built.
+        A call above every degree closed so far runs block_support to this
+        degree first; a block still not built was not reached, and its scan
+        finds no candidate.
 
         Selection.  A candidate is kept iff its Gram-Schur complement against
         the words already kept is nonzero; each kept word is paired with the
@@ -237,37 +217,26 @@ class VermaModule:
         overwritten."""
         key = (degree, tuple(weight))
         bb = self._bases.get(key)
-        if bb is None and not walk:
+        if bb is None and degree > self._closed:
+            self.block_support(degree)
+            bb = self._bases.get(key)
+        if bb is None:
             bb = self._bases[key] = self._scan(key)
-        elif bb is None:
-            todo, stack = {key}, [key]
-            while stack:
-                k = stack.pop()
-                step = self._predecessors(k)
-                if k == key:
-                    preds = step  # handed to its scan; no other list is kept
-                for _, pred in step:
-                    if pred not in self._bases and pred not in todo:
-                        todo.add(pred)
-                        stack.append(pred)
-            for k in sorted(todo, key=_topological_key):
-                self._bases[k] = self._scan(k, preds if k == key else None)
-            bb = self._bases[key]
         return bb
 
-    def _candidates(self, key, preds=None):
-        """The closure candidates of a block, in scan order, as (word, x,
-        vector of the parent word); a predecessor that is not built adds
-        none (block_basis builds every predecessor first, except those
-        block_support knows are empty).  `preds` is the block's
-        _predecessors list when the caller has it already."""
-        if preds is None:
-            preds = self._predecessors(key)
+    def _candidates(self, key):
+        """The closure candidates of a block, as (word, x, vector of the
+        parent word), in ascending codes x: the deepest mode first, bases
+        upwards within a mode.  The longest steps come first, so the kept
+        words stay short and their vectors small.  A predecessor not built
+        adds none: it was never reached, so it is empty."""
+        degree, (w1, w2) = key
         out = []
-        for x, pred in preds:
-            blk = self._bases.get(pred)
-            if blk is not None:
-                out.extend(((x,) + b, x, vec) for b, vec in zip(blk.basis, blk.vectors))
+        for mode in range(-degree, 1):
+            for x, (x1, x2) in self._storable_steps(mode):
+                blk = self._bases.get((degree + mode, (w1 - x1, w2 - x2)))
+                if blk is not None:
+                    out.extend(((x,) + b, x, vec) for b, vec in zip(blk.basis, blk.vectors))
         return out
 
     def _cache_key(self, key, words):
@@ -280,13 +249,12 @@ class VermaModule:
             words,
         )
 
-    def _scan(self, key, preds=None):
-        """The basis of one block whose predecessors are all built; `preds`
-        as for _candidates."""
+    def _scan(self, key):
+        """The basis of one block, from the predecessors already built."""
         degree, weight = key
         if key == (0, self.lam_wt):
             return BlockBasis(degree, weight, ((),), [[1]], 1, 1, ({(): 1},))
-        cands = self._candidates(key, preds)
+        cands = self._candidates(key)
         words = [word for word, _, _ in cands]
 
         def vector(j):
@@ -346,33 +314,34 @@ class VermaModule:
     def block_support(self, max_degree):
         """All blocks with nonzero dimension up to max_degree: the top block
         and every block reached from it by storable steps through nonzero
-        blocks (see the module docstring for why this is complete).  Blocks
-        leave a heap in topological order, so each reached predecessor of a
-        block is built before it.  Only reached blocks are built: a
-        predecessor still unbuilt when its successor leaves the heap was
-        never reached, so it is empty and block_basis(walk=False) skips it.
-        Returns {(degree, weight): BlockBasis}."""
+        blocks (see the module docstring for why this is complete), built
+        as they leave a heap in topological order.  _closed is raised first,
+        so the block_basis calls here do not recurse, and restored if the
+        loop raises, so no later call scans a block whose predecessors were
+        skipped.  Returns {(degree, weight): BlockBasis}."""
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative, got %d" % max_degree)
+        closed, self._closed = self._closed, max(self._closed, max_degree)
         start = (0, self.lam_wt)
         support = {}
         seen = {start}
         heap = [_topological_key(start)]
-        while heap:
-            d, _, wt = heapq.heappop(heap)
-            blk = self.block_basis(d, wt, walk=False)
-            if not blk.rank:
-                continue
-            support[(d, wt)] = blk
-            for mode in range(0, d - max_degree - 1, -1):
-                for b in self.gens:
-                    if not affine.storable(affine.encode(mode, b)):
-                        continue
-                    w = self.table.weights[b]
-                    tgt = (d - mode, (wt[0] + w[0], wt[1] + w[1]))
-                    if tgt not in seen:
-                        seen.add(tgt)
-                        heapq.heappush(heap, _topological_key(tgt))
+        try:
+            while heap:
+                d, _, wt = heapq.heappop(heap)
+                blk = self.block_basis(d, wt)
+                if not blk.rank:
+                    continue
+                support[(d, wt)] = blk
+                for mode in range(0, d - max_degree - 1, -1):
+                    for _, (x1, x2) in self._storable_steps(mode):
+                        tgt = (d - mode, (wt[0] + x1, wt[1] + x2))
+                        if tgt not in seen:
+                            seen.add(tgt)
+                            heapq.heappush(heap, _topological_key(tgt))
+        except BaseException:
+            self._closed = closed
+            raise
         return dict(sorted(support.items()))
 
     def dims_by_degree(self, max_degree):
@@ -383,21 +352,18 @@ class VermaModule:
         return dims
 
     def zero_in_quotient(self, vec):
-        """True iff the vector maps to zero in the irreducible quotient,
-        i.e. pairs to zero with a spanning family of its block (the radical
-        of the contravariant form is the maximal submodule, and the block
-        basis spans the block).  Raises ValueError if the vector is not
-        homogeneous, i.e. its terms lie in more than one block."""
+        """True iff the vector maps to zero in the irreducible quotient.  The
+        form is positive definite there (Kac, Thm 11.7), so its norm
+        <vec, vec> decides and no block basis is built.  Raises ValueError
+        if the terms lie in more than one block, and ArithmeticError on a
+        negative norm, which positivity rules out."""
         blocks = {(affine.word_degree(m), self.abs_weight(m)) for m in vec}
-        if not blocks:
-            return True
         if len(blocks) > 1:
             raise ValueError("vector is not homogeneous: blocks %r" % (sorted(blocks),))
-        degree, weight = blocks.pop()
-        for word in self.block_basis(degree, weight).basis:
-            if self.kernel.pair_mono(word, vec):
-                return False
-        return True
+        norm = self.pair(vec, vec)
+        if norm < 0:
+            raise ArithmeticError("contravariant form is not positive definite: norm %d" % norm)
+        return norm == 0
 
 
 def _topological_key(key):

@@ -163,10 +163,12 @@ def verify_translation(kind, pi, cache_dir=None, module=None):
     nonzero multiple of the color monomial of pi with its mode-0 block
     converted to x21'(0) factors, and that n(pi)+1 applications kill the
     vector.  Equality is checked in the Verma module first and through the
-    contravariant pairing when needed."""
+    contravariant norm when needed.  No block basis is built, so `cache_dir`
+    is neither read nor created; it stays for callers that pass the same
+    arguments to every verifier."""
     t0 = time.perf_counter()
     if module is None:
-        module = VermaModule(kind.spec(), gens=GEN_C2, cache_dir=cache_dir)
+        module = VermaModule(kind.spec(), gens=GEN_C2)
     n = pi.n_of()
     word = kind.monomial_word(pi)
     raiser = (affine.encode(0, X12),)
@@ -195,28 +197,22 @@ def verify_c0_nonvanishing(kind, cache_dir=None):
     """Certify the mode-0 string: x21'(0)^c applied to the highest weight
     vector is nonzero in the quotient exactly for c <= k1.  The check first
     certifies that the monomial is the only normal-ordered monomial of its
-    block, so its norm decides: the block basis keeps the monomial's own
-    vector, with that norm, when it is nonzero and is empty otherwise."""
+    block; it spans the block, so its norm decides.  `cache_dir` is neither
+    read nor created, as for verify_translation."""
     t0 = time.perf_counter()
-    module = VermaModule(kind.spec(), gens=GEN_C2, cache_dir=cache_dir)
+    module = VermaModule(kind.spec(), gens=GEN_C2)
     k1 = kind.spec().k1
     norms = []
     ok = True
     for c in range(k1 + 2):
         mono = (affine.encode(0, 3),) * c
-        weight = module.abs_weight(mono)
-        if module.mode0_monomials(weight) != [mono]:
+        if module.mode0_monomials(module.abs_weight(mono)) != [mono]:
             ok = False
             norms.append(None)
             continue
-        block = module.block_basis(0, weight)
-        if block.rank and block.vectors != ({mono: 1},):
-            ok = False
-        norm = block.matrix[0][0] if block.rank == 1 else 0
+        norm = module.pair({mono: 1}, {mono: 1})
         norms.append(norm)
-        if c <= k1 and norm == 0:
-            ok = False
-        if c > k1 and norm != 0:
+        if (norm != 0) != (c <= k1):
             ok = False
     return StepReport(
         step="c0_nonvanishing",
@@ -317,7 +313,7 @@ def verify_independence(kind, max_degree, cache_dir=None):
 def verify_spanning(kind, max_degree, cache_dir=None):
     """Certify that the admissible families span every block of the target
     space up to max_degree: the Gram rank of the admissible family equals
-    the block dimension (the rank of the block basis).
+    the block dimension (the block_support rank, 0 where it reached none).
     Together with verify_independence this certifies the basis property."""
     t0 = time.perf_counter()
     module = kind.module(cache_dir)
@@ -328,7 +324,7 @@ def verify_spanning(kind, max_degree, cache_dir=None):
     entries = []
     ok = True
     for key in keys:
-        block = module.block_basis(key[0], key[1])
+        dim = support[key].rank if key in support else 0
         group = groups.get(key, [])
         vecs = _block_vectors(kind, module, group)
         gram = _family_gram(module, vecs)
@@ -336,13 +332,13 @@ def verify_spanning(kind, max_degree, cache_dir=None):
         entry = {
             "degree": key[0],
             "weight": list(key[1]),
-            "dimension": block.rank,
+            "dimension": dim,
             "admissible_count": len(group),
             "admissible_rank": adm_rank,
         }
-        if adm_rank != block.rank:
+        if adm_rank != dim:
             ok = False
-            entry["deficit"] = block.rank - adm_rank
+            entry["deficit"] = dim - adm_rank
         entries.append(entry)
     return StepReport(
         step="spanning",
@@ -389,9 +385,10 @@ def sweep_t_power(kind, max_degree, table=None):
 
 def sweep_translation(kind, max_degree, cache_dir=None):
     """verify_translation over every admissible partition up to max_degree,
-    sharing one module instance."""
+    sharing one module instance.  `cache_dir` is neither read nor created,
+    as for verify_translation."""
     t0 = time.perf_counter()
-    module = VermaModule(kind.spec(), gens=GEN_C2, cache_dir=cache_dir)
+    module = VermaModule(kind.spec(), gens=GEN_C2)
     results = []
     ok = True
     for pi in parts_mod.enumerate_admissible(kind, max_degree):

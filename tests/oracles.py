@@ -276,6 +276,12 @@ def check_dc_text(freqs, k):
 # ---------------------------------------------------------------------------
 
 
+def decode(code):
+    """(mode, base) of a loop code 16*mode + base; the mode is the floor
+    quotient by 16."""
+    return divmod(code, 16)
+
+
 def is_normal_ordered(word):
     """A word of codes 16*mode + base is a normal-ordered monomial: its
     codes weakly decrease and each is storable (negative mode, or mode 0
@@ -322,6 +328,24 @@ def pbw_monomials(gens, weights, lam, degree, weight):
 
     rec(0, [], 0, (0, 0))
     return sorted(out, reverse=True)
+
+
+def zero_by_monomials(module, vec):
+    """True iff a homogeneous vector pairs to zero with every PBW monomial
+    of its block: the radical of the contravariant form, tested directly,
+    with neither positivity nor a block basis.  The block is read off one
+    term: degree minus the sum of the modes, weight the highest weight plus
+    the bases' weights."""
+    if not vec:
+        return True
+    term = next(iter(vec))
+    weights = module.table.weights
+    degree = -sum(decode(code)[0] for code in term)
+    weight = tuple(
+        module.lam_wt[i] + sum(weights[decode(code)[1]][i] for code in term) for i in (0, 1)
+    )
+    monos = pbw_monomials(module.gens, weights, module.lam_wt, degree, weight)
+    return all(module.kernel.pair_mono(m, vec) == 0 for m in monos)
 
 
 def gram(pair, items):

@@ -15,13 +15,13 @@ def test_encode_decode_roundtrip():
     for mode in range(-5, 6):
         for base in range(10):
             le = affine.encode(mode, base)
-            assert affine.decode(le) == (mode, base)
+            assert oracles.decode(le) == (mode, base)
             assert affine.degree_of(le) == -mode
 
 
 def test_code_order_is_mode_then_base():
     codes = [affine.encode(m, b) for m in MODES for b in range(10)]
-    decoded = sorted(affine.decode(le) for le in codes)
+    decoded = sorted(oracles.decode(le) for le in codes)
     assert sorted(codes) == [affine.encode(m, b) for m, b in decoded]
 
 

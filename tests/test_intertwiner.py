@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 import hashlib
+import importlib.util
 import json
 import math
+import os
 
 import pytest
 
@@ -89,9 +91,9 @@ def test_smaller_window_view_equals_a_model_built_alone(monkeypatch):
     scans = []
     real_scan = VermaModule._scan
 
-    def counting(self, key, *args):
+    def counting(self, key):
         scans.append(key)
-        return real_scan(self, key, *args)
+        return real_scan(self, key)
 
     monkeypatch.setattr(VermaModule, "_scan", counting)
     view = get_truncated(spec, 2)
@@ -245,6 +247,41 @@ def test_w_at_depth_three_is_pinned():
         "ff6cec74977990bc30006ba3f1aa04b237a93c0d177056f5b0cadb698f2af176"
     )
     assert set(rep["freedom"].values()) == {0}
+
+
+def test_solve_w_refuses_a_window_its_models_do_not_hold():
+    # a window deeper than either model would certify degrees that neither
+    # holds; a negative window certifies nothing
+    small = get_truncated(HighestWeightSpec(0, 1, 0), 1)
+    for source, target, window in (
+        (small, get_truncated(HighestWeightSpec(0, 0, 1), 1), 3),
+        (small, TARGET, 2),
+        (SOURCE, get_truncated(HighestWeightSpec(0, 0, 1), 1), 2),
+        (SOURCE, TARGET, -1),
+    ):
+        with pytest.raises(ValueError):
+            solve_w(source, target, window)
+    _, rep = solve_w(small, TARGET, 1)
+    assert rep == {"consistent": True, "freedom": {0: 0, 1: 0}}
+
+
+def test_traced_build_counts_of_the_depth_three_models():
+    # perfbench's tracer counts scanned blocks, candidates and kept words
+    # through VermaModule.block_basis; a build that bypassed it would read
+    # as zero there, so the depth-3 numbers are pinned here
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer()
+    tracer_mod.install(tracer)
+    try:
+        for labels in ((0, 1, 0), (0, 0, 1)):
+            TruncatedModule(HighestWeightSpec(*labels), 3)
+    finally:
+        tracer.uninstall()
+    counts = {k: tracer.counts[k] for k in ("pbw.blocks", "pbw.candidates", "pbw.kept")}
+    assert counts == {"pbw.blocks": 234, "pbw.candidates": 3932, "pbw.kept": 450}
 
 
 def test_apply_block_shifts_by_eps1():

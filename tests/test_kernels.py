@@ -76,7 +76,7 @@ def test_adjointness_of_the_contravariant_form():
     monos = _sample_monomials()[:12]
     codes = [affine.encode(-1, 9), affine.encode(-1, 5), affine.encode(0, 3)]
     for le in codes:
-        mode, base = affine.decode(le)
+        mode, base = oracles.decode(le)
         dual = affine.encode(-mode, TABLE.sigma[base])
         for u in monos:
             xu = k.act_le(le, u)

@@ -222,11 +222,11 @@ def test_literal_word_order_contract():
     word = _literal_word(pi, A1_BASES)
     # weakly increasing codes, mode-0 factors rightmost
     assert all(word[i] <= word[i + 1] for i in range(len(word) - 1))
-    modes = [affine.decode(le)[0] for le in word]
+    modes = [oracles.decode(le)[0] for le in word]
     assert modes == sorted(modes)
     assert modes[-1] == 0
     # sizes decrease left to right; within a size the color order is c, b, a
-    decoded = [affine.decode(le) for le in word]
+    decoded = [oracles.decode(le) for le in word]
     assert decoded == [
         (-2, A1_BASES["a"]),
         (-1, A1_BASES["c"]),
@@ -235,7 +235,7 @@ def test_literal_word_order_contract():
         (0, A1_BASES["c"]),
     ]
     cword = _literal_word(pi, COLOR_BASES_MAP)
-    assert [affine.decode(le)[1] for le in cword] == [
+    assert [oracles.decode(le)[1] for le in cword] == [
         COLOR_BASES_MAP["a"],
         COLOR_BASES_MAP["c"],
         COLOR_BASES_MAP["b"],
@@ -252,7 +252,7 @@ def test_literal_word_matches_the_per_size_reference():
     assert len(pis) > 1000
     for pi in pis:
         for bases in (A1_BASES, COLOR_BASES_MAP):
-            word = [affine.decode(le) for le in _literal_word(pi, bases)]
+            word = [oracles.decode(le) for le in _literal_word(pi, bases)]
             assert word == oracles.literal_word_reference(pi, bases), (pi, bases)
 
 

@@ -119,6 +119,43 @@ def test_zero_in_quotient_detects_the_level_bound():
     assert module.zero_in_quotient(algebra_add(module.vacuum(), module.vacuum(), -1))
 
 
+@pytest.mark.parametrize(
+    "labels", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 1, 1)]
+)
+def test_zero_in_quotient_agrees_with_the_radical_test(labels):
+    # the norm test against pairing with every PBW monomial of the block,
+    # which needs neither positivity nor a block basis, on random words of
+    # degree <= 3 (raising factors included, so some vectors vanish)
+    module = VermaModule(HighestWeightSpec(*labels), gens=GEN_C2)
+    rng = random.Random(sum(d * 10**i for i, d in enumerate(labels)))
+    counts = {True: 0, False: 0}
+    while sum(counts.values()) < 60:
+        word = tuple(
+            affine.encode(rng.randint(-2, 1), rng.randrange(10))
+            for _ in range(rng.randint(1, 4))
+        )
+        if not 0 <= affine.word_degree(word) <= 3:
+            continue
+        vec = module.act_word(word)
+        if not vec:
+            continue
+        zero = module.zero_in_quotient(vec)
+        assert zero == oracles.zero_by_monomials(module, vec), word
+        counts[zero] += 1
+    assert counts[True] and counts[False], counts
+
+
+def test_a_negative_norm_raises():
+    # negative control: a pairing that makes a norm negative contradicts
+    # positivity, and zero_in_quotient must refuse it
+    module = VermaModule(HighestWeightSpec(1, 0, 0), gens=GEN_A1)
+    vec = module.act_word((E1,))
+    real = module.kernel.pair_mono
+    module.kernel.pair_mono = lambda word, v: -real(word, v)
+    with pytest.raises(ArithmeticError):
+        module.zero_in_quotient(vec)
+
+
 def test_pbw_monomials_enumeration():
     module = VermaModule(HighestWeightSpec(1, 0, 0), gens=GEN_A1)
     # degree-2 monomials at weight 0: e(-1)f(-1), h(-1)^2, h(-2), f(-1)e(-1)
@@ -257,12 +294,43 @@ def test_block_bases_do_not_depend_on_the_scan_order(labels, gens, depth):
     # block_support builds reached blocks only, and a reached block has a
     # candidate from the nonzero block that reached it
     assert all(bb.candidates for bb in module._bases.values())
-    # reverse order: a direct call builds the blocks below it first
+    # reverse order: the deepest direct call closes its degree, building
+    # every block the closure builds
     fresh = VermaModule(spec, gens=gens)
-    for key in sorted(support, reverse=True):
+    keys = sorted(support, reverse=True)
+    assert keys[0][0] == depth
+    fresh.block_basis(*keys[0])
+    assert fresh._closed == depth and set(fresh._bases) == set(module._bases)
+    for key in keys:
         bb = fresh.block_basis(*key)
         ref = support[key]
         assert (bb.basis, bb.matrix, bb.candidates) == (ref.basis, ref.matrix, ref.candidates), key
+
+
+def test_a_failed_closure_is_not_taken_as_closed():
+    # a closure that raises part way leaves later blocks unbuilt; a direct
+    # call must then run the closure again instead of scanning a block
+    # whose predecessors it skipped
+    spec = HighestWeightSpec(0, 1, 0)
+    module = VermaModule(spec, gens=GEN_C2)
+    module.block_support(1)
+    poisoned_key, later = (2, module.lam_wt), (3, module.lam_wt)
+    real = module._scan
+
+    def poisoned(key):
+        if key == poisoned_key:
+            raise RuntimeError("poisoned scan")
+        return real(key)
+
+    module._scan = poisoned
+    with pytest.raises(RuntimeError):
+        module.block_support(3)
+    del module._scan
+    assert module._closed == 1 and later not in module._bases
+    got = module.block_basis(*later)
+    ref = VermaModule(spec, gens=GEN_C2).block_basis(*later)
+    assert ref.rank > 0
+    assert (got.basis, got.matrix, got.candidates) == (ref.basis, ref.matrix, ref.candidates)
 
 
 def test_negative_minor_raises():
