@@ -362,7 +362,7 @@ class VermaModule:
             raise ValueError("vector is not homogeneous: blocks %r" % (sorted(blocks),))
         norm = self.pair(vec, vec)
         if norm < 0:
-            raise ArithmeticError("contravariant form is not positive definite: norm %d" % norm)
+            raise ArithmeticError("contravariant form is not positive definite: norm %s" % norm)
         return norm == 0
 
 

@@ -157,15 +157,13 @@ def _proportionality(u, v, is_zero=operator.not_):
 # ---------------------------------------------------------------------------
 
 
-def verify_translation(kind, pi, cache_dir=None, module=None):
+def verify_translation(kind, pi, module=None):
     """Certify, inside the level (k0, k1) module, that applying the mode-0
     middle color n(pi) times to the long-root monomial vector yields a
     nonzero multiple of the color monomial of pi with its mode-0 block
     converted to x21'(0) factors, and that n(pi)+1 applications kill the
     vector.  Equality is checked in the Verma module first and through the
-    contravariant norm when needed.  No block basis is built, so `cache_dir`
-    is neither read nor created; it stays for callers that pass the same
-    arguments to every verifier."""
+    contravariant norm when needed.  No block basis is built."""
     t0 = time.perf_counter()
     if module is None:
         module = VermaModule(kind.spec(), gens=GEN_C2)
@@ -197,8 +195,9 @@ def verify_c0_nonvanishing(kind, cache_dir=None):
     """Certify the mode-0 string: x21'(0)^c applied to the highest weight
     vector is nonzero in the quotient exactly for c <= k1.  The check first
     certifies that the monomial is the only normal-ordered monomial of its
-    block; it spans the block, so its norm decides.  `cache_dir` is neither
-    read nor created, as for verify_translation."""
+    block; it spans the block, so its norm decides.  No block basis is
+    built, so `cache_dir` is neither read nor created; it stays because the
+    CLI and the benchmark pass it to every verifier."""
     t0 = time.perf_counter()
     module = VermaModule(kind.spec(), gens=GEN_C2)
     k1 = kind.spec().k1
@@ -385,8 +384,9 @@ def sweep_t_power(kind, max_degree, table=None):
 
 def sweep_translation(kind, max_degree, cache_dir=None):
     """verify_translation over every admissible partition up to max_degree,
-    sharing one module instance.  `cache_dir` is neither read nor created,
-    as for verify_translation."""
+    sharing one module instance.  No block basis is built, so `cache_dir`
+    is neither read nor created; it stays because the CLI and the benchmark
+    pass it to every verifier."""
     t0 = time.perf_counter()
     module = VermaModule(kind.spec(), gens=GEN_C2)
     results = []

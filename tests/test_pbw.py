@@ -154,6 +154,13 @@ def test_a_negative_norm_raises():
     module.kernel.pair_mono = lambda word, v: -real(word, v)
     with pytest.raises(ArithmeticError):
         module.zero_in_quotient(vec)
+    # translation hands it vectors with Fraction coefficients; the message
+    # must carry the exact norm, not a truncation of it
+    half = {m: Fraction(c, 2) for m, c in vec.items()}
+    norm = module.pair(half, half)
+    assert norm < 0 and norm.denominator > 1
+    with pytest.raises(ArithmeticError, match="norm %s$" % norm):
+        module.zero_in_quotient(half)
 
 
 def test_pbw_monomials_enumeration():
