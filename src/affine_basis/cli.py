@@ -191,75 +191,67 @@ def cmd_dims(args):
     return 0
 
 
-def cmd_verify(args):
-    kind = _kind_from(args)
-    cache_dir = args.cache_dir
-    reports = []
-    if args.check == "independence":
-        reports.append(verify_mod.verify_independence(kind, args.max_degree, cache_dir))
-    elif args.check == "spanning":
-        reports.append(verify_mod.verify_spanning(kind, args.max_degree, cache_dir))
-    elif args.check == "tpower":
-        reports.append(verify_mod.sweep_t_power(kind, args.max_degree))
-    elif args.check == "translation":
-        if kind.name != "a1":
-            raise ValueError("translation checks apply to kind a1")
-        reports.append(verify_mod.verify_c0_nonvanishing(kind, cache_dir))
-        reports.append(verify_mod.sweep_translation(kind, args.max_degree, cache_dir))
-    elif args.check == "icprop":
-        if kind.name != "a1":
-            raise ValueError("icprop applies to kind a1")
-        reports.append(verify_mod.verify_icprop(kind, args.max_degree))
-    elif args.check == "intertwiner":
-        reports.append(iw.verify_intertwiner(args.depth, cache_dir))
+def _check_reports(check, kind, args):
+    """The reports of one check, in step order."""
+    if check in ("translation", "icprop") and kind.name != "a1":
+        raise ValueError("%s checks apply to kind a1" % check)
+    degree, cache_dir = args.max_degree, args.cache_dir
+    window = min(degree, args.depth)
+    if check == "independence":
+        return [verify_mod.verify_independence(kind, degree, cache_dir)]
+    if check == "spanning":
+        return [verify_mod.verify_spanning(kind, degree, cache_dir)]
+    if check == "tpower":
+        return [verify_mod.sweep_t_power(kind, degree)]
+    if check == "translation":
+        return [
+            verify_mod.verify_c0_nonvanishing(kind, cache_dir),
+            verify_mod.sweep_translation(kind, degree, cache_dir),
+        ]
+    if check == "icprop":
+        return [verify_mod.verify_icprop(kind, degree)]
+    if check == "intertwiner":
+        reports = [iw.verify_intertwiner(args.depth, cache_dir)]
         if kind.name == "a1" and kind.k1 > 0:
-            reports.append(
-                iw.sweep_projection_chain(kind, min(args.max_degree, args.depth), cache_dir)
-            )
-    _emit(args, _report_lines(reports, args.format))
-    return 0 if all(r.ok for r in reports) else 1
+            reports.append(iw.sweep_projection_chain(kind, window, cache_dir))
+        return reports
+    if check == "cross_model":
+        return [iw.verify_cross_model(kind, window, cache_dir)]
+    raise ValueError("unknown check %r" % check)
 
 
-def cmd_report(args):
+# the checks `report` runs, in order, for each kind
+REPORT_CHECKS = {
+    "a1": ("independence", "spanning", "tpower", "translation", "icprop", "intertwiner",
+           "cross_model"),
+    "c2fs": ("independence", "spanning", "tpower"),
+}
+
+
+def cmd_checks(args):
+    """`verify` runs its one check, `report` the kind's REPORT_CHECKS."""
     kind = _kind_from(args)
-    cache_dir = args.cache_dir
-    reports = [
-        verify_mod.verify_independence(kind, args.max_degree, cache_dir),
-        verify_mod.verify_spanning(kind, args.max_degree, cache_dir),
-        verify_mod.sweep_t_power(kind, args.max_degree),
-    ]
-    if kind.name == "a1":
-        reports.append(verify_mod.verify_c0_nonvanishing(kind, cache_dir))
-        reports.append(verify_mod.sweep_translation(kind, args.max_degree, cache_dir))
-        reports.append(verify_mod.verify_icprop(kind, args.max_degree))
-        reports.append(iw.verify_intertwiner(args.depth, cache_dir))
-        if kind.k1 > 0:
-            reports.append(
-                iw.sweep_projection_chain(kind, min(args.max_degree, args.depth), cache_dir)
-            )
-        reports.append(
-            iw.verify_cross_model(kind, min(args.max_degree, args.depth), cache_dir)
-        )
+    checks = (args.check,) if args.verb == "verify" else REPORT_CHECKS[kind.name]
+    reports = [r for check in checks for r in _check_reports(check, kind, args)]
     _emit(args, _report_lines(reports, args.format))
     return 0 if all(r.ok for r in reports) else 1
+
+
+VERBS = {"enumerate": cmd_enumerate, "dims": cmd_dims, "verify": cmd_checks, "report": cmd_checks}
 
 
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if args.verb == "enumerate":
-            return cmd_enumerate(args)
-        if args.verb == "dims":
-            return cmd_dims(args)
-        if args.verb == "verify":
-            return cmd_verify(args)
-        if args.verb == "report":
-            return cmd_report(args)
-        raise ValueError("unknown verb %r" % args.verb)
+        return VERBS[args.verb](args)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    finally:
+        # the models and solved maps of one command are not kept for the next
+        iw._TRUNC_CACHE.clear()
+        iw._SOLVED_W.clear()
 
 
 if __name__ == "__main__":

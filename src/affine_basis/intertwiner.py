@@ -23,9 +23,9 @@ memory lives for one build only.  A view that scans nothing leaves the
 memo as the action matrices have refilled it.  A block basis, and so
 every action matrix and inverse, is the same at every window; each view
 checks its own window before it reads the shared memo.
-The projection chain takes w from one per-process memo keyed by the two
-models and the window (_solved_w); verify_intertwiner solves for itself,
-since it certifies that solve.
+The projection chain takes w on each partition's own window from one
+per-process memo keyed by the two models and the window (_solved_w);
+verify_intertwiner solves for itself, since it certifies that solve.
 
 TensorModule combines several truncated modules with the coproduct action
 (sum over slots) and the product pairing.  Levels add; the tensor of level-1
@@ -36,13 +36,13 @@ with labels (0,0,1), shifts finite weights by eps1, annihilates the highest
 weight vector, sends the weight-(0,1) top vector to the top of the target,
 and commutes with the three color operators at every mode.  solve_w finds
 all such maps inside the window degree by degree, by exact linear algebra,
-and reports the dimension of the solution space at each degree; the
-returned map is the deterministic particular solution.  Action matrices and
-intertwiner blocks are plain lists of integer rows of their block's shape,
-over one denominator per action matrix and one per degree of w; a zero map
-is a zero matrix, with no rows when the target block is empty.  The tensor
-layer keeps integer coefficients and makes a Fraction only where a
-denominator is not 1.
+and returns the deterministic particular solution, which records the
+dimension of the solution space at each degree (None: no solution there).
+Action matrices and intertwiner blocks are plain lists of integer rows of
+their block's shape, over one denominator per action matrix and one per
+degree of w; a zero map is a zero matrix, with no rows when the target
+block is empty.  The tensor layer keeps integer coefficients and makes a
+Fraction only where a denominator is not 1.
 
 w_{k1, s} applies w to the last s tensor slots.  The projection-chain
 verifier certifies, entirely inside tensor models, that the mode-0 block of
@@ -60,8 +60,8 @@ import time
 from . import affine
 from . import partitions as parts_mod
 from .linalg import invert, solve_sparse
-from .pbw import VermaModule, GEN_C2
-from .verify import StepReport, _fmt, _proportionality
+from .pbw import VermaModule, GEN_C2, HighestWeightSpec
+from .verify import StepReport, _fmt, _proportionality, _sweep
 
 EPS1 = (1, 0)
 
@@ -133,10 +133,7 @@ class TruncatedModule:
         if not basis:
             # dimension 0: the vector must vanish in the quotient, which its
             # norm certifies (the form is positive definite on each block)
-            norm = 0
-            for m, c in terms.items():
-                norm += c * self.verma.kernel.pair_mono(m, terms)
-            if norm:
+            if self.verma.pair(terms, terms):
                 raise ArithmeticError(
                     "nonzero vector in a block reported empty: %r" % (key,)
                 )
@@ -272,13 +269,19 @@ class IntertwinerMap:
     source block `key`, over the positive denominator dens[degree] of its
     degree; a block the map kills holds a zero matrix.  `freedom` records
     the solution-space dimension found at each degree (0 means the
-    normalized map is unique there)."""
+    normalized map is unique there, None that the system had no solution;
+    solve_w stops at that degree)."""
 
     source: TruncatedModule
     target: TruncatedModule
     blocks: dict
     dens: dict
     freedom: dict = field(default_factory=dict)
+
+    @property
+    def consistent(self):
+        """Whether every degree's system had a solution."""
+        return None not in self.freedom.values()
 
     def block(self, key):
         """(rows, den): the integer matrix on block `key` and the
@@ -317,13 +320,13 @@ def solve_w(source, target, max_degree):
     the window, which must lie in both models.  The equations are
     assembled as integer rows; solve_sparse returns each degree's solution
     as integer numerators over one common denominator, which are stored as
-    they are.  Returns (IntertwinerMap, report dict)."""
+    they are.  Returns the IntertwinerMap; a degree without a solution ends
+    the solve, with freedom None there (see IntertwinerMap.consistent)."""
     if not 0 <= max_degree <= min(source.max_degree, target.max_degree):
         raise ValueError("window %d is not inside both models" % max_degree)
     blocks = {}
     dens = {}
     freedom = {}
-    consistent = True
     for d in range(max_degree + 1):
         src_keys = [k for k in source.block_keys() if k[0] == d]
         var_index = {}
@@ -395,7 +398,6 @@ def solve_w(source, target, max_degree):
 
         nums, den, n_free = solve_sparse(rows, rhs, nvars)
         if nums is None:
-            consistent = False
             freedom[d] = None
             break
         freedom[d] = n_free
@@ -408,9 +410,7 @@ def solve_w(source, target, max_degree):
                 blocks[key] = [nums[start + r * n1 : start + (r + 1) * n1] for r in range(n2)]
             else:  # no unknowns: the zero map
                 blocks[key] = _zeros(n2, n1)
-    wmap = IntertwinerMap(source=source, target=target, blocks=blocks, dens=dens, freedom=freedom)
-    report = {"consistent": consistent, "freedom": dict(freedom)}
-    return wmap, report
+    return IntertwinerMap(source=source, target=target, blocks=blocks, dens=dens, freedom=freedom)
 
 
 _SOLVED_W = {}
@@ -418,17 +418,15 @@ _SOLVED_W = {}
 
 def _solved_w(source, target, window):
     """solve_w(source, target, window), solved once per process for each
-    pair of models and window; the sweeps and the projection chain read w
-    here.  The models are views that never change once built, so the key
-    pins the inputs; and since solve_w at degree d reads only blocks and
-    action matrices of degrees <= d, w below a degree does not depend on
-    the window either, which is why one w serves every shallower window."""
+    pair of models and window; the projection chain reads w here.  The
+    models are views that never change once built, so the key pins the
+    inputs.  solve_w at degree d reads only blocks and action matrices of
+    degrees <= d, so w below a degree does not depend on the window: each
+    window's w agrees with every deeper one on the degrees they share."""
     key = (source, target, window)
-    solved = _SOLVED_W.get(key)
-    if solved is None:
-        solved = solve_w(source, target, window)
-        _SOLVED_W[key] = solved
-    return solved
+    if key not in _SOLVED_W:
+        _SOLVED_W[key] = solve_w(source, target, window)
+    return _SOLVED_W[key]
 
 
 def _commutation_parts(source, target, key, le):
@@ -468,12 +466,10 @@ def verify_intertwiner(max_degree, cache_dir=None):
     (post hoc, independently of the solver) commutation with every color
     operator on every basis vector."""
     t0 = time.perf_counter()
-    from .pbw import HighestWeightSpec
-
     source = get_truncated(HighestWeightSpec(0, 1, 0), max_degree, cache_dir)
     target = get_truncated(HighestWeightSpec(0, 0, 1), max_degree, cache_dir)
-    wmap, report = solve_w(source, target, max_degree)
-    ok = report["consistent"]
+    wmap = solve_w(source, target, max_degree)
+    ok = wmap.consistent
     v1_killed = None
     commutes = None
     if ok:
@@ -486,7 +482,7 @@ def verify_intertwiner(max_degree, cache_dir=None):
         inputs={"max_degree": max_degree},
         ok=bool(ok),
         witness={
-            "freedom": {str(d): f for d, f in report["freedom"].items()},
+            "freedom": {str(d): f for d, f in wmap.freedom.items()},
             "top_killed": v1_killed,
             "commutes": commutes,
         },
@@ -563,7 +559,7 @@ def build_w_ks(wmap, n_slots, s):
     return apply
 
 
-def verify_projection_chain(kind, pi, cache_dir=None, solved=None):
+def verify_projection_chain(kind, pi, cache_dir=None):
     """Certify the absorption of the mode-0 block of an admissible partition
     inside tensor models of level-1 truncated modules:
 
@@ -573,24 +569,17 @@ def verify_projection_chain(kind, pi, cache_dir=None, solved=None):
            weight (k0, k1-c0, c0);
       (ii) w_{k1,s} kills that vector for every s with c0 < s <= k1.
 
-    `solved` is the (IntertwinerMap, report) pair of solve_w on a window at
-    least as deep as the partition's, as sweep_projection_chain shares it;
-    by default w is the one _solved_w holds for the partition's own window.
-    solve_w works degree by degree and the blocks below a degree do not
-    depend on the window, so both give the same w and the same `freedom` up
-    to the partition's depth."""
+    The models and w are those of the partition's own window, max(degree, 1);
+    w comes from _solved_w, so partitions of one depth share one solve."""
     t0 = time.perf_counter()
-    from .pbw import HighestWeightSpec
-
     k0, k1 = kind.k0, kind.k1
     pi1, c0 = pi.split_c0()
     depth = max(pi.degree, 1)
     m0 = get_truncated(HighestWeightSpec(1, 0, 0), depth, cache_dir)
     m1 = get_truncated(HighestWeightSpec(0, 1, 0), depth, cache_dir)
     m2 = get_truncated(HighestWeightSpec(0, 0, 1), depth, cache_dir)
-    wmap, report = solved if solved is not None else _solved_w(m1, m2, depth)
-    freedom = {d: f for d, f in report["freedom"].items() if d <= depth}
-    if None in freedom.values():
+    wmap = _solved_w(m1, m2, depth)
+    if not wmap.consistent:
         return StepReport(
             step="projection_chain",
             inputs={"partition": pi.to_dict(), "labels": [k0, k1]},
@@ -628,7 +617,7 @@ def verify_projection_chain(kind, pi, cache_dir=None, solved=None):
         witness={
             "mu": _fmt(mu) if mu is not None else None,
             "higher_killed": killed,
-            "freedom": {str(d): f for d, f in freedom.items()},
+            "freedom": {str(d): f for d, f in wmap.freedom.items()},
         },
         seconds=time.perf_counter() - t0,
     )
@@ -636,35 +625,15 @@ def verify_projection_chain(kind, pi, cache_dir=None, solved=None):
 
 def sweep_projection_chain(kind, max_degree, cache_dir=None):
     """verify_projection_chain over every admissible partition up to
-    max_degree, aggregated into one report.  w is taken once, from
-    _solved_w on the window of the deepest partition, and shared by every
-    partition, so sweeps of the same depth share one solve."""
-    t0 = time.perf_counter()
-    from .pbw import HighestWeightSpec
-
-    pis = parts_mod.enumerate_admissible(kind, max_degree)
-    depth = max([1] + [pi.degree for pi in pis])
-    solved = _solved_w(
-        get_truncated(HighestWeightSpec(0, 1, 0), depth, cache_dir),
-        get_truncated(HighestWeightSpec(0, 0, 1), depth, cache_dir),
-        depth,
-    )
-    results = []
-    ok = True
-    for pi in pis:
-        rep = verify_projection_chain(kind, pi, cache_dir, solved)
-        ok = ok and rep.ok
-        results.append({"partition": pi.tag(), "ok": rep.ok, "mu": rep.witness.get("mu")})
-    return StepReport(
-        step="projection_chain_sweep",
-        inputs={
-            "kind": kind.name,
-            "labels": list(kind.as_tuple()),
-            "max_degree": max_degree,
-        },
-        ok=ok,
-        witness={"partitions": results},
-        seconds=time.perf_counter() - t0,
+    max_degree, aggregated into one report (witness lists each mu).  Each
+    partition reads w from _solved_w on its own window, so a sweep solves
+    once per window it meets, and later sweeps reuse those solves."""
+    return _sweep(
+        "projection_chain_sweep",
+        kind,
+        max_degree,
+        lambda pi: verify_projection_chain(kind, pi, cache_dir),
+        "mu",
     )
 
 
@@ -674,10 +643,8 @@ def verify_cross_model(kind, max_degree, cache_dir=None):
     block (two independent computations of the same contravariant form).
     Each word's vector is computed once in each model."""
     t0 = time.perf_counter()
-    from .pbw import HighestWeightSpec
-
     k0, k1 = kind.k0, kind.k1
-    verma = VermaModule(kind.spec(), gens=GEN_C2, cache_dir=cache_dir)
+    verma = VermaModule(kind.spec(), gens=GEN_C2)
     m0 = get_truncated(HighestWeightSpec(1, 0, 0), max_degree, cache_dir)
     m1 = get_truncated(HighestWeightSpec(0, 1, 0), max_degree, cache_dir)
     tensor = TensorModule([m0] * k0 + [m1] * k1, max_degree)

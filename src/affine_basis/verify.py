@@ -357,54 +357,50 @@ def verify_spanning(kind, max_degree, cache_dir=None):
 # ---------------------------------------------------------------------------
 
 
-def sweep_t_power(kind, max_degree, table=None):
-    """verify_t_power over every admissible partition up to max_degree,
-    aggregated into one report (witness lists each extracted scalar)."""
+def _sweep(step, kind, max_degree, check, field):
+    """check(pi) over every admissible partition up to max_degree, as one
+    report timed as a whole, with a record of ok and witness `field` per
+    partition.  Each sweep's check looks its verifier up on its module at
+    call time, so a wrapper installed there sees every partition."""
     t0 = time.perf_counter()
     results = []
-    ok = True
     for pi in parts_mod.enumerate_admissible(kind, max_degree):
-        rep = verify_t_power(kind, pi, table)
-        ok = ok and rep.ok
-        results.append(
-            {"partition": pi.tag(), "ok": rep.ok, "scalar": rep.witness["scalar"]}
-        )
+        rep = check(pi)
+        results.append({"partition": pi.tag(), "ok": rep.ok, field: rep.witness.get(field)})
     return StepReport(
-        step="t_power_sweep",
+        step=step,
         inputs={
             "kind": kind.name,
             "labels": list(kind.as_tuple()),
             "max_degree": max_degree,
         },
-        ok=ok,
+        ok=all(r["ok"] for r in results),
         witness={"partitions": results},
         seconds=time.perf_counter() - t0,
     )
 
 
+def sweep_t_power(kind, max_degree, table=None):
+    """verify_t_power over every admissible partition up to max_degree,
+    aggregated into one report (witness lists each extracted scalar)."""
+    return _sweep(
+        "t_power_sweep", kind, max_degree, lambda pi: verify_t_power(kind, pi, table), "scalar"
+    )
+
+
 def sweep_translation(kind, max_degree, cache_dir=None):
     """verify_translation over every admissible partition up to max_degree,
-    sharing one module instance.  No block basis is built, so `cache_dir`
-    is neither read nor created; it stays because the CLI and the benchmark
-    pass it to every verifier."""
-    t0 = time.perf_counter()
+    sharing one module instance, aggregated into one report (witness lists
+    each mu).  No block basis is built, so `cache_dir` is neither read nor
+    created; it stays because the CLI and the benchmark pass it to every
+    verifier."""
     module = VermaModule(kind.spec(), gens=GEN_C2)
-    results = []
-    ok = True
-    for pi in parts_mod.enumerate_admissible(kind, max_degree):
-        rep = verify_translation(kind, pi, module=module)
-        ok = ok and rep.ok
-        results.append({"partition": pi.tag(), "ok": rep.ok, "mu": rep.witness["mu"]})
-    return StepReport(
-        step="translation_sweep",
-        inputs={
-            "kind": kind.name,
-            "labels": list(kind.as_tuple()),
-            "max_degree": max_degree,
-        },
-        ok=ok,
-        witness={"partitions": results},
-        seconds=time.perf_counter() - t0,
+    return _sweep(
+        "translation_sweep",
+        kind,
+        max_degree,
+        lambda pi: verify_translation(kind, pi, module=module),
+        "mu",
     )
 
 

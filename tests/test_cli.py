@@ -6,6 +6,7 @@ from unittest.mock import patch
 import pytest
 
 from affine_basis import cli
+from affine_basis import intertwiner
 from affine_basis.verify import StepReport
 
 
@@ -229,6 +230,17 @@ def test_report_long_root_kind_runs_the_full_suite(capsys):
         "cross_model",
     ]
     assert all(r["ok"] for r in payload)
+
+
+def test_a_finished_command_keeps_no_models(monkeypatch, capsys):
+    # the truncated models and solved maps of one command are freed when it
+    # ends, so a process that runs many commands does not accumulate them
+    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
+    monkeypatch.setattr(intertwiner, "_SOLVED_W", {})
+    argv = ["verify", "intertwiner", "--kind", "a1", "--k0", "0", "--k1", "1", "--depth", "1"]
+    assert run(argv) == 0
+    assert "projection_chain_sweep" in capsys.readouterr().out
+    assert intertwiner._TRUNC_CACHE == {} and intertwiner._SOLVED_W == {}
 
 
 @pytest.mark.parametrize(

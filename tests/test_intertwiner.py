@@ -12,6 +12,7 @@ import pytest
 import oracles
 from affine_basis import affine
 from affine_basis import intertwiner
+from affine_basis.cartan import X22
 from affine_basis.intertwiner import (
     EPS1,
     IntertwinerMap,
@@ -202,13 +203,12 @@ def test_intertwiner_certificate_window_two():
 
 
 def test_solve_w_is_deterministic_and_normalized():
-    w1, r1 = solve_w(SOURCE, TARGET, 2)
-    w2, r2 = solve_w(SOURCE, TARGET, 2)
-    assert r1 == r2
+    w1 = solve_w(SOURCE, TARGET, 2)
+    w2 = solve_w(SOURCE, TARGET, 2)
     assert w1.blocks == w2.blocks
     assert w1.dens == w2.dens
-    assert w1.freedom == w2.freedom
-    assert r1["consistent"] is True
+    assert w1.freedom == w2.freedom == {0: 0, 1: 0, 2: 0}
+    assert w1.consistent is True
     # normalization: the weight-(0,1) degree-0 block maps by the identity
     assert w1.block((0, (0, 1))) == ([[w1.dens[0]]], w1.dens[0])
     # the source top vector is killed: its block is an all-zero dim x 1 matrix
@@ -234,19 +234,19 @@ def test_w_at_depth_three_is_pinned():
     # elimination or to a block basis that moves W moves this digest
     src = get_truncated(HighestWeightSpec(0, 1, 0), 3)
     tgt = get_truncated(HighestWeightSpec(0, 0, 1), 3)
-    w, rep = solve_w(src, tgt, 3)
+    w = solve_w(src, tgt, 3)
     canonical = json.dumps(
         {
             "blocks": sorted([[k[0], list(k[1]), rows] for k, rows in w.blocks.items()]),
             "dens": sorted(w.dens.items()),
-            "freedom": sorted(rep["freedom"].items()),
+            "freedom": sorted(w.freedom.items()),
         },
         sort_keys=True,
     )
     assert hashlib.sha256(canonical.encode()).hexdigest() == (
         "ff6cec74977990bc30006ba3f1aa04b237a93c0d177056f5b0cadb698f2af176"
     )
-    assert set(rep["freedom"].values()) == {0}
+    assert set(w.freedom.values()) == {0}
 
 
 def test_solve_w_refuses_a_window_its_models_do_not_hold():
@@ -261,20 +261,58 @@ def test_solve_w_refuses_a_window_its_models_do_not_hold():
     ):
         with pytest.raises(ValueError):
             solve_w(source, target, window)
-    _, rep = solve_w(small, TARGET, 1)
-    assert rep == {"consistent": True, "freedom": {0: 0, 1: 0}}
+    w = solve_w(small, TARGET, 1)
+    assert w.consistent and w.freedom == {0: 0, 1: 0}
 
 
-def test_traced_build_counts_of_the_depth_three_models():
-    # perfbench's tracer counts scanned blocks, candidates and kept words
-    # through VermaModule.block_basis; a build that bypassed it would read
-    # as zero there, so the depth-3 numbers are pinned here
+def test_a_perturbed_target_action_has_no_intertwiner(monkeypatch):
+    # negative control for the solver's failure path: 1 added to one entry
+    # of one target action matrix leaves the degree-1 system without a
+    # solution; solve_w stops there, and the certificate and every
+    # projection chain that reads w from the same store fail
+    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
+    monkeypatch.setattr(intertwiner, "_SOLVED_W", {})
+    source = get_truncated(HighestWeightSpec(0, 1, 0), 2)
+    target = get_truncated(HighestWeightSpec(0, 0, 1), 2)
+    le, key = affine.encode(-1, X22), (0, (0, 0))
+    tgt, rows, den = target.act_matrix(le, key)
+    rows = [list(row) for row in rows]
+    r, c = next((r, c) for r, row in enumerate(rows) for c, x in enumerate(row) if x)
+    rows[r][c] += 1
+    target._act[(le, key)] = (tgt, rows, den)
+    w = solve_w(source, target, 2)
+    assert w.consistent is False
+    assert w.freedom == {0: 0, 1: None}
+    rep = verify_intertwiner(2)
+    assert not rep.ok
+    assert rep.witness == {"freedom": {"0": 0, "1": None}, "top_killed": None, "commutes": None}
+    kind = A1Standard(0, 1)
+    for pi in enumerate_admissible(kind, 2):
+        chain = verify_projection_chain(kind, pi)
+        assert not chain.ok
+        assert chain.witness == {"error": "no intertwiner in window"}
+    sweep = sweep_projection_chain(kind, 2)
+    assert not sweep.ok
+    assert not any(e["ok"] or e["mu"] for e in sweep.witness["partitions"])
+
+
+def _installed_tracer():
+    """perfbench's tracer, installed around the package's entry points; the
+    caller uninstalls it."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer_mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_mod)
     tracer = tracer_mod.Tracer()
     tracer_mod.install(tracer)
+    return tracer
+
+
+def test_traced_build_counts_of_the_depth_three_models():
+    # perfbench's tracer counts scanned blocks, candidates and kept words
+    # through VermaModule.block_basis; a build that bypassed it would read
+    # as zero there, so the depth-3 numbers are pinned here
+    tracer = _installed_tracer()
     try:
         for labels in ((0, 1, 0), (0, 0, 1)):
             TruncatedModule(HighestWeightSpec(*labels), 3)
@@ -284,8 +322,25 @@ def test_traced_build_counts_of_the_depth_three_models():
     assert counts == {"pbw.blocks": 234, "pbw.candidates": 3932, "pbw.kept": 450}
 
 
+def test_traced_calls_of_one_chain_sweep(monkeypatch):
+    # the tracer wraps the verifiers and solve_w on their modules; a sweep
+    # that reached them another way would read as zero calls there.  Ten
+    # partitions over windows 1 and 2: one solve per window, one sparse
+    # solve per degree of each
+    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
+    monkeypatch.setattr(intertwiner, "_SOLVED_W", {})
+    tracer = _installed_tracer()
+    try:
+        assert intertwiner.sweep_projection_chain(A1Standard(0, 1), 2).ok
+    finally:
+        tracer.uninstall()
+    names = ("intertwiner.sweep_projection_chain", "intertwiner.verify_projection_chain",
+             "intertwiner.solve_w", "linalg.solve_sparse")
+    assert [tracer.calls(name) for name in names] == [1, 10, 2, 5]
+
+
 def test_apply_block_shifts_by_eps1():
-    w, _ = solve_w(SOURCE, TARGET, 2)
+    w = solve_w(SOURCE, TARGET, 2)
     key = (0, (0, 1))
     tgt, out = w.apply_block(key, [3])
     assert tgt == (0, (0 + EPS1[0], 1 + EPS1[1]))
@@ -320,7 +375,7 @@ def test_commutation_check_rejects_every_single_entry_perturbation():
     # negative control: the post-hoc check must catch a wrong W.  Adding 1
     # to any one numerator of any solved block, or changing the denominator
     # of any one degree, breaks commutation somewhere.
-    w, _ = solve_w(SOURCE, TARGET, 2)
+    w = solve_w(SOURCE, TARGET, 2)
     assert intertwiner._check_commutation(SOURCE, TARGET, w, 2)
     perturbed = list(_perturbed_maps(w))
     assert len(perturbed) > len(w.dens) * 2
@@ -331,7 +386,7 @@ def test_commutation_check_rejects_every_single_entry_perturbation():
 def test_commutation_check_agrees_with_the_fraction_reference():
     # the integer cross-multiplied check against a Fraction recomputation
     # of both products, on the solved W and on its perturbations
-    w, _ = solve_w(SOURCE, TARGET, 2)
+    w = solve_w(SOURCE, TARGET, 2)
     loop_elements = [affine.encode(n, b) for b in affine.COLOR_BASES for n in range(-2, 3)]
     assert oracles.commutes_fraction(SOURCE, TARGET, w, loop_elements, 2)
     for label, bad in _perturbed_maps(w):
@@ -381,7 +436,7 @@ def test_levels_add_in_tensor_models():
 
 def test_w_ks_with_zero_slots_is_the_identity():
     m1 = get_truncated(HighestWeightSpec(0, 1, 0), 2)
-    w, _ = solve_w(m1, get_truncated(HighestWeightSpec(0, 0, 1), 2), 2)
+    w = solve_w(m1, get_truncated(HighestWeightSpec(0, 0, 1), 2), 2)
     tensor = TensorModule([m1], 2)
     vec = tensor.act_word((affine.encode(-1, 9),))
     apply0 = build_w_ks(w, 1, 0)
@@ -416,10 +471,13 @@ def test_projection_chain_sweep_level_two():
     assert all(e["mu"] not in (None, "0") for e in entries)
 
 
-def test_projection_chain_sweep_solves_w_once(monkeypatch):
+def test_projection_chain_sweeps_solve_once_per_window(monkeypatch):
+    # a sweep solves w once for each window its partitions need (depth 1
+    # for degrees 0 and 1, depth 2 above), a second sweep of the same depth
+    # solves nothing new, and each record is the partition's own report
     kind = A1Standard(0, 2)
     pis = enumerate_admissible(kind, 2)
-    direct = [verify_projection_chain(kind, pi) for pi in pis]  # each on its own window
+    direct = [verify_projection_chain(kind, pi) for pi in pis]
     calls = []
     real = intertwiner.solve_w
 
@@ -430,32 +488,13 @@ def test_projection_chain_sweep_solves_w_once(monkeypatch):
     monkeypatch.setattr(intertwiner, "solve_w", counting)
     monkeypatch.setattr(intertwiner, "_SOLVED_W", {})  # the direct calls filled it
     rep = sweep_projection_chain(kind, 2)
-    assert len(calls) == 1
+    assert [args[2] for args in calls] == [1, 2]
     assert rep.ok
     assert rep.witness["partitions"] == [
         {"partition": pi.tag(), "ok": r.ok, "mu": r.witness["mu"]} for pi, r in zip(pis, direct)
     ]
-    # the shared solution gives each partition the witness of its own window,
-    # freedom included
-    solved = real(*calls[0])
-    for pi, r in zip(pis, direct):
-        assert verify_projection_chain(kind, pi, None, solved).witness == r.witness
-
-
-def test_sweeps_of_one_depth_share_one_solve(monkeypatch):
-    calls = []
-    real = intertwiner.solve_w
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(intertwiner, "solve_w", counting)
-    monkeypatch.setattr(intertwiner, "_SOLVED_W", {})
-    assert sweep_projection_chain(A1Standard(0, 1), 2).ok
     assert sweep_projection_chain(A1Standard(1, 1), 2).ok
-    assert len(calls) == 1
-    assert calls[0][2] == 2
+    assert len(calls) == 2
 
 
 def test_cross_model_computes_each_tensor_vector_once(monkeypatch):
