@@ -471,13 +471,13 @@ def test_projection_chain_sweep_level_two():
     assert all(e["mu"] not in (None, "0") for e in entries)
 
 
-def test_projection_chain_sweeps_solve_once_per_window(monkeypatch):
+def test_projection_chain_sweep_solves_w_once(monkeypatch):
     # a sweep solves w once for each window its partitions need (depth 1
-    # for degrees 0 and 1, depth 2 above), a second sweep of the same depth
-    # solves nothing new, and each record is the partition's own report
+    # for degrees 0 and 1, depth 2 above), and each record is the
+    # partition's own report
     kind = A1Standard(0, 2)
     pis = enumerate_admissible(kind, 2)
-    direct = [verify_projection_chain(kind, pi) for pi in pis]
+    direct = [verify_projection_chain(kind, pi) for pi in pis]  # each on its own window
     calls = []
     real = intertwiner.solve_w
 
@@ -493,8 +493,23 @@ def test_projection_chain_sweeps_solve_once_per_window(monkeypatch):
     assert rep.witness["partitions"] == [
         {"partition": pi.tag(), "ok": r.ok, "mu": r.witness["mu"]} for pi, r in zip(pis, direct)
     ]
+
+
+def test_sweeps_of_one_depth_share_one_solve(monkeypatch):
+    # a second sweep of the same depth solves nothing new
+    calls = []
+    real = intertwiner.solve_w
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(intertwiner, "solve_w", counting)
+    monkeypatch.setattr(intertwiner, "_SOLVED_W", {})
+    assert sweep_projection_chain(A1Standard(0, 1), 2).ok
+    assert [args[2] for args in calls] == [1, 2]
     assert sweep_projection_chain(A1Standard(1, 1), 2).ok
-    assert len(calls) == 2
+    assert [args[2] for args in calls] == [1, 2]
 
 
 def test_cross_model_computes_each_tensor_vector_once(monkeypatch):
