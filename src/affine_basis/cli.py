@@ -12,8 +12,8 @@ Common flags: --kind {a1,c2fs}, --k0/--k1/--k2 labels, --max-degree,
 them: --cache-dir (dims, verify, report; defaults to $AFFINE_BASIS_CACHE),
 --depth (window for truncated-module steps; verify, report).
 
-Exit codes: 0 all checks passed, 1 a verification claim failed, 2 usage or
-input error.
+Exit codes: 0 all checks passed, 1 a claim failed or the form is not
+positive definite, 2 usage or input error.
 """
 
 import argparse
@@ -245,9 +245,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return VERBS[args.verb](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
+        # a form that is not positive definite fails the claims resting on it
+        return 1 if isinstance(exc, ArithmeticError) else 2
     finally:
         # the models and solved maps of one command are not kept for the next
         iw._TRUNC_CACHE.clear()

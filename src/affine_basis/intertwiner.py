@@ -115,7 +115,7 @@ class TruncatedModule:
         )
 
     def gram_inverse(self, key):
-        """(adj, det) of the block's Gram matrix from the fraction-free
+        """(adj, det) of the block's positive definite Gram matrix from
         `invert`, computed once per block: adj / det is its inverse."""
         inv = self._gram_inv.get(key)
         if inv is None:
@@ -574,6 +574,7 @@ def verify_projection_chain(kind, pi, cache_dir=None):
     t0 = time.perf_counter()
     k0, k1 = kind.k0, kind.k1
     pi1, c0 = pi.split_c0()
+    inputs = {"partition": pi.to_dict(), "labels": [k0, k1], "c0": c0}
     depth = max(pi.degree, 1)
     m0 = get_truncated(HighestWeightSpec(1, 0, 0), depth, cache_dir)
     m1 = get_truncated(HighestWeightSpec(0, 1, 0), depth, cache_dir)
@@ -582,7 +583,7 @@ def verify_projection_chain(kind, pi, cache_dir=None):
     if not wmap.consistent:
         return StepReport(
             step="projection_chain",
-            inputs={"partition": pi.to_dict(), "labels": [k0, k1]},
+            inputs=inputs,
             ok=False,
             witness={"error": "no intertwiner in window"},
             seconds=time.perf_counter() - t0,
@@ -612,7 +613,7 @@ def verify_projection_chain(kind, pi, cache_dir=None):
 
     return StepReport(
         step="projection_chain",
-        inputs={"partition": pi.to_dict(), "labels": [k0, k1], "c0": c0},
+        inputs=inputs,
         ok=bool(ok),
         witness={
             "mu": _fmt(mu) if mu is not None else None,

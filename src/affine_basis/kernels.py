@@ -1,6 +1,6 @@
 """The straightening kernel.
 
-This module implements the three computational hot spots exactly, over the
+This module implements the two computational hot spots exactly, over the
 integers, with no dependency on the rest of the package (structure data is
 passed in as plain nested tuples):
 
@@ -10,7 +10,6 @@ passed in as plain nested tuples):
   * UKernel     -- straightening in the universal enveloping algebra itself
     (central element tracked as an explicit exponent), used for identities
     between operators rather than vectors.
-  * rank_int    -- fraction-free (Bareiss) row reduction rank over Z.
 
 Memos.  Each kernel object owns its memos, and they live as long as it
 does unless its owner drops one:
@@ -240,35 +239,3 @@ class UKernel:
                         del nxt[k2]
             out = nxt
         return out
-
-
-def rank_int(rows):
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    prev = 1
-    for c in range(nc):
-        piv_row = -1
-        for rr in range(rank, nr):
-            if m[rr][c]:
-                piv_row = rr
-                break
-        if piv_row < 0:
-            continue
-        if piv_row != rank:
-            m[rank], m[piv_row] = m[piv_row], m[rank]
-        piv = m[rank][c]
-        for rr in range(rank + 1, nr):
-            v = m[rr][c]
-            row = m[rr]
-            prow = m[rank]
-            for cc in range(c + 1, nc):
-                row[cc] = (piv * row[cc] - v * prow[cc]) // prev
-            row[c] = 0
-        prev = piv
-        rank += 1
-        if rank == nr:
-            break
-    return rank

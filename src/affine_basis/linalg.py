@@ -1,16 +1,16 @@
 """Small exact linear algebra helpers over the integers.
 
-Every routine here takes integer matrices and returns integers.  Ranks of
-large integer Gram matrices go through the kernel's fraction-free
-elimination (kernels.rank_int).  bordered_minor grows the leading principal
-minors of a symmetric integer matrix one row at a time (Bareiss'
-integer-preserving update, used for basis selection); solve_sparse runs
+Every routine here takes integer matrices and returns integers.  A Gram
+matrix of the contravariant form is positive semidefinite, so it is
+eliminated on its leading principal minors with no pivoting (Bareiss'
+integer-preserving update): bordered_minor grows them one row at a time,
+rank_int keeps the rows whose bordered minor is nonzero, and invert returns
+an integer adjugate over the determinant of a positive definite matrix; both
+raise ArithmeticError where positivity fails.  solve_sparse runs
 Gauss-Jordan on integer rows kept primitive by dividing out their content,
 finding the rows a new pivot must reduce through an index from each
 non-pivot column to the pivot rows that hold it, and returns its solution
-as integer numerators over one common denominator;
-invert returns an integer adjugate over the determinant (Bareiss
-Gauss-Jordan).
+as integer numerators over one common denominator.
 """
 
 from fractions import Fraction
@@ -134,43 +134,45 @@ def bordered_minor(cols, minors, p, nu):
     return u, d
 
 
-def leading_minors(rows):
-    """Leading principal minors [1, D_1, ..., D_n] of a symmetric integer
-    matrix by the bordered_minor update; stops after the first zero minor
-    (the update needs nonzero pivots beyond it)."""
-    cols, minors = [], [1]
-    for n, row in enumerate(rows):
-        u, d = bordered_minor(cols, minors, [rows[k][n] for k in range(n)], row[n])
-        minors.append(d)
-        if not d:
-            break
-        cols.append(u)
-    return minors
+def rank_int(gram):
+    """Rank of a Gram matrix by the keep test of block selection: the rows
+    are taken in order, and each is kept iff its bordered minor against the
+    rows kept so far is nonzero.  The kept rows have a nonzero principal
+    minor, so no symmetric matrix reads above its rank, and a positive
+    semidefinite one reads exactly its rank.  Raises ArithmeticError on a
+    negative bordered minor; an indefinite matrix may also read low
+    ([[0, 1], [1, 0]] reads 0)."""
+    cols, minors, kept = [], [1], []
+    for n, row in enumerate(gram):
+        u, d = bordered_minor(cols, minors, [row[k] for k in kept], row[n])
+        if d < 0:
+            raise ArithmeticError("Gram matrix is not positive semidefinite: row %d" % n)
+        if d:
+            cols.append(u)
+            minors.append(d)
+            kept.append(n)
+    return len(kept)
 
 
 def invert(a_rows):
-    """Fraction-free inverse of a square nonsingular integer matrix a.
-    Returns (adj, det) with a.adj == det.I and det > 0: adj is the adjugate
-    of a, negated when det(a) < 0.  Bareiss' integer-preserving
-    Gauss-Jordan on [a | I], swapping rows on a zero pivot: every division
-    is exact, since each entry is a minor of the augmented matrix, and the
-    last pivot is +-det(a).  Raises ValueError when a is singular."""
+    """Fraction-free inverse of a positive definite integer matrix a:
+    (adj, det) with a.adj == det.I and det = det(a) > 0.  Bareiss'
+    Gauss-Jordan on [a | I] with no row exchange: the k-th pivot is the
+    k-th leading principal minor, and each division is exact since every
+    entry is a minor of the augmented matrix.  Raises ArithmeticError on a
+    pivot <= 0, that is, when a is not positive definite."""
     n = len(a_rows)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a_rows)]
     prev = 1
     for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[k], m[piv] = m[piv], m[k]
         mk = m[k]
         p = mk[k]
+        if p <= 0:
+            raise ArithmeticError("matrix is not positive definite: minor %d is %d" % (k + 1, p))
         for i in range(n):
             if i != k:
                 mi = m[i]
                 f = mi[k]
                 m[i] = [(p * x - f * y) // prev for x, y in zip(mi, mk)]
         prev = p
-    if prev < 0:
-        return [[-x for x in row[n:]] for row in m], -prev
     return [row[n:] for row in m], prev

@@ -50,7 +50,8 @@ from . import affine
 from . import cache as cache_mod
 from . import linalg
 from .cartan import build_c2, table_hash, finite_weight, a1_subalgebra
-from .kernels import VermaKernel, UKernel, rank_int  # noqa: F401 - verify calls pbw.rank_int
+from .kernels import VermaKernel, UKernel
+from .linalg import rank_int  # noqa: F401 - verify calls pbw.rank_int
 
 GEN_C2 = tuple(range(10))
 GEN_A1 = a1_subalgebra()          # (0, 6, 9) = (f, h, e)
@@ -212,9 +213,8 @@ class VermaModule:
 
         A disk-cache entry is keyed by the block's candidate words and used
         only if its chosen indices are strictly increasing and in range and
-        its Gram matrix is a symmetric integer matrix whose leading minors
-        are all positive; otherwise the block is recomputed and the entry
-        overwritten."""
+        its Gram matrix is a symmetric positive definite integer matrix;
+        otherwise the block is recomputed and the entry overwritten."""
         key = (degree, tuple(weight))
         bb = self._bases.get(key)
         if bb is None and degree > self._closed:
@@ -376,9 +376,10 @@ def _topological_key(key):
 def _valid_basis_entry(rec, n_candidates):
     """True iff a cached block-basis record is well formed: chosen indices
     strictly increasing in range(n_candidates), and a symmetric integer
-    Gram matrix on them (entries stored as decimal strings) whose leading
-    principal minors are all positive, recomputed by the same integer
-    update the scan uses."""
+    Gram matrix on them (entries stored as decimal strings) that
+    linalg.rank_int, the keep test the scan uses, reads at full rank
+    without raising: by Sylvester's criterion, one whose leading principal
+    minors are all positive."""
     try:
         chosen = rec["chosen"]
         gram = [[int(x) if isinstance(x, str) else None for x in row] for row in rec["gram"]]
@@ -395,7 +396,10 @@ def _valid_basis_entry(rec, n_candidates):
         return False
     if any(gram[i][j] != gram[j][i] for i in range(r) for j in range(i)):
         return False
-    return all(d > 0 for d in linalg.leading_minors(gram))
+    try:
+        return linalg.rank_int(gram) == r
+    except ArithmeticError:
+        return False
 
 
 # ---------------------------------------------------------------------------

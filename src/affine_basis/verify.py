@@ -8,7 +8,8 @@ scalars are extracted from straightened expressions and reported, identities
 are checked coefficient by coefficient, and passage to the irreducible
 quotient always goes through the contravariant pairing.  Vectors are the
 plain dicts of the pbw layer and every rank is the integer rank of a Gram
-matrix (pbw.rank_int), so a Fraction appears only in a witness scalar.
+matrix (pbw.rank_int, which raises where the form is not positive), so a
+Fraction appears only in a witness scalar.
 
 The derivation T is the commutator action of the middle color x12 at mode 0.
 On the long-root triple it acts as a chain f -> x21' -> x22 (and h -> x12)

@@ -381,6 +381,11 @@ def _rref_fraction(rows):
     return m, pivots
 
 
+def rank_fraction(rows):
+    """Rank over Fraction: the number of pivots of the RREF."""
+    return len(_rref_fraction(rows)[1])
+
+
 def _null_basis_fraction(m, pivots, nc):
     """One nullspace vector per free column of the RREF m, in column order."""
     basis = []

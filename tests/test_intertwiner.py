@@ -291,6 +291,7 @@ def test_a_perturbed_target_action_has_no_intertwiner(monkeypatch):
         chain = verify_projection_chain(kind, pi)
         assert not chain.ok
         assert chain.witness == {"error": "no intertwiner in window"}
+        assert set(chain.inputs) == {"partition", "labels", "c0"}
     sweep = sweep_projection_chain(kind, 2)
     assert not sweep.ok
     assert not any(e["ok"] or e["mu"] for e in sweep.witness["partitions"])

@@ -1,5 +1,5 @@
 """Kernel semantics: the module action, pairing, Gram and enveloping-product
-kernels and the integer rank."""
+kernels."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -144,13 +144,4 @@ def test_ukernel_straightening_swap():
         (0, (h0,)): -1,
         (1, ()): -TABLE.form[0][9],
     }
-
-
-def test_rank_int_on_known_matrices():
-    ri = kernels.rank_int
-    assert ri([]) == 0
-    assert ri([[0, 0], [0, 0]]) == 0
-    assert ri([[1, 2], [2, 4]]) == 1
-    assert ri([[1, 2], [3, 4]]) == 2
-    assert ri([[2, 0, 0], [0, 0, 5]]) == 2
 

@@ -1,5 +1,5 @@
-"""Exact integer linear algebra: inversion, sparse solve and the bordered
-minors, checked against Fraction references."""
+"""Exact integer linear algebra: Gram rank and inversion, sparse solve and
+the bordered minors, checked against Fraction references."""
 
 from fractions import Fraction
 import math
@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 import oracles
-from affine_basis import kernels, linalg
+from affine_basis import linalg
 
 
 def _matvec(a, x):
@@ -26,21 +26,55 @@ def _matmul(a, b):
     ]
 
 
+def _gram(a, n):
+    """The Gram matrix A^T A of the rows of a, each of length n."""
+    return [[sum(row[i] * row[j] for row in a) for j in range(n)] for i in range(n)]
+
+
+def _check_inverse(g):
+    adj, det = linalg.invert(g)
+    assert all(isinstance(x, int) for row in adj for x in row)
+    assert det > 0 and det == oracles.det_fraction(g)
+    assert [[Fraction(x, det) for x in row] for row in adj] == oracles.inverse_fraction(g)
+    return adj, det
+
+
 def test_invert_roundtrip_and_singular():
     rng = random.Random(19)
-    done = 0
+    done = singular = 0
     while done < 15:
         n = rng.randint(1, 5)
-        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        if kernels.rank_int(a) < n:
+        g = _gram([[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(1, n + 2))], n)
+        if oracles.rank_fraction(g) < n:
+            with pytest.raises(ArithmeticError):
+                linalg.invert(g)
+            singular += 1
             continue
-        adj, det = linalg.invert(a)
-        assert det > 0
-        assert _matmul(a, adj) == [[det * int(i == j) for j in range(n)] for i in range(n)]
+        adj, det = _check_inverse(g)
+        assert _matmul(g, adj) == [[det * int(i == j) for j in range(n)] for i in range(n)]
         done += 1
+    assert singular
     assert linalg.invert([]) == ([], 1)
-    with pytest.raises(ValueError):
-        linalg.invert([[1, 2], [2, 4]])
+    with pytest.raises(ArithmeticError):
+        linalg.invert([[1, 2], [2, 4]])  # the singular Gram of (1, 2)
+    with pytest.raises(ArithmeticError):
+        linalg.invert([[1, 2], [2, 1]])  # nonsingular but indefinite
+
+
+def test_rank_int_on_known_matrices():
+    ri = linalg.rank_int
+    assert ri([]) == 0
+    assert ri([[0, 0], [0, 0]]) == 0
+    assert ri([[1, 2], [2, 4]]) == 1
+    assert ri([[2, 1], [1, 2]]) == 2
+    assert ri([[2, 0, 0], [0, 0, 0], [0, 0, 5]]) == 2
+    # a negative bordered minor is impossible on a Gram matrix
+    for bad in ([[1, 2], [2, 1]], [[0, 0], [0, -1]]):
+        with pytest.raises(ArithmeticError):
+            ri(bad)
+    # indefinite with a zero diagonal: no row is kept, so it reads 0, at or
+    # below its true rank of 2, as on any symmetric matrix
+    assert ri([[0, 1], [1, 0]]) == 0
 
 
 def _dense_from_sparse(rows, nvars):
@@ -138,39 +172,6 @@ def _schur_greedy_reference(g):
 
 
 @st.composite
-def square_integer_matrices(draw):
-    """Random square integer matrices: dense ones (mostly nonsingular),
-    ones with a zero leading entry or a zero leading 2 x 2 minor, which
-    need a row swap, and singular ones with a repeated combination of
-    rows."""
-    n = draw(st.integers(1, 6))
-    a = [[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]
-    shape = draw(st.sampled_from(["dense", "zero corner", "zero minor", "singular"]))
-    if shape == "zero corner":
-        a[0][0] = 0
-    elif shape == "zero minor" and n >= 2:
-        a[1] = [2 * x for x in a[0][:2]] + a[1][2:]
-    elif shape == "singular" and n >= 2:
-        k = draw(st.integers(-2, 2))
-        a[-1] = [x + k * y for x, y in zip(a[0], a[1 % (n - 1)])]
-    return a
-
-
-@settings(max_examples=300, deadline=None)
-@given(square_integer_matrices())
-def test_invert_matches_the_fraction_inverse(a):
-    reference = oracles.inverse_fraction(a)
-    if reference is None:
-        with pytest.raises(ValueError):
-            linalg.invert(a)
-        return
-    adj, det = linalg.invert(a)
-    assert all(isinstance(x, int) for row in adj for x in row)
-    assert det > 0 and det == abs(oracles.det_fraction(a))
-    assert [[Fraction(x, det) for x in row] for row in adj] == reference
-
-
-@st.composite
 def symmetric_integer_matrices(draw):
     """(matrix, is_gram): random symmetric integer matrices, and Gram
     matrices A^T A, rank-deficient whenever A has fewer rows than columns."""
@@ -178,7 +179,7 @@ def symmetric_integer_matrices(draw):
     if draw(st.booleans()):
         k = draw(st.integers(0, n))
         a = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(k)]
-        return [[sum(row[i] * row[j] for row in a) for j in range(n)] for i in range(n)], True
+        return _gram(a, n), True
     g = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
@@ -202,12 +203,42 @@ def test_bordered_minor_keep_test_matches_schur_complements(case):
             minors.append(d)
             kept.append(c)
     assert kept == kept_ref
-    assert linalg.leading_minors([[g[i][j] for j in kept] for i in kept]) == minors
+    assert minors == [
+        oracles.det_fraction([[g[i][j] for j in kept[:r]] for i in kept[:r]])
+        for r in range(len(kept) + 1)
+    ]
+    # rank_int applies the same keep test and raises at the first negative
+    # minor, so on any symmetric matrix it never over-counts
+    try:
+        rank = linalg.rank_int(g)
+    except ArithmeticError:
+        assert any(d < 0 for d in minors)
+    else:
+        assert rank == len(kept) <= oracles.rank_fraction(g)
     if is_gram:
         # positive semidefinite: every kept minor is positive and the kept
         # vectors span, so their count is the rank
         assert all(d > 0 for d in minors)
-        assert len(kept) == kernels.rank_int(g)
+        assert rank == oracles.rank_fraction(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_integer_matrices())
+def test_invert_matches_the_fraction_inverse(case):
+    # a Gram matrix inverts iff it is nonsingular; any other symmetric
+    # matrix iff every leading minor is positive (Sylvester's criterion)
+    g, is_gram = case
+    if is_gram:
+        definite = oracles.inverse_fraction(g) is not None
+    else:
+        definite = all(
+            oracles.det_fraction([row[:r] for row in g[:r]]) > 0 for r in range(1, len(g) + 1)
+        )
+    if definite:
+        _check_inverse(g)
+    else:
+        with pytest.raises(ArithmeticError):
+            linalg.invert(g)
 
 
 @st.composite

@@ -466,6 +466,8 @@ def test_cache_entries_of_another_tag_or_candidate_list_are_never_used(tmp_path,
         {"chosen": [0], "gram": [["1/2"]]},  # not an integer
         {"chosen": [0], "gram": [["-1"]]},  # negative norm
         {"chosen": [0]},  # no Gram matrix
+        {"chosen": [0, 1], "gram": [["1", "1"], ["1", "1"]]},  # singular
+        {"chosen": [0, 1], "gram": [["1", "2"], ["2", "1"]]},  # indefinite
     ],
 )
 def test_malformed_cached_bases_are_rejected(entry):

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import oracles
-from affine_basis import affine, cache, pbw, verify
+from affine_basis import affine, cache, cli, kernels, pbw, verify
 from affine_basis.partitions import (
     A1Standard,
     C2FS,
@@ -223,6 +223,22 @@ def test_dc_violator_creates_a_rank_deficit():
     for i in subset:
         rest = [j for j in subset if j != i]
         assert sub_rank(rest) == len(rest)
+
+
+def test_a_negated_form_fails_independence_and_exits_one(monkeypatch, capsys):
+    # negative control for positivity: a negated contravariant form has the
+    # same Gram ranks, so only the sign of the leading minors tells it from
+    # the true one; the rank test raises and the CLI reports a failed claim
+    pair_mono = kernels.VermaKernel.pair_mono
+    monkeypatch.setattr(
+        kernels.VermaKernel, "pair_mono", lambda self, mono, vec: -pair_mono(self, mono, vec)
+    )
+    for kind in (A1Standard(1, 0), A1Standard(1, 1), C2FS(0, 1, 0)):
+        with pytest.raises(ArithmeticError):
+            verify_independence(kind, 3)
+    argv = ["verify", "independence", "--k0", "1", "--k1", "1", "--max-degree", "3"]
+    assert cli.main(argv) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
