@@ -70,6 +70,8 @@ class TruncatedModule:
     """Exact finite model of the irreducible module of `spec` up to degree
     max_degree.  Blocks are discovered by the Verma engine's support
     closure, so the block list is provably complete within the window.
+    The block dimensions are checked against the Weyl group on every build
+    (_check_weyl_orbits), a check that shares nothing with the Gram ranks.
 
     `_shared`, another model of the same module and cache directory, makes
     this one a view of the same store (see the module docstring): it reuses
@@ -97,6 +99,21 @@ class TruncatedModule:
             self.gram[key] = blk.matrix
         if len(self.verma._bases) > built:
             self.verma.kernel.clear_act_memo()
+        self._check_weyl_orbits()
+
+    def _check_weyl_orbits(self):
+        """Raise ArithmeticError unless dim(d, w) == dim(d, s.w) for every
+        block and each of the 8 signed permutations s of W(C2).  Each degree
+        slice is a finite-dimensional module of the finite algebra, so its
+        weight multiplicities are Weyl-invariant."""
+        for (d, (w1, w2)), words in self.basis.items():
+            for a, b in ((w1, w2), (w2, w1)):
+                for image in ((a, b), (-a, b), (a, -b), (-a, -b)):
+                    if self.dim((d, image)) != len(words):
+                        raise ArithmeticError(
+                            "block dimensions are not Weyl-invariant: dim %r = %d, dim %r = %d"
+                            % ((d, (w1, w2)), len(words), (d, image), self.dim((d, image)))
+                        )
 
     def dim(self, key):
         return len(self.basis.get(key, ()))
@@ -128,8 +145,10 @@ class TruncatedModule:
         monomials, supported on block `key`) in the chosen basis, over the
         block's denominator gram_inverse(key)[1]: the pairings of the basis
         words with the vector, times the integer adjugate of the Gram
-        matrix."""
+        matrix.  The zero vector has zero coordinates, with no pairing."""
         basis = self.basis.get(key, ())
+        if not terms:
+            return [0] * len(basis)
         if not basis:
             # dimension 0: the vector must vanish in the quotient, which its
             # norm certifies (the form is positive definite on each block)

@@ -28,15 +28,45 @@ where L is nonzero ("support") are the top block and the blocks reached
 from it by single storable steps through nonzero blocks; no weight-support
 assumption enters.
 
+Increasing words.  Only the candidates (x,) + b with b empty or x <= b[0]
+are scanned, so every basis word is weakly increasing in its codes.  The
+others are in the span of the candidates scanned before them, so the
+greedy keep test (see block_basis) would reject each one, and skipping
+them changes no kept word, Gram matrix or rank.  The scan takes the
+candidates by ascending first code x.  Take b = (y,) + b' with y < x:
+
+  * x.y = y.x + [x, y] in the enveloping algebra.  The central term of
+    [x(i), y(j)] is i <x, y> c when i + j = 0, and two storable codes have
+    modes summing to 0 only when both are at mode 0, where i = 0.
+  * x.b' lies in block T - y, for T the block of (x,) + b.  So modulo the
+    radical y.(x.b') is a combination of the candidates (y,) + k, k in the
+    basis of T - y; if that block was never reached, the term is zero.
+  * [x, y] is a combination of codes z of the module's generators, which
+    must be closed under the bracket, and each (z,) + b' is a candidate of
+    T.  Each z is below x: if mode(y) < 0 then mode(z) < mode(x), and
+    otherwise both are mode-0 storable codes, where the only nonzero
+    brackets are [3, 1] = -2 x0 and [3, 2] = -x1.
+  * Every term is a candidate with first code below x, so it comes earlier
+    in the scan.  By induction on the scan order, every skipped candidate
+    lies in the span of the scanned candidates before it.
+
+The same argument shows that every nonzero block other than the top one
+has a nonzero increasing candidate, so it is reached by an increasing step
+(x,) + b from a nonzero block: one with x at most the largest first code
+of that block's basis words.
+
 One build path.  Only block_support builds blocks, in topological order:
 by increasing (degree, -(2*w1 + w2)).  Every storable step raises that
 key: a negative mode raises the degree, and the mode-0 storable generators
 (bases 0-3, of weights (-2,0), (-1,-1), (0,-2), (-1,1)) lower 2*w1 + w2 by
 4, 3, 2 or 1.  So a predecessor not built yet was never reached and is
-empty.  VermaModule._closed is the highest degree the closure has run to.
+empty.  From a nonzero block block_support takes only the steps that give
+an increasing candidate, every step from the top block.
+VermaModule._closed is the highest degree the closure has run to.
 
 Module kinds are distinguished only by the generator subset used for
-monomials:
+monomials, which must be closed under the bracket (the increasing-word
+proof needs every [x, y] among the generators):
 
   * GEN_C2     all ten basis elements (the full module),
   * GEN_A1     the long-root triple f, h, e (modules for the subalgebra),
@@ -93,7 +123,8 @@ class BlockBasis:
     word of loop codes, `(x,) + b` for a basis word b of the block below,
     and `()` for the top block; `vectors` holds each word's vector in the
     Verma module, a plain dict like every vector here.  `candidates` counts
-    the closure candidates scanned; rank == len(basis)."""
+    the increasing closure candidates scanned (see the module docstring);
+    rank == len(basis)."""
 
     degree: int
     weight: tuple
@@ -105,12 +136,22 @@ class BlockBasis:
 
 
 class VermaModule:
-    """Highest weight module with monomials drawn from a generator subset."""
+    """Highest weight module with monomials drawn from a generator subset.
+    `gens` must be closed under the bracket (ValueError otherwise): the
+    scan of increasing words rests on it."""
 
     def __init__(self, spec, gens=GEN_C2, cache_dir=None):
         self.spec = spec
         self.gens = tuple(sorted(gens))
         self.table = build_c2()
+        for i in self.gens:
+            for j in self.gens:
+                missing = sorted({k for _, k in self.table.bracket[i][j]} - set(self.gens))
+                if missing:
+                    raise ValueError(
+                        "generators %r are not closed under the bracket: [%d, %d] needs %r"
+                        % (self.gens, i, j, missing)
+                    )
         wt = spec.weight
         self.lam_wt = wt
         self.kernel = VermaKernel(
@@ -191,11 +232,12 @@ class VermaModule:
         """A true basis of the (degree, weight) block of the irreducible
         quotient, built from the bases of the blocks below it.
 
-        Closure.  The candidates are the words (x,) + b, in a fixed order:
-        each storable code x in turn, then each basis word b of the
-        predecessor block (degree, weight) - x; the vector of (x,) + b is x
-        applied to the vector of b.  They span the block in the quotient
-        (see the module docstring), so a block with no candidates is empty.
+        Closure.  The candidates are the increasing words (x,) + b, in a
+        fixed order: each storable code x in turn, then each basis word b of
+        the predecessor block (degree, weight) - x with b empty or
+        x <= b[0]; the vector of (x,) + b is x applied to the vector of b.
+        They span the block in the quotient (see the module docstring), so a
+        block with no candidates is empty.
         A call above every degree closed so far runs block_support to this
         degree first; a block still not built was not reached, and its scan
         finds no candidate.
@@ -228,15 +270,22 @@ class VermaModule:
         """The closure candidates of a block, as (word, x, vector of the
         parent word), in ascending codes x: the deepest mode first, bases
         upwards within a mode.  The longest steps come first, so the kept
-        words stay short and their vectors small.  A predecessor not built
-        adds none: it was never reached, so it is empty."""
+        words stay short and their vectors small.  Only the increasing words
+        are taken, those whose parent word b is empty or starts at a code
+        >= x: the others would all be rejected (see the module docstring).
+        A predecessor not built adds none: it was never reached, so it is
+        empty."""
         degree, (w1, w2) = key
         out = []
         for mode in range(-degree, 1):
             for x, (x1, x2) in self._storable_steps(mode):
                 blk = self._bases.get((degree + mode, (w1 - x1, w2 - x2)))
                 if blk is not None:
-                    out.extend(((x,) + b, x, vec) for b, vec in zip(blk.basis, blk.vectors))
+                    out.extend(
+                        ((x,) + b, x, vec)
+                        for b, vec in zip(blk.basis, blk.vectors)
+                        if not b or x <= b[0]
+                    )
         return out
 
     def _cache_key(self, key, words):
@@ -315,7 +364,10 @@ class VermaModule:
         """All blocks with nonzero dimension up to max_degree: the top block
         and every block reached from it by storable steps through nonzero
         blocks (see the module docstring for why this is complete), built
-        as they leave a heap in topological order.  _closed is raised first,
+        as they leave a heap in topological order.  From a nonzero block
+        only the steps x that give an increasing candidate are pushed: x at
+        most the largest first code of its basis words, and every step from
+        the top block, whose basis word is ().  _closed is raised first,
         so the block_basis calls here do not recurse, and restored if the
         loop raises, so no later call scans a block whose predecessors were
         skipped.  Returns {(degree, weight): BlockBasis}."""
@@ -333,8 +385,11 @@ class VermaModule:
                 if not blk.rank:
                     continue
                 support[(d, wt)] = blk
+                lead = None if d == 0 and wt == self.lam_wt else max(b[0] for b in blk.basis)
                 for mode in range(0, d - max_degree - 1, -1):
-                    for _, (x1, x2) in self._storable_steps(mode):
+                    for x, (x1, x2) in self._storable_steps(mode):
+                        if lead is not None and x > lead:
+                            continue
                         tgt = (d - mode, (wt[0] + x1, wt[1] + x2))
                         if tgt not in seen:
                             seen.add(tgt)

@@ -4,10 +4,11 @@ Everything here is deliberately reimplemented from first principles, without
 calling into the package internals being tested: plain 4x4 matrix arithmetic
 for the finite algebra, the loop bracket with its central term over given
 structure constants, the Euler recurrence for partition numbers, a direct
-search for colored partitions and for PBW monomials, Fraction elimination
-for solves, nullspaces, inverses and determinants and for the intertwiner's
-commutation identity, the Weyl group of the finite weights, and a
-nondeterministic-order rewriting engine for normal ordering.  When the
+search for colored partitions and for PBW monomials, the unpruned closure
+scan of a block (over the package's Verma vectors and pairing), Fraction
+elimination for solves, nullspaces, inverses and determinants and for the
+intertwiner's commutation identity, the Weyl group of the finite weights,
+and a nondeterministic-order rewriting engine for normal ordering.  When the
 package and an oracle agree, the agreement is between two codepaths that
 share nothing but the definitions.
 """
@@ -346,6 +347,50 @@ def zero_by_monomials(module, vec):
     )
     monos = pbw_monomials(module.gens, weights, module.lam_wt, degree, weight)
     return all(module.kernel.pair_mono(m, vec) == 0 for m in monos)
+
+
+def closure_scan_reference(module, key):
+    """The unpruned closure scan of one block: every word (x,) + b, for x a
+    storable code 16*mode + base over the module's generator bases and b a
+    basis word of the block key - x already built in `module`, by ascending
+    x and then in b's basis order.  A candidate is kept iff its bordered
+    minor, det(Gram of the kept words and it) = det(Gram of the kept words)
+    * (its Schur complement), is nonzero; the Schur complement is taken
+    with the Fraction inverse, so only the Verma vectors and the pairing
+    come from the package.  Returns (kept words, their Gram matrix, [(word,
+    minor)] for every candidate in scan order)."""
+    degree, (w1, w2) = key
+    if key == (0, tuple(module.lam_wt)):
+        return [()], [[1]], [((), 1)]
+    weights = module.table.weights
+    cands = []
+    for mode in range(-degree, 1):
+        for base in sorted(module.gens):
+            code = 16 * mode + base
+            if code >= 4:
+                continue
+            x1, x2 = weights[base]
+            blk = module._bases.get((degree + mode, (w1 - x1, w2 - x2)))
+            if blk is not None:
+                cands.extend(((code,) + b, code, vec) for b, vec in zip(blk.basis, blk.vectors))
+    pair = module.kernel.pair_mono
+    kept, g, minors = [], [], []
+    inv, det = [], Fraction(1)
+    for word, code, parent in cands:
+        vec = module.kernel.act_word((code,), parent)
+        p = [pair(k, vec) for k in kept]
+        nu = pair(word, vec)
+        schur = nu - sum(p[i] * inv[i][j] * p[j] for i in range(len(p)) for j in range(len(p)))
+        minor = det * schur
+        assert minor.denominator == 1
+        minors.append((word, int(minor)))
+        if minor:
+            for row, pr in zip(g, p):
+                row.append(pr)
+            g.append(p + [nu])
+            kept.append(word)
+            inv, det = inverse_fraction(g), minor
+    return kept, g, minors
 
 
 def gram(pair, items):

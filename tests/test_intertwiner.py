@@ -1,5 +1,6 @@
 """Truncated modules, tensor models, and the color intertwiner."""
 
+import dataclasses
 from fractions import Fraction
 import hashlib
 import importlib.util
@@ -11,6 +12,7 @@ import pytest
 
 import oracles
 from affine_basis import affine
+from affine_basis import cli
 from affine_basis import intertwiner
 from affine_basis.cartan import X22
 from affine_basis.intertwiner import (
@@ -56,7 +58,8 @@ def test_truncated_module_blocks():
 
 def test_coordinates_recover_basis_vectors():
     # integer numerators over the block's denominator: each basis vector
-    # has unit coordinates, and the denominator is the Gram determinant
+    # has unit coordinates, the zero vector zero ones, and the denominator
+    # is the Gram determinant
     dens = set()
     for key in SOURCE.block_keys():
         adj, den = SOURCE.gram_inverse(key)
@@ -66,7 +69,36 @@ def test_coordinates_recover_basis_vectors():
             coords = SOURCE.coordinates(key, vec)
             assert all(isinstance(x, int) for x in coords)
             assert coords == [den * int(j == i) for j in range(SOURCE.dim(key))]
+        assert SOURCE.coordinates(key, {}) == [0] * SOURCE.dim(key)
     assert max(dens) > 1  # some block is not unimodular
+
+
+def test_block_dimensions_off_their_weyl_orbit_are_refused(monkeypatch, capsys):
+    # negative control for the Weyl-orbit guard: a scan poisoned to drop one
+    # word of one block's basis breaks dim(d, w) == dim(d, s.w), so the
+    # build must raise, and the CLI reports a failed claim (exit 1)
+    spec, key = HighestWeightSpec(0, 1, 0), (2, (1, 0))
+    real_scan = VermaModule._scan
+
+    def poisoned(self, k):
+        bb = real_scan(self, k)
+        if self.spec == spec and k == key:
+            bb = dataclasses.replace(
+                bb,
+                basis=bb.basis[:-1],
+                matrix=[row[:-1] for row in bb.matrix[:-1]],
+                rank=bb.rank - 1,
+                vectors=bb.vectors[:-1],
+            )
+        return bb
+
+    monkeypatch.setattr(VermaModule, "_scan", poisoned)
+    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
+    monkeypatch.delenv("AFFINE_BASIS_CACHE", raising=False)
+    with pytest.raises(ArithmeticError, match="not Weyl-invariant"):
+        TruncatedModule(spec, 2)
+    assert cli.main(["verify", "intertwiner", "--depth", "2", "--quiet"]) == 1
+    assert "not Weyl-invariant" in capsys.readouterr().err
 
 
 def test_coordinates_reject_nonnull_vectors_in_empty_blocks():
@@ -320,7 +352,7 @@ def test_traced_build_counts_of_the_depth_three_models():
     finally:
         tracer.uninstall()
     counts = {k: tracer.counts[k] for k in ("pbw.blocks", "pbw.candidates", "pbw.kept")}
-    assert counts == {"pbw.blocks": 234, "pbw.candidates": 3932, "pbw.kept": 450}
+    assert counts == {"pbw.blocks": 165, "pbw.candidates": 845, "pbw.kept": 450}
 
 
 def test_traced_calls_of_one_chain_sweep(monkeypatch):

@@ -11,6 +11,7 @@ from affine_basis import affine, cache, linalg, pbw
 from affine_basis.pbw import (
     GEN_A1,
     GEN_C2,
+    GEN_COLORS,
     HighestWeightSpec,
     VermaModule,
     algebra_add,
@@ -314,6 +315,57 @@ def test_block_bases_do_not_depend_on_the_scan_order(labels, gens, depth):
         assert (bb.basis, bb.matrix, bb.candidates) == (ref.basis, ref.matrix, ref.candidates), key
 
 
+@pytest.mark.parametrize(
+    "labels, gens, depth",
+    [
+        ((0, 1, 0), GEN_C2, 3),
+        ((0, 0, 1), GEN_C2, 3),
+        ((1, 0, 0), GEN_A1, 5),
+        ((2, 0, 0), GEN_COLORS, 4),
+    ],
+)
+def test_increasing_words_keep_what_the_full_closure_scan_keeps(labels, gens, depth):
+    # the scan takes only the candidates (x,) + b with b empty or x <= b[0],
+    # and block_support pushes only the steps that give one; the unpruned
+    # scan over every (x,) + b must keep the same words with the same Gram
+    # matrices, and reach no nonzero block that block_support left out
+    module = VermaModule(HighestWeightSpec(*labels), gens=gens)
+    support = module.block_support(depth)
+    reached = set(support)
+    for d, (w1, w2) in support:
+        for mode in range(d - depth, 1):
+            for base in module.gens:
+                if 16 * mode + base < 4:
+                    x1, x2 = module.table.weights[base]
+                    reached.add((d - mode, (w1 + x1, w2 + x2)))
+    skipped = 0
+    for key in sorted(reached):
+        words, gram, minors = oracles.closure_scan_reference(module, key)
+        bb = support.get(key)
+        if bb is None:
+            assert words == [], key
+            continue
+        assert (list(bb.basis), bb.matrix, bb.rank) == (words, gram, len(words)), key
+        increasing = [w for w, _ in minors if len(w) < 2 or w[0] <= w[1]]
+        assert bb.candidates == len(increasing), key
+        # every candidate the scan skips is rejected by the full scan's keep
+        # test: its bordered minor against the words kept before it is zero
+        for word, minor in minors:
+            if len(word) >= 2 and word[0] > word[1]:
+                assert minor == 0, (key, word)
+                skipped += 1
+    assert skipped and len(reached) > len(support)
+
+
+def test_generators_must_be_closed_under_the_bracket():
+    # the increasing-word scan needs every [x, y] among the generators:
+    # [e, f] = h (base 6) is missing from (f, e)
+    with pytest.raises(ValueError, match="not closed"):
+        VermaModule(HighestWeightSpec(1, 0, 0), gens=(0, 9))
+    for gens in (GEN_C2, GEN_A1, GEN_COLORS):
+        VermaModule(HighestWeightSpec(1, 0, 0), gens=gens)
+
+
 def test_a_failed_closure_is_not_taken_as_closed():
     # a closure that raises part way leaves later blocks unbuilt; a direct
     # call must then run the closure again instead of scanning a block
@@ -343,8 +395,8 @@ def test_a_failed_closure_is_not_taken_as_closed():
 def test_negative_minor_raises():
     # negative control: a zero candidate that pairs nonzero with a kept
     # word would make the form indefinite; the scan must refuse it
-    spec, key = HighestWeightSpec(1, 0, 0), (3, (-2, 0))
-    module = VermaModule(spec, gens=GEN_A1)
+    spec, key = HighestWeightSpec(0, 1, 0), (2, (0, 3))
+    module = VermaModule(spec, gens=GEN_C2)
     ref = module.block_basis(*key)
     words = [w for w, _, _ in module._candidates(key)]
     vectors = {w: module.kernel.act_word((x,), parent) for w, x, parent in module._candidates(key)}
@@ -353,7 +405,7 @@ def test_negative_minor_raises():
         w for w in words[words.index(kept) + 1:]
         if w not in ref.basis and vectors[w] and module.kernel.pair_mono(w, vectors[w]) == 0
     )
-    module = VermaModule(spec, gens=GEN_A1)
+    module = VermaModule(spec, gens=GEN_C2)
     real = module.kernel.pair_mono
 
     def poisoned(word, vec):
