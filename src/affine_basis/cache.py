@@ -1,18 +1,20 @@
 """Disk cache for certified block bases.
 
-Building block bases dominates every verification sweep, and blocks are
-shared between sweeps (the same module shows up for spanning, translation
-and dimension checks).  A block is cached under a key that pins down
-everything the entry depends on: an entry tag, the structure-table hash,
-highest weight data and generator count, central charge, grading, and the
-exact list of the block's closure candidate words, the increasing words
-(x,) + b the scan takes (each built from a basis word b of the block below,
-so the key also pins the bases of every block below it; a list from a scan
-that took other candidates hashes to another key).  The entry holds the
-indices of the chosen candidates and their Gram matrix, as decimal strings
-(exact; also safe for arbitrarily large integers).  The tag names the kind of entry: an entry written for another
-candidate scheme (the "basis" entries indexed PBW monomial lists) hashes to
-another key and is never read as a closure entry.
+Blocks are shared between sweeps (the same module shows up for spanning,
+translation and dimension checks).  A cached block skips only its scan's
+Gram pairings, which are a small share of a run since the scan takes only
+increasing words.  A block is cached under a key that pins down everything
+the entry depends on: an entry tag, the structure-table hash, highest
+weight data and generator count, central charge, grading, and the exact
+list of the block's closure candidate words, the increasing words (x,) + b
+the scan takes (each built from a basis word b of the block below, so the
+key also pins the bases of every block below it; a list from a scan that
+took other candidates hashes to another key).  The entry holds the indices
+of the chosen candidates and their Gram matrix, as decimal strings (exact;
+also safe for arbitrarily large integers).  The tag names the kind of entry:
+an entry written for another candidate scheme (the "basis" entries indexed
+PBW monomial lists) hashes to another key and is never read as a closure
+entry.
 
 Trust boundary.  Unreadable entries are misses.  A block-basis entry is also
 checked on load (pbw.VermaModule._scan): its chosen indices must be

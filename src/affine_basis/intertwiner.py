@@ -53,7 +53,6 @@ monomial over the smaller highest weight, and w_{k1,s} with s > c0 kills it.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-import itertools
 import math
 import time
 
@@ -69,9 +68,8 @@ EPS1 = (1, 0)
 class TruncatedModule:
     """Exact finite model of the irreducible module of `spec` up to degree
     max_degree.  Blocks are discovered by the Verma engine's support
-    closure, so the block list is provably complete within the window.
-    The block dimensions are checked against the Weyl group on every build
-    (_check_weyl_orbits), a check that shares nothing with the Gram ranks.
+    closure, so the block list is provably complete within the window, and
+    block_support checks their dimensions against the Weyl group.
 
     `_shared`, another model of the same module and cache directory, makes
     this one a view of the same store (see the module docstring): it reuses
@@ -99,21 +97,6 @@ class TruncatedModule:
             self.gram[key] = blk.matrix
         if len(self.verma._bases) > built:
             self.verma.kernel.clear_act_memo()
-        self._check_weyl_orbits()
-
-    def _check_weyl_orbits(self):
-        """Raise ArithmeticError unless dim(d, w) == dim(d, s.w) for every
-        block and each of the 8 signed permutations s of W(C2).  Each degree
-        slice is a finite-dimensional module of the finite algebra, so its
-        weight multiplicities are Weyl-invariant."""
-        for (d, (w1, w2)), words in self.basis.items():
-            for a, b in ((w1, w2), (w2, w1)):
-                for image in ((a, b), (-a, b), (a, -b), (-a, -b)):
-                    if self.dim((d, image)) != len(words):
-                        raise ArithmeticError(
-                            "block dimensions are not Weyl-invariant: dim %r = %d, dim %r = %d"
-                            % ((d, (w1, w2)), len(words), (d, image), self.dim((d, image)))
-                        )
 
     def dim(self, key):
         return len(self.basis.get(key, ()))
@@ -150,9 +133,8 @@ class TruncatedModule:
         if not terms:
             return [0] * len(basis)
         if not basis:
-            # dimension 0: the vector must vanish in the quotient, which its
-            # norm certifies (the form is positive definite on each block)
-            if self.verma.pair(terms, terms):
+            # dimension 0: the vector must vanish in the quotient
+            if not self.verma.zero_in_quotient(terms):
                 raise ArithmeticError(
                     "nonzero vector in a block reported empty: %r" % (key,)
                 )
@@ -198,6 +180,25 @@ def _q(num, den):
     return num if den == 1 else Fraction(num, den)
 
 
+def _slot_map(vec, slot, matrix, out):
+    """Add to `out` the image of the tensor vector `vec` under a block map
+    acting on one slot: matrix(key) is (target key, integer rows, den) for
+    the slot's block `key`, and a slot triple (degree, weight, i) is
+    expanded through column i of the rows over den.  Returns `out`."""
+    for state, coeff in vec.items():
+        d, wt, i = state[slot]
+        tgt, rows, den = matrix((d, wt))
+        for r, row in enumerate(rows):
+            if row[i]:
+                new_state = state[:slot] + ((tgt[0], tgt[1], r),) + state[slot + 1 :]
+                cc = out.get(new_state, 0) + coeff * _q(row[i], den)
+                if cc:
+                    out[new_state] = cc
+                else:
+                    out.pop(new_state, None)
+    return out
+
+
 _TRUNC_CACHE = {}
 
 
@@ -233,22 +234,13 @@ class TensorModule:
         return {state: 1}
 
     def act_le(self, le, vec):
+        """x(le) by the coproduct: its action matrices summed over the
+        slots.  A result state beyond the degree window raises ValueError."""
         out = {}
-        for state, coeff in vec.items():
-            for slot, (d, wt, i) in enumerate(state):
-                factor = self.factors[slot]
-                tgt, rows, den = factor.act_matrix(le, (d, wt))
-                for r, row in enumerate(rows):
-                    if not row[i]:
-                        continue
-                    new_state = state[:slot] + ((tgt[0], tgt[1], r),) + state[slot + 1 :]
-                    if sum(s[0] for s in new_state) > self.max_degree:
-                        raise ValueError("tensor action leaves the degree window")
-                    cc = out.get(new_state, 0) + coeff * _q(row[i], den)
-                    if cc:
-                        out[new_state] = cc
-                    else:
-                        out.pop(new_state, None)
+        for slot, factor in enumerate(self.factors):
+            _slot_map(vec, slot, lambda key: factor.act_matrix(le, key), out)
+        if any(sum(s[0] for s in state) > self.max_degree for state in out):
+            raise ValueError("tensor action leaves the degree window")
         return out
 
     def act_word(self, word, vec=None):
@@ -348,11 +340,10 @@ def solve_w(source, target, max_degree):
     freedom = {}
     for d in range(max_degree + 1):
         src_keys = [k for k in source.block_keys() if k[0] == d]
+        shapes = {key: (source.dim(key), target.dim(_shift(key))) for key in src_keys}
         var_index = {}
         nvars = 0
-        for key in src_keys:
-            n1 = source.dim(key)
-            n2 = target.dim(_shift(key))
+        for key, (n1, n2) in shapes.items():
             if n1 and n2:
                 var_index[key] = nvars
                 nvars += n1 * n2
@@ -421,9 +412,7 @@ def solve_w(source, target, max_degree):
             break
         freedom[d] = n_free
         dens[d] = den
-        for key in src_keys:
-            n1 = source.dim(key)
-            n2 = target.dim(_shift(key))
+        for key, (n1, n2) in shapes.items():
             if key in var_index:
                 start = var_index[key]
                 blocks[key] = [nums[start + r * n1 : start + (r + 1) * n1] for r in range(n2)]
@@ -545,35 +534,16 @@ def _scaled(rows, s):
 
 
 def build_w_ks(wmap, n_slots, s):
-    """Operator applying the intertwiner to the last s of n_slots tensor
-    slots.  Input states must carry source-module triples in those slots;
-    output states carry target-module triples there."""
+    """The operator w_{k1,s}: the intertwiner applied to each of the last s
+    of n_slots tensor slots in turn (maps on different slots commute).
+    Input states must carry source-module triples in those slots; output
+    states carry target-module triples there.  With s = 0 it returns its
+    input."""
 
     def apply(vec):
-        out = {}
-        for state, coeff in vec.items():
-            expansions = [[(state[i], 1)] for i in range(n_slots)]
-            den = 1
-            for slot in range(n_slots - s, n_slots):
-                d, wt, i = state[slot]
-                tgt = _shift((d, wt))
-                rows, e = wmap.block((d, wt))
-                den *= e
-                expansions[slot] = [
-                    ((tgt[0], tgt[1], r), row[i]) for r, row in enumerate(rows) if row[i]
-                ]
-            for combo in itertools.product(*expansions):
-                new_state = tuple(t for t, _ in combo)
-                val = coeff
-                for _, f in combo:
-                    val *= f
-                if val:
-                    cc = out.get(new_state, 0) + _q(val, den)
-                    if cc:
-                        out[new_state] = cc
-                    else:
-                        out.pop(new_state, None)
-        return out
+        for slot in range(n_slots - s, n_slots):
+            vec = _slot_map(vec, slot, lambda key: (_shift(key),) + wmap.block(key), {})
+        return vec
 
     return apply
 
@@ -600,35 +570,19 @@ def verify_projection_chain(kind, pi, cache_dir=None):
     m2 = get_truncated(HighestWeightSpec(0, 0, 1), depth, cache_dir)
     wmap = _solved_w(m1, m2, depth)
     if not wmap.consistent:
-        return StepReport(
-            step="projection_chain",
-            inputs=inputs,
-            ok=False,
-            witness={"error": "no intertwiner in window"},
-            seconds=time.perf_counter() - t0,
-        )
+        witness = {"error": "no intertwiner in window"}
+        return StepReport("projection_chain", inputs, False, witness, time.perf_counter() - t0)
     src = TensorModule([m0] * k0 + [m1] * k1, depth)
-    word = parts_mod._literal_word(pi1, parts_mod.COLOR_BASES_MAP) + (
-        affine.encode(0, 3),
-    ) * c0
-    u = src.act_word(word)
+    u = src.act_word(parts_mod.translated_color_word(pi))
     n_slots = k0 + k1
 
     # clause (i): absorb the mode-0 block
-    w_c0 = build_w_ks(wmap, n_slots, c0)
-    lhs = w_c0(u)
+    lhs = build_w_ks(wmap, n_slots, c0)(u)
     tgt = TensorModule([m0] * k0 + [m1] * (k1 - c0) + [m2] * c0, depth)
-    rhs = tgt.act_word(parts_mod._literal_word(pi1, parts_mod.COLOR_BASES_MAP))
-    mu = _proportionality(lhs, rhs)
-    ok = mu is not None and mu != 0
-
+    mu = _proportionality(lhs, tgt.act_word(parts_mod.color_word(pi1)))
     # clause (ii): one more application kills
-    killed = []
-    for s in range(c0 + 1, k1 + 1):
-        w_s = build_w_ks(wmap, n_slots, s)
-        killed.append(not w_s(u))
-    if killed and not all(killed):
-        ok = False
+    killed = [not build_w_ks(wmap, n_slots, s)(u) for s in range(c0 + 1, k1 + 1)]
+    ok = mu is not None and mu != 0 and all(killed)
 
     return StepReport(
         step="projection_chain",
@@ -695,11 +649,7 @@ def verify_cross_model(kind, max_degree, cache_dir=None):
                 )
     return StepReport(
         step="cross_model",
-        inputs={
-            "kind": kind.name,
-            "labels": list(kind.as_tuple()),
-            "max_degree": max_degree,
-        },
+        inputs=kind.report_inputs(max_degree),
         ok=ok,
         witness={"pairs_checked": checked, "mismatches": mismatches},
         seconds=time.perf_counter() - t0,

@@ -122,21 +122,18 @@ class ColoredPartition:
         return " ".join(bits) or "empty"
 
 
+def _windows_hold(k, lo, hi):
+    """The four difference windows at level k on adjacent part sizes
+    (i, i+1), for the frequencies lo = (a_i, b_i, c_i) and hi at i+1."""
+    (a_i, b_i, c_i), (a_n, b_n, c_n) = lo, hi
+    return max(a_i + b_i + a_n, c_i + b_i + a_n, c_i + b_n + a_n, c_i + b_n + c_n) <= k
+
+
 def satisfies_dc(pi, k):
-    """Difference conditions at level k: four windows on each adjacent pair
-    of part sizes (i, i+1), all bounded by k."""
-    for i in range(pi.max_part + 1):
-        a_i, b_i, c_i = pi.a_at(i), pi.b_at(i), pi.c_at(i)
-        a_n, b_n, c_n = pi.a_at(i + 1), pi.b_at(i + 1), pi.c_at(i + 1)
-        if a_i + b_i + a_n > k:
-            return False
-        if c_i + b_i + a_n > k:
-            return False
-        if c_i + b_n + a_n > k:
-            return False
-        if c_i + b_n + c_n > k:
-            return False
-    return True
+    """Difference conditions at level k: the four windows on each adjacent
+    pair of part sizes (i, i+1), all bounded by k."""
+    freqs = [(pi.a_at(i), pi.b_at(i), pi.c_at(i)) for i in range(pi.max_part + 2)]
+    return all(_windows_hold(k, lo, hi) for lo, hi in zip(freqs, freqs[1:]))
 
 
 def satisfies_ic_a1(pi, k0, k1):
@@ -166,9 +163,10 @@ def satisfies_ic_c2fs(pi, k0, k1, k2):
 # module kinds
 # ---------------------------------------------------------------------------
 
-# color -> base index maps for the two monomial families
-A1_BASES = {"a": 9, "b": 6, "c": 0}       # e, h, f
-COLOR_BASES_MAP = {"a": 9, "b": 8, "c": 5}  # x11, x12, x22
+# color -> base index maps for the two monomial families: (c, b, a) -> the
+# generator triples (f, h, e) and (x22, x12, x11)
+A1_BASES = dict(zip("cba", GEN_A1))
+COLOR_BASES_MAP = dict(zip("cba", GEN_COLORS))
 
 
 def _literal_word(pi, bases):
@@ -188,8 +186,52 @@ def _literal_word(pi, bases):
     return tuple(word)
 
 
+def long_root_word(pi):
+    """The long-root monomial word of pi (colors a, b, c -> e, h, f)."""
+    return _literal_word(pi, A1_BASES)
+
+
+def color_word(pi):
+    """The color monomial word of pi (colors a, b, c -> x11, x12, x22)."""
+    return _literal_word(pi, COLOR_BASES_MAP)
+
+
+def translated_color_word(pi):
+    """The color word of pi with its mode-0 block as x21'(0) factors: the
+    color word of pi without that block, then c_0 factors x21'(0)."""
+    rest, c0 = pi.split_c0()
+    return color_word(rest) + (affine.encode(0, 3),) * c0
+
+
+class ModuleKind:
+    """The shared part of a module kind: a frozen dataclass of its labels
+    with its `name`, its module's generator set `gens`, the color -> base
+    map `bases` of its monomials, `satisfies_ic` and `as_tuple`.  Its
+    highest weight has those labels, so its level is their sum."""
+
+    @property
+    def level(self):
+        return sum(self.as_tuple())
+
+    def spec(self):
+        return HighestWeightSpec(*self.as_tuple())
+
+    def admissible(self, pi):
+        return satisfies_dc(pi, self.level) and self.satisfies_ic(pi)
+
+    def monomial_word(self, pi):
+        return _literal_word(pi, self.bases)
+
+    def module(self, cache_dir=None):
+        return VermaModule(self.spec(), gens=self.gens, cache_dir=cache_dir)
+
+    def report_inputs(self, max_degree):
+        """The inputs of a report on the admissible partitions to max_degree."""
+        return {"kind": self.name, "labels": list(self.as_tuple()), "max_degree": max_degree}
+
+
 @dataclass(frozen=True)
-class A1Standard:
+class A1Standard(ModuleKind):
     """Level k0+k1 standard module of the long-root A1 subalgebra, labelled
     by (k0, k1); partitions are realized through e, h, f monomials."""
 
@@ -197,32 +239,18 @@ class A1Standard:
     k1: int
 
     name = "a1"
-
-    @property
-    def level(self):
-        return self.k0 + self.k1
-
-    def spec(self):
-        return HighestWeightSpec(self.k0, self.k1, 0)
+    gens = GEN_A1
+    bases = A1_BASES
 
     def satisfies_ic(self, pi):
         return satisfies_ic_a1(pi, self.k0, self.k1)
-
-    def admissible(self, pi):
-        return satisfies_dc(pi, self.level) and self.satisfies_ic(pi)
-
-    def monomial_word(self, pi):
-        return _literal_word(pi, A1_BASES)
-
-    def module(self, cache_dir=None):
-        return VermaModule(self.spec(), gens=GEN_A1, cache_dir=cache_dir)
 
     def as_tuple(self):
         return (self.k0, self.k1)
 
 
 @dataclass(frozen=True)
-class C2FS:
+class C2FS(ModuleKind):
     """Principal subspace (orbit of the highest weight vector under the
     three commuting colors) of the level k0+k1+k2 module labelled
     (k0, k1, k2)."""
@@ -232,25 +260,11 @@ class C2FS:
     k2: int
 
     name = "c2fs"
-
-    @property
-    def level(self):
-        return self.k0 + self.k1 + self.k2
-
-    def spec(self):
-        return HighestWeightSpec(self.k0, self.k1, self.k2)
+    gens = GEN_COLORS
+    bases = COLOR_BASES_MAP
 
     def satisfies_ic(self, pi):
         return satisfies_ic_c2fs(pi, self.k0, self.k1, self.k2)
-
-    def admissible(self, pi):
-        return satisfies_dc(pi, self.level) and self.satisfies_ic(pi)
-
-    def monomial_word(self, pi):
-        return _literal_word(pi, COLOR_BASES_MAP)
-
-    def module(self, cache_dir=None):
-        return VermaModule(self.spec(), gens=GEN_COLORS, cache_dir=cache_dir)
 
     def as_tuple(self):
         return (self.k0, self.k1, self.k2)
@@ -286,9 +300,8 @@ def _admissible(k, max_degree):
     out = []
 
     def rec(j, budget, prev, acc):
-        a_i, b_i, c_i = prev
         if j > max_degree:
-            if a_i + b_i <= k and c_i + b_i <= k:
+            if _windows_hold(k, prev, (0, 0, 0)):
                 out.append(ColoredPartition(*acc))
             return
         cap = k if j == 0 else min(k, budget // j)
@@ -298,12 +311,7 @@ def _admissible(k, max_degree):
                     spent = j * (aj + bj + cj)
                     if spent > budget:
                         continue
-                    if j and (
-                        a_i + b_i + aj > k
-                        or c_i + b_i + aj > k
-                        or c_i + bj + aj > k
-                        or c_i + bj + cj > k
-                    ):
+                    if j and not _windows_hold(k, prev, (aj, bj, cj)):
                         continue
                     rec(
                         j + 1,

@@ -87,6 +87,14 @@ GEN_C2 = tuple(range(10))
 GEN_A1 = a1_subalgebra()          # (0, 6, 9) = (f, h, e)
 GEN_COLORS = affine.COLOR_BASES   # (5, 8, 9) = (x22, x12, x11)
 
+# The Weyl group of the finite algebra each generator set spans, as maps
+# (p, s, t): (w1, w2) -> (s * w_p, t * w_(1-p)): W(C2) is the 8 signed
+# permutations, the long-root A1 reflects w1, and the colors commute.
+_WEYL_MAPS = {
+    GEN_C2: tuple((p, s, t) for p in (0, 1) for s in (1, -1) for t in (1, -1)),
+    GEN_A1: ((0, -1, 1),),
+}
+
 
 @dataclass(frozen=True)
 class HighestWeightSpec:
@@ -370,7 +378,13 @@ class VermaModule:
         the top block, whose basis word is ().  _closed is raised first,
         so the block_basis calls here do not recurse, and restored if the
         loop raises, so no later call scans a block whose predecessors were
-        skipped.  Returns {(degree, weight): BlockBasis}."""
+        skipped.  Returns {(degree, weight): BlockBasis}.
+
+        Weyl guard.  Each degree slice is a finite-dimensional module of the
+        finite algebra the generators span, so dim(d, w) == dim(d, s.w) for
+        every s in its Weyl group (_WEYL_MAPS; none for the colors).  The
+        support is checked against it, a check that shares nothing with the
+        Gram ranks, and a mismatch raises ArithmeticError."""
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative, got %d" % max_degree)
         closed, self._closed = self._closed, max(self._closed, max_degree)
@@ -394,6 +408,15 @@ class VermaModule:
                         if tgt not in seen:
                             seen.add(tgt)
                             heapq.heappush(heap, _topological_key(tgt))
+            for (d, wt), blk in support.items():
+                for p, s, t in _WEYL_MAPS.get(self.gens, ()):
+                    image = (d, (s * wt[p], t * wt[1 - p]))
+                    dim = support[image].rank if image in support else 0
+                    if dim != blk.rank:
+                        raise ArithmeticError(
+                            "block dimensions are not Weyl-invariant: dim %r = %d, dim %r = %d"
+                            % ((d, wt), blk.rank, image, dim)
+                        )
         except BaseException:
             self._closed = closed
             raise

@@ -112,11 +112,10 @@ def verify_t_power(kind, pi, table=None):
     one more application kills it.  The scalar is extracted, not assumed."""
     t0 = time.perf_counter()
     n_prime = pi.n_prime()
-    word = parts_mod._literal_word(pi, parts_mod.A1_BASES)
-    elem = straighten(word)
+    elem = straighten(parts_mod.long_root_word(pi))
     for _ in range(n_prime):
         elem = t_apply(elem, table)
-    target = straighten(parts_mod._literal_word(pi, parts_mod.COLOR_BASES_MAP))
+    target = straighten(parts_mod.color_word(pi))
     scalar = _proportionality(elem, target)
     lam = None
     ok = scalar is not None and scalar != 0
@@ -172,11 +171,7 @@ def verify_translation(kind, pi, module=None):
     word = kind.monomial_word(pi)
     raiser = (affine.encode(0, X12),)
     u = module.act_word(raiser * n + word)
-    pi1, c0 = pi.split_c0()
-    cand_word = parts_mod._literal_word(pi1, parts_mod.COLOR_BASES_MAP) + (
-        affine.encode(0, 3),
-    ) * c0
-    cand = module.act_word(cand_word)
+    cand = module.act_word(parts_mod.translated_color_word(pi))
     mu = _proportionality(u, cand, module.zero_in_quotient)
     ok = mu is not None and mu != 0
     killed = None
@@ -298,12 +293,7 @@ def verify_independence(kind, max_degree, cache_dir=None):
     ok = all(e["count"] == e["rank"] for e in entries)
     return StepReport(
         step="independence",
-        inputs={
-            "kind": kind.name,
-            "labels": list(kind.as_tuple()),
-            "max_degree": max_degree,
-            "families": len(pis),
-        },
+        inputs=dict(kind.report_inputs(max_degree), families=len(pis)),
         ok=ok,
         witness={"blocks": entries},
         seconds=time.perf_counter() - t0,
@@ -342,11 +332,7 @@ def verify_spanning(kind, max_degree, cache_dir=None):
         entries.append(entry)
     return StepReport(
         step="spanning",
-        inputs={
-            "kind": kind.name,
-            "labels": list(kind.as_tuple()),
-            "max_degree": max_degree,
-        },
+        inputs=kind.report_inputs(max_degree),
         ok=ok,
         witness={"blocks": entries},
         seconds=time.perf_counter() - t0,
@@ -370,11 +356,7 @@ def _sweep(step, kind, max_degree, check, field):
         results.append({"partition": pi.tag(), "ok": rep.ok, field: rep.witness.get(field)})
     return StepReport(
         step=step,
-        inputs={
-            "kind": kind.name,
-            "labels": list(kind.as_tuple()),
-            "max_degree": max_degree,
-        },
+        inputs=kind.report_inputs(max_degree),
         ok=all(r["ok"] for r in results),
         witness={"partitions": results},
         seconds=time.perf_counter() - t0,
@@ -422,11 +404,7 @@ def verify_icprop(kind, max_degree):
             entries.append({"partition": pi.tag(), "target": list(target)})
     return StepReport(
         step="icprop",
-        inputs={
-            "kind": kind.name,
-            "labels": list(kind.as_tuple()),
-            "max_degree": max_degree,
-        },
+        inputs=kind.report_inputs(max_degree),
         ok=ok,
         witness={"violations": entries},
         seconds=time.perf_counter() - t0,

@@ -7,13 +7,15 @@ structure constants, the Euler recurrence for partition numbers, a direct
 search for colored partitions and for PBW monomials, the unpruned closure
 scan of a block (over the package's Verma vectors and pairing), Fraction
 elimination for solves, nullspaces, inverses and determinants and for the
-intertwiner's commutation identity, the Weyl group of the finite weights,
-and a nondeterministic-order rewriting engine for normal ordering.  When the
-package and an oracle agree, the agreement is between two codepaths that
-share nothing but the definitions.
+intertwiner's commutation identity, w_{k1,s} as a product over tensor
+slots, the Weyl group of the finite weights, and a nondeterministic-order
+rewriting engine for normal ordering.  When the package and an oracle
+agree, the agreement is between two codepaths that share nothing but the
+definitions.
 """
 
 from fractions import Fraction
+import itertools
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +547,34 @@ def commutes_fraction(source, target, wmap, loop_elements, max_degree):
             if left != right:
                 return False
     return True
+
+
+def w_ks_reference(wmap, n_slots, s, vec):
+    """w_{k1,s} on a tensor vector {state: coeff}, by the product over the
+    slots: each state's last s slot triples (degree, weight, i) are expanded
+    at once through column i of their W block (integer rows
+    `wmap.blocks[key]` over `wmap.dens[degree]`, zero outside the solved
+    blocks), and every combination of the expansions adds the product of
+    its entries as a Fraction.  Only W is read."""
+    out = {}
+    for state, coeff in vec.items():
+        expansions = [[(triple, Fraction(1))] for triple in state]
+        for slot in range(n_slots - s, n_slots):
+            d, wt, i = state[slot]
+            rows = wmap.blocks.get((d, wt), [])
+            den = wmap.dens.get(d, 1)
+            expansions[slot] = [
+                ((d, (wt[0] + 1, wt[1]), r), Fraction(row[i], den))
+                for r, row in enumerate(rows)
+                if row[i]
+            ]
+        for combo in itertools.product(*expansions):
+            new_state = tuple(triple for triple, _ in combo)
+            val = Fraction(coeff)
+            for _, f in combo:
+                val *= f
+            out[new_state] = out.get(new_state, 0) + val
+    return {state: c for state, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------

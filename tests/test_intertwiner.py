@@ -7,6 +7,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 
 import pytest
 
@@ -474,6 +475,26 @@ def test_w_ks_with_zero_slots_is_the_identity():
     vec = tensor.act_word((affine.encode(-1, 9),))
     apply0 = build_w_ks(w, 1, 0)
     assert apply0(vec) == vec
+
+
+def test_w_ks_matches_the_product_over_slots():
+    # build_w_ks applies w to one slot after another; the oracle expands all
+    # s slots of a state at once, as a product over them
+    w = solve_w(SOURCE, TARGET, 2)
+    triples = [(d, wt, i) for d, wt in SOURCE.block_keys() for i in range(SOURCE.dim((d, wt)))]
+    rng = random.Random(16)
+    fractional = nonzero = 0
+    for n in range(4):
+        for _ in range(5):
+            vec = {}
+            for _ in range(8):
+                vec[tuple(rng.choice(triples) for _ in range(n))] = rng.choice((-3, -2, -1, 1, 2, 5))
+            for s in range(n + 1):
+                got = build_w_ks(w, n, s)(vec)
+                assert got == oracles.w_ks_reference(w, n, s, vec), (n, s)
+                nonzero += bool(got)
+                fractional += any(Fraction(c).denominator > 1 for c in got.values())
+    assert nonzero > 20 and fractional > 5
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,15 @@ from affine_basis.partitions import (
     COLOR_BASES_MAP,
     ColoredPartition,
     _literal_word,
+    color_word,
     enumerate_admissible,
     ic_propagation,
+    long_root_word,
     satisfies_dc,
     satisfies_ic_a1,
     satisfies_ic_c2fs,
     to_jsonl,
+    translated_color_word,
 )
 from affine_basis.pbw import GEN_A1, GEN_COLORS, HighestWeightSpec
 
@@ -207,14 +210,29 @@ def test_admissible_counts_level_one_match_the_lattice_oracle():
 
 def test_kind_records():
     kind = A1Standard(1, 1)
+    assert kind == A1Standard(1, 1) != A1Standard(1, 0)
+    assert hash(kind) == hash(A1Standard(1, 1))
+    assert repr(kind) == "A1Standard(k0=1, k1=1)"
+    assert kind.name == "a1"
     assert kind.level == 2
     assert kind.spec() == HighestWeightSpec(1, 1, 0)
     assert kind.as_tuple() == (1, 1)
     assert kind.module().gens == tuple(sorted(GEN_A1))
+    assert kind.report_inputs(3) == {"kind": "a1", "labels": [1, 1], "max_degree": 3}
     sub = C2FS(1, 0, 1)
+    assert sub == C2FS(1, 0, 1) != C2FS(1, 1, 0)
+    assert hash(sub) == hash(C2FS(1, 0, 1))
+    assert repr(sub) == "C2FS(k0=1, k1=0, k2=1)"
+    assert sub.name == "c2fs"
     assert sub.level == 2
     assert sub.spec() == HighestWeightSpec(1, 0, 1)
+    assert sub.as_tuple() == (1, 0, 1)
     assert sub.module().gens == tuple(sorted(GEN_COLORS))
+    assert sub.report_inputs(4) == {"kind": "c2fs", "labels": [1, 0, 1], "max_degree": 4}
+    assert A1Standard(1, 0) != C2FS(1, 0, 0)
+    # the base maps derived from the generator triples
+    assert A1_BASES == {"a": 9, "b": 6, "c": 0}  # e, h, f
+    assert COLOR_BASES_MAP == {"a": 9, "b": 8, "c": 5}  # x11, x12, x22
 
 
 def test_literal_word_order_contract():
@@ -243,6 +261,18 @@ def test_literal_word_order_contract():
         COLOR_BASES_MAP["c"],
     ]
     assert affine.word_degree(word) == pi.degree
+
+
+def test_the_named_words_of_a_partition():
+    pi = P(a={1: 1}, b={2: 1}, c={0: 2, 1: 1})
+    assert long_root_word(pi) == _literal_word(pi, A1_BASES)
+    assert color_word(pi) == _literal_word(pi, COLOR_BASES_MAP)
+    # the mode-0 block leaves as x22(0) factors and comes back as x21'(0)
+    x21 = affine.encode(0, 3)
+    rest = P(a={1: 1}, b={2: 1}, c={1: 1})
+    assert color_word(pi) == color_word(rest) + (affine.encode(0, COLOR_BASES_MAP["c"]),) * 2
+    assert translated_color_word(pi) == color_word(rest) + (x21, x21)
+    assert translated_color_word(rest) == color_word(rest)
 
 
 def test_literal_word_matches_the_per_size_reference():

@@ -1,5 +1,6 @@
 """Highest weight modules, block bases, quotient dimensions, straightening."""
 
+import dataclasses
 from fractions import Fraction
 import json
 import random
@@ -7,7 +8,8 @@ import random
 import pytest
 
 import oracles
-from affine_basis import affine, cache, linalg, pbw
+from affine_basis import affine, cache, cli, linalg, pbw
+from affine_basis.partitions import A1Standard, C2FS
 from affine_basis.pbw import (
     GEN_A1,
     GEN_C2,
@@ -101,6 +103,51 @@ def test_block_dimensions_are_weyl_invariant(labels):
     key = max(dims)
     dims[key] -= 1
     assert oracles.weyl_violations(dims)
+
+
+def test_long_root_block_dimensions_off_their_reflection_are_refused(monkeypatch, capsys):
+    # the a1 modules are symmetric under the long-root reflection
+    # (w1, w2) -> (-w1, w2) only, not under all of W(C2)
+    dims = {key: bb.rank for key, bb in A1Standard(1, 0).module().block_support(5).items()}
+    assert oracles.weyl_violations(dims)
+    assert all(dims.get((d, (-w1, w2)), 0) == n for (d, (w1, w2)), n in dims.items())
+    # negative control: a scan poisoned to drop one word of block (2, (2, 0))
+    # of a1 (1, 0) breaks the reflection, so dims and spanning exit 1
+    spec, key = HighestWeightSpec(1, 0, 0), (2, (2, 0))
+    real_scan = VermaModule._scan
+
+    def poisoned(self, k):
+        bb = real_scan(self, k)
+        if self.spec == spec and self.gens == GEN_A1 and k == key:
+            bb = dataclasses.replace(
+                bb,
+                basis=bb.basis[:-1],
+                matrix=[row[:-1] for row in bb.matrix[:-1]],
+                rank=bb.rank - 1,
+                vectors=bb.vectors[:-1],
+            )
+        return bb
+
+    monkeypatch.setattr(VermaModule, "_scan", poisoned)
+    monkeypatch.delenv("AFFINE_BASIS_CACHE", raising=False)
+    with pytest.raises(ArithmeticError, match="not Weyl-invariant"):
+        A1Standard(1, 0).module().block_support(2)
+    for verb in (["dims"], ["verify", "spanning"]):
+        argv = verb + ["--kind", "a1", "--k0", "1", "--k1", "0", "--max-degree", "3", "--quiet"]
+        assert cli.main(argv) == 1
+        assert "not Weyl-invariant" in capsys.readouterr().err
+
+
+def test_color_modules_take_no_weyl_guard(monkeypatch):
+    # the three colors commute, so their modules have no Weyl symmetry:
+    # C2FS(0, 1, 0) breaks both W(C2) and the long-root reflection, and
+    # its dimensions are accepted
+    dims = {key: bb.rank for key, bb in C2FS(0, 1, 0).module().block_support(3).items()}
+    assert oracles.weyl_violations(dims)
+    assert any(dims.get((d, (-w1, w2)), 0) != n for (d, (w1, w2)), n in dims.items())
+    monkeypatch.delenv("AFFINE_BASIS_CACHE", raising=False)
+    argv = ["dims", "--kind", "c2fs", "--k0", "0", "--k1", "1", "--max-degree", "3", "--quiet"]
+    assert cli.main(argv) == 0
 
 
 def test_block_basis_is_cached_in_memory():
