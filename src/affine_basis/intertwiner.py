@@ -6,23 +6,32 @@ of the Verma engine (words of loop codes, each built from a basis word of the
 block below it, with their Verma vectors; a true basis of the block), the
 nonsingular Gram matrix of that basis, and exact action matrices of loop
 elements between blocks, as integer rows over one positive denominator.
-Coordinates are always recovered through the contravariant pairing and the
-fraction-free inverse of the Gram matrix, so the model is faithful: no
-quotient basis is ever guessed.
+
+Action matrices come from the closure words.  Every basis word is a
+storable step (y,) + b on a basis word b of a lower block, so x applied to
+it expands by the enveloping-algebra identity
+x.y.b = y.(x.b) + [x, y].b + (central term) into images of shorter words,
+down to closure candidates of the block scans (TruncatedModule._image): a
+kept candidate is a unit column, and a candidate the scan rejected gets its
+coordinates once, through the contravariant pairing and the fraction-free
+inverse of the Gram matrix (coordinates).  Blocks outside the support are
+zero by the closure theorem of pbw, and an image in an empty block of the
+window is certified zero by its norm.  No quotient basis is ever guessed.
 
 Models are kept per module, not per window.  get_truncated holds one store
 for each (highest weight, cache directory): one Verma module, whose block
-bases every window reads, one action-matrix memo and one Gram-inverse memo.
-The model of a window is a view of that store with its own max_degree and
-block list, built by block_support(window) over the bases already built,
-so a smaller window requested after a larger one scans nothing.  A build
-that scans a block ends by emptying the kernel's straightening memo
-(VermaKernel.clear_act_memo): the action matrices read afterwards pair
-through the pair memo, which stays, so the memo that dominates a build's
-memory lives for one build only.  A view that scans nothing leaves the
-memo as the action matrices have refilled it.  A block basis, and so
-every action matrix and inverse, is the same at every window; each view
-checks its own window before it reads the shared memo.
+bases every window reads, and one memo each of action matrices, images of
+basis words and Gram inverses.  The model of a window is a view of that
+store with its own max_degree and block list, built by
+block_support(window) over the bases already built, so a smaller window
+requested after a larger one scans nothing.  A build that scans a block
+ends by emptying the kernel's straightening memo
+(VermaKernel.clear_act_memo): afterwards the kernel straightens and pairs
+only the rejected candidates and the images into empty blocks, so the memo
+that dominates a build's memory lives for one build only.  A view that
+scans nothing leaves the memo as those have refilled it.  A block basis,
+and so every action matrix, image and inverse, is the same at every
+window; each view checks its own window before it reads the shared memo.
 The projection chain takes w on each partition's own window from one
 per-process memo keyed by the two models and the window (_solved_w);
 verify_intertwiner solves for itself, since it certifies that solve.
@@ -73,8 +82,8 @@ class TruncatedModule:
 
     `_shared`, another model of the same module and cache directory, makes
     this one a view of the same store (see the module docstring): it reuses
-    that model's Verma module, action-matrix memo and Gram-inverse memo, so
-    only the window and the block list are its own."""
+    that model's Verma module and its memos of action matrices, images and
+    Gram inverses, so only the window and the block list are its own."""
 
     def __init__(self, spec, max_degree, cache_dir=None, _shared=None):
         self.spec = spec
@@ -82,10 +91,14 @@ class TruncatedModule:
         if _shared is None:
             self.verma = VermaModule(spec, gens=GEN_C2, cache_dir=cache_dir)
             self._act = {}
+            self._images = {}
+            self._place = {}
             self._gram_inv = {}
         else:
             self.verma = _shared.verma
             self._act = _shared._act
+            self._images = _shared._images
+            self._place = _shared._place
             self._gram_inv = _shared._gram_inv
         self.basis = {}
         self.vectors = {}
@@ -95,6 +108,8 @@ class TruncatedModule:
             self.basis[key] = blk.basis
             self.vectors[key] = blk.vectors
             self.gram[key] = blk.matrix
+            for i, word in enumerate(blk.basis):
+                self._place[word] = (key, i)
         if len(self.verma._bases) > built:
             self.verma.kernel.clear_act_memo()
 
@@ -116,7 +131,8 @@ class TruncatedModule:
 
     def gram_inverse(self, key):
         """(adj, det) of the block's positive definite Gram matrix from
-        `invert`, computed once per block: adj / det is its inverse."""
+        `invert`, computed once per block when `coordinates` first needs
+        it: adj / det is its inverse."""
         inv = self._gram_inv.get(key)
         if inv is None:
             inv = invert(self.gram[key])
@@ -125,13 +141,21 @@ class TruncatedModule:
 
     def coordinates(self, key, terms):
         """Integer numerators of the coordinates of a vector (dict of
-        monomials, supported on block `key`) in the chosen basis, over the
-        block's denominator gram_inverse(key)[1]: the pairings of the basis
-        words with the vector, times the integer adjugate of the Gram
-        matrix.  The zero vector has zero coordinates, with no pairing."""
+        monomials) of block `key` in the chosen basis, over the block's
+        denominator gram_inverse(key)[1]: the pairings of the basis words
+        with the vector, times the integer adjugate of the Gram matrix.  The
+        zero vector has zero coordinates, with no pairing; a vector in an
+        empty block must be zero in the quotient, which its norm decides.
+        Raises ValueError if a monomial lies outside block `key`, where
+        every pairing would vanish.  Action matrices read it only for the
+        closure candidates their block scan rejected and for images into
+        an empty block."""
         basis = self.basis.get(key, ())
         if not terms:
             return [0] * len(basis)
+        for m in terms:
+            if (affine.word_degree(m), self.verma.abs_weight(m)) != key:
+                raise ValueError("monomial %r does not lie in block %r" % (m, key))
         if not basis:
             # dimension 0: the vector must vanish in the quotient
             if not self.verma.zero_in_quotient(terms):
@@ -145,13 +169,13 @@ class TruncatedModule:
 
     def act_matrix(self, le, key):
         """Matrix of x(le) from block `key` to its target block, in the
-        chosen bases, exact: x(le) acts on the Verma vector of each basis
-        word.  Returns (target_key, rows, den): dim(target) integer rows of
-        dim(key) entries over the positive denominator den, reduced by their
-        gcd, so an empty target gives no rows and a zero map has den 1.
-        Every image goes through `coordinates`, which certifies that images
-        landing in an empty block vanish.  The window is checked before the
-        memo, which the views of one module share."""
+        chosen bases, exact.  Returns (target_key, rows, den): dim(target)
+        integer rows of dim(key) entries over the positive denominator den,
+        reduced by their gcd, so an empty target gives no rows and a zero
+        map has den 1.  Column b is _image(le, b).  An image in an empty
+        block of the window goes through `coordinates` instead, which
+        certifies by its norm that it vanishes.  The window is checked
+        before the memo, which the views of one module share."""
         if not 0 <= key[0] + affine.degree_of(le) <= self.max_degree:
             raise ValueError(
                 "action leaves the degree window: %r -> %r" % (key, self.target_key(le, key))
@@ -160,19 +184,100 @@ class TruncatedModule:
         if memo_key in self._act:
             return self._act[memo_key]
         tgt = self.target_key(le, key)
-        cols = [
-            self.coordinates(tgt, self.verma.kernel.act_word((le,), vec))
-            for vec in self.vectors.get(key, ())
-        ]
-        rows = [[col[r] for col in cols] for r in range(self.dim(tgt))]
-        den = self.gram_inverse(tgt)[1] if rows and cols else 1
-        g = math.gcd(den, *(x for row in rows for x in row))
-        if g != 1:
-            rows = [[x // g for x in row] for row in rows]
-            den //= g
+        words = self.basis.get(key, ())
+        rows = []
+        den = 1
+        if tgt in self.basis:
+            cols = [self._image(le, b) for b in words]
+            den = math.lcm(
+                *(c.denominator for col in cols for c in col.values() if type(c) is Fraction)
+            )
+            rows = [[0] * len(words) for _ in self.basis[tgt]]
+            for c, col in enumerate(cols):
+                for word, v in col.items():
+                    rows[self._place[word][1]][c] = int(v * den)
+        else:
+            for vec in self.vectors.get(key, ()):
+                self.coordinates(tgt, self.verma.kernel.act_word((le,), vec))
         out = (tgt, rows, den)
         self._act[memo_key] = out
         return out
+
+    def _image(self, x, word):
+        """x . word in the irreducible quotient, for a loop code x and a
+        basis word of the window, as {basis word of the target block: int or
+        Fraction coefficient}; memoised per store.
+
+        A block outside the support is zero (the closure argument of the
+        pbw docstring).  A
+        storable x with word empty or x <= word[0] gives the closure
+        candidate (x,) + word: a unit column if the scan kept it, else its
+        coordinates, once, through `coordinates`.  On the top word the
+        Cartan elements act by the highest weight and every other
+        non-storable code kills.  Otherwise, with word = (y,) + rest, the
+        enveloping-algebra identity
+            x.y.rest = y.(x.rest) + [x, y].rest + i <x, y> k rest,
+        the last term only when the modes i of x and j of y sum to 0, k the
+        level (Kac, Infinite-Dimensional Lie Algebras, ch. 7 and 9), expands
+        it into images of shorter words and of y on the basis words of the
+        block of x.rest.  That recursion ends: a storable x > y calls only
+        codes below x or shorter words (the pbw docstring's increasing-word
+        argument), and a non-storable x calls itself and other non-storable
+        codes only on shorter words."""
+        memo_key = (x, word)
+        out = self._images.get(memo_key)
+        if out is not None:
+            return out
+        key, i = self._place[word]
+        tgt = self.target_key(x, key)
+        kernel = self.verma.kernel
+        if tgt not in self.basis:
+            out = {}
+        elif affine.storable(x) and (not word or x <= word[0]):
+            cand = (x,) + word
+            if cand in self._place:
+                out = {cand: 1}
+            else:
+                vec = kernel.act_word((x,), self.vectors[key][i])
+                den = self.gram_inverse(tgt)[1]
+                out = {}
+                for b, n in zip(self.basis[tgt], self.coordinates(tgt, vec)):
+                    if n:
+                        q = Fraction(n, den)
+                        out[b] = q.numerator if q.denominator == 1 else q
+        elif not word:
+            lam = kernel.lam.get(x, 0)  # x is a mode-0 code here
+            out = {(): lam} if lam else {}
+        else:
+            y, rest = word[0], word[1:]
+            out = {}
+            for m, c in self._image(x, rest).items():
+                _add_into(out, self._image(y, m), c)
+            mode = (x >> 4) + (y >> 4)
+            for cf, k in kernel.bracket[x & 15][y & 15]:
+                _add_into(out, self._image((mode << 4) + k, rest), cf)
+            _add_into(out, {rest: 1}, _central(kernel.form, kernel.level, x, y))
+        self._images[memo_key] = out
+        return out
+
+
+def _add_into(out, terms, factor):
+    """out += factor * terms, for dicts {basis word: coefficient}; zero
+    coefficients are dropped."""
+    if factor:
+        for n, c in terms.items():
+            v = out.get(n, 0) + factor * c
+            if v:
+                out[n] = v
+            else:
+                out.pop(n, None)
+
+
+def _central(form, level, x, y):
+    """The scalar i <x, y> k by which the central term of [x(i), y(j)]
+    acts at level k: nonzero only when i + j == 0."""
+    i = x >> 4
+    return i * form[x & 15][y & 15] * level if i + (y >> 4) == 0 else 0
 
 
 def _q(num, den):

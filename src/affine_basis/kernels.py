@@ -16,12 +16,13 @@ does unless its owner drops one:
 
   * VermaKernel._memo  -- act_le results (straightening).  A truncated
     model's store (intertwiner.TruncatedModule) empties it after each model
-    build that scanned a block, through clear_act_memo: the action
-    matrices read afterwards mostly hit the pair memo, so straightening
-    results stay only while a build needs them.
+    build that scanned a block, through clear_act_memo: its action matrices
+    expand basis words through the enveloping algebra and straighten only
+    the closure candidates a scan rejected and the images into empty
+    blocks, so straightening results stay only while a build needs them.
   * VermaKernel._pmemo -- pair_monos results.  Kept for the life of the
-    kernel: block bases are built from the bases below, so later builds,
-    coordinates and action matrices pair the same words again.
+    kernel: block bases are built from the bases below, so later builds
+    and the coordinates of rejected candidates pair the same words again.
   * UKernel._memo      -- mul_le results, for the life of the kernel (one
     per process, pbw.ukernel).
 

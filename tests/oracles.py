@@ -5,17 +5,19 @@ calling into the package internals being tested: plain 4x4 matrix arithmetic
 for the finite algebra, the loop bracket with its central term over given
 structure constants, the Euler recurrence for partition numbers, a direct
 search for colored partitions and for PBW monomials, the unpruned closure
-scan of a block (over the package's Verma vectors and pairing), Fraction
-elimination for solves, nullspaces, inverses and determinants and for the
-intertwiner's commutation identity, w_{k1,s} as a product over tensor
-slots, the Weyl group of the finite weights, and a nondeterministic-order
-rewriting engine for normal ordering.  When the package and an oracle
+scan of a block and the action matrices of a truncated model column by
+column through the pairing (both over the package's Verma vectors and
+pairing), Fraction elimination for solves, nullspaces, inverses and
+determinants and for the intertwiner's commutation identity, w_{k1,s} as a
+product over tensor slots, the Weyl group of the finite weights, and a
+nondeterministic-order rewriting engine for normal ordering.  When the package and an oracle
 agree, the agreement is between two codepaths that share nothing but the
 definitions.
 """
 
 from fractions import Fraction
 import itertools
+import math
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +549,41 @@ def commutes_fraction(source, target, wmap, loop_elements, max_degree):
             if left != right:
                 return False
     return True
+
+
+def pairing_act_matrix(module, le, key, inverses=None):
+    """Action matrix of the loop code `le` on block `key` of a truncated
+    model, column by column through the contravariant pairing: each basis
+    vector's image under the Verma kernel is paired with every target basis
+    word, and the pairings are multiplied by the inverse of the target's
+    Gram matrix, taken as integer rows over one denominator from its
+    Fraction inverse.  Returns (target key, integer rows, den) reduced by
+    their gcd, as TruncatedModule.act_matrix returns them; an empty target
+    gives no rows and den 1.  Reads the model's bases, vectors and Gram
+    matrices and the kernel's action and pairing only.  `inverses`, a dict
+    the caller keeps for one model, holds each target's inverse across
+    calls."""
+    tgt = module.target_key(le, key)
+    words = module.basis.get(tgt, ())
+    if not words:
+        return tgt, [], 1
+    if inverses is None:
+        inverses = {}
+    if tgt not in inverses:
+        inv = inverse_fraction(module.gram[tgt])
+        d = math.lcm(*(x.denominator for row in inv for x in row))
+        inverses[tgt] = [[int(x * d) for x in row] for row in inv], d
+    inv, d = inverses[tgt]
+    kernel = module.verma.kernel
+    cols = []
+    for vec in module.vectors.get(key, ()):
+        image = kernel.act_word((le,), vec)
+        p = [kernel.pair_mono(w, image) for w in words]
+        cols.append([sum(a * b for a, b in zip(row, p)) for row in inv])
+    rows = [[col[r] for col in cols] for r in range(len(words))]
+    den = d if cols else 1
+    g = math.gcd(den, *(x for row in rows for x in row))
+    return tgt, [[x // g for x in row] for row in rows], den // g
 
 
 def w_ks_reference(wmap, n_slots, s, vec):

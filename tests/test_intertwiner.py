@@ -30,7 +30,7 @@ from affine_basis.intertwiner import (
     verify_projection_chain,
 )
 from affine_basis.partitions import A1Standard, ColoredPartition, enumerate_admissible
-from affine_basis.pbw import HighestWeightSpec, VermaModule, GEN_C2
+from affine_basis.pbw import HighestWeightSpec, VermaModule, GEN_A1, GEN_C2
 
 
 def P(a=(), b=(), c=()):
@@ -102,12 +102,50 @@ def test_block_dimensions_off_their_weyl_orbit_are_refused(monkeypatch, capsys):
     assert "not Weyl-invariant" in capsys.readouterr().err
 
 
-def test_coordinates_reject_nonnull_vectors_in_empty_blocks():
+def test_coordinates_reject_nonnull_vectors_in_empty_blocks(monkeypatch):
     # x11(0)^2 on the top of the target module lands in an empty block
     # (weight too high); the zero vector passes, a fake nonzero one raises
     empty_key = (0, (9, 9))
     assert TARGET.dim(empty_key) == 0
     assert TARGET.coordinates(empty_key, {}) == []
+    # every vector of an empty block is zero in the quotient, so a pairing
+    # that calls the monomial x11(0)^2 nonzero stands in for a nonnull one:
+    # the norm test must refuse it
+    x11 = affine.encode(0, 9)
+    fake = {(x11, x11): 1}
+    top = TARGET.top_key()
+    fake_key = (0, (top[1][0] + 4, top[1][1]))
+    assert TARGET.dim(fake_key) == 0 and TARGET.coordinates(fake_key, fake) == []
+    monkeypatch.setattr(TARGET.verma.kernel, "pair_mono", lambda mono, vec: 1)
+    with pytest.raises(ArithmeticError, match="reported empty"):
+        TARGET.coordinates(fake_key, fake)
+    # an image that is zero in the quotient passes: x11(-1) on the top of
+    # the source leaves the support
+    image = SOURCE.verma.act_word((affine.encode(-1, 9),))
+    assert image and SOURCE.coordinates((1, (3, 0)), image) == []
+
+
+def test_coordinates_refuse_a_vector_of_another_block():
+    # pairings across blocks vanish, so a vector of block (0, (0, 1)) would
+    # read as zero coordinates in block (0, (0, -1)); it must raise instead
+    vec = SOURCE.vectors[(0, (0, 1))][0]
+    assert SOURCE.dim((0, (0, -1))) == 1
+    with pytest.raises(ValueError, match="does not lie in block"):
+        SOURCE.coordinates((0, (0, -1)), vec)
+    with pytest.raises(ValueError, match="does not lie in block"):
+        SOURCE.coordinates((0, (0, 1)), {**vec, **SOURCE.vectors[(0, (0, -1))][0]})
+    with pytest.raises(ValueError, match="does not lie in block"):
+        TARGET.coordinates((0, (9, 9)), TARGET.vectors[TARGET.top_key()][0])
+
+
+def test_act_matrix_certifies_images_into_empty_blocks_by_their_norm(monkeypatch):
+    # control: an image in an empty block of the window is not taken as
+    # zero by the closure alone; it goes through coordinates, whose norm
+    # test must run (here patched to call every vector nonzero)
+    model = TruncatedModule(HighestWeightSpec(0, 1, 0), 1)
+    monkeypatch.setattr(VermaModule, "zero_in_quotient", lambda self, vec: False)
+    with pytest.raises(ArithmeticError, match="reported empty"):
+        model.act_matrix(affine.encode(-1, 9), model.top_key())
 
 
 def test_act_matrix_window_guard():
@@ -220,6 +258,55 @@ def test_act_matrices_are_reduced_integer_rows_matching_the_kernel():
                     image = SOURCE.verma.kernel.act_word((le,), vec)
                     coords = SOURCE.coordinates(tgt, image)
                     assert [x * den for x in coords] == [row[c] * coord_den for row in rows]
+
+
+def _window_actions(model, bases, modes):
+    """(le, key) for every code of `bases` at every mode of `modes` and
+    every block of the model whose image stays in its window."""
+    for key in model.block_keys():
+        for base in bases:
+            for n in modes:
+                le = affine.encode(n, base)
+                if 0 <= model.target_key(le, key)[0] <= model.max_degree:
+                    yield le, key
+
+
+def test_act_matrices_equal_the_pairing_oracle():
+    # every action matrix the intertwiner reads (each color at every mode of
+    # the window, every block of both C2 models at depth 3) and the long-root
+    # A1 generators the tensor model reads, against the column-by-column
+    # pairing path.  The level-1 models' rejected candidates all have
+    # integer coordinates; the level-2 model, with all ten bases, has
+    # fractional ones and action matrices over 2
+    checked = 0
+    cases = [((0, 1, 0), 3, affine.COLOR_BASES, range(-3, 4)),
+             ((0, 0, 1), 3, affine.COLOR_BASES, range(-3, 4)),
+             ((1, 0, 0), 3, GEN_A1, range(-3, 4)),
+             ((0, 1, 0), 3, GEN_A1, range(-3, 4)),
+             ((1, 1, 0), 2, range(10), range(-2, 3))]
+    dens = set()
+    for labels, depth, bases, modes in cases:
+        model = get_truncated(HighestWeightSpec(*labels), depth)
+        inverses = {}
+        for le, key in _window_actions(model, bases, modes):
+            ref = oracles.pairing_act_matrix(model, le, key, inverses)
+            assert model.act_matrix(le, key) == ref, (labels, le, key)
+            dens.add(ref[2])
+            checked += 1
+    assert checked == 4104 and dens == {1, 2}
+
+
+def test_act_matrices_without_the_central_term_fail_the_oracle(monkeypatch):
+    # negative control: the image recursion with the central term of
+    # [x(i), y(-i)] dropped gives a wrong matrix somewhere at depth 2
+    monkeypatch.setattr(intertwiner, "_central", lambda form, level, x, y: 0)
+    model = TruncatedModule(HighestWeightSpec(0, 1, 0), 2)
+    wrong = [
+        (le, key)
+        for le, key in _window_actions(model, affine.COLOR_BASES, range(-2, 3))
+        if model.act_matrix(le, key) != oracles.pairing_act_matrix(model, le, key)
+    ]
+    assert wrong
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +441,21 @@ def test_traced_build_counts_of_the_depth_three_models():
         tracer.uninstall()
     counts = {k: tracer.counts[k] for k in ("pbw.blocks", "pbw.candidates", "pbw.kept")}
     assert counts == {"pbw.blocks": 165, "pbw.candidates": 845, "pbw.kept": 450}
+
+
+def test_traced_layer_counts_of_the_depth_three_intertwiner(monkeypatch):
+    # action matrices are built from the closure words: coordinates run only
+    # for rejected candidates and for images into empty blocks, and a Gram
+    # inverse only for a block with a rejected candidate.  A return to
+    # pairing every column reads as more coordinates and inverses here
+    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
+    tracer = _installed_tracer()
+    try:
+        assert verify_intertwiner(3).ok
+    finally:
+        tracer.uninstall()
+    names = ("intertwiner.act_matrix", "intertwiner.coordinates", "linalg.invert")
+    assert [tracer.calls(name) for name in names] == [2688, 2056, 88]
 
 
 def test_traced_calls_of_one_chain_sweep(monkeypatch):
