@@ -7,10 +7,11 @@ Verbs:
               translation, icprop, intertwiner
   report      the full verification suite for one module kind
 
-Common flags: --kind {a1,c2fs}, --k0/--k1/--k2 labels, --max-degree,
---format {text,json,csv}, --out FILE, --quiet.  Only on the verbs that read
-them: --cache-dir (dims, verify, report; defaults to $AFFINE_BASIS_CACHE),
---depth (window for truncated-module steps; verify, report).
+Common flags: --kind {a1,c2fs}, --k0/--k1/--k2 labels (--k2 for c2fs only),
+--max-degree, --format {text,json,csv}, --out FILE, --quiet.  Only on the
+verbs that read them: --cache-dir (dims, verify, report; defaults to
+$AFFINE_BASIS_CACHE), --depth (window for truncated-module steps; verify,
+report).
 
 Exit codes: 0 all checks passed, 1 a claim failed or the form is not
 positive definite, 2 usage or input error.
@@ -28,6 +29,8 @@ from .cache import default_cache_dir
 
 def _kind_from(args):
     if args.kind == "a1":
+        if args.k2:
+            raise ValueError("--k2 applies to kind c2fs; kind a1 has labels k0, k1")
         return parts_mod.A1Standard(args.k0, args.k1)
     if args.kind == "c2fs":
         return parts_mod.C2FS(args.k0, args.k1, args.k2)
@@ -155,7 +158,9 @@ def cmd_dims(args):
     kind = _kind_from(args)
     module = kind.module(args.cache_dir)
     support = module.block_support(args.max_degree)
-    dims = module.dims_by_degree(args.max_degree)
+    dims = [0] * (args.max_degree + 1)
+    for (d, _), blk in support.items():
+        dims[d] += blk.rank
     if args.format == "json":
         text = json.dumps(
             {
@@ -250,9 +255,9 @@ def main(argv=None):
         # a form that is not positive definite fails the claims resting on it
         return 1 if isinstance(exc, ArithmeticError) else 2
     finally:
-        # the models and solved maps of one command are not kept for the next
+        # the models of one command, and the maps solved on them, are not
+        # kept for the next
         iw._TRUNC_CACHE.clear()
-        iw._SOLVED_W.clear()
 
 
 if __name__ == "__main__":

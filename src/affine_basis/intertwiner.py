@@ -32,9 +32,10 @@ that dominates a build's memory lives for one build only.  A view that
 scans nothing leaves the memo as those have refilled it.  A block basis,
 and so every action matrix, image and inverse, is the same at every
 window; each view checks its own window before it reads the shared memo.
-The projection chain takes w on each partition's own window from one
-per-process memo keyed by the two models and the window (_solved_w);
-verify_intertwiner solves for itself, since it certifies that solve.
+The projection chain takes w on each partition's own window from a memo
+on the source view, keyed by the target view (_solved_w), so the models
+and their solved maps are dropped together; verify_intertwiner solves for
+itself, since it certifies that solve.
 
 TensorModule combines several truncated modules with the coproduct action
 (sum over slots) and the product pairing.  Levels add; the tensor of level-1
@@ -47,6 +48,10 @@ and commutes with the three color operators at every mode.  solve_w finds
 all such maps inside the window degree by degree, by exact linear algebra,
 and returns the deterministic particular solution, which records the
 dimension of the solution space at each degree (None: no solution there).
+A commutation equation W[x(S)] A1 = A2 W[S] belongs to the degree of the
+larger of its two blocks, so at most one of them is known from a lower
+degree: raising modes give A2 W_S = R, lowering modes W_S A1 = C, and
+only mode 0 couples two unknown blocks (_commutation_rows).
 Action matrices and intertwiner blocks are plain lists of integer rows of
 their block's shape, over one denominator per action matrix and one per
 degree of w; a zero map is a zero matrix, with no rows when the target
@@ -68,7 +73,7 @@ import time
 from . import affine
 from . import partitions as parts_mod
 from .linalg import invert, solve_sparse
-from .pbw import VermaModule, GEN_C2, HighestWeightSpec
+from .pbw import VermaModule, GEN_C2, HighestWeightSpec, add_into
 from .verify import StepReport, _fmt, _proportionality, _sweep
 
 EPS1 = (1, 0)
@@ -103,6 +108,7 @@ class TruncatedModule:
         self.basis = {}
         self.vectors = {}
         self.gram = {}
+        self._solved = {}  # this view's solved intertwiners, by target view: _solved_w
         built = len(self.verma._bases)
         for key, blk in self.verma.block_support(max_degree).items():
             self.basis[key] = blk.basis
@@ -240,11 +246,8 @@ class TruncatedModule:
             else:
                 vec = kernel.act_word((x,), self.vectors[key][i])
                 den = self.gram_inverse(tgt)[1]
-                out = {}
-                for b, n in zip(self.basis[tgt], self.coordinates(tgt, vec)):
-                    if n:
-                        q = Fraction(n, den)
-                        out[b] = q.numerator if q.denominator == 1 else q
+                coords = zip(self.basis[tgt], self.coordinates(tgt, vec))
+                out = {b: _q(n, den) for b, n in coords if n}
         elif not word:
             lam = kernel.lam.get(x, 0)  # x is a mode-0 code here
             out = {(): lam} if lam else {}
@@ -252,25 +255,13 @@ class TruncatedModule:
             y, rest = word[0], word[1:]
             out = {}
             for m, c in self._image(x, rest).items():
-                _add_into(out, self._image(y, m), c)
+                add_into(out, self._image(y, m), c)
             mode = (x >> 4) + (y >> 4)
             for cf, k in kernel.bracket[x & 15][y & 15]:
-                _add_into(out, self._image((mode << 4) + k, rest), cf)
-            _add_into(out, {rest: 1}, _central(kernel.form, kernel.level, x, y))
+                add_into(out, self._image((mode << 4) + k, rest), cf)
+            add_into(out, {rest: 1}, _central(kernel.form, kernel.level, x, y))
         self._images[memo_key] = out
         return out
-
-
-def _add_into(out, terms, factor):
-    """out += factor * terms, for dicts {basis word: coefficient}; zero
-    coefficients are dropped."""
-    if factor:
-        for n, c in terms.items():
-            v = out.get(n, 0) + factor * c
-            if v:
-                out[n] = v
-            else:
-                out.pop(n, None)
 
 
 def _central(form, level, x, y):
@@ -281,8 +272,11 @@ def _central(form, level, x, y):
 
 
 def _q(num, den):
-    """num / den, as an int when den is 1."""
-    return num if den == 1 else Fraction(num, den)
+    """num / den: an int when it is integral, else a Fraction."""
+    if den == 1:
+        return num
+    q = Fraction(num, den)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _slot_map(vec, slot, matrix, out):
@@ -433,19 +427,26 @@ def solve_w(source, target, max_degree):
     """Solve for all maps source -> target that shift finite weights by
     eps1, kill the source top vector, normalize the weight-(0,1) top basis
     vector to the target top, and commute with every color operator inside
-    the window, which must lie in both models.  The equations are
-    assembled as integer rows; solve_sparse returns each degree's solution
-    as integer numerators over one common denominator, which are stored as
-    they are.  Returns the IntertwinerMap; a degree without a solution ends
-    the solve, with freedom None there (see IntertwinerMap.consistent)."""
+    the window, which must lie in both models.  The unknowns of degree d are
+    the entries of the blocks W[key] of degree d, one integer system per
+    degree, whose commutation rows _commutation_rows writes: an equation
+    belongs to the degree of the larger of its two blocks, so it reads
+    blocks of lower degrees only as solved values.  solve_sparse returns
+    each degree's solution as integer numerators over one common
+    denominator, which are stored as they are.  Returns the IntertwinerMap;
+    a degree without a solution ends the solve, with freedom None there
+    (see IntertwinerMap.consistent).  The projection chain reads the map
+    from a memo on the source view (_solved_w)."""
     if not 0 <= max_degree <= min(source.max_degree, target.max_degree):
         raise ValueError("window %d is not inside both models" % max_degree)
+    by_degree = {}
+    for key in source.block_keys():
+        by_degree.setdefault(key[0], []).append(key)
     blocks = {}
     dens = {}
     freedom = {}
     for d in range(max_degree + 1):
-        src_keys = [k for k in source.block_keys() if k[0] == d]
-        shapes = {key: (source.dim(key), target.dim(_shift(key))) for key in src_keys}
+        shapes = {key: (source.dim(key), target.dim(_shift(key))) for key in by_degree.get(d, ())}
         var_index = {}
         nvars = 0
         for key, (n1, n2) in shapes.items():
@@ -455,61 +456,24 @@ def solve_w(source, target, max_degree):
         rows = []
         rhs = []
 
-        def add_equation(parts, const):
-            """Add sum(coeff * W[key][r][c]) + const = 0 as an integer row
-            over the current unknowns.  Blocks of lower degrees are solved,
-            integer rows over their degree's denominator, so the equation is
-            scaled by the lcm of the denominators it references."""
-            known_dens = []
-            for key, _, _, _ in parts:
-                if key in var_index:
-                    continue
-                if key not in blocks:
-                    raise AssertionError(
-                        "equation references an unsolved block %r at stage %d" % (key, d)
-                    )
-                known_dens.append(dens[key[0]])
-            scale = math.lcm(*known_dens)
-            row = {}
-            known = const * scale
-            for key, r, c, coeff in parts:
-                if key not in var_index:
-                    known += coeff * blocks[key][r][c] * (scale // dens[key[0]])
-                    continue
-                col = var_index[key] + r * source.dim(key) + c
-                cc = row.get(col, 0) + coeff * scale
-                if cc:
-                    row[col] = cc
-                else:
-                    row.pop(col, None)
-            if row or known:
-                rows.append(row)
-                rhs.append(-known)
-
         # normalization at degree 0: the weight-(0,1) basis vector maps to
         # the target top vector.
         if d == 0:
-            v2_key = (0, (0, 1))
-            if v2_key not in var_index:
+            if (0, (0, 1)) not in var_index:
                 raise AssertionError("normalization block missing from the window")
-            add_equation([(v2_key, 0, 0, 1)], -1)
+            rows.append({var_index[(0, (0, 1))]: 1})
+            rhs.append(1)
 
-        # Commutation W.A1 = A2.W with every color operator, staged so that
-        # each equation involves unknowns of degree d only:
-        #   * sources at degree d with mode >= 0 (the image degree d-n is
-        #     already solved, or is degree d itself at mode 0);
-        #   * sources at lower degrees d-n with lowering mode -n (the image
-        #     lands at degree d).
+        # Commutation with every color operator, for each equation whose
+        # larger degree is d: modes n >= 0 on the blocks of degree d (the
+        # image lies at degree d - n), then the lowering modes -n on the
+        # blocks of degree d - n (the image lies at degree d).
+        walk = [(key, n) for key in by_degree.get(d, ()) for n in range(d + 1)]
+        walk += [(key, -n) for n in range(1, d + 1) for key in by_degree.get(d - n, ())]
         for base in affine.COLOR_BASES:
-            for key in src_keys:
-                for n in range(0, d + 1):
-                    for parts in _commutation_parts(source, target, key, affine.encode(n, base)):
-                        add_equation(parts, 0)
-            for n in range(1, d + 1):
-                le = affine.encode(-n, base)
-                for key in [k for k in source.block_keys() if k[0] == d - n]:
-                    for parts in _commutation_parts(source, target, key, le):
-                        add_equation(parts, 0)
+            for key, n in walk:
+                le = affine.encode(n, base)
+                _commutation_rows(source, target, key, le, var_index, blocks, dens, rows, rhs)
 
         nums, den, n_free = solve_sparse(rows, rhs, nvars)
         if nums is None:
@@ -526,51 +490,72 @@ def solve_w(source, target, max_degree):
     return IntertwinerMap(source=source, target=target, blocks=blocks, dens=dens, freedom=freedom)
 
 
-_SOLVED_W = {}
+def _commutation_rows(source, target, key, le, var_index, blocks, dens, rows, rhs):
+    """Append to solve_w's system (rows, rhs) the integer rows of
+    d2 W[t1] a1 - d1 a2 W[key] = 0, one for each entry that has a term, for
+    a source block `key` and a color loop element le: t1 is the block le
+    maps `key` to, and A1 = a1/d1, A2 = a2/d2 are the action matrices of le
+    on `key` and on its target-module block _shift(key).  `var_index` gives
+    the offset of each unknown block, whose entries are numbered row by
+    row.
 
-
-def _solved_w(source, target, window):
-    """solve_w(source, target, window), solved once per process for each
-    pair of models and window; the projection chain reads w here.  The
-    models are views that never change once built, so the key pins the
-    inputs.  solve_w at degree d reads only blocks and action matrices of
-    degrees <= d, so w below a degree does not depend on the window: each
-    window's w agrees with every deeper one on the degrees they share."""
-    key = (source, target, window)
-    if key not in _SOLVED_W:
-        _SOLVED_W[key] = solve_w(source, target, window)
-    return _SOLVED_W[key]
-
-
-def _commutation_parts(source, target, key, le):
-    """Equations W_{T1} A1 - A2 W_{S} = 0 for one source block and one loop
-    element, multiplied by the denominators d1, d2 of A1 = a1/d1 and
-    A2 = a2/d2, as lists of (block, r, c, integer coefficient) parts; the
-    image lies in solve_w's window."""
+    The equation belongs to the degree of the larger of deg key and deg t1,
+    so at most one of its blocks is known: solved at the lower degree, as
+    integer rows over dens[that degree].  A raising mode leaves W[key]
+    unknown with W[t1] a1 known (A2 W_S = R); a lowering mode leaves W[t1]
+    unknown with W[key] known (W_S A1 = C); only mode 0 couples two unknown
+    blocks.  A row that reads a known entry is scaled by its denominator.
+    A known block with entries must be solved, never read as zeros."""
     t1 = source.target_key(le, key)
-    s2 = _shift(key)
-    t2 = _shift(t1)
     _, a1, d1 = source.act_matrix(le, key)
-    _, a2, d2 = target.act_matrix(le, s2)
-    n1s = source.dim(key)
-    n1t = source.dim(t1)
-    n2s = target.dim(s2)
-    n2t = target.dim(t2)
-    eqs = []
-    for r in range(n2t):
-        for c in range(n1s):
-            parts = []
-            # d2 (W_{T1} a1)[r][c] = d2 sum_m W_{T1}[r][m] * a1[m][c]
-            for m in range(n1t):
-                if a1[m][c]:
-                    parts.append((t1, r, m, a1[m][c] * d2))
-            # -d1 (a2 W_S)[r][c] = -d1 sum_m a2[r][m] * W_S[m][c]
-            for m in range(n2s):
-                if a2[r][m]:
-                    parts.append((key, m, c, -a2[r][m] * d1))
-            if parts:
-                eqs.append(parts)
-    return eqs
+    _, a2, d2 = target.act_matrix(le, _shift(key))
+    n1s, n1t = source.dim(key), source.dim(t1)
+    # the terms of d2 (W[t1] a1)[r][c] by c, and of -d1 (a2 W[key])[r][c] by r
+    left = [[(m, a1[m][c] * d2) for m in range(n1t) if a1[m][c]] for c in range(n1s)]
+    right = [[(m, -x * d1) for m, x in enumerate(row) if x] for row in a2]
+    w1 = w = e = None
+    if t1[0] != key[0]:
+        lower = min(t1, key)
+        if source.dim(lower) and lower not in blocks:
+            raise AssertionError("equation references an unsolved block %r" % (lower,))
+        e = dens.get(lower[0])
+        if lower == t1:
+            w1 = blocks.get(t1)
+        else:
+            w = blocks.get(key)
+    i1, i = var_index.get(t1), var_index.get(key)
+    for r, terms2 in enumerate(right):
+        for c, terms1 in enumerate(left):
+            if w1 is not None and terms1:
+                known, s = sum(w1[r][m] * x for m, x in terms1), e
+            elif w is not None and terms2:
+                known, s = sum(x * w[m][c] for m, x in terms2), e
+            else:
+                known, s = 0, 1
+            row = {}
+            if w1 is None:
+                for m, x in terms1:
+                    row[i1 + r * n1t + m] = x * s
+            if w is None:
+                for m, x in terms2:
+                    row[i + m * n1s + c] = x * s
+            if row or known:
+                rows.append(row)
+                rhs.append(-known)
+
+
+def _solved_w(source, target):
+    """solve_w(source, target, source.max_degree), solved once for each
+    pair of views; the projection chain reads w here.  The memo lives on
+    the source view, keyed by the target view, so dropping the models
+    (get_truncated's store) drops it too.  solve_w at degree d reads only
+    blocks and action matrices of degrees <= d, so w below a degree does
+    not depend on the window: each window's w agrees with every deeper one
+    on the degrees they share."""
+    wmap = source._solved.get(target)
+    if wmap is None:
+        wmap = source._solved[target] = solve_w(source, target, source.max_degree)
+    return wmap
 
 
 def verify_intertwiner(max_degree, cache_dir=None):
@@ -673,7 +658,7 @@ def verify_projection_chain(kind, pi, cache_dir=None):
     m0 = get_truncated(HighestWeightSpec(1, 0, 0), depth, cache_dir)
     m1 = get_truncated(HighestWeightSpec(0, 1, 0), depth, cache_dir)
     m2 = get_truncated(HighestWeightSpec(0, 0, 1), depth, cache_dir)
-    wmap = _solved_w(m1, m2, depth)
+    wmap = _solved_w(m1, m2)
     if not wmap.consistent:
         witness = {"error": "no intertwiner in window"}
         return StepReport("projection_chain", inputs, False, witness, time.perf_counter() - t0)

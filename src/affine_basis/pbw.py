@@ -422,13 +422,6 @@ class VermaModule:
             raise
         return dict(sorted(support.items()))
 
-    def dims_by_degree(self, max_degree):
-        """Total dimension of each degree slice of the irreducible quotient."""
-        dims = [0] * (max_degree + 1)
-        for (d, _), blk in self.block_support(max_degree).items():
-            dims[d] += blk.rank
-        return dims
-
     def zero_in_quotient(self, vec):
         """True iff the vector maps to zero in the irreducible quotient.  The
         form is positive definite there (Kac, Thm 11.7), so its norm
@@ -501,13 +494,15 @@ def straighten(word):
     return ukernel().mul_mono(tuple(word), ())
 
 
-def algebra_add(a, b, factor=1):
-    out = dict(a)
-    for k, c in b.items():
-        cc = out.get(k, 0) + factor * c
-        if cc:
-            out[k] = cc
-        else:
-            out.pop(k, None)
+def add_into(out, terms, factor=1):
+    """out += factor * terms in place, for sparse dicts {key: coefficient},
+    dropping zero coefficients; returns out."""
+    if factor:
+        for k, c in terms.items():
+            cc = out.get(k, 0) + factor * c
+            if cc:
+                out[k] = cc
+            else:
+                out.pop(k, None)
     return out
 

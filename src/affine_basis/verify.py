@@ -29,7 +29,7 @@ from . import affine
 from . import partitions as parts_mod
 from . import pbw
 from .cartan import build_c2, X12
-from .pbw import VermaModule, GEN_C2, straighten, algebra_add
+from .pbw import VermaModule, GEN_C2, straighten, add_into
 
 
 def _fmt(x):
@@ -149,7 +149,7 @@ def _proportionality(u, v, is_zero=operator.not_):
         return None
     key = next(iter(v))
     s = Fraction(u.get(key, 0)) / v[key]
-    return s if is_zero(algebra_add(u, v, -s)) else None
+    return s if is_zero(add_into(dict(u), v, -s)) else None
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +232,6 @@ def _group_by_block(kind, module, pis):
     return dict(sorted(groups.items()))
 
 
-def _block_vectors(kind, module, pis):
-    return [module.act_word(kind.monomial_word(pi)) for pi in pis]
-
-
 def _family_gram(module, vecs):
     n = len(vecs)
     g = [[0] * n for _ in range(n)]
@@ -247,10 +243,14 @@ def _family_gram(module, vecs):
     return g
 
 
+def _family_rank(kind, module, pis):
+    """(Gram matrix, Gram rank) of the monomial vectors of a family."""
+    gram = _family_gram(module, [module.act_word(kind.monomial_word(pi)) for pi in pis])
+    return gram, pbw.rank_int(gram)
+
+
 def _independence_block(kind, module, key, pis):
-    vecs = _block_vectors(kind, module, pis)
-    gram = _family_gram(module, vecs)
-    rank = pbw.rank_int(gram)
+    gram, rank = _family_rank(kind, module, pis)
     entry = {
         "degree": key[0],
         "weight": list(key[1]),
@@ -316,9 +316,7 @@ def verify_spanning(kind, max_degree, cache_dir=None):
     for key in keys:
         dim = support[key].rank if key in support else 0
         group = groups.get(key, [])
-        vecs = _block_vectors(kind, module, group)
-        gram = _family_gram(module, vecs)
-        adm_rank = pbw.rank_int(gram)
+        _, adm_rank = _family_rank(kind, module, group)
         entry = {
             "degree": key[0],
             "weight": list(key[1]),

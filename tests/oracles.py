@@ -204,6 +204,15 @@ def a1_level1_degree_dim(degree):
 A1_LEVEL1_DIMS = (1, 3, 4, 7, 13, 19, 29)
 
 
+def dims_by_degree(module, max_degree):
+    """Total dimension of each degree slice of a VermaModule's irreducible
+    quotient: the block_support ranks summed by degree."""
+    dims = [0] * (max_degree + 1)
+    for (d, _), blk in module.block_support(max_degree).items():
+        dims[d] += blk.rank
+    return dims
+
+
 # ---------------------------------------------------------------------------
 # colored partitions by direct search
 # ---------------------------------------------------------------------------

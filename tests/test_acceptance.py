@@ -123,7 +123,7 @@ def test_criterion_3_character_cross_check(session_cache):
     for pi in enumerate_admissible(kind, 6):
         counts[pi.degree] += 1
     module = kind.module(session_cache)
-    dims = module.dims_by_degree(6)
+    dims = oracles.dims_by_degree(module, 6)
     lattice = list(oracles.A1_LEVEL1_DIMS)
     ok = counts == dims == lattice
     ok = ok and counts[1] == 3 and counts[2] == 4

@@ -236,11 +236,10 @@ def test_a_finished_command_keeps_no_models(monkeypatch, capsys):
     # the truncated models and solved maps of one command are freed when it
     # ends, so a process that runs many commands does not accumulate them
     monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
-    monkeypatch.setattr(intertwiner, "_SOLVED_W", {})
     argv = ["verify", "intertwiner", "--kind", "a1", "--k0", "0", "--k1", "1", "--depth", "1"]
     assert run(argv) == 0
     assert "projection_chain_sweep" in capsys.readouterr().out
-    assert intertwiner._TRUNC_CACHE == {} and intertwiner._SOLVED_W == {}
+    assert intertwiner._TRUNC_CACHE == {}
 
 
 @pytest.mark.parametrize(
@@ -256,6 +255,17 @@ def test_negative_windows_are_usage_errors(argv, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert "must be nonnegative" in captured.err
+    assert "pass" not in captured.out
+
+
+def test_a_third_label_for_kind_a1_is_a_usage_error(capsys):
+    # kind a1 has labels k0, k1 only: a nonzero --k2 must not be dropped
+    # and the labels [1, 0] certified in its place
+    argv = ["verify", "independence", "--kind", "a1", "--k0", "1", "--k2", "5",
+            "--max-degree", "2"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "--k2" in captured.err
     assert "pass" not in captured.out
 
 

@@ -391,7 +391,6 @@ def test_a_perturbed_target_action_has_no_intertwiner(monkeypatch):
     # solution; solve_w stops there, and the certificate and every
     # projection chain that reads w from the same store fail
     monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
-    monkeypatch.setattr(intertwiner, "_SOLVED_W", {})
     source = get_truncated(HighestWeightSpec(0, 1, 0), 2)
     target = get_truncated(HighestWeightSpec(0, 0, 1), 2)
     le, key = affine.encode(-1, X22), (0, (0, 0))
@@ -464,7 +463,6 @@ def test_traced_calls_of_one_chain_sweep(monkeypatch):
     # partitions over windows 1 and 2: one solve per window, one sparse
     # solve per degree of each
     monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
-    monkeypatch.setattr(intertwiner, "_SOLVED_W", {})
     tracer = _installed_tracer()
     try:
         assert intertwiner.sweep_projection_chain(A1Standard(0, 1), 2).ok
@@ -642,7 +640,8 @@ def test_projection_chain_sweep_solves_w_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(intertwiner, "solve_w", counting)
-    monkeypatch.setattr(intertwiner, "_SOLVED_W", {})  # the direct calls filled it
+    # the direct calls solved w on the stored models: start from none
+    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
     rep = sweep_projection_chain(kind, 2)
     assert [args[2] for args in calls] == [1, 2]
     assert rep.ok
@@ -661,7 +660,7 @@ def test_sweeps_of_one_depth_share_one_solve(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(intertwiner, "solve_w", counting)
-    monkeypatch.setattr(intertwiner, "_SOLVED_W", {})
+    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
     assert sweep_projection_chain(A1Standard(0, 1), 2).ok
     assert [args[2] for args in calls] == [1, 2]
     assert sweep_projection_chain(A1Standard(1, 1), 2).ok

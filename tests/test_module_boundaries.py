@@ -12,7 +12,6 @@ SRC = pathlib.Path(affine_basis.__file__).parent
 # (reader, owner, name) -> why the reader reaches into the owner
 ALLOWED = {
     ("cli", "intertwiner", "_TRUNC_CACHE"): "a command frees the truncated models it built",
-    ("cli", "intertwiner", "_SOLVED_W"): "a command frees the intertwiners it solved",
     ("intertwiner", "verify", "_fmt"): "intertwiner witnesses format scalars as verify's do",
     ("intertwiner", "verify", "_proportionality"): "the projection chain reads mu as translation does",
     ("intertwiner", "verify", "_sweep"): "the projection-chain sweep aggregates as every sweep does",

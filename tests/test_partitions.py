@@ -192,7 +192,7 @@ def test_admissible_counts_match_module_dimensions():
         for pi in enumerate_admissible(kind, max_degree):
             counts[pi.degree] += 1
         module = kind.module()
-        assert counts == module.dims_by_degree(max_degree), (k0, k1)
+        assert counts == oracles.dims_by_degree(module, max_degree), (k0, k1)
 
 
 def test_admissible_counts_level_one_match_the_lattice_oracle():

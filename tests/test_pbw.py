@@ -16,7 +16,7 @@ from affine_basis.pbw import (
     GEN_COLORS,
     HighestWeightSpec,
     VermaModule,
-    algebra_add,
+    add_into,
     straighten,
 )
 
@@ -31,7 +31,7 @@ E1, F1 = affine.encode(-1, 9), affine.encode(-1, 0)
 
 def test_long_root_vacuum_dims_match_lattice_character():
     module = VermaModule(HighestWeightSpec(1, 0, 0), gens=GEN_A1)
-    assert module.dims_by_degree(6) == list(oracles.A1_LEVEL1_DIMS)
+    assert oracles.dims_by_degree(module, 6) == list(oracles.A1_LEVEL1_DIMS)
     for d in range(7):
         assert oracles.a1_level1_degree_dim(d) == oracles.A1_LEVEL1_DIMS[d]
 
@@ -47,7 +47,7 @@ def test_long_root_vacuum_blocks_match_partition_numbers():
 def test_degree_zero_slices_of_the_level_one_modules():
     for labels, total in (((1, 0, 0), 1), ((0, 1, 0), 4), ((0, 0, 1), 5)):
         module = VermaModule(HighestWeightSpec(*labels), gens=GEN_C2)
-        assert module.dims_by_degree(0) == [total], labels
+        assert oracles.dims_by_degree(module, 0) == [total], labels
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,7 @@ def test_zero_in_quotient_detects_the_level_bound():
     assert one == {(E1,): 1} and not module.zero_in_quotient(one)
     assert two == {(E1, E1): 1} and module.zero_in_quotient(two)
     assert module.zero_in_quotient({(E1, E1): 5})
-    assert module.zero_in_quotient(algebra_add(module.vacuum(), module.vacuum(), -1))
+    assert module.zero_in_quotient(add_into(module.vacuum(), module.vacuum(), -1))
 
 
 @pytest.mark.parametrize(
@@ -315,7 +315,7 @@ def algebra_mul(a, b):
     for (dc1, m1), c1 in a.items():
         for (dc2, m2), c2 in b.items():
             for (dc3, m3), c3 in pbw.ukernel().mul_mono(m1, m2).items():
-                out = algebra_add(out, {(dc1 + dc2 + dc3, m3): c1 * c2 * c3})
+                add_into(out, {(dc1 + dc2 + dc3, m3): c1 * c2 * c3})
     return out
 
 
@@ -327,10 +327,10 @@ def test_algebra_product_is_associative_and_ad_is_a_derivation():
     t = {(0, (affine.encode(0, 8),)): 1}
 
     def ad(a):  # t*a - a*t, normal ordered
-        return algebra_add(algebra_mul(t, a), algebra_mul(a, t), -1)
+        return add_into(algebra_mul(t, a), algebra_mul(a, t), -1)
 
     left = ad(algebra_mul(x, y))
-    right = algebra_add(algebra_mul(ad(x), y), algebra_mul(x, ad(y)))
+    right = add_into(algebra_mul(ad(x), y), algebra_mul(x, ad(y)))
     assert left == right
 
 
