@@ -51,7 +51,12 @@ dimension of the solution space at each degree (None: no solution there).
 A commutation equation W[x(S)] A1 = A2 W[S] belongs to the degree of the
 larger of its two blocks, so at most one of them is known from a lower
 degree: raising modes give A2 W_S = R, lowering modes W_S A1 = C, and
-only mode 0 couples two unknown blocks (_commutation_rows).
+only mode 0 couples two unknown blocks.  So each block is solved alone,
+by one elimination of its stacked raising equations and one of its
+stacked lowering ones, as W_S = X_S + N2 Y M1 with a few free parameters
+Y (blocksolve.solve_two_sided); only the mode-0 equations and the
+normalization, reduced to rows in those parameters, go to solve_sparse
+(blocksolve.solve_linked).  No row is written per matrix entry.
 Action matrices and intertwiner blocks are plain lists of integer rows of
 their block's shape, over one denominator per action matrix and one per
 degree of w; a zero map is a zero matrix, with no rows when the target
@@ -72,7 +77,8 @@ import time
 
 from . import affine
 from . import partitions as parts_mod
-from .linalg import invert, solve_sparse
+from .blocksolve import matmul as _matmul, solve_linked, solve_two_sided
+from .linalg import invert, solve_sparse  # noqa: F401 - perfbench wraps solve_sparse here too
 from .pbw import VermaModule, GEN_C2, HighestWeightSpec, add_into
 from .verify import StepReport, _fmt, _proportionality, _sweep
 
@@ -416,27 +422,32 @@ def _zeros(n_rows, n_cols):
     return [[0] * n_cols for _ in range(n_rows)]
 
 
-def _matmul(a, b, n_cols):
-    """The product a.b of integer row lists, where b has n_cols columns
-    (stated because b may have no rows)."""
-    cols = [[row[c] for row in b] for c in range(n_cols)]
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
 def solve_w(source, target, max_degree):
     """Solve for all maps source -> target that shift finite weights by
     eps1, kill the source top vector, normalize the weight-(0,1) top basis
     vector to the target top, and commute with every color operator inside
     the window, which must lie in both models.  The unknowns of degree d are
-    the entries of the blocks W[key] of degree d, one integer system per
-    degree, whose commutation rows _commutation_rows writes: an equation
-    belongs to the degree of the larger of its two blocks, so it reads
-    blocks of lower degrees only as solved values.  solve_sparse returns
-    each degree's solution as integer numerators over one common
-    denominator, which are stored as they are.  Returns the IntertwinerMap;
-    a degree without a solution ends the solve, with freedom None there
-    (see IntertwinerMap.consistent).  The projection chain reads the map
-    from a memo on the source view (_solved_w)."""
+    the entries of the blocks W[key] of degree d.  Each commutation
+    equation d2 W[t1] a1 = d1 a2 W[key] (A1 = a1/d1 on the source, A2 =
+    a2/d2 on the target) belongs to the degree of the larger of its two
+    blocks, so it reads blocks of lower degrees only as solved values: a
+    raising mode (n > 0) constrains W[key] by A2 W_S = R, a lowering mode
+    W[t1] by W_S A1 = C, and mode 0 couples two unknown blocks.
+
+    Each degree is solved block by block: the raising equations of a
+    block S, stacked, and its lowering ones, transposed and stacked
+    (_stacked_rows), are each eliminated once (blocksolve.solve_two_sided),
+    which gives W_S = X_S + N2 Y M1 with a few free parameters Y.
+    blocksolve.solve_linked substitutes these into the mode-0 equations
+    and the normalization: an equation whose blocks hold no parameter is
+    checked as an integer matrix, and only rows in the parameters go to
+    solve_sparse, free parameters set to zero.  freedom[d] is the number
+    of parameters minus the rank of those rows.  Each degree's blocks are
+    stored as integer numerators over one reduced common denominator.
+    Returns the IntertwinerMap; a degree without a solution ends the
+    solve, with freedom None there (see IntertwinerMap.consistent).  The
+    projection chain reads the map from a memo on the source view
+    (_solved_w)."""
     if not 0 <= max_degree <= min(source.max_degree, target.max_degree):
         raise ValueError("window %d is not inside both models" % max_degree)
     by_degree = {}
@@ -446,102 +457,73 @@ def solve_w(source, target, max_degree):
     dens = {}
     freedom = {}
     for d in range(max_degree + 1):
-        shapes = {key: (source.dim(key), target.dim(_shift(key))) for key in by_degree.get(d, ())}
-        var_index = {}
-        nvars = 0
-        for key, (n1, n2) in shapes.items():
-            if n1 and n2:
-                var_index[key] = nvars
-                nvars += n1 * n2
-        rows = []
-        rhs = []
-
-        # normalization at degree 0: the weight-(0,1) basis vector maps to
-        # the target top vector.
-        if d == 0:
-            if (0, (0, 1)) not in var_index:
-                raise AssertionError("normalization block missing from the window")
-            rows.append({var_index[(0, (0, 1))]: 1})
-            rhs.append(1)
-
-        # Commutation with every color operator, for each equation whose
-        # larger degree is d: modes n >= 0 on the blocks of degree d (the
-        # image lies at degree d - n), then the lowering modes -n on the
-        # blocks of degree d - n (the image lies at degree d).
-        walk = [(key, n) for key in by_degree.get(d, ()) for n in range(d + 1)]
+        keys = by_degree.get(d, ())
+        # every commutation equation whose larger degree is d: modes n >= 0
+        # on the blocks of degree d (the image lies at degree d - n), then
+        # the lowering modes -n on the blocks of degree d - n (the image
+        # lies at degree d)
+        walk = [(key, n) for key in keys for n in range(d + 1)]
         walk += [(key, -n) for n in range(1, d + 1) for key in by_degree.get(d - n, ())]
+        stacks = {key: ([], []) for key in keys}  # block: (its raising, its lowering equations)
+        links = []  # mode 0: d2 W[t1] a1 = d1 a2 W[key]
         for base in affine.COLOR_BASES:
             for key, n in walk:
                 le = affine.encode(n, base)
-                _commutation_rows(source, target, key, le, var_index, blocks, dens, rows, rhs)
-
-        nums, den, n_free = solve_sparse(rows, rhs, nvars)
-        if nums is None:
+                t1 = source.target_key(le, key)
+                _, a1, d1 = source.act_matrix(le, key)
+                _, a2, d2 = target.act_matrix(le, _shift(key))
+                if n == 0:
+                    links.append((t1, a1, d1, key, a2, d2, source.dim(key)))
+                    stacks.setdefault(t1, ([], []))
+                    continue
+                # the known block, solved at the lower degree (zero where
+                # the source block is empty)
+                lower = t1 if n > 0 else key
+                if source.dim(lower) and lower not in blocks:
+                    raise AssertionError("equation references an unsolved block %r" % (lower,))
+                w = blocks.get(lower) or _zeros(target.dim(_shift(lower)), source.dim(lower))
+                eq = (source.dim(key), a1, d1, a2, d2, w, dens[lower[0]])
+                stacks.setdefault(key if n > 0 else t1, ([], []))[n < 0].append(eq)
+        fixed = []
+        if d == 0:
+            # the weight-(0,1) basis vector maps to the target top vector
+            key = (0, (0, 1))
+            if not (source.dim(key) and target.dim(_shift(key))):
+                raise AssertionError("normalization block missing from the window")
+            fixed.append((key, 0, 0, 1))
+        solutions = {
+            key: solve_two_sided(
+                target.dim(_shift(key)),
+                source.dim(key),
+                _stacked_rows(raising, True),
+                _stacked_rows(lowering, False),
+            )
+            for key, (raising, lowering) in stacks.items()
+        }
+        solved = None if None in solutions.values() else solve_linked(solutions, links, fixed)
+        if solved is None:
             freedom[d] = None
             break
-        freedom[d] = n_free
-        dens[d] = den
-        for key, (n1, n2) in shapes.items():
-            if key in var_index:
-                start = var_index[key]
-                blocks[key] = [nums[start + r * n1 : start + (r + 1) * n1] for r in range(n2)]
-            else:  # no unknowns: the zero map
-                blocks[key] = _zeros(n2, n1)
+        ws, dens[d], freedom[d] = solved
+        blocks.update((key, ws[key]) for key in keys)
     return IntertwinerMap(source=source, target=target, blocks=blocks, dens=dens, freedom=freedom)
 
 
-def _commutation_rows(source, target, key, le, var_index, blocks, dens, rows, rhs):
-    """Append to solve_w's system (rows, rhs) the integer rows of
-    d2 W[t1] a1 - d1 a2 W[key] = 0, one for each entry that has a term, for
-    a source block `key` and a color loop element le: t1 is the block le
-    maps `key` to, and A1 = a1/d1, A2 = a2/d2 are the action matrices of le
-    on `key` and on its target-module block _shift(key).  `var_index` gives
-    the offset of each unknown block, whose entries are numbered row by
-    row.
-
-    The equation belongs to the degree of the larger of deg key and deg t1,
-    so at most one of its blocks is known: solved at the lower degree, as
-    integer rows over dens[that degree].  A raising mode leaves W[key]
-    unknown with W[t1] a1 known (A2 W_S = R); a lowering mode leaves W[t1]
-    unknown with W[key] known (W_S A1 = C); only mode 0 couples two unknown
-    blocks.  A row that reads a known entry is scaled by its denominator.
-    A known block with entries must be solved, never read as zeros."""
-    t1 = source.target_key(le, key)
-    _, a1, d1 = source.act_matrix(le, key)
-    _, a2, d2 = target.act_matrix(le, _shift(key))
-    n1s, n1t = source.dim(key), source.dim(t1)
-    # the terms of d2 (W[t1] a1)[r][c] by c, and of -d1 (a2 W[key])[r][c] by r
-    left = [[(m, a1[m][c] * d2) for m in range(n1t) if a1[m][c]] for c in range(n1s)]
-    right = [[(m, -x * d1) for m, x in enumerate(row) if x] for row in a2]
-    w1 = w = e = None
-    if t1[0] != key[0]:
-        lower = min(t1, key)
-        if source.dim(lower) and lower not in blocks:
-            raise AssertionError("equation references an unsolved block %r" % (lower,))
-        e = dens.get(lower[0])
-        if lower == t1:
-            w1 = blocks.get(t1)
-        else:
-            w = blocks.get(key)
-    i1, i = var_index.get(t1), var_index.get(key)
-    for r, terms2 in enumerate(right):
-        for c, terms1 in enumerate(left):
-            if w1 is not None and terms1:
-                known, s = sum(w1[r][m] * x for m, x in terms1), e
-            elif w is not None and terms2:
-                known, s = sum(x * w[m][c] for m, x in terms2), e
-            else:
-                known, s = 0, 1
-            row = {}
-            if w1 is None:
-                for m, x in terms1:
-                    row[i1 + r * n1t + m] = x * s
-            if w is None:
-                for m, x in terms2:
-                    row[i + m * n1s + c] = x * s
-            if row or known:
-                rows.append(row)
-                rhs.append(-known)
+def _stacked_rows(equations, raising):
+    """The integer rows, one at a time, of one block's raising equations
+    A2 W_S = R, by rows of W_S, or of its lowering equations W_S A1 = C,
+    transposed, by columns of W_S: [coefficients | right-hand sides].  An
+    equation is (n1, a1, d1, a2, d2, w, e): the action matrices A1 = a1/d1
+    on a source block with n1 basis vectors and A2 = a2/d2 on its target
+    block, and the known block W[lower] = w / e."""
+    for n1, a1, d1, a2, d2, w, e in equations:
+        if raising:  # (d1 e) a2 W[key] = d2 W[t1] a1
+            for row, known in zip(a2, _matmul(w, a1, n1)):
+                yield [x * d1 * e for x in row] + [y * d2 for y in known]
+        else:  # (d2 e) W[t1] a1 = d1 a2 W[key]
+            known = _matmul(a2, w, n1)
+            for c in range(n1):
+                yield [row[c] * d2 * e for row in a1] + [row[c] * d1 for row in known]
 
 
 def _solved_w(source, target):

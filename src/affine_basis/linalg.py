@@ -10,7 +10,10 @@ raise ArithmeticError where positivity fails.  solve_sparse runs
 Gauss-Jordan on integer rows kept primitive by dividing out their content,
 finding the rows a new pivot must reduce through an index from each
 non-pivot column to the pivot rows that hold it, and returns its solution
-as integer numerators over one common denominator.
+as integer numerators over one common denominator.  The intertwiner
+reaches it through blocksolve.solve_linked, which eliminates each block of
+the map on its own first and hands solve_sparse only the rows that couple
+the blocks' free parameters, a few hundred unknowns per degree at most.
 """
 
 from fractions import Fraction

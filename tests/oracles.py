@@ -8,8 +8,10 @@ search for colored partitions and for PBW monomials, the unpruned closure
 scan of a block and the action matrices of a truncated model column by
 column through the pairing (both over the package's Verma vectors and
 pairing), Fraction elimination for solves, nullspaces, inverses and
-determinants and for the intertwiner's commutation identity, w_{k1,s} as a
-product over tensor slots, the Weyl group of the finite weights, and a
+determinants and for the intertwiner's commutation identity, the
+intertwiner's unstructured system (one sparse row per matrix entry of
+every equation, solved degree by degree), w_{k1,s} as a product over
+tensor slots, the Weyl group of the finite weights, and a
 nondeterministic-order rewriting engine for normal ordering.  When the package and an oracle
 agree, the agreement is between two codepaths that share nothing but the
 definitions.
@@ -468,17 +470,61 @@ def nullspace_fraction(rows, nc):
 
 
 def solve_fraction(a_rows, b, nc):
-    """Solve A x = b over Fraction for a matrix with nc columns.  Returns
-    (particular, nullspace basis), particular None when inconsistent and
-    with its free variables set to zero otherwise."""
-    m, pivots = _rref_fraction([list(row) + [bv] for row, bv in zip(a_rows, b)])
-    pivots_a = [p for p in pivots if p < nc]
-    null = _null_basis_fraction(m, pivots_a, nc)
-    if nc in pivots:
+    """Solve A x = b over Fraction for a matrix with nc columns, given as
+    dense rows or as sparse {column: value} dicts.  Returns (particular,
+    nullspace basis), particular None when inconsistent and with its free
+    variables set to zero otherwise; the nullspace has one vector per free
+    column, in column order.  Gauss-Jordan on sparse Fraction rows: each
+    row is reduced by the pivot rows so far and scaled to pivot 1 on its
+    smallest column, which is then cleared from every other pivot row."""
+    pivots = {}
+    consistent = True
+    for row, bv in zip(a_rows, b):
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        r = {c: Fraction(v) for c, v in items if v}
+        bv = Fraction(bv)
+        for c in [c for c in r if c in pivots]:
+            f = r.pop(c)
+            prow, pb = pivots[c]
+            for cc, v in prow.items():
+                if cc != c:
+                    nv = r.get(cc, 0) - f * v
+                    if nv:
+                        r[cc] = nv
+                    else:
+                        r.pop(cc, None)
+            bv -= f * pb
+        if not r:
+            consistent = consistent and not bv
+            continue
+        p = min(r)
+        scale = r[p]
+        r = {c: v / scale for c, v in r.items()}
+        bv /= scale
+        for q, (qrow, qb) in pivots.items():
+            f = qrow.get(p)
+            if f:
+                for cc, v in r.items():
+                    nv = qrow.get(cc, 0) - f * v
+                    if nv:
+                        qrow[cc] = nv
+                    else:
+                        del qrow[cc]
+                pivots[q] = (qrow, qb - f * bv)
+        pivots[p] = (r, bv)
+    null = []
+    for fc in range(nc):
+        if fc not in pivots:
+            v = [Fraction(0)] * nc
+            v[fc] = Fraction(1)
+            for p, (prow, _) in pivots.items():
+                v[p] = -Fraction(prow.get(fc, 0))
+            null.append(v)
+    if not consistent:
         return None, null
     x = [Fraction(0)] * nc
-    for r, pc in enumerate(pivots_a):
-        x[pc] = m[r][nc]
+    for p, (_, pb) in pivots.items():
+        x[p] = pb
     return x, null
 
 
@@ -527,6 +573,12 @@ def _fraction_matmul(a, b, n_cols):
     ]
 
 
+def _shift(key):
+    """The target block of the weight-shift map on source block `key`:
+    finite weight + eps1 = (1, 0)."""
+    return (key[0], (key[1][0] + 1, key[1][1]))
+
+
 def commutes_fraction(source, target, wmap, loop_elements, max_degree):
     """Reference commutation check for a weight-shift map W (integer rows
     `wmap.blocks[key]` over `wmap.dens[degree]`): every W and action matrix
@@ -534,14 +586,11 @@ def commutes_fraction(source, target, wmap, loop_elements, max_degree):
     for each source block `key` and loop element whose image t1 lies in
     the degree window.  Only the action matrices and W are read."""
 
-    def shift(key):
-        return (key[0], (key[1][0] + 1, key[1][1]))
-
     def w_block(key):
         if key in wmap.blocks:
             den = wmap.dens[key[0]]
             return [[Fraction(x, den) for x in row] for row in wmap.blocks[key]]
-        return [[Fraction(0)] * source.dim(key) for _ in range(target.dim(shift(key)))]
+        return [[Fraction(0)] * source.dim(key) for _ in range(target.dim(_shift(key)))]
 
     def action(module, le, key):
         _, rows, den = module.act_matrix(le, key)
@@ -554,10 +603,121 @@ def commutes_fraction(source, target, wmap, loop_elements, max_degree):
             if not 0 <= t1[0] <= max_degree:
                 continue
             left = _fraction_matmul(w_block(t1), action(source, le, key), n1)
-            right = _fraction_matmul(action(target, le, shift(key)), w_block(key), n1)
+            right = _fraction_matmul(action(target, le, _shift(key)), w_block(key), n1)
             if left != right:
                 return False
     return True
+
+
+def intertwiner_rows(source, target, d, blocks, dens, encode, bases):
+    """The unstructured system of the intertwiner's degree d, one sparse
+    integer row per matrix entry of every equation: at d = 0 the
+    normalization W[(0, (0, 1))][0][0] = 1, then the rows of every
+    commutation equation whose larger block has degree d, for the color
+    loop elements encode(n, base), base in `bases` (_commutation_rows).
+    The unknowns are the entries of the blocks of degree d, numbered block
+    by block and row by row; blocks of lower degrees are read as solved
+    values, integer rows `blocks[key]` over dens[degree].  Returns (rows,
+    rhs, var_index, nvars), var_index giving each unknown block's first
+    unknown."""
+    by_degree = {}
+    for key in source.block_keys():
+        by_degree.setdefault(key[0], []).append(key)
+    var_index = {}
+    nvars = 0
+    for key in by_degree.get(d, ()):
+        n1, n2 = source.dim(key), target.dim(_shift(key))
+        if n1 and n2:
+            var_index[key] = nvars
+            nvars += n1 * n2
+    rows, rhs = [], []
+    if d == 0:
+        rows.append({var_index[(0, (0, 1))]: 1})
+        rhs.append(1)
+    walk = [(key, n) for key in by_degree.get(d, ()) for n in range(d + 1)]
+    walk += [(key, -n) for n in range(1, d + 1) for key in by_degree.get(d - n, ())]
+    for base in bases:
+        for key, n in walk:
+            _commutation_rows(source, target, key, encode(n, base), var_index, blocks, dens, rows, rhs)
+    return rows, rhs, var_index, nvars
+
+
+def _commutation_rows(source, target, key, le, var_index, blocks, dens, rows, rhs):
+    """Append to the system (rows, rhs) the integer rows of
+    d2 W[t1] a1 - d1 a2 W[key] = 0, one for each entry that has a term, for
+    a source block `key` and a color loop element le: t1 is the block le
+    maps `key` to, and A1 = a1/d1, A2 = a2/d2 are the action matrices of le
+    on `key` and on its target-module block.  `var_index` gives the offset
+    of each unknown block, whose entries are numbered row by row.  The
+    equation belongs to the degree of the larger of deg key and deg t1, so
+    at most one of its blocks is known, as integer rows over dens[that
+    degree]; a row that reads a known entry is scaled by its
+    denominator."""
+    t1 = source.target_key(le, key)
+    _, a1, d1 = source.act_matrix(le, key)
+    _, a2, d2 = target.act_matrix(le, _shift(key))
+    n1s, n1t = source.dim(key), source.dim(t1)
+    # the terms of d2 (W[t1] a1)[r][c] by c, and of -d1 (a2 W[key])[r][c] by r
+    left = [[(m, a1[m][c] * d2) for m in range(n1t) if a1[m][c]] for c in range(n1s)]
+    right = [[(m, -x * d1) for m, x in enumerate(row) if x] for row in a2]
+    w1 = w = e = None
+    if t1[0] != key[0]:
+        lower = min(t1, key)
+        e = dens[lower[0]]
+        if lower == t1:
+            w1 = blocks.get(t1)
+        else:
+            w = blocks.get(key)
+    i1, i = var_index.get(t1), var_index.get(key)
+    for r, terms2 in enumerate(right):
+        for c, terms1 in enumerate(left):
+            if w1 is not None and terms1:
+                known, s = sum(w1[r][m] * x for m, x in terms1), e
+            elif w is not None and terms2:
+                known, s = sum(x * w[m][c] for m, x in terms2), e
+            else:
+                known, s = 0, 1
+            row = {}
+            if w1 is None:
+                for m, x in terms1:
+                    row[i1 + r * n1t + m] = x * s
+            if w is None:
+                for m, x in terms2:
+                    row[i + m * n1s + c] = x * s
+            if row or known:
+                rows.append(row)
+                rhs.append(-known)
+
+
+def solve_w_fraction(source, target, max_degree, encode, bases):
+    """The intertwiner by the unstructured system: degree by degree, the
+    rows of intertwiner_rows over the blocks solved so far, solved by
+    solve_fraction with free variables set to zero, each degree stored as
+    integer rows over the lcm of its entries' denominators.  Returns
+    (blocks, dens, freedom, row counts per degree); a degree without a
+    solution has freedom None and ends the solve."""
+    blocks, dens, freedom, counts = {}, {}, {}, []
+    for d in range(max_degree + 1):
+        system = intertwiner_rows(source, target, d, blocks, dens, encode, bases)
+        rows, rhs, var_index, nvars = system
+        counts.append(len(rows))
+        x, null = solve_fraction(rows, rhs, nvars)
+        if x is None:
+            freedom[d] = None
+            break
+        freedom[d] = len(null)
+        den = math.lcm(*(v.denominator for v in x))
+        dens[d] = den
+        for key in source.block_keys():
+            if key[0] != d:
+                continue
+            n1, n2 = source.dim(key), target.dim(_shift(key))
+            start = var_index.get(key)
+            blocks[key] = [
+                [int(x[start + r * n1 + c] * den) if start is not None else 0 for c in range(n1)]
+                for r in range(n2)
+            ]
+    return blocks, dens, freedom, counts
 
 
 def pairing_act_matrix(module, le, key, inverses=None):

@@ -369,6 +369,46 @@ def test_w_at_depth_three_is_pinned():
     assert set(w.freedom.values()) == {0}
 
 
+def test_w_at_depth_four_is_pinned(monkeypatch):
+    # the D = 4 map in the canonical form of the depth-three pin; it also
+    # commutes with every color action of the window
+    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
+    src = get_truncated(HighestWeightSpec(0, 1, 0), 4)
+    tgt = get_truncated(HighestWeightSpec(0, 0, 1), 4)
+    w = solve_w(src, tgt, 4)
+    canonical = json.dumps(
+        {
+            "blocks": sorted([[k[0], list(k[1]), rows] for k, rows in w.blocks.items()]),
+            "dens": sorted(w.dens.items()),
+            "freedom": sorted(w.freedom.items()),
+        },
+        sort_keys=True,
+    )
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "49d3c60d85739acb07d33d7abd2860748112d6ecb00d8f00fb1051e7d142cdb6"
+    )
+    assert set(w.freedom.values()) == {0}
+    assert intertwiner._check_commutation(src, tgt, w, 4)
+
+
+def test_solve_w_matches_the_unstructured_system():
+    # the block-by-block solve against the oracle that writes one sparse
+    # row per matrix entry of every equation and solves each degree by
+    # Fraction elimination: the same numerators, denominators and freedom
+    # at every degree of every window up to 3
+    src = get_truncated(HighestWeightSpec(0, 1, 0), 3)
+    tgt = get_truncated(HighestWeightSpec(0, 0, 1), 3)
+    for depth in range(4):
+        w = solve_w(src, tgt, depth)
+        blocks, dens, freedom, counts = oracles.solve_w_fraction(
+            src, tgt, depth, affine.encode, affine.COLOR_BASES
+        )
+        assert counts == [3, 56, 699, 5059][: depth + 1]
+        assert w.freedom == freedom == {d: 0 for d in range(depth + 1)}
+        assert w.dens == dens
+        assert w.blocks == blocks
+
+
 def test_solve_w_refuses_a_window_its_models_do_not_hold():
     # a window deeper than either model would certify degrees that neither
     # holds; a negative window certifies nothing
@@ -416,6 +456,34 @@ def test_a_perturbed_target_action_has_no_intertwiner(monkeypatch):
     assert not any(e["ok"] or e["mu"] for e in sweep.witness["partitions"])
 
 
+@pytest.mark.parametrize(
+    "mode, key",
+    [(-1, (1, (0, -2))), (1, (2, (0, -2))), (0, (2, (3, -1)))],
+    ids=["lowering", "raising", "mode-0"],
+)
+def test_a_perturbed_target_action_of_each_equation_class_has_no_intertwiner(
+    monkeypatch, mode, key
+):
+    # negative controls for each kind of equation solve_w meets: 1 added to
+    # one entry of a target action matrix of x22 at a lowering, a raising
+    # or the zero mode leaves degree 2 without a solution.  solve_w must
+    # find that degree, as the unstructured Fraction solve does, and the
+    # certificate must fail
+    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
+    source = get_truncated(HighestWeightSpec(0, 1, 0), 2)
+    target = get_truncated(HighestWeightSpec(0, 0, 1), 2)
+    le = affine.encode(mode, X22)
+    tgt, rows, den = target.act_matrix(le, key)
+    rows = [list(row) for row in rows]
+    r, c = next((r, c) for r, row in enumerate(rows) for c, x in enumerate(row) if x)
+    rows[r][c] += 1
+    target._act[(le, key)] = (tgt, rows, den)
+    w = solve_w(source, target, 2)
+    ref = oracles.solve_w_fraction(source, target, 2, affine.encode, affine.COLOR_BASES)[2]
+    assert w.freedom == ref == {0: 0, 1: 0, 2: None}
+    assert not verify_intertwiner(2).ok
+
+
 def _installed_tracer():
     """perfbench's tracer, installed around the package's entry points; the
     caller uninstalls it."""
@@ -455,6 +523,12 @@ def test_traced_layer_counts_of_the_depth_three_intertwiner(monkeypatch):
         tracer.uninstall()
     names = ("intertwiner.act_matrix", "intertwiner.coordinates", "linalg.invert")
     assert [tracer.calls(name) for name in names] == [2688, 2056, 88]
+    # solve_w eliminates block by block and hands solve_sparse only the
+    # coupled rows in the free parameters, one call per degree: a return to
+    # one row per matrix entry (5,817 rows in 1,738 unknowns) reads here
+    solve = [tracer.calls("linalg.solve_sparse"), tracer.counts["linalg.solve_sparse_rows"],
+             tracer.counts["linalg.solve_sparse_vars"]]
+    assert solve == [4, 716, 141]
 
 
 def test_traced_calls_of_one_chain_sweep(monkeypatch):
