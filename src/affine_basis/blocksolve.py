@@ -2,18 +2,18 @@
 integers.
 
 solve_two_sided finds every matrix W with A W = R and W B = C: each side
-is stacked into one system with several right-hand sides and eliminated
-once, by Gauss-Jordan on dense integer rows kept primitive (content
-divided out), and W comes out as a particular solution plus kernel terms
-N Y M in a few free parameters Y.  solve_linked then solves for several
-such matrices at once under equations W_i a = b W_j and fixed entries:
-each is a matrix equation in the parameters, reduced by rows and by
-columns to a few rows per parameter, and only those rows go to
-linalg.solve_sparse; an equation whose matrices hold no parameter is
-checked as an integer matrix.  The intertwiner's solve_w solves its map
-so, which leaves solve_sparse a few hundred unknowns per degree at most
-instead of one row per matrix entry.  matmul multiplies integer matrices
-over their nonzero entries.
+is stacked into one system with several right-hand sides and reduced
+once by linalg.echelon, and W comes out as a particular solution plus
+kernel terms N Y M in a few free parameters Y.  solve_linked then solves
+for several such matrices at once under equations W_i a = b W_j and fixed
+entries: each is a matrix equation in the parameters, reduced by rows and
+by columns (linalg.echelon again) to a few rows per parameter, and only
+those rows go to linalg.solve_sparse; an equation whose matrices hold no
+parameter is checked as an integer matrix.  The intertwiner's solve_w
+solves its map so, which leaves solve_sparse a few hundred unknowns per
+degree at most instead of one row per matrix entry.  matmul multiplies
+integer matrices over their nonzero entries.  No elimination is written
+here: this module reads the pivot rows linalg.echelon returns.
 
 solve_sparse is called as linalg.solve_sparse, so a wrapper installed on
 the linalg module sees every call.  This code is not part of linalg
@@ -47,28 +47,29 @@ def solve_two_sided(n2, n1, left_rows, right_rows):
     """Every n2 x n1 matrix W with A W = R and W B = C, from the integer
     rows [A row | R row] of `left_rows` (A with n2 columns, R with n1) and
     the integer rows [B column | C column] of `right_rows` (B with n1 rows,
-    C with n2), each an iterable read once.  Returns (X, ncols, mrows, den)
+    C with n2), each an iterable read once of dicts {column: int} (zero
+    entries may be left out).  Returns (X, ncols, mrows, den)
     with W = (X + sum over i, j of Y[i][j] ncols[i] (x) mrows[j]) / den for
     every rational Y: X an integer n2 x n1 matrix, ncols a basis of ker A
     and mrows one of the left kernel of B, as integer vectors of length n2
     and n1.  None when there is no such W.
 
-    Each system is eliminated once (_echelon).  Its pivot rows, scaled to
-    the lcm l2 (l1) of their pivots, read l2 W[p] + sum_f e2[p][f] W[f] =
-    r2[p] for the pivot rows p of W and l1 W[:, q] + sum_g e1[q][g] W[:, g]
-    = c1[q] for its pivot columns q.  The parameters Y are the entries on
-    the free rows f and free columns g; a free row of a pivot column is
-    read off the columns, a pivot row of a free column off the rows, and a
-    pivot row of a pivot column off either, with the same terms in Y, so
-    the two readings of its constant part must agree."""
-    rows2 = _echelon(left_rows, n2)
-    rows1 = _echelon(right_rows, n1)
-    if rows2 is None or rows1 is None:
+    Each system is eliminated once (linalg.echelon).  Its pivot rows,
+    scaled to the lcm l2 (l1) of their pivots, read l2 W[p] + sum_f
+    e2[p][f] W[f] = r2[p] for the pivot rows p of W and l1 W[:, q] + sum_g
+    e1[q][g] W[:, g] = c1[q] for its pivot columns q.  The parameters Y are
+    the entries on the free rows f and free columns g; a free row of a
+    pivot column is read off the columns, a pivot row of a free column off
+    the rows, and a pivot row of a pivot column off either, with the same
+    terms in Y, so the two readings of its constant part must agree."""
+    rows2 = linalg.echelon(left_rows, n2)
+    rows1 = linalg.echelon(right_rows, n1)
+    if any(p >= n2 for p in rows2) or any(q >= n1 for q in rows1):
         return None
     l2 = math.lcm(*(row[p] for p, row in rows2.items()))
     l1 = math.lcm(*(row[q] for q, row in rows1.items()))
-    rows2 = {p: [x * (l2 // row[p]) for x in row] for p, row in rows2.items()}
-    rows1 = {q: [x * (l1 // row[q]) for x in row] for q, row in rows1.items()}
+    rows2 = {p: [row.get(c, 0) * (l2 // row[p]) for c in range(n2 + n1)] for p, row in rows2.items()}
+    rows1 = {q: [row.get(c, 0) * (l1 // row[q]) for c in range(n1 + n2)] for q, row in rows1.items()}
     free2 = [f for f in range(n2) if f not in rows2]
     free1 = [g for g in range(n1) if g not in rows1]
     x = [[0] * n1 for _ in range(n2)]
@@ -147,10 +148,15 @@ def _parameter_rows(known, sides, rows, rhs):
     integer matrix equation sum over sides of U Y V = K.  A side (first,
     ucols, vrows) holds the parameters Y[i][j] = first + i * len(vrows) + j,
     with U's columns ucols and V's rows vrows.  The stacked U, with K, are
-    reduced by rows (_echelon), then the stacked V, with the reduced rows
-    of K, by columns: the equation holds iff it holds on the rows and
+    reduced by rows (linalg.echelon), then the stacked V, with the reduced
+    rows of K, by columns: the equation holds iff it holds on the rows and
     columns that survive, at most the summed widths of the U times the
-    summed heights of the V.
+    summed heights of the V.  A pivot in K's columns needs no check of its
+    own.  A right row with no V entries is nonzero in some reduced row of
+    K; with no such row, the right rows span the columns of the reduced K,
+    so a left row with no U entries meets one of them in a nonzero entry.
+    Either pair gives a row with no parameter and a nonzero right-hand
+    side, which the loop below rejects.
     With no parameter it is a residual check, K == 0.  Returns False when
     the equation has no solution."""
     sides = [side for side in sides if side[1] and side[2]]
@@ -158,34 +164,35 @@ def _parameter_rows(known, sides, rows, rhs):
         return not any(any(row) for row in known)
     width = sum(len(ucols) for _, ucols, _ in sides)
     height = sum(len(vrows) for _, _, vrows in sides)
-    left = _echelon(
-        ([u[r] for _, ucols, _ in sides for u in ucols] + row for r, row in enumerate(known)),
+    left = linalg.echelon(
+        (dict(enumerate([u[r] for _, ucols, _ in sides for u in ucols] + row))
+         for r, row in enumerate(known)),
         width,
     )
-    if left is None:
-        return False
     left = list(left.values())
-    right = _echelon(
-        ([v[c] for _, _, vrows in sides for v in vrows] + [row[width + c] for row in left]
+    right = linalg.echelon(
+        (dict(enumerate([v[c] for _, _, vrows in sides for v in vrows]
+                        + [lrow.get(width + c, 0) for lrow in left]))
          for c in range(len(sides[0][2][0]))),
         height,
     )
-    if right is None:
-        return False
     for a, lrow in enumerate(left):
         for rrow in right.values():
             row = {}
             ui = vi = 0
             for first, ucols, vrows in sides:
                 for i in range(len(ucols)):
-                    for j in range(len(vrows)):
-                        if lrow[ui + i] and rrow[vi + j]:
-                            k = first + i * len(vrows) + j
-                            row[k] = row.get(k, 0) + lrow[ui + i] * rrow[vi + j]
+                    x = lrow.get(ui + i)
+                    if x:
+                        for j in range(len(vrows)):
+                            y = rrow.get(vi + j)
+                            if y:
+                                k = first + i * len(vrows) + j
+                                row[k] = row.get(k, 0) + x * y
                 ui += len(ucols)
                 vi += len(vrows)
             row = {k: x for k, x in row.items() if x}
-            b = rrow[height + a]
+            b = rrow.get(height + a, 0)
             if row:
                 g = math.gcd(b, *row.values())
                 rows.append({k: x // g for k, x in row.items()})
@@ -217,42 +224,3 @@ def _value(solution, y, yden):
     for r, row in enumerate(x):
         x[r] = [v // g for v in row]
     return x, den // g
-
-
-def _echelon(rows, n):
-    """Gauss-Jordan elimination of integer rows [a | b], coefficients a in
-    the first n columns and right-hand sides b after them.  Returns {pivot
-    column: row}: primitive rows (content divided out) with a positive
-    pivot and zeros in every other pivot column, spanning the input rows;
-    or None when a row reduces to zero coefficients with a nonzero
-    right-hand side, so that the system has no solution."""
-    pivots = {}
-    for row in rows:
-        if not any(row):
-            continue
-        for c, prow in pivots.items():
-            if row[c]:
-                row = _reduce(row, prow, c)
-        p = next((c for c in range(n) if row[c]), None)
-        if p is None:
-            if any(row):
-                return None
-            continue
-        g = math.gcd(*row)
-        row = [x // g for x in row] if row[p] > 0 else [-x // g for x in row]
-        for c, prow in pivots.items():
-            if prow[p]:
-                pivots[c] = _reduce(prow, row, p)
-        pivots[p] = row
-    return pivots
-
-
-def _reduce(row, prow, c):
-    """row with column c cleared by the pivot row prow: a row - f prow for
-    a = prow[c], f = row[c] over their gcd, then divided by its content;
-    the sign of a > 0 is kept."""
-    g = math.gcd(prow[c], row[c])
-    a, f = prow[c] // g, row[c] // g
-    out = [a * x - f * y for x, y in zip(row, prow)]
-    g = math.gcd(*out)
-    return [x // g for x in out] if g > 1 else out

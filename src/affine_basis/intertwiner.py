@@ -56,7 +56,9 @@ by one elimination of its stacked raising equations and one of its
 stacked lowering ones, as W_S = X_S + N2 Y M1 with a few free parameters
 Y (blocksolve.solve_two_sided); only the mode-0 equations and the
 normalization, reduced to rows in those parameters, go to solve_sparse
-(blocksolve.solve_linked).  No row is written per matrix entry.
+(blocksolve.solve_linked), which reads its solution off the same sparse
+Gauss-Jordan, linalg.echelon, that eliminates the blocks.  No row is
+written per matrix entry.
 Action matrices and intertwiner blocks are plain lists of integer rows of
 their block's shape, over one denominator per action matrix and one per
 degree of w; a zero map is a zero matrix, with no rows when the target
@@ -512,18 +514,25 @@ def solve_w(source, target, max_degree):
 def _stacked_rows(equations, raising):
     """The integer rows, one at a time, of one block's raising equations
     A2 W_S = R, by rows of W_S, or of its lowering equations W_S A1 = C,
-    transposed, by columns of W_S: [coefficients | right-hand sides].  An
-    equation is (n1, a1, d1, a2, d2, w, e): the action matrices A1 = a1/d1
-    on a source block with n1 basis vectors and A2 = a2/d2 on its target
-    block, and the known block W[lower] = w / e."""
+    transposed, by columns of W_S: [coefficients | right-hand sides], as
+    dicts {column: int} of the nonzero entries.  An equation is (n1, a1,
+    d1, a2, d2, w, e): the action matrices A1 = a1/d1 on a source block
+    with n1 basis vectors and A2 = a2/d2 on its target block, and the known
+    block W[lower] = w / e."""
     for n1, a1, d1, a2, d2, w, e in equations:
         if raising:  # (d1 e) a2 W[key] = d2 W[t1] a1
-            for row, known in zip(a2, _matmul(w, a1, n1)):
-                yield [x * d1 * e for x in row] + [y * d2 for y in known]
+            pairs = zip(a2, _matmul(w, a1, n1))
+            a, b = d1 * e, d2
         else:  # (d2 e) W[t1] a1 = d1 a2 W[key]
             known = _matmul(a2, w, n1)
-            for c in range(n1):
-                yield [row[c] * d2 * e for row in a1] + [row[c] * d1 for row in known]
+            pairs = (([row[c] for row in a1], [row[c] for row in known]) for c in range(n1))
+            a, b = d2 * e, d1
+        for coeffs, rhs in pairs:
+            row = {c: x * a for c, x in enumerate(coeffs) if x}
+            for c, y in enumerate(rhs, len(coeffs)):
+                if y:
+                    row[c] = y * b
+            yield row
 
 
 def _solved_w(source, target):

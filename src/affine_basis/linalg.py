@@ -6,14 +6,17 @@ eliminated on its leading principal minors with no pivoting (Bareiss'
 integer-preserving update): bordered_minor grows them one row at a time,
 rank_int keeps the rows whose bordered minor is nonzero, and invert returns
 an integer adjugate over the determinant of a positive definite matrix; both
-raise ArithmeticError where positivity fails.  solve_sparse runs
-Gauss-Jordan on integer rows kept primitive by dividing out their content,
-finding the rows a new pivot must reduce through an index from each
-non-pivot column to the pivot rows that hold it, and returns its solution
-as integer numerators over one common denominator.  The intertwiner
-reaches it through blocksolve.solve_linked, which eliminates each block of
-the map on its own first and hands solve_sparse only the rows that couple
-the blocks' free parameters, a few hundred unknowns per degree at most.
+raise ArithmeticError where positivity fails.  Every other integer system
+goes through one Gauss-Jordan, echelon: sparse rows {column: int} with
+right-hand sides as extra columns, kept primitive by dividing out their
+content, finding the rows a new pivot must reduce through an index from
+each non-pivot column to the pivot rows that hold it; a pivot in the
+right-hand-side columns means no solution.  solve_sparse reads one
+right-hand side's solution off it as integer numerators over one common
+denominator.  The intertwiner reaches both through blocksolve, which
+reduces each block of the map on its own by echelon and hands solve_sparse
+only the rows that couple the blocks' free parameters, a few hundred
+unknowns per degree at most.
 """
 
 from fractions import Fraction
@@ -24,73 +27,85 @@ import math
 _Q = Fraction
 
 
+def echelon(rows, n):
+    """Gauss-Jordan elimination of integer rows given as dicts {column:
+    int}, coefficients in the columns below n and right-hand sides from
+    column n on; zero entries and empty rows are ignored, and the input
+    rows are not modified.  Returns {pivot column: row}: primitive rows
+    (content divided out), each pivoted on its smallest column and zero in
+    every other pivot column below n, so the rows pivoted below n are the
+    reduced row echelon form of the coefficients up to row scaling.  A row
+    that reduces to right-hand sides alone takes a pivot at n or above, so
+    such a pivot appears exactly when some right-hand side has no
+    solution; such a row reduces no other row, and may replace an earlier
+    one.  Without such a pivot the rows span the input rows.  Work scales
+    with the nonzero structure, not the full matrix size.
+
+    Column index.  `holders` maps each non-pivot column below n to the
+    pivot columns of the rows it has entered, so a new pivot reduces
+    exactly the rows that hold its column instead of testing every pivot
+    row.  A column that later cancels out of a row leaves a stale entry,
+    which is skipped.  Each row's reduction by the new pivot row does not
+    depend on the others, so the result is the one a scan of every pivot
+    row gives."""
+    pivrows = {}
+    holders = {}
+    for row in rows:
+        r = {c: v for c, v in row.items() if v}
+        for c in list(r):
+            if c in pivrows and c in r:
+                _eliminate(r, c, pivrows[c])
+        if not r:
+            continue
+        _make_primitive(r)
+        p = min(r)
+        others = [c for c in r if p < c < n]
+        for q in holders.pop(p, ()):
+            qrow = pivrows[q]
+            if p not in qrow:
+                continue  # stale: p cancelled out of row q
+            for c in others:
+                if c not in qrow:  # c enters row q now
+                    holders.setdefault(c, []).append(q)
+            _eliminate(qrow, p, r)
+            _make_primitive(qrow)
+        for c in others:
+            holders.setdefault(c, []).append(p)
+        pivrows[p] = r
+    return pivrows
+
+
 def solve_sparse(rows, rhs, nvars):
     """Exact solve of an integer system given as sparse rows: each row is a
     dict {column: int} and rhs a list of ints.  Returns (nums, den, n_free):
     the particular solution x = nums / den with free variables set to zero,
     as integer numerators over one positive common denominator with
     gcd(den, *nums) == 1, and the number of free variables; nums and den
-    are None when the system is inconsistent.  A fully reduced
-    (Gauss-Jordan) set of primitive integer pivot rows is kept, keyed by
-    pivot column (the smallest column of the row when it is added), so work
-    scales with the nonzero structure instead of the full matrix size.  The
-    pivot rows end up as the reduced row echelon form up to row scaling.
-
-    Column index.  `holders` maps each non-pivot column to the pivot
-    columns of the rows it has entered, so a new pivot reduces exactly the
-    rows that hold its column instead of testing every pivot row.  A column
-    that later cancels out of a row leaves a stale entry, which is skipped.
-    Each row's reduction by the new pivot row does not depend on the
-    others, so the result is the one a scan of every pivot row gives."""
-    pivrows = {}
-    holders = {}
-    inconsistent = False
-    for row, bb in zip(rows, rhs):
-        r = {c: v for c, v in row.items() if v}
-        for c in list(r):
-            if c in pivrows and c in r:
-                bb = _eliminate(r, bb, c, *pivrows[c])
-        if not r:
-            if bb:
-                inconsistent = True
-            continue
-        bb = _make_primitive(r, bb)
-        p = min(r)
-        others = [c for c in r if c != p]
-        for q in holders.pop(p, ()):
-            qrow, qb = pivrows[q]
-            if p not in qrow:
-                continue  # stale: p cancelled out of row q
-            for c in others:
-                if c not in qrow:  # c enters row q now
-                    holders.setdefault(c, []).append(q)
-            qb = _eliminate(qrow, qb, p, r, bb)
-            pivrows[q] = (qrow, _make_primitive(qrow, qb))
-        for c in others:
-            holders.setdefault(c, []).append(p)
-        pivrows[p] = (r, bb)
-    n_free = nvars - len(pivrows)
-    if inconsistent:
-        return None, None, n_free
-    # x[p] = pb / prow[p]; den is the lcm of the reduced denominators
-    den = math.lcm(*(prow[p] // math.gcd(pb, prow[p]) for p, (prow, pb) in pivrows.items()))
+    are None when the system is inconsistent.  The right-hand side is
+    column nvars of one echelon, and the answer is read off its pivot
+    rows."""
+    pivrows = echelon(({**row, nvars: b} for row, b in zip(rows, rhs)), nvars)
+    rank = sum(p < nvars for p in pivrows)
+    if rank < len(pivrows):
+        return None, None, nvars - rank
+    # x[p] = row[nvars] / row[p]; den is the lcm of the reduced denominators
+    den = math.lcm(*(row[p] // math.gcd(row.get(nvars, 0), row[p]) for p, row in pivrows.items()))
     nums = [0] * nvars
-    for p, (prow, pb) in pivrows.items():
-        nums[p] = pb * den // prow[p]
-    return nums, den, n_free
+    for p, row in pivrows.items():
+        nums[p] = row.get(nvars, 0) * den // row[p]
+    return nums, den, nvars - rank
 
 
-def _eliminate(r, b, c, prow, pb):
-    """Clear column c of the integer row (r, b) in place with the pivot row
-    (prow, pb): r <- a*r - f*prow for a = prow[c], f = r[c], both divided by
-    their gcd.  Returns the new right-hand side."""
+def _eliminate(r, c, prow):
+    """Clear column c of the integer row r in place with the pivot row
+    prow: r <- a*r - f*prow for a = prow[c], f = r[c], both divided by
+    their gcd."""
     f = r.pop(c)
     g = math.gcd(prow[c], f)
     a, f = prow[c] // g, f // g
     if a != 1:
         for cc in r:
             r[cc] *= a
-        b *= a
     for cc, v in prow.items():
         if cc != c:
             nv = r.get(cc, 0) - f * v
@@ -98,18 +113,14 @@ def _eliminate(r, b, c, prow, pb):
                 r[cc] = nv
             else:
                 del r[cc]
-    return b - f * pb
 
 
-def _make_primitive(r, b):
-    """Divide the nonzero integer row (r, b) by its content, in place;
-    returns the new right-hand side."""
-    g = math.gcd(b, *r.values())
+def _make_primitive(r):
+    """Divide the nonzero integer row r by its content, in place."""
+    g = math.gcd(*r.values())
     if g != 1:
         for c in r:
             r[c] //= g
-        b //= g
-    return b
 
 
 def bordered_minor(cols, minors, p, nu):

@@ -75,9 +75,15 @@ def _one_sided(rng, w, most):
 
 
 def _two_sided_rows(a, r, b, c):
+    """solve_two_sided's rows [A row | R row] and [B column | C column], as
+    dicts {column: int} of the nonzero entries."""
     left = [ra + rr for ra, rr in zip(a, r)]
     right = [[row[j] for row in b] + [row[j] for row in c] for j in range(len(b[0]))]
-    return left, right
+    return [_sparse(row) for row in left], [_sparse(row) for row in right]
+
+
+def _sparse(row):
+    return {k: x for k, x in enumerate(row) if x}
 
 
 def _two_sided_equations(k, a, r, b, c):

@@ -1,5 +1,6 @@
-"""Exact integer linear algebra: Gram rank and inversion, sparse solve and
-the bordered minors, checked against Fraction references."""
+"""Exact integer linear algebra: Gram rank and inversion, the sparse
+echelon and solve, and the bordered minors, checked against Fraction
+references."""
 
 from fractions import Fraction
 import math
@@ -265,3 +266,53 @@ def sparse_integer_systems(draw):
 def test_solve_sparse_matches_the_dense_solver(system):
     rows, rhs, nvars = system
     _check_against_the_fraction_solver(rows, rhs, nvars, linalg.solve_sparse(rows, rhs, nvars))
+
+
+@st.composite
+def echelon_systems(draw):
+    """Integer rows {column: int} with n coefficient columns and 0-3
+    right-hand-side columns, zero entries and empty rows included: the
+    right-hand sides of an integer solution, or random ones."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, 3))
+    entry = st.integers(-4, 4)
+    coeffs = [draw(st.dictionaries(st.integers(0, n - 1), entry, max_size=n))
+              for _ in range(draw(st.integers(0, 7)))]
+    dense = _dense_from_sparse(coeffs, n)
+    if draw(st.booleans()):
+        x = [[draw(entry) for _ in range(k)] for _ in range(n)]
+        rhs = [[sum(a * xr[j] for a, xr in zip(row, x)) for j in range(k)] for row in dense]
+    else:
+        rhs = [[draw(entry) for _ in range(k)] for _ in dense]
+    rows = [{**row, **{n + j: b for j, b in enumerate(bs)}} for row, bs in zip(coeffs, rhs)]
+    return rows, n, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(echelon_systems())
+def test_echelon_matches_the_fraction_elimination(system):
+    # the pivots below n are the Fraction RREF's pivot columns, each row
+    # is primitive, has no zero entry and is zero left of its pivot and in
+    # every other pivot column below n; a pivot at n or above appears
+    # exactly when some right-hand side has no solution, and otherwise the
+    # rows span the input rows; zero entries and empty rows change nothing
+    rows, n, k = system
+    copies = [dict(row) for row in rows]
+    pivots = linalg.echelon(rows, n)
+    assert rows == copies
+    dense = _dense_from_sparse(rows, n + k)
+    coeff = [row[:n] for row in dense]
+    ranks = [oracles.rank_fraction([row[:c] for row in coeff]) for c in range(n + 1)]
+    assert sorted(p for p in pivots if p < n) == [c for c in range(n) if ranks[c + 1] > ranks[c]]
+    for p, row in pivots.items():
+        assert all(type(x) is int and x for x in row.values())
+        assert min(row) == p and math.gcd(*row.values()) == 1
+        assert not any(q in row for q in pivots if q != p and q < n)
+    unsolvable = any(oracles.solve_fraction(coeff, [row[n + j] for row in dense], n)[0] is None
+                     for j in range(k))
+    assert any(p >= n for p in pivots) == unsolvable
+    if not unsolvable:
+        spanned = dense + _dense_from_sparse(pivots.values(), n + k)
+        assert oracles.rank_fraction(spanned) == oracles.rank_fraction(dense) == len(pivots)
+    nonzero = [{c: v for c, v in row.items() if v} for row in rows]
+    assert linalg.echelon([row for row in nonzero if row], n) == pivots
