@@ -13,15 +13,15 @@ it expands by the enveloping-algebra identity
 x.y.b = y.(x.b) + [x, y].b + (central term) into images of shorter words,
 down to closure candidates of the block scans (TruncatedModule._image): a
 kept candidate is a unit column, and a candidate the scan rejected gets its
-coordinates once, through the contravariant pairing and the fraction-free
-inverse of the Gram matrix (coordinates).  Blocks outside the support are
+coordinates once, through the contravariant pairing solved on the Bareiss
+factor of the Gram matrix (coordinates).  Blocks outside the support are
 zero by the closure theorem of pbw, and an image in an empty block of the
 window is certified zero by its norm.  No quotient basis is ever guessed.
 
 Models are kept per module, not per window.  get_truncated holds one store
 for each (highest weight, cache directory): one Verma module, whose block
 bases every window reads, and one memo each of action matrices, images of
-basis words and Gram inverses.  The model of a window is a view of that
+basis words and Gram factors.  The model of a window is a view of that
 store with its own max_degree and block list, built by
 block_support(window) over the bases already built, so a smaller window
 requested after a larger one scans nothing.  A build that scans a block
@@ -30,7 +30,7 @@ ends by emptying the kernel's straightening memo
 only the rejected candidates and the images into empty blocks, so the memo
 that dominates a build's memory lives for one build only.  A view that
 scans nothing leaves the memo as those have refilled it.  A block basis,
-and so every action matrix, image and inverse, is the same at every
+and so every action matrix, image and factor, is the same at every
 window; each view checks its own window before it reads the shared memo.
 The projection chain takes w on each partition's own window from a memo
 on the source view, keyed by the target view (_solved_w), so the models
@@ -80,7 +80,8 @@ import time
 from . import affine
 from . import partitions as parts_mod
 from .blocksolve import matmul as _matmul, solve_linked, solve_two_sided
-from .linalg import invert, solve_sparse  # noqa: F401 - perfbench wraps solve_sparse here too
+from .linalg import gram_factor, gram_solve
+from .linalg import invert, solve_sparse  # noqa: F401 - perfbench wraps invert and solve_sparse here
 from .pbw import VermaModule, GEN_C2, HighestWeightSpec, add_into
 from .verify import StepReport, _fmt, _proportionality, _sweep
 
@@ -96,7 +97,7 @@ class TruncatedModule:
     `_shared`, another model of the same module and cache directory, makes
     this one a view of the same store (see the module docstring): it reuses
     that model's Verma module and its memos of action matrices, images and
-    Gram inverses, so only the window and the block list are its own."""
+    Gram factors, so only the window and the block list are its own."""
 
     def __init__(self, spec, max_degree, cache_dir=None, _shared=None):
         self.spec = spec
@@ -106,13 +107,13 @@ class TruncatedModule:
             self._act = {}
             self._images = {}
             self._place = {}
-            self._gram_inv = {}
+            self._factors = {}
         else:
             self.verma = _shared.verma
             self._act = _shared._act
             self._images = _shared._images
             self._place = _shared._place
-            self._gram_inv = _shared._gram_inv
+            self._factors = _shared._factors
         self.basis = {}
         self.vectors = {}
         self.gram = {}
@@ -143,27 +144,25 @@ class TruncatedModule:
             (key[1][0] + w[0], key[1][1] + w[1]),
         )
 
-    def gram_inverse(self, key):
-        """(adj, det) of the block's positive definite Gram matrix from
-        `invert`, computed once per block when `coordinates` first needs
-        it: adj / det is its inverse."""
-        inv = self._gram_inv.get(key)
-        if inv is None:
-            inv = invert(self.gram[key])
-            self._gram_inv[key] = inv
-        return inv
+    def gram_factor(self, key):
+        """(cols, minors) of the block's positive definite Gram matrix from
+        linalg.gram_factor, built once per block when `coordinates` first
+        needs it: minors[-1] is its determinant."""
+        f = self._factors.get(key)
+        if f is None:
+            f = self._factors[key] = gram_factor(self.gram[key])
+        return f
 
     def coordinates(self, key, terms):
         """Integer numerators of the coordinates of a vector (dict of
         monomials) of block `key` in the chosen basis, over the block's
-        denominator gram_inverse(key)[1]: the pairings of the basis words
-        with the vector, times the integer adjugate of the Gram matrix.  The
-        zero vector has zero coordinates, with no pairing; a vector in an
-        empty block must be zero in the quotient, which its norm decides.
-        Raises ValueError if a monomial lies outside block `key`, where
-        every pairing would vanish.  Action matrices read it only for the
-        closure candidates their block scan rejected and for images into
-        an empty block."""
+        Gram determinant: the pairings of the basis words with the vector,
+        solved on the Gram factor (linalg.gram_solve).  The zero vector has
+        zero coordinates, with no pairing; a vector in an empty block must
+        be zero in the quotient, which its norm decides.  Raises ValueError
+        if a monomial lies outside block `key`, where every pairing would
+        vanish.  Action matrices read it only for the closure candidates
+        their block scan rejected and for images into an empty block."""
         basis = self.basis.get(key, ())
         if not terms:
             return [0] * len(basis)
@@ -178,8 +177,7 @@ class TruncatedModule:
                 )
             return []
         p = [self.verma.kernel.pair_mono(m, terms) for m in basis]
-        adj, _ = self.gram_inverse(key)
-        return [sum(a * b for a, b in zip(row, p)) for row in adj]
+        return gram_solve(*self.gram_factor(key), p)
 
     def act_matrix(self, le, key):
         """Matrix of x(le) from block `key` to its target block, in the
@@ -253,8 +251,8 @@ class TruncatedModule:
                 out = {cand: 1}
             else:
                 vec = kernel.act_word((x,), self.vectors[key][i])
-                den = self.gram_inverse(tgt)[1]
                 coords = zip(self.basis[tgt], self.coordinates(tgt, vec))
+                den = self.gram_factor(tgt)[1][-1]
                 out = {b: _q(n, den) for b, n in coords if n}
         elif not word:
             lam = kernel.lam.get(x, 0)  # x is a mode-0 code here

@@ -1,22 +1,23 @@
 """Small exact linear algebra helpers over the integers.
 
 Every routine here takes integer matrices and returns integers.  A Gram
-matrix of the contravariant form is positive semidefinite, so it is
-eliminated on its leading principal minors with no pivoting (Bareiss'
-integer-preserving update): bordered_minor grows them one row at a time,
-rank_int keeps the rows whose bordered minor is nonzero, and invert returns
-an integer adjugate over the determinant of a positive definite matrix; both
-raise ArithmeticError where positivity fails.  Every other integer system
-goes through one Gauss-Jordan, echelon: sparse rows {column: int} with
-right-hand sides as extra columns, kept primitive by dividing out their
-content, finding the rows a new pivot must reduce through an index from
-each non-pivot column to the pivot rows that hold it; a pivot in the
-right-hand-side columns means no solution.  solve_sparse reads one
+matrix of the contravariant form is positive semidefinite, and it is
+eliminated once, on its leading principal minors with no pivoting (Bareiss'
+integer-preserving update): bordered_minor grows them one row at a time, and
+gram_factor keeps the rows whose bordered minor is nonzero, as pbw's block
+scan keeps its candidates, raising ArithmeticError where positivity fails.
+The other Gram jobs read that factor: rank_int counts its rows, gram_solve
+takes a vector p to adj(G).p over det G, and invert solves the unit vectors.
+Every other integer system goes through one Gauss-Jordan, echelon: sparse
+rows {column: int} with right-hand sides as extra columns, kept primitive by
+dividing out their content, finding the rows a new pivot must reduce through
+an index from each non-pivot column to the pivot rows that hold it; a pivot
+in the right-hand-side columns means no solution.  solve_sparse reads one
 right-hand side's solution off it as integer numerators over one common
-denominator.  The intertwiner reaches both through blocksolve, which
-reduces each block of the map on its own by echelon and hands solve_sparse
-only the rows that couple the blocks' free parameters, a few hundred
-unknowns per degree at most.
+denominator.  The intertwiner reaches both through blocksolve, which reduces
+each block of the map on its own by echelon and hands solve_sparse only the
+rows that couple the blocks' free parameters, a few hundred unknowns per
+degree at most.
 """
 
 from fractions import Fraction
@@ -148,14 +149,11 @@ def bordered_minor(cols, minors, p, nu):
     return u, d
 
 
-def rank_int(gram):
-    """Rank of a Gram matrix by the keep test of block selection: the rows
-    are taken in order, and each is kept iff its bordered minor against the
-    rows kept so far is nonzero.  The kept rows have a nonzero principal
-    minor, so no symmetric matrix reads above its rank, and a positive
-    semidefinite one reads exactly its rank.  Raises ArithmeticError on a
-    negative bordered minor; an indefinite matrix may also read low
-    ([[0, 1], [1, 0]] reads 0)."""
+def gram_factor(gram):
+    """The keep test of block selection on a Gram matrix: each row in turn
+    is kept iff its bordered minor against the rows kept so far is nonzero.
+    Returns (cols, minors) of bordered_minor for the kept rows.  Raises
+    ArithmeticError on a negative bordered minor."""
     cols, minors, kept = [], [1], []
     for n, row in enumerate(gram):
         u, d = bordered_minor(cols, minors, [row[k] for k in kept], row[n])
@@ -165,28 +163,35 @@ def rank_int(gram):
             cols.append(u)
             minors.append(d)
             kept.append(n)
-    return len(kept)
+    return cols, minors
+
+
+def rank_int(gram):
+    """Rank of a Gram matrix by the keep test (gram_factor): no symmetric
+    matrix reads above its rank, a positive semidefinite one reads exactly
+    it, and an indefinite one may raise or read low ([[0, 1], [1, 0]])."""
+    return len(gram_factor(gram)[0])
+
+
+def gram_solve(cols, minors, p):
+    """adj(G).p, for the gram_factor (cols, minors) of a positive definite
+    G with det G = D_r = minors[-1]: p is eliminated as one more bordered
+    column u, then back-substituted, D_{k+1} x_k = D_r u[k] - sum over l > k
+    of cols[l][k] x_l, each division exact since x = det G . G^-1 p."""
+    x = [minors[-1] * t for t in bordered_minor(cols, minors, p, 0)[0]]
+    for k in range(len(x) - 1, -1, -1):
+        xk = x[k] = x[k] // minors[k + 1]
+        x[:k] = [a - c * xk for a, c in zip(x, cols[k])]
+    return x
 
 
 def invert(a_rows):
-    """Fraction-free inverse of a positive definite integer matrix a:
-    (adj, det) with a.adj == det.I and det = det(a) > 0.  Bareiss'
-    Gauss-Jordan on [a | I] with no row exchange: the k-th pivot is the
-    k-th leading principal minor, and each division is exact since every
-    entry is a minor of the augmented matrix.  Raises ArithmeticError on a
-    pivot <= 0, that is, when a is not positive definite."""
+    """(adj, det) of a symmetric integer matrix a, with a.adj == det.I and
+    det = det(a) > 0, by gram_solve on the unit vectors; ArithmeticError iff
+    a is not positive definite.  Nothing in the package calls it: kept for
+    the tests and the benchmark's wrapper."""
+    cols, minors = gram_factor(a_rows)
     n = len(a_rows)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a_rows)]
-    prev = 1
-    for k in range(n):
-        mk = m[k]
-        p = mk[k]
-        if p <= 0:
-            raise ArithmeticError("matrix is not positive definite: minor %d is %d" % (k + 1, p))
-        for i in range(n):
-            if i != k:
-                mi = m[i]
-                f = mi[k]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(mi, mk)]
-        prev = p
-    return [row[n:] for row in m], prev
+    if len(cols) < n:
+        raise ArithmeticError("matrix is not positive definite")
+    return [gram_solve(cols, minors, [int(i == j) for j in range(n)]) for i in range(n)], minors[-1]

@@ -63,7 +63,7 @@ def test_coordinates_recover_basis_vectors():
     # is the Gram determinant
     dens = set()
     for key in SOURCE.block_keys():
-        adj, den = SOURCE.gram_inverse(key)
+        den = SOURCE.gram_factor(key)[1][-1]
         assert den == abs(oracles.det_fraction(SOURCE.gram[key]))
         dens.add(den)
         for i, vec in enumerate(SOURCE.vectors[key]):
@@ -223,7 +223,7 @@ def test_act_matrix_entries_match_kernel_action():
     assert tgt == (1, (-1, 0))
     image = SOURCE.verma.kernel.act_le(le, SOURCE.basis[key][0])
     coords = SOURCE.coordinates(tgt, image)
-    coord_den = SOURCE.gram_inverse(tgt)[1]
+    coord_den = oracles.det_fraction(SOURCE.gram[tgt])
     assert [Fraction(rows[r][0], den) for r in range(len(rows))] == [
         Fraction(x, coord_den) for x in coords
     ]
@@ -253,7 +253,7 @@ def test_act_matrices_are_reduced_integer_rows_matching_the_kernel():
                 assert math.gcd(den, *(x for row in rows for x in row)) == 1
                 if not rows:
                     continue
-                coord_den = SOURCE.gram_inverse(tgt)[1]
+                coord_den = oracles.det_fraction(SOURCE.gram[tgt])
                 for c, vec in enumerate(SOURCE.vectors[key]):
                     image = SOURCE.verma.kernel.act_word((le,), vec)
                     coords = SOURCE.coordinates(tgt, image)
@@ -512,9 +512,9 @@ def test_traced_build_counts_of_the_depth_three_models():
 
 def test_traced_layer_counts_of_the_depth_three_intertwiner(monkeypatch):
     # action matrices are built from the closure words: coordinates run only
-    # for rejected candidates and for images into empty blocks, and a Gram
-    # inverse only for a block with a rejected candidate.  A return to
-    # pairing every column reads as more coordinates and inverses here
+    # for rejected candidates and for images into empty blocks, solved on
+    # the Gram factor, so no Gram inverse is computed at run time.  A return
+    # to pairing every column, or to inverting, reads as more calls here
     monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
     tracer = _installed_tracer()
     try:
@@ -522,7 +522,7 @@ def test_traced_layer_counts_of_the_depth_three_intertwiner(monkeypatch):
     finally:
         tracer.uninstall()
     names = ("intertwiner.act_matrix", "intertwiner.coordinates", "linalg.invert")
-    assert [tracer.calls(name) for name in names] == [2688, 2056, 88]
+    assert [tracer.calls(name) for name in names] == [2688, 2056, 0]
     # solve_w eliminates block by block and hands solve_sparse only the
     # coupled rows in the free parameters, one call per degree: a return to
     # one row per matrix entry (5,817 rows in 1,738 unknowns) reads here

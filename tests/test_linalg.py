@@ -224,10 +224,11 @@ def test_bordered_minor_keep_test_matches_schur_complements(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(symmetric_integer_matrices())
-def test_invert_matches_the_fraction_inverse(case):
+@given(symmetric_integer_matrices(), st.lists(st.integers(-50, 50), min_size=7, max_size=7))
+def test_invert_matches_the_fraction_inverse(case, p):
     # a Gram matrix inverts iff it is nonsingular; any other symmetric
-    # matrix iff every leading minor is positive (Sylvester's criterion)
+    # matrix iff every leading minor is positive (Sylvester's criterion);
+    # gram_solve on the factor of a definite one is det G . G^-1 p
     g, is_gram = case
     if is_gram:
         definite = oracles.inverse_fraction(g) is not None
@@ -236,7 +237,10 @@ def test_invert_matches_the_fraction_inverse(case):
             oracles.det_fraction([row[:r] for row in g[:r]]) > 0 for r in range(1, len(g) + 1)
         )
     if definite:
-        _check_inverse(g)
+        _, det = _check_inverse(g)
+        p = p[: len(g)]
+        x = linalg.gram_solve(*linalg.gram_factor(g), p)
+        assert x == [det * v for v in _matvec(oracles.inverse_fraction(g), p)]
     else:
         with pytest.raises(ArithmeticError):
             linalg.invert(g)
