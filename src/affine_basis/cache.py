@@ -17,14 +17,15 @@ PBW monomial lists) hashes to another key and is never read as a closure
 entry.
 
 Trust boundary.  Unreadable entries are misses.  A block-basis entry is also
-checked on load (pbw.VermaModule._scan): its chosen indices must be
+checked on load (pbw._valid_basis_entry): its chosen indices must be
 strictly increasing and in range, and its Gram matrix symmetric with every
 leading principal minor positive, so a cached basis is always independent;
-an entry that fails is a miss and is recomputed and overwritten.  What is
-not re-derived on load: the Gram entries themselves (that they are the
-pairings of the chosen words) and maximality (that no candidate left out
-was independent of the chosen ones).  These rest on the cache directory
-holding only what this code wrote.
+an entry that fails is a miss and is recomputed and overwritten.  The block
+keeps the check's Bareiss factor, so coordinates are solved on the very
+Gram matrix the check factored.  What is not re-derived on load: the Gram
+entries themselves (that they are the pairings of the chosen words) and
+maximality (that no candidate left out was independent of the chosen
+ones).  These rest on the cache directory holding only what this code wrote.
 
 The cache directory comes from the AFFINE_BASIS_CACHE environment variable
 or an explicit argument; with neither, caching is off and everything is
@@ -71,22 +72,21 @@ class GramCache:
     def _path(self, key):
         return os.path.join(self.root, key + ".json")
 
-    def get_json(self, key, check=None):
-        """The stored record, or None (a miss) when it is absent, unreadable
-        or rejected by `check`."""
+    def get_json(self, key, parse):
+        """parse(stored record), or None (a miss) when the record is absent
+        or unreadable or parse returns None."""
         if not self.root:
             return None
-        path = self._path(key)
         try:
-            with open(path) as fh:
-                data = json.load(fh)
+            with open(self._path(key)) as fh:
+                record = json.load(fh)
         except (OSError, ValueError):
+            record = None
+        data = None if record is None else parse(record)
+        if data is None:
             self.misses += 1
-            return None
-        if check is not None and not check(data):
-            self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return data
 
     def put_json(self, key, data):

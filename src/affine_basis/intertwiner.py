@@ -14,24 +14,26 @@ x.y.b = y.(x.b) + [x, y].b + (central term) into images of shorter words,
 down to closure candidates of the block scans (TruncatedModule._image): a
 kept candidate is a unit column, and a candidate the scan rejected gets its
 coordinates once, through the contravariant pairing solved on the Bareiss
-factor of the Gram matrix (coordinates).  Blocks outside the support are
-zero by the closure theorem of pbw, and an image in an empty block of the
-window is certified zero by its norm.  No quotient basis is ever guessed.
+factor that the block keeps (coordinates; pbw.BlockBasis.factor, built
+once per process by the scan's keep test or the disk-cache entry check).
+Blocks outside the support are zero by the closure theorem of pbw, and an
+image in an empty block of the window is certified zero by its norm.  No
+quotient basis is ever guessed.
 
 Models are kept per module, not per window.  get_truncated holds one store
 for each (highest weight, cache directory): one Verma module, whose block
-bases every window reads, and one memo each of action matrices, images of
-basis words and Gram factors.  The model of a window is a view of that
-store with its own max_degree and block list, built by
-block_support(window) over the bases already built, so a smaller window
-requested after a larger one scans nothing.  A build that scans a block
-ends by emptying the kernel's straightening memo
-(VermaKernel.clear_act_memo): afterwards the kernel straightens and pairs
-only the rejected candidates and the images into empty blocks, so the memo
-that dominates a build's memory lives for one build only.  A view that
-scans nothing leaves the memo as those have refilled it.  A block basis,
-and so every action matrix, image and factor, is the same at every
-window; each view checks its own window before it reads the shared memo.
+bases every window reads, and one memo each of action matrices and images
+of basis words.  The model of a window is a view of that store with its
+own max_degree and block list, built by block_support(window) over the
+bases already built, so a smaller window requested after a larger one
+scans nothing.  A build that scans a block ends by emptying the kernel's
+straightening memo (VermaKernel.clear_act_memo): afterwards the kernel
+straightens and pairs only the rejected candidates and the images into
+empty blocks, so the memo that dominates a build's memory lives for one
+build only.  A view that scans nothing leaves the memo as those have
+refilled it.  A block basis, and so every action matrix, image and factor,
+is the same at every window; each view checks its own window before it
+reads the shared memo.
 The projection chain takes w on each partition's own window from a memo
 on the source view, keyed by the target view (_solved_w), so the models
 and their solved maps are dropped together; verify_intertwiner solves for
@@ -80,7 +82,7 @@ import time
 from . import affine
 from . import partitions as parts_mod
 from .blocksolve import matmul as _matmul, solve_linked, solve_two_sided
-from .linalg import gram_factor, gram_solve
+from .linalg import gram_solve
 from .linalg import invert, solve_sparse  # noqa: F401 - perfbench wraps invert and solve_sparse here
 from .pbw import VermaModule, GEN_C2, HighestWeightSpec, add_into
 from .verify import StepReport, _fmt, _proportionality, _sweep
@@ -92,12 +94,14 @@ class TruncatedModule:
     """Exact finite model of the irreducible module of `spec` up to degree
     max_degree.  Blocks are discovered by the Verma engine's support
     closure, so the block list is provably complete within the window, and
-    block_support checks their dimensions against the Weyl group.
+    block_support checks their dimensions against the Weyl group.  Each
+    block's words, vectors, Gram matrix and its Bareiss factor are read off
+    its pbw.BlockBasis.
 
     `_shared`, another model of the same module and cache directory, makes
     this one a view of the same store (see the module docstring): it reuses
-    that model's Verma module and its memos of action matrices, images and
-    Gram factors, so only the window and the block list are its own."""
+    that model's Verma module and its memos of action matrices and images,
+    so only the window and the block list are its own."""
 
     def __init__(self, spec, max_degree, cache_dir=None, _shared=None):
         self.spec = spec
@@ -107,22 +111,22 @@ class TruncatedModule:
             self._act = {}
             self._images = {}
             self._place = {}
-            self._factors = {}
         else:
             self.verma = _shared.verma
             self._act = _shared._act
             self._images = _shared._images
             self._place = _shared._place
-            self._factors = _shared._factors
         self.basis = {}
         self.vectors = {}
         self.gram = {}
+        self.factor = {}
         self._solved = {}  # this view's solved intertwiners, by target view: _solved_w
         built = len(self.verma._bases)
         for key, blk in self.verma.block_support(max_degree).items():
             self.basis[key] = blk.basis
             self.vectors[key] = blk.vectors
             self.gram[key] = blk.matrix
+            self.factor[key] = blk.factor
             for i, word in enumerate(blk.basis):
                 self._place[word] = (key, i)
         if len(self.verma._bases) > built:
@@ -143,15 +147,6 @@ class TruncatedModule:
             key[0] + affine.degree_of(le),
             (key[1][0] + w[0], key[1][1] + w[1]),
         )
-
-    def gram_factor(self, key):
-        """(cols, minors) of the block's positive definite Gram matrix from
-        linalg.gram_factor, built once per block when `coordinates` first
-        needs it: minors[-1] is its determinant."""
-        f = self._factors.get(key)
-        if f is None:
-            f = self._factors[key] = gram_factor(self.gram[key])
-        return f
 
     def coordinates(self, key, terms):
         """Integer numerators of the coordinates of a vector (dict of
@@ -177,7 +172,7 @@ class TruncatedModule:
                 )
             return []
         p = [self.verma.kernel.pair_mono(m, terms) for m in basis]
-        return gram_solve(*self.gram_factor(key), p)
+        return gram_solve(*self.factor[key], p)
 
     def act_matrix(self, le, key):
         """Matrix of x(le) from block `key` to its target block, in the
@@ -252,7 +247,7 @@ class TruncatedModule:
             else:
                 vec = kernel.act_word((x,), self.vectors[key][i])
                 coords = zip(self.basis[tgt], self.coordinates(tgt, vec))
-                den = self.gram_factor(tgt)[1][-1]
+                den = self.factor[tgt][1][-1]
                 out = {b: _q(n, den) for b, n in coords if n}
         elif not word:
             lam = kernel.lam.get(x, 0)  # x is a mode-0 code here

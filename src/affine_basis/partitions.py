@@ -209,6 +209,9 @@ class ModuleKind:
     map `bases` of its monomials, `satisfies_ic` and `as_tuple`.  Its
     highest weight has those labels, so its level is their sum."""
 
+    def __post_init__(self):
+        self.spec()  # raises ValueError on labels of no highest weight (a negative one)
+
     @property
     def level(self):
         return sum(self.as_tuple())

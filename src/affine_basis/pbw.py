@@ -132,7 +132,9 @@ class BlockBasis:
     and `()` for the top block; `vectors` holds each word's vector in the
     Verma module, a plain dict like every vector here.  `candidates` counts
     the increasing closure candidates scanned (see the module docstring);
-    rank == len(basis)."""
+    rank == len(basis).  `factor` is linalg.gram_factor(matrix), as the keep
+    test built it (or the disk-cache entry check), so the Gram matrix is
+    eliminated once per process; factor[1][-1] is its determinant."""
 
     degree: int
     weight: tuple
@@ -141,6 +143,7 @@ class BlockBasis:
     rank: int
     candidates: int
     vectors: tuple = field(repr=False)
+    factor: tuple = field(repr=False)
 
 
 class VermaModule:
@@ -310,7 +313,7 @@ class VermaModule:
         """The basis of one block, from the predecessors already built."""
         degree, weight = key
         if key == (0, self.lam_wt):
-            return BlockBasis(degree, weight, ((),), [[1]], 1, 1, ({(): 1},))
+            return BlockBasis(degree, weight, ((),), [[1]], 1, 1, ({(): 1},), ([[]], [1, 1]))
         cands = self._candidates(key)
         words = [word for word, _, _ in cands]
 
@@ -318,20 +321,16 @@ class VermaModule:
             _, x, parent = cands[j]
             return self.kernel.act_word((x,), parent)
 
-        picked = gram = None
-        ckey = None
+        entry = ckey = None
         if self.cache.root and words:
             ckey = self._cache_key(key, words)
-            rec = self.cache.get_json(
-                ckey, check=lambda r: _valid_basis_entry(r, len(words))
-            )
-            if rec is not None:
-                picked = rec["chosen"]
-                gram = [[int(x) for x in row] for row in rec["gram"]]
-                vectors = [vector(j) for j in picked]
-        if picked is None:
+            entry = self.cache.get_json(ckey, lambda r: _valid_basis_entry(r, len(words)))
+        if entry is not None:
+            picked, gram, factor = entry
+            vectors = [vector(j) for j in picked]
+        else:
             picked, vectors, gram = [], [], []
-            cols, minors = [], [1]
+            cols, minors = factor = [], [1]
             pair = self.kernel.pair_mono
             for j, word in enumerate(words):
                 vec = vector(j)
@@ -366,6 +365,7 @@ class VermaModule:
             rank=len(picked),
             candidates=len(words),
             vectors=tuple(vectors),
+            factor=factor,
         )
 
     def block_support(self, max_degree):
@@ -445,32 +445,32 @@ def _topological_key(key):
 
 
 def _valid_basis_entry(rec, n_candidates):
-    """True iff a cached block-basis record is well formed: chosen indices
-    strictly increasing in range(n_candidates), and a symmetric integer
-    Gram matrix on them (entries stored as decimal strings) that
-    linalg.rank_int, the keep test the scan uses, reads at full rank
-    without raising: by Sylvester's criterion, one whose leading principal
-    minors are all positive."""
+    """(chosen, gram, factor) of a well-formed cached block-basis record,
+    else None: chosen indices strictly increasing in range(n_candidates),
+    and a symmetric integer Gram matrix on them (entries stored as decimal
+    strings) whose factor, linalg.gram_factor, the keep test the scan uses,
+    has full rank without raising: by Sylvester's criterion, one whose
+    leading principal minors are all positive."""
     try:
         chosen = rec["chosen"]
         gram = [[int(x) if isinstance(x, str) else None for x in row] for row in rec["gram"]]
+        r = len(chosen)
     except (KeyError, TypeError, ValueError):
-        return False
-    r = len(chosen)
-    if not all(type(i) is int for i in chosen):
-        return False
-    if r and not (0 <= chosen[0] and chosen[-1] < n_candidates):
-        return False
-    if any(a >= b for a, b in zip(chosen, chosen[1:])):
-        return False
-    if len(gram) != r or any(len(row) != r or None in row for row in gram):
-        return False
-    if any(gram[i][j] != gram[j][i] for i in range(r) for j in range(i)):
-        return False
+        return None
+    if (
+        not all(type(i) is int for i in chosen)
+        or (r and not (0 <= chosen[0] and chosen[-1] < n_candidates))
+        or any(a >= b for a, b in zip(chosen, chosen[1:]))
+        or len(gram) != r
+        or any(len(row) != r or None in row for row in gram)
+        or any(gram[i][j] != gram[j][i] for i in range(r) for j in range(i))
+    ):
+        return None
     try:
-        return linalg.rank_int(gram) == r
+        factor = linalg.gram_factor(gram)
     except ArithmeticError:
-        return False
+        return None
+    return (chosen, gram, factor) if len(factor[0]) == r else None
 
 
 # ---------------------------------------------------------------------------

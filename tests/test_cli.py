@@ -248,10 +248,14 @@ def test_a_finished_command_keeps_no_models(monkeypatch, capsys):
         ["dims", "--max-degree", "-1"],
         ["verify", "intertwiner", "--depth", "-1"],
         ["verify", "independence", "--max-degree", "-2"],
+        ["verify", "tpower", "--kind", "c2fs", "--k0", "-1", "--k1", "2"],
+        ["verify", "icprop", "--k0", "-1"],
+        ["enumerate", "--k0", "-1"],
     ],
 )
-def test_negative_windows_are_usage_errors(argv, capsys):
-    # a negative window has nothing to certify: it must not pass vacuously
+def test_negative_windows_and_labels_are_usage_errors(argv, capsys):
+    # a negative window has nothing to certify, and negative labels are no
+    # highest weight: neither may pass vacuously
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert "must be nonnegative" in captured.err

@@ -15,6 +15,7 @@ import oracles
 from affine_basis import affine
 from affine_basis import cli
 from affine_basis import intertwiner
+from affine_basis import linalg
 from affine_basis.cartan import X22
 from affine_basis.intertwiner import (
     EPS1,
@@ -63,7 +64,7 @@ def test_coordinates_recover_basis_vectors():
     # is the Gram determinant
     dens = set()
     for key in SOURCE.block_keys():
-        den = SOURCE.gram_factor(key)[1][-1]
+        den = SOURCE.factor[key][1][-1]
         assert den == abs(oracles.det_fraction(SOURCE.gram[key]))
         dens.add(den)
         for i, vec in enumerate(SOURCE.vectors[key]):
@@ -517,12 +518,19 @@ def test_traced_layer_counts_of_the_depth_three_intertwiner(monkeypatch):
     # to pairing every column, or to inverting, reads as more calls here
     monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
     tracer = _installed_tracer()
+    for name in ("gram_factor", "bordered_minor"):
+        tracer.patch(linalg, name, "linalg." + name)
     try:
         assert verify_intertwiner(3).ok
     finally:
         tracer.uninstall()
     names = ("intertwiner.act_matrix", "intertwiner.coordinates", "linalg.invert")
     assert [tracer.calls(name) for name in names] == [2688, 2056, 0]
+    # each Gram matrix is eliminated once, by the scan's keep test, and its
+    # factor kept on the block: a second elimination of a block's Gram
+    # matrix reads as gram_factor calls and more bordered minors here
+    names = ("linalg.gram_factor", "linalg.bordered_minor")
+    assert [tracer.calls(name) for name in names] == [0, 1065]
     # solve_w eliminates block by block and hands solve_sparse only the
     # coupled rows in the free parameters, one call per degree: a return to
     # one row per matrix entry (5,817 rows in 1,738 unknowns) reads here

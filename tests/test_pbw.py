@@ -494,6 +494,14 @@ def test_block_basis_disk_cache_roundtrip(tmp_path):
     assert warm.basis == cold.basis
     assert warm.matrix == cold.matrix
     assert warm.rank == cold.rank and warm.candidates == cold.candidates
+    # every block keeps the Bareiss factor of its Gram matrix, built by the
+    # scan's keep test (cold) or by the entry check (warm: every block was
+    # read from the cache)
+    cold_blocks, warm_blocks = m1.block_support(2), m2.block_support(2)
+    assert m2.cache.misses == 0
+    assert cold_blocks.keys() == warm_blocks.keys()
+    for key, blk in cold_blocks.items():
+        assert warm_blocks[key].factor == blk.factor == linalg.gram_factor(blk.matrix), key
 
 
 def test_corrupt_cache_entries_are_recomputed(tmp_path):
@@ -567,6 +575,7 @@ def test_cache_entries_of_another_tag_or_candidate_list_are_never_used(tmp_path,
         {"chosen": [0]},  # no Gram matrix
         {"chosen": [0, 1], "gram": [["1", "1"], ["1", "1"]]},  # singular
         {"chosen": [0, 1], "gram": [["1", "2"], ["2", "1"]]},  # indefinite
+        {"chosen": 1, "gram": []},  # chosen is not a list
     ],
 )
 def test_malformed_cached_bases_are_rejected(entry):

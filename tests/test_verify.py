@@ -131,9 +131,9 @@ def test_c0_nonvanishing_norm_strings(cached, tmp_path, monkeypatch):
     loads = []
     get_json = cache.GramCache.get_json
 
-    def counting_get_json(self, key, check=None):
+    def counting_get_json(self, key, parse):
         loads.append(key)
-        return get_json(self, key, check)
+        return get_json(self, key, parse)
 
     monkeypatch.setattr(cache.GramCache, "get_json", counting_get_json)
     for labels, pinned in (((1, 0), ["1", "0"]), ((0, 1), ["1", "1", "0"]), ((0, 2), None)):
