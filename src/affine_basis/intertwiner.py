@@ -689,7 +689,9 @@ def verify_cross_model(kind, max_degree, cache_dir=None):
     """Certify that the Verma-engine pairing and the tensor-model pairing
     agree on every pair of admissible long-root monomial vectors in the same
     block (two independent computations of the same contravariant form).
-    Each word's vector is computed once in each model."""
+    Each word's vector is computed once in each model; the Verma side pairs
+    the left word with the right vector (pair_mono), as the basis verifiers
+    do."""
     t0 = time.perf_counter()
     k0, k1 = kind.k0, kind.k1
     verma = VermaModule(kind.spec(), gens=GEN_C2)
@@ -708,7 +710,7 @@ def verify_cross_model(kind, max_degree, cache_dir=None):
         for j in range(i, len(pis)):
             if blocks[i] != blocks[j]:
                 continue
-            a = verma.pair(verma_vecs[i], verma_vecs[j])
+            a = verma.kernel.pair_mono(words[i], verma_vecs[j])
             b = tensor.pair(tensor_vecs[i], tensor_vecs[j])
             checked += 1
             if a != b:

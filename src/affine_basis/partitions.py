@@ -59,13 +59,22 @@ class ColoredPartition:
         return cls(a=_freqs(a), b=_freqs(b), c=_freqs(c))
 
     def a_at(self, j):
-        return dict(self.a).get(j, 0)
+        for size, f in self.a:
+            if size == j:
+                return f
+        return 0
 
     def b_at(self, j):
-        return dict(self.b).get(j, 0)
+        for size, f in self.b:
+            if size == j:
+                return f
+        return 0
 
     def c_at(self, j):
-        return dict(self.c).get(j, 0)
+        for size, f in self.c:
+            if size == j:
+                return f
+        return 0
 
     @property
     def max_part(self):

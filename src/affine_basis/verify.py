@@ -8,15 +8,23 @@ scalars are extracted from straightened expressions and reported, identities
 are checked coefficient by coefficient, and passage to the irreducible
 quotient always goes through the contravariant pairing.  Vectors are the
 plain dicts of the pbw layer and every rank is the integer rank of a Gram
-matrix (pbw.rank_int, which raises where the form is not positive), so a
+matrix (pbw.rank_int, which raises where the form is not positive).
+Proportionality is tested on the integer combination b*u - a*v, so a
 Fraction appears only in a witness scalar.
+
+Each kernel result is computed once.  A family's Gram matrix pairs each
+member's word with the other members' vectors through the kernel's
+memoised adjoint peel (pair_mono), as the block scan does; translation's
+kill check applies one more raiser to the vector it already holds.
 
 The derivation T is the commutator action of the middle color x12 at mode 0.
 On the long-root triple it acts as a chain f -> x21' -> x22 (and h -> x12)
 that converts long-root monomials into color monomials; verify_t_power
 certifies the conversion identity in the enveloping algebra itself.  The
 DerivationTable driving t_apply is computed from the structure table but can
-be mutated, which is how the negative controls poison it.
+be mutated, which is how the negative controls poison it.  Each table
+memoises the image of every monomial it is applied to; the default table is
+built once per process, and a mutated copy keeps a memo of its own.
 """
 
 from dataclasses import dataclass, field
@@ -70,39 +78,68 @@ class StepReport:
 class DerivationTable:
     """Single-generator replacement table of the derivation: base index ->
     tuple of (coeff, base).  Built from the bracket with x12; the mutate()
-    hook returns a poisoned copy for negative controls."""
+    hook returns a poisoned copy for negative controls.  Each table memoises
+    the image of every monomial it has been applied to (image), so a
+    straightened replaced word is computed once per table; a mutated copy
+    starts with an empty memo of its own."""
 
     def __init__(self, action=None):
         if action is None:
             table = build_c2()
             action = {b: tuple(table.bracket[X12][b]) for b in range(10)}
         self.action = action
+        self._images = {}
 
     def mutate(self, base, new_terms):
         action = dict(self.action)
         action[base] = tuple(new_terms)
         return DerivationTable(action)
 
+    def image(self, mono):
+        """The derivation's image of one normal-ordered monomial, by the
+        Leibniz rule: {(central_exponent, monomial): int}, each replaced
+        word straightened.  The mode of each factor is preserved; only the
+        base changes, through the table.  Memoised on the table."""
+        out = self._images.get(mono)
+        if out is None:
+            out = {}
+            for pos, le in enumerate(mono):
+                mode = le >> 4
+                for cf, b2 in self.action[le & 15]:
+                    word = mono[:pos] + (affine.encode(mode, b2),) + mono[pos + 1 :]
+                    add_into(out, straighten(word), cf)
+            self._images[mono] = out
+        return out
+
+
+_TABLE = None
+
+
+def _default_table():
+    """The derivation table of the structure table, built once per process
+    (as pbw.ukernel is), so its image memo serves every t_apply."""
+    global _TABLE
+    if _TABLE is None:
+        _TABLE = DerivationTable()
+    return _TABLE
+
 
 def t_apply(elem, table=None):
-    """Apply the derivation to a straightened enveloping-algebra element by
-    the Leibniz rule, re-straightening each replaced word.  The mode of each
-    factor is preserved; only the base changes, through the table."""
+    """Apply the derivation to a straightened enveloping-algebra element:
+    the sum of coeff * table.image(mono) over its terms, each image's
+    central exponent shifted by the term's.  `table` defaults to the
+    process-wide _default_table()."""
     if table is None:
-        table = DerivationTable()
+        table = _default_table()
     out = {}
     for (dc, mono), coeff in elem.items():
-        for pos, le in enumerate(mono):
-            mode = le >> 4
-            for cf, b2 in table.action[le & 15]:
-                word = mono[:pos] + (affine.encode(mode, b2),) + mono[pos + 1 :]
-                for (dc2, m2), c2 in straighten(word).items():
-                    k = (dc + dc2, m2)
-                    cc = out.get(k, 0) + coeff * cf * c2
-                    if cc:
-                        out[k] = cc
-                    else:
-                        out.pop(k, None)
+        for (dc2, m2), c2 in table.image(mono).items():
+            k = (dc + dc2, m2)
+            cc = out.get(k, 0) + coeff * c2
+            if cc:
+                out[k] = cc
+            else:
+                out.pop(k, None)
     return out
 
 
@@ -141,15 +178,18 @@ def verify_t_power(kind, pi, table=None):
 
 def _proportionality(u, v, is_zero=operator.not_):
     """Scalar s with u == s * v, for vectors held as dicts of coefficients:
-    s is read off one term of v and u - s*v must satisfy is_zero (by
-    default, every coefficient vanishes; translation passes the module's
-    zero_in_quotient).  None if v is empty or the two are not
-    proportional."""
+    with a = u[key] and b = v[key] != 0 read off one term of v, b*u - a*v
+    must satisfy is_zero (by default, every coefficient vanishes;
+    translation passes the module's zero_in_quotient), and s = a / b.  The
+    nonzero scale b changes neither zero-ness, nor homogeneity, nor the
+    sign of the norm, and keeps a Fraction out of the difference vector.
+    None if v is empty or the two are not proportional."""
     if not v:
         return None
     key = next(iter(v))
-    s = Fraction(u.get(key, 0)) / v[key]
-    return s if is_zero(add_into(dict(u), v, -s)) else None
+    a, b = u.get(key, 0), v[key]
+    diff = add_into({m: b * c for m, c in u.items()}, v, -a)
+    return Fraction(a) / b if is_zero(diff) else None
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +216,7 @@ def verify_translation(kind, pi, module=None):
     ok = mu is not None and mu != 0
     killed = None
     if ok:
-        killed = module.zero_in_quotient(module.act_word(raiser * (n + 1) + word))
+        killed = module.zero_in_quotient(module.act_word(raiser, u))
         ok = killed
     return StepReport(
         step="translation",
@@ -224,33 +264,42 @@ def verify_c0_nonvanishing(kind, cache_dir=None):
 
 
 def _group_by_block(kind, module, pis):
+    """{(degree, weight): ([pi], [monomial word])} of the families, each
+    partition's word kept beside it."""
     groups = {}
     for pi in pis:
         word = kind.monomial_word(pi)
         key = (affine.word_degree(word), module.abs_weight(word))
-        groups.setdefault(key, []).append(pi)
+        members, words = groups.setdefault(key, ([], []))
+        members.append(pi)
+        words.append(word)
     return dict(sorted(groups.items()))
 
 
-def _family_gram(module, vecs):
+def _family_gram(module, words, vecs):
+    """Integer Gram matrix of a family given by its words and their vectors
+    (vecs[j] = words[j] . v): entry (i, j) pairs the word words[i] with the
+    vector vecs[j] through the kernel's adjoint peel (pair_mono, memoised
+    on (suffix, monomial))."""
+    pair = module.kernel.pair_mono
     n = len(vecs)
     g = [[0] * n for _ in range(n)]
     for j in range(n):
         for i in range(j + 1):
-            val = module.pair(vecs[i], vecs[j])
+            val = pair(words[i], vecs[j])
             g[i][j] = val
             g[j][i] = val
     return g
 
 
-def _family_rank(kind, module, pis):
+def _family_rank(module, words):
     """(Gram matrix, Gram rank) of the monomial vectors of a family."""
-    gram = _family_gram(module, [module.act_word(kind.monomial_word(pi)) for pi in pis])
+    gram = _family_gram(module, words, [module.act_word(word) for word in words])
     return gram, pbw.rank_int(gram)
 
 
-def _independence_block(kind, module, key, pis):
-    gram, rank = _family_rank(kind, module, pis)
+def _independence_block(module, key, pis, words):
+    gram, rank = _family_rank(module, words)
     entry = {
         "degree": key[0],
         "weight": list(key[1]),
@@ -287,8 +336,8 @@ def verify_independence(kind, max_degree, cache_dir=None):
     module = kind.module()
     pis = parts_mod.enumerate_admissible(kind, max_degree)
     entries = [
-        _independence_block(kind, module, key, group)
-        for key, group in _group_by_block(kind, module, pis).items()
+        _independence_block(module, key, group, words)
+        for key, (group, words) in _group_by_block(kind, module, pis).items()
     ]
     ok = all(e["count"] == e["rank"] for e in entries)
     return StepReport(
@@ -315,8 +364,8 @@ def verify_spanning(kind, max_degree, cache_dir=None):
     ok = True
     for key in keys:
         dim = support[key].rank if key in support else 0
-        group = groups.get(key, [])
-        _, adm_rank = _family_rank(kind, module, group)
+        group, words = groups.get(key, ([], []))
+        _, adm_rank = _family_rank(module, words)
         entry = {
             "degree": key[0],
             "weight": list(key[1]),

@@ -5,6 +5,7 @@ line per criterion; the terminal-summary hook reprints them at the end of
 the run so the pass/fail ledger is visible regardless of capture settings.
 """
 
+import importlib.util
 import os
 import sys
 
@@ -27,6 +28,18 @@ def record_criterion(number, ok, elapsed, budget, description):
         elapsed,
         budget,
     )
+
+
+def installed_tracer():
+    """perfbench's tracer, installed around the package's entry points; the
+    caller uninstalls it."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer()
+    tracer_mod.install(tracer)
+    return tracer
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -12,7 +12,8 @@ determinants and for the intertwiner's commutation identity, the
 intertwiner's unstructured system (one sparse row per matrix entry of
 every equation, solved degree by degree), w_{k1,s} as a product over
 tensor slots, the Weyl group of the finite weights, and a
-nondeterministic-order rewriting engine for normal ordering.  When the package and an oracle
+nondeterministic-order rewriting engine for normal ordering, and the
+Fraction form of the proportionality test.  When the package and an oracle
 agree, the agreement is between two codepaths that share nothing but the
 definitions.
 """
@@ -862,6 +863,20 @@ def _accumulate(acc, key, coeff):
 # ---------------------------------------------------------------------------
 # derived scalar oracles
 # ---------------------------------------------------------------------------
+
+
+def proportionality_fraction(u, v, is_zero):
+    """Scalar s with u == s * v, read off the first term of v in Fraction
+    arithmetic: s = u[key] / v[key], and u - s*v must satisfy is_zero.
+    None if v is empty or the test fails."""
+    if not v:
+        return None
+    key = next(iter(v))
+    s = Fraction(u.get(key, 0)) / v[key]
+    diff = dict(u)
+    for m, c in v.items():
+        diff[m] = diff.get(m, 0) - s * c
+    return s if is_zero({m: c for m, c in diff.items() if c}) else None
 
 
 def t_power_scalar(pi):

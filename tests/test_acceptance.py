@@ -271,8 +271,9 @@ def test_criterion_9_negative_controls(session_cache):
             word = kind.monomial_word(pi)
             key = (affine.word_degree(word), module.abs_weight(word))
             family = by_block.get(key, []) + [pi]
-            vecs = [module.act_word(kind.monomial_word(q)) for q in family]
-            gram = verify._family_gram(module, vecs)
+            words = [kind.monomial_word(q) for q in family]
+            vecs = [module.act_word(w) for w in words]
+            gram = verify._family_gram(module, words, vecs)
             rank = pbw.rank_int([[int(x) for x in row] for row in gram])
             ok = ok and rank < len(family)
     ok = ok and violators_seen > 0

@@ -3,15 +3,14 @@
 import dataclasses
 from fractions import Fraction
 import hashlib
-import importlib.util
 import json
 import math
-import os
 import random
 
 import pytest
 
 import oracles
+from conftest import installed_tracer
 from affine_basis import affine
 from affine_basis import cli
 from affine_basis import intertwiner
@@ -485,23 +484,11 @@ def test_a_perturbed_target_action_of_each_equation_class_has_no_intertwiner(
     assert not verify_intertwiner(2).ok
 
 
-def _installed_tracer():
-    """perfbench's tracer, installed around the package's entry points; the
-    caller uninstalls it."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer_mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_mod)
-    tracer = tracer_mod.Tracer()
-    tracer_mod.install(tracer)
-    return tracer
-
-
 def test_traced_build_counts_of_the_depth_three_models():
     # perfbench's tracer counts scanned blocks, candidates and kept words
     # through VermaModule.block_basis; a build that bypassed it would read
     # as zero there, so the depth-3 numbers are pinned here
-    tracer = _installed_tracer()
+    tracer = installed_tracer()
     try:
         for labels in ((0, 1, 0), (0, 0, 1)):
             TruncatedModule(HighestWeightSpec(*labels), 3)
@@ -517,7 +504,7 @@ def test_traced_layer_counts_of_the_depth_three_intertwiner(monkeypatch):
     # the Gram factor, so no Gram inverse is computed at run time.  A return
     # to pairing every column, or to inverting, reads as more calls here
     monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
-    tracer = _installed_tracer()
+    tracer = installed_tracer()
     for name in ("gram_factor", "bordered_minor"):
         tracer.patch(linalg, name, "linalg." + name)
     try:
@@ -545,7 +532,7 @@ def test_traced_calls_of_one_chain_sweep(monkeypatch):
     # partitions over windows 1 and 2: one solve per window, one sparse
     # solve per degree of each
     monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
-    tracer = _installed_tracer()
+    tracer = installed_tracer()
     try:
         assert intertwiner.sweep_projection_chain(A1Standard(0, 1), 2).ok
     finally:

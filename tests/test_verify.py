@@ -1,12 +1,17 @@
 """Identity verifiers: derivation powers, translation, rank sweeps, and the
 negative controls that prove the verifiers can fail."""
 
+from fractions import Fraction
 import json
+import operator
 
 import pytest
 
 import oracles
+from conftest import installed_tracer
 from affine_basis import affine, cache, cli, kernels, pbw, verify
+from affine_basis import partitions as parts_mod
+from affine_basis.cartan import X12
 from affine_basis.partitions import (
     A1Standard,
     C2FS,
@@ -104,6 +109,108 @@ def test_mutated_derivation_table_fails_with_witness():
     assert {e["partition"] for e in bad_h} == {"b1"}
 
 
+def test_a_poisoned_table_fails_next_to_the_default_table(monkeypatch):
+    # each table memoises the images of its own action: a poisoned copy of
+    # the default table, made after the default has filled its memo, must
+    # not read those images, nor the default table a poisoned one's
+    kind = A1Standard(1, 0)
+    monkeypatch.setattr(verify, "_TABLE", None)
+    fresh = sweep_t_power(kind, 3)
+    after = sweep_t_power(kind, 3, verify._default_table().mutate(0, ()))
+    monkeypatch.setattr(verify, "_TABLE", None)
+    before = sweep_t_power(kind, 3, DerivationTable().mutate(0, ()))
+    default = sweep_t_power(kind, 3)
+    assert fresh.ok and default.ok
+    assert default.witness == fresh.witness
+    assert not after.ok and not before.ok
+    assert after.witness == before.witness
+
+
+def test_table_images_are_the_leibniz_sum_of_straightened_words():
+    # image(mono) against the Leibniz rule written out word by word, for
+    # every monomial that the derivation powers of degree <= 3 reach
+    table = DerivationTable()
+    kind = A1Standard(1, 1)
+    for pi in enumerate_admissible(kind, 3):
+        elem = pbw.straighten(parts_mod.long_root_word(pi))
+        for _ in range(pi.n_prime()):
+            for _, mono in elem:
+                expected = {}
+                for pos, le in enumerate(mono):
+                    for cf, b2 in table.action[le & 15]:
+                        word = mono[:pos] + (affine.encode(le >> 4, b2),) + mono[pos + 1 :]
+                        pbw.add_into(expected, pbw.straighten(word), cf)
+                assert table.image(mono) == expected, (pi.tag(), mono)
+            elem = t_apply(elem, table)
+
+
+def test_integer_proportionality_matches_the_fraction_form():
+    m1, m2, m3 = (affine.encode(-1, 0),), (affine.encode(-2, 0),), (affine.encode(-1, 1),)
+    v = {m1: 2, m2: -4}
+    cases = [
+        ({m1: 3, m2: -6}, v),  # s = 3/2
+        ({m1: -2, m2: 4}, v),  # s = -1
+        ({}, v),  # s = 0
+        ({m1: 3, m2: 6}, v),  # not proportional
+        ({m1: 2, m2: -4, m3: 1}, v),  # one term too many
+        ({m1: 1}, {}),  # nothing to read s off
+        ({m1: Fraction(1, 3), m2: Fraction(-2, 3)}, {m1: Fraction(1, 2), m2: -1}),
+        ({m1: Fraction(1, 3), m2: 1}, {m1: Fraction(1, 2), m2: -1}),
+    ]
+    for u, w in cases:
+        got = verify._proportionality(u, w)
+        assert got == oracles.proportionality_fraction(u, w, operator.not_), (u, w)
+    assert verify._proportionality(*cases[0]) == Fraction(3, 2)
+    assert verify._proportionality(*cases[3]) is None
+    # integer vectors give an integer difference: no Fraction enters it
+    diffs = []
+    verify._proportionality({m1: 3, m2: -5}, v, lambda vec: diffs.append(vec) or not vec)
+    assert diffs == [{m2: 2}] and type(diffs[0][m2]) is int
+
+
+def test_integer_proportionality_in_the_quotient_matches_the_fraction_form():
+    # translation's path: every pair of a raised long-root vector and a
+    # color vector of the same block, in the quotient (zero_in_quotient)
+    raiser = (affine.encode(0, X12),)
+    outcomes = set()
+    for kind in (A1Standard(1, 1), A1Standard(0, 2)):
+        module = pbw.VermaModule(kind.spec(), gens=pbw.GEN_C2)
+
+        def block(vec):
+            m = next(iter(vec))
+            return affine.word_degree(m), module.abs_weight(m)
+
+        pis = enumerate_admissible(kind, 3)
+        us = [module.act_word(raiser * pi.n_of() + kind.monomial_word(pi)) for pi in pis]
+        cands = [module.act_word(parts_mod.translated_color_word(pi)) for pi in pis]
+        for u in us:
+            for cand in cands:
+                if block(u) != block(cand):
+                    continue
+                got = verify._proportionality(u, cand, module.zero_in_quotient)
+                want = oracles.proportionality_fraction(u, cand, module.zero_in_quotient)
+                assert got == want
+                outcomes.add(got is None)
+    assert outcomes == {False, True}
+
+
+def test_translation_kill_check_applies_one_more_raiser():
+    # the kill check tests raiser . u, the vector one raiser above the one
+    # translation compared; it must equal the raised word from the vacuum
+    raiser = (affine.encode(0, X12),)
+    for labels in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2)):
+        kind = A1Standard(*labels)
+        module = pbw.VermaModule(kind.spec(), gens=pbw.GEN_C2)
+        seen = []
+        zero = module.zero_in_quotient
+        module.zero_in_quotient = lambda vec: seen.append(vec) or zero(vec)
+        for pi in enumerate_admissible(kind, 3):
+            seen.clear()
+            assert verify_translation(kind, pi, module=module).ok, pi.tag()
+            word = kind.monomial_word(pi)
+            assert seen[-1] == module.act_word(raiser * (pi.n_of() + 1) + word), pi.tag()
+
+
 # ---------------------------------------------------------------------------
 # translation identity and the mode-0 string
 # ---------------------------------------------------------------------------
@@ -187,6 +294,42 @@ def test_principal_subspace_independence():
     assert rep.ok
 
 
+@pytest.mark.parametrize(
+    "kind",
+    [A1Standard(1, 0), A1Standard(1, 1), A1Standard(0, 2), C2FS(1, 0, 0), C2FS(0, 1, 1)],
+    ids=lambda kind: "%s%s" % (kind.name, kind.as_tuple()),
+)
+def test_family_gram_equals_the_gram_of_the_vectors(kind):
+    # entry (i, j) pairs the word of member i with the vector of member j;
+    # the oracle pairs the two vectors.  Each family is a whole degree, so
+    # the entries across blocks (zero) are compared too
+    module = kind.module()
+    by_degree = {}
+    for pi in enumerate_admissible(kind, 4):
+        by_degree.setdefault(pi.degree, []).append(kind.monomial_word(pi))
+    for words in by_degree.values():
+        vecs = [module.act_word(word) for word in words]
+        assert verify._family_gram(module, words, vecs) == oracles.gram(module.pair, vecs)
+
+
+def test_traced_kernel_calls_of_the_degree_four_basis_steps(monkeypatch):
+    # a family Gram entry pairs a word with a vector, the derivation's
+    # image of each monomial is memoised on its table, and translation's
+    # kill check raises the vector it holds: pairing two expanded vectors,
+    # straightening a replaced word again or expanding the kill vector
+    # from the vacuum reads as more calls here
+    monkeypatch.setattr(verify, "_TABLE", None)
+    tracer = installed_tracer()
+    try:
+        for labels in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2)):
+            kind = A1Standard(*labels)
+            for step in (verify_independence, verify_spanning, sweep_t_power, sweep_translation):
+                assert step(kind, 4).ok, (step.__name__, labels)
+    finally:
+        tracer.uninstall()
+    assert [tracer.calls("pbw.straighten"), tracer.calls("pbw.pair")] == [2022, 590]
+
+
 def test_dc_violator_creates_a_rank_deficit():
     kind = A1Standard(1, 0)
     module = kind.module()
@@ -205,8 +348,9 @@ def test_dc_violator_creates_a_rank_deficit():
     # no dependent subfamily: the extraction must shrink it away
     other = next(pi for pi in admissible if block_of(pi) != key)
     family = [other] + block_pis + [violator]
-    vecs = [module.act_word(kind.monomial_word(pi)) for pi in family]
-    gram = verify._family_gram(module, vecs)
+    words = [kind.monomial_word(pi) for pi in family]
+    vecs = [module.act_word(word) for word in words]
+    gram = verify._family_gram(module, words, vecs)
     rank = pbw.rank_int([[int(x) for x in row] for row in gram])
     assert rank == len(family) - 1  # deficit of exactly the appended vector
     tags = verify._minimal_dependent(gram, family)
