@@ -32,11 +32,6 @@ N = 4  # rows/columns are indexed by the symbols (1, 2, 2', 1')
 
 X1B1B, X2B1B, X2B2B, X21B, H2, X22, H1, X12B, X12, X11 = range(10)
 
-TAGS = ("x1'1'", "x2'1'", "x2'2'", "x21'", "h2", "x22", "h1", "x12'", "x12", "x11")
-
-CARTAN = (H1, H2)
-
-
 def _e(i, j):
     """Elementary matrix E_ij as a nested tuple."""
     return tuple(
@@ -67,8 +62,6 @@ def _commutator(a, b):
 
 # Symbols occupy positions 0,1,2,3 = 1,2,2',1'.  The symplectic form is
 # J = E14 + E23 - E32 - E41 (J^2 = -I); the algebra is {x : x^T J + J x = 0}.
-J_MATRIX = _madd(_madd(_e(0, 3), _e(1, 2)), _madd(_e(2, 1), _e(3, 0)), -1)
-
 MATRICES = (
     _e(3, 0),                    # x1'1'
     _madd(_e(2, 0), _e(3, 1)),   # x2'1'
@@ -196,10 +189,6 @@ def build_c2():
 
 # eps-coordinates; the normalized invariant pairing on weight space makes the
 # long roots have square length 2 (matching the trace form via nu).
-THETA = (2, 0)          # highest root, = 2*eps1
-ALPHA1 = (1, -1)        # simple root eps1 - eps2 (short)
-ALPHA2 = (0, 2)         # simple root 2*eps2 (long)
-OMEGA1 = (1, 0)         # fundamental weight for alpha1
 OMEGA2 = (1, 1)         # fundamental weight for alpha2 (minuscule coweight dir.)
 
 

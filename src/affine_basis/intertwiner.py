@@ -20,24 +20,31 @@ Blocks outside the support are zero by the closure theorem of pbw, and an
 image in an empty block of the window is certified zero by its norm.  No
 quotient basis is ever guessed.
 
-Models are kept per module, not per window.  get_truncated holds one store
-for each (highest weight, cache directory): one Verma module, whose block
-bases every window reads, and one memo each of action matrices and images
-of basis words.  The model of a window is a view of that store with its
-own max_degree and block list, built by block_support(window) over the
-bases already built, so a smaller window requested after a larger one
-scans nothing.  A build that scans a block ends by emptying the kernel's
-straightening memo (VermaKernel.clear_act_memo): afterwards the kernel
-straightens and pairs only the rejected candidates and the images into
-empty blocks, so the memo that dominates a build's memory lives for one
-build only.  A view that scans nothing leaves the memo as those have
-refilled it.  A block basis, and so every action matrix, image and factor,
-is the same at every window; each view checks its own window before it
-reads the shared memo.
-The projection chain takes w on each partition's own window from a memo
-on the source view, keyed by the target view (_solved_w), so the models
-and their solved maps are dropped together; verify_intertwiner solves for
-itself, since it certifies that solve.
+Models are kept per module, not per window.  get_truncated holds one
+TruncatedModule for each (highest weight, cache directory), closed to the
+deepest window asked for so far (TruncatedModule.close), as the Verma
+module under it is closed by block_support: a shallower request scans
+nothing, and a deeper one scans only the new degrees.  Windows stay
+arguments: solve_w, _check_commutation, TensorModule and the projection
+chain's depth each take their own, and the chain reads w from a memo on
+the source model keyed by (target model, window) (_solved_w), so the
+models and their solved maps are dropped together; verify_intertwiner
+solves for itself, since it certifies that solve.  A model closed deeper
+gives every shallower window the answers a model built for that window
+gives, by these invariants:
+
+  * every nonzero block up to max_degree is in `blocks`;
+  * act_matrix refuses a target above max_degree before it reads its memo;
+  * the _image recursion never leaves the top call's target degree: a
+    basis word's first letter is storable, so its degree is >= 0.  So the
+    images and action matrices memoised at a lower closed degree stay
+    valid after a close;
+  * a close that scans a block ends by emptying the kernel's straightening
+    memo (VermaKernel.clear_act_memo), as the first build does: afterwards
+    the kernel straightens and pairs only the rejected candidates and the
+    images into empty blocks, so the memo that dominates a build's memory
+    lives for one close only.  A close that scans nothing leaves the memo
+    as those have refilled it.
 
 TensorModule combines several truncated modules with the coproduct action
 (sum over slots) and the product pairing.  Levels add; the tensor of level-1
@@ -92,51 +99,46 @@ EPS1 = (1, 0)
 
 class TruncatedModule:
     """Exact finite model of the irreducible module of `spec` up to degree
-    max_degree.  Blocks are discovered by the Verma engine's support
-    closure, so the block list is provably complete within the window, and
-    block_support checks their dimensions against the Weyl group.  Each
-    block's words, vectors, Gram matrix and its Bareiss factor are read off
-    its pbw.BlockBasis.
+    max_degree, the deepest window it was closed to.  Blocks are discovered
+    by the Verma engine's support closure, so the block list is provably
+    complete within the window, and block_support checks their dimensions
+    against the Weyl group.  `blocks` maps each nonzero block to the
+    pbw.BlockBasis that block_support returns: its words, vectors, Gram
+    matrix and Bareiss factor.  The model grows by close, and every memo
+    stays valid as it grows (see the module docstring)."""
 
-    `_shared`, another model of the same module and cache directory, makes
-    this one a view of the same store (see the module docstring): it reuses
-    that model's Verma module and its memos of action matrices and images,
-    so only the window and the block list are its own."""
+    def __init__(self, spec, max_degree, cache_dir=None):
+        self.verma = VermaModule(spec, gens=GEN_C2, cache_dir=cache_dir)
+        self.max_degree = -1  # close sets it and `blocks`
+        self._act = {}
+        self._images = {}
+        self._place = {}  # basis word: (its block, its index there)
+        self._solved = {}  # solved intertwiners, by (target model, window): _solved_w
+        self.close(max_degree)
 
-    def __init__(self, spec, max_degree, cache_dir=None, _shared=None):
-        self.spec = spec
-        self.max_degree = max_degree
-        if _shared is None:
-            self.verma = VermaModule(spec, gens=GEN_C2, cache_dir=cache_dir)
-            self._act = {}
-            self._images = {}
-            self._place = {}
-        else:
-            self.verma = _shared.verma
-            self._act = _shared._act
-            self._images = _shared._images
-            self._place = _shared._place
-        self.basis = {}
-        self.vectors = {}
-        self.gram = {}
-        self.factor = {}
-        self._solved = {}  # this view's solved intertwiners, by target view: _solved_w
+    def close(self, max_degree):
+        """Extend the model to degree max_degree; a window it already holds
+        scans nothing, and a close that scans a block empties the kernel's
+        straightening memo (see the module docstring).  A negative window
+        raises ValueError, here and not only on a new model."""
+        if max_degree < 0:
+            raise ValueError("max_degree must be nonnegative, got %d" % max_degree)
+        if max_degree <= self.max_degree:
+            return
         built = len(self.verma._bases)
-        for key, blk in self.verma.block_support(max_degree).items():
-            self.basis[key] = blk.basis
-            self.vectors[key] = blk.vectors
-            self.gram[key] = blk.matrix
-            self.factor[key] = blk.factor
+        self.blocks = self.verma.block_support(max_degree)
+        self.max_degree = max_degree
+        for key, blk in self.blocks.items():
             for i, word in enumerate(blk.basis):
                 self._place[word] = (key, i)
         if len(self.verma._bases) > built:
             self.verma.kernel.clear_act_memo()
 
     def dim(self, key):
-        return len(self.basis.get(key, ()))
+        return self.blocks[key].rank if key in self.blocks else 0
 
     def block_keys(self):
-        return sorted(self.basis)
+        return sorted(self.blocks)
 
     def top_key(self):
         return (0, self.verma.lam_wt)
@@ -158,21 +160,21 @@ class TruncatedModule:
         if a monomial lies outside block `key`, where every pairing would
         vanish.  Action matrices read it only for the closure candidates
         their block scan rejected and for images into an empty block."""
-        basis = self.basis.get(key, ())
+        blk = self.blocks.get(key)
         if not terms:
-            return [0] * len(basis)
+            return [0] * self.dim(key)
         for m in terms:
             if (affine.word_degree(m), self.verma.abs_weight(m)) != key:
                 raise ValueError("monomial %r does not lie in block %r" % (m, key))
-        if not basis:
+        if blk is None:
             # dimension 0: the vector must vanish in the quotient
             if not self.verma.zero_in_quotient(terms):
                 raise ArithmeticError(
                     "nonzero vector in a block reported empty: %r" % (key,)
                 )
             return []
-        p = [self.verma.kernel.pair_mono(m, terms) for m in basis]
-        return gram_solve(*self.factor[key], p)
+        p = [self.verma.kernel.pair_mono(m, terms) for m in blk.basis]
+        return gram_solve(*blk.factor, p)
 
     def act_matrix(self, le, key):
         """Matrix of x(le) from block `key` to its target block, in the
@@ -182,7 +184,8 @@ class TruncatedModule:
         map has den 1.  Column b is _image(le, b).  An image in an empty
         block of the window goes through `coordinates` instead, which
         certifies by its norm that it vanishes.  The window is checked
-        before the memo, which the views of one module share."""
+        before the memo, which holds the matrices of every window the model
+        was closed to."""
         if not 0 <= key[0] + affine.degree_of(le) <= self.max_degree:
             raise ValueError(
                 "action leaves the degree window: %r -> %r" % (key, self.target_key(le, key))
@@ -191,20 +194,21 @@ class TruncatedModule:
         if memo_key in self._act:
             return self._act[memo_key]
         tgt = self.target_key(le, key)
-        words = self.basis.get(key, ())
+        src = self.blocks.get(key)
+        words, vectors = (src.basis, src.vectors) if src else ((), ())
         rows = []
         den = 1
-        if tgt in self.basis:
+        if tgt in self.blocks:
             cols = [self._image(le, b) for b in words]
             den = math.lcm(
                 *(c.denominator for col in cols for c in col.values() if type(c) is Fraction)
             )
-            rows = [[0] * len(words) for _ in self.basis[tgt]]
+            rows = [[0] * len(words) for _ in range(self.dim(tgt))]
             for c, col in enumerate(cols):
                 for word, v in col.items():
                     rows[self._place[word][1]][c] = int(v * den)
         else:
-            for vec in self.vectors.get(key, ()):
+            for vec in vectors:
                 self.coordinates(tgt, self.verma.kernel.act_word((le,), vec))
         out = (tgt, rows, den)
         self._act[memo_key] = out
@@ -212,8 +216,8 @@ class TruncatedModule:
 
     def _image(self, x, word):
         """x . word in the irreducible quotient, for a loop code x and a
-        basis word of the window, as {basis word of the target block: int or
-        Fraction coefficient}; memoised per store.
+        basis word of the model, as {basis word of the target block: int or
+        Fraction coefficient}; memoised per model.
 
         A block outside the support is zero (the closure argument of the
         pbw docstring).  A
@@ -238,16 +242,16 @@ class TruncatedModule:
         key, i = self._place[word]
         tgt = self.target_key(x, key)
         kernel = self.verma.kernel
-        if tgt not in self.basis:
+        if tgt not in self.blocks:
             out = {}
         elif affine.storable(x) and (not word or x <= word[0]):
             cand = (x,) + word
             if cand in self._place:
                 out = {cand: 1}
             else:
-                vec = kernel.act_word((x,), self.vectors[key][i])
-                coords = zip(self.basis[tgt], self.coordinates(tgt, vec))
-                den = self.factor[tgt][1][-1]
+                vec = kernel.act_word((x,), self.blocks[key].vectors[i])
+                coords = zip(self.blocks[tgt].basis, self.coordinates(tgt, vec))
+                den = self.blocks[tgt].factor[1][-1]
                 out = {b: _q(n, den) for b, n in coords if n}
         elif not word:
             lam = kernel.lam.get(x, 0)  # x is a mode-0 code here
@@ -303,17 +307,15 @@ _TRUNC_CACHE = {}
 
 
 def get_truncated(spec, max_degree, cache_dir=None):
-    """The model of `spec` up to degree max_degree, one per window.
-    _TRUNC_CACHE holds one entry per (spec, cache_dir), a {window: model}
-    dict whose models are views of one store (see TruncatedModule): the
-    first window builds the Verma module, and a later window scans only
-    the blocks that no earlier one built, none if it is smaller."""
-    views = _TRUNC_CACHE.setdefault((spec.as_tuple(), cache_dir), {})
-    mod = views.get(max_degree)
+    """The model of `spec`, holding at least degree max_degree.
+    _TRUNC_CACHE holds one TruncatedModule per (spec, cache_dir): the first
+    call builds it, and a later one closes it to max_degree, which scans
+    only the degrees no earlier call reached, none if it is smaller."""
+    key = (spec.as_tuple(), cache_dir)
+    mod = _TRUNC_CACHE.get(key)
     if mod is None:
-        shared = next(iter(views.values()), None)
-        mod = TruncatedModule(spec, max_degree, cache_dir=cache_dir, _shared=shared)
-        views[max_degree] = mod
+        mod = _TRUNC_CACHE[key] = TruncatedModule(spec, max_degree, cache_dir)
+    mod.close(max_degree)  # nothing to do on a model just built
     return mod
 
 
@@ -329,7 +331,7 @@ class TensorModule:
     def vacuum(self):
         state = tuple((0, f.verma.lam_wt, 0) for f in self.factors)
         for f in self.factors:
-            if f.basis.get(f.top_key(), ()) != ((),):
+            if f.blocks[f.top_key()].basis != ((),):
                 raise AssertionError("top block basis is not the vacuum monomial")
         return {state: 1}
 
@@ -361,7 +363,7 @@ class TensorModule:
             for sv, cv in by_blocks.get(tuple(s[:2] for s in su), ()):
                 prod = cu * cv
                 for factor, (d, w, i), (_, _, j) in zip(self.factors, su, sv):
-                    prod *= factor.gram[(d, w)][i][j]
+                    prod *= factor.blocks[(d, w)].matrix[i][j]
                     if not prod:
                         break
                 total += prod
@@ -441,7 +443,7 @@ def solve_w(source, target, max_degree):
     stored as integer numerators over one reduced common denominator.
     Returns the IntertwinerMap; a degree without a solution ends the
     solve, with freedom None there (see IntertwinerMap.consistent).  The
-    projection chain reads the map from a memo on the source view
+    projection chain reads the map from a memo on the source model
     (_solved_w)."""
     if not 0 <= max_degree <= min(source.max_degree, target.max_degree):
         raise ValueError("window %d is not inside both models" % max_degree)
@@ -528,17 +530,19 @@ def _stacked_rows(equations, raising):
             yield row
 
 
-def _solved_w(source, target):
-    """solve_w(source, target, source.max_degree), solved once for each
-    pair of views; the projection chain reads w here.  The memo lives on
-    the source view, keyed by the target view, so dropping the models
-    (get_truncated's store) drops it too.  solve_w at degree d reads only
+def _solved_w(source, target, window):
+    """solve_w(source, target, window), solved once for each target model
+    and window; the projection chain reads w here.  The memo lives on the
+    source model, keyed by (target, window), so dropping the models
+    (get_truncated's store) drops it too.  The window is part of the key
+    because the models may hold more degrees than it: the map solved on
+    a deeper window has more blocks.  solve_w at degree d reads only
     blocks and action matrices of degrees <= d, so w below a degree does
     not depend on the window: each window's w agrees with every deeper one
     on the degrees they share."""
-    wmap = source._solved.get(target)
+    wmap = source._solved.get((target, window))
     if wmap is None:
-        wmap = source._solved[target] = solve_w(source, target, source.max_degree)
+        wmap = source._solved[target, window] = solve_w(source, target, window)
     return wmap
 
 
@@ -578,8 +582,12 @@ def _check_commutation(source, target, wmap, max_degree):
     cross-multiplied by the denominators: with A1 = a1/d1, A2 = a2/d2,
     W[t1] over e1 and W[key] over e, it checks
     (W[t1].a1) * d2 * e == (a2.W[key]) * e1 * d1.  It reads only the solved
-    blocks and the action matrices, never the solver's equations."""
+    blocks and the action matrices, never the solver's equations.  Source
+    blocks above the window, which a model closed deeper holds, are
+    skipped: w has no blocks there."""
     for key in source.block_keys():
+        if key[0] > max_degree:
+            break  # the keys ascend by degree
         n1 = source.dim(key)
         w, e = wmap.block(key)
         for base in affine.COLOR_BASES:
@@ -632,8 +640,10 @@ def verify_projection_chain(kind, pi, cache_dir=None):
            weight (k0, k1-c0, c0);
       (ii) w_{k1,s} kills that vector for every s with c0 < s <= k1.
 
-    The models and w are those of the partition's own window, max(degree, 1);
-    w comes from _solved_w, so partitions of one depth share one solve."""
+    The tensor models and w are those of the partition's own window,
+    max(degree, 1), on the shared models (get_truncated), which may hold
+    more; w comes from _solved_w, so partitions of one depth share one
+    solve."""
     t0 = time.perf_counter()
     k0, k1 = kind.k0, kind.k1
     pi1, c0 = pi.split_c0()
@@ -642,7 +652,7 @@ def verify_projection_chain(kind, pi, cache_dir=None):
     m0 = get_truncated(HighestWeightSpec(1, 0, 0), depth, cache_dir)
     m1 = get_truncated(HighestWeightSpec(0, 1, 0), depth, cache_dir)
     m2 = get_truncated(HighestWeightSpec(0, 0, 1), depth, cache_dir)
-    wmap = _solved_w(m1, m2)
+    wmap = _solved_w(m1, m2, depth)
     if not wmap.consistent:
         witness = {"error": "no intertwiner in window"}
         return StepReport("projection_chain", inputs, False, witness, time.perf_counter() - t0)

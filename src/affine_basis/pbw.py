@@ -131,19 +131,20 @@ class BlockBasis:
     word of loop codes, `(x,) + b` for a basis word b of the block below,
     and `()` for the top block; `vectors` holds each word's vector in the
     Verma module, a plain dict like every vector here.  `candidates` counts
-    the increasing closure candidates scanned (see the module docstring);
-    rank == len(basis).  `factor` is linalg.gram_factor(matrix), as the keep
-    test built it (or the disk-cache entry check), so the Gram matrix is
-    eliminated once per process; factor[1][-1] is its determinant."""
+    the increasing closure candidates scanned (see the module docstring).
+    `factor` is linalg.gram_factor(matrix), as the keep test built it (or
+    the disk-cache entry check), so the Gram matrix is eliminated once per
+    process; factor[1][-1] is its determinant."""
 
-    degree: int
-    weight: tuple
     basis: tuple       # chosen words, deterministic order
     matrix: list       # integer Gram entries of the chosen vectors
-    rank: int
     candidates: int
     vectors: tuple = field(repr=False)
     factor: tuple = field(repr=False)
+
+    @property
+    def rank(self):
+        return len(self.basis)
 
 
 class VermaModule:
@@ -311,9 +312,8 @@ class VermaModule:
 
     def _scan(self, key):
         """The basis of one block, from the predecessors already built."""
-        degree, weight = key
         if key == (0, self.lam_wt):
-            return BlockBasis(degree, weight, ((),), [[1]], 1, 1, ({(): 1},), ([[]], [1, 1]))
+            return BlockBasis(((),), [[1]], 1, ({(): 1},), ([[]], [1, 1]))
         cands = self._candidates(key)
         words = [word for word, _, _ in cands]
 
@@ -358,11 +358,8 @@ class VermaModule:
                     {"chosen": picked, "gram": [[str(x) for x in row] for row in gram]},
                 )
         return BlockBasis(
-            degree=degree,
-            weight=weight,
             basis=tuple(words[j] for j in picked),
             matrix=gram,
-            rank=len(picked),
             candidates=len(words),
             vectors=tuple(vectors),
             factor=factor,

@@ -30,6 +30,7 @@ built once per process, and a mutated copy keeps a memo of its own.
 from dataclasses import dataclass, field
 from fractions import Fraction
 import json
+import math
 import operator
 import time
 
@@ -143,10 +144,12 @@ def t_apply(elem, table=None):
     return out
 
 
-def verify_t_power(kind, pi, table=None):
+def verify_t_power(pi, table=None):
     """Certify that the n'-th derivation power converts the long-root
     monomial of pi into a nonzero multiple of its color monomial, and that
-    one more application kills it.  The scalar is extracted, not assumed."""
+    one more application kills it.  The scalar is extracted, not assumed;
+    the witness is it over n'!.  Only the partition enters: every kind
+    gives it the same report."""
     t0 = time.perf_counter()
     n_prime = pi.n_prime()
     elem = straighten(parts_mod.long_root_word(pi))
@@ -157,10 +160,7 @@ def verify_t_power(kind, pi, table=None):
     lam = None
     ok = scalar is not None and scalar != 0
     if ok:
-        lam = Fraction(scalar)
-        for i in range(2, n_prime + 1):
-            lam /= i
-        ok = lam != 0
+        lam = Fraction(scalar, math.factorial(n_prime))
     vanish = t_apply(elem, table) if ok else None
     if ok:
         ok = not vanish
@@ -414,7 +414,7 @@ def sweep_t_power(kind, max_degree, table=None):
     """verify_t_power over every admissible partition up to max_degree,
     aggregated into one report (witness lists each extracted scalar)."""
     return _sweep(
-        "t_power_sweep", kind, max_degree, lambda pi: verify_t_power(kind, pi, table), "scalar"
+        "t_power_sweep", kind, max_degree, lambda pi: verify_t_power(pi, table), "scalar"
     )
 
 

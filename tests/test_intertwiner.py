@@ -37,8 +37,10 @@ def P(a=(), b=(), c=()):
     return ColoredPartition.of(a=a, b=b, c=c)
 
 
-SOURCE = get_truncated(HighestWeightSpec(0, 1, 0), 2)
-TARGET = get_truncated(HighestWeightSpec(0, 0, 1), 2)
+# private window-2 models, outside get_truncated's store: a test that asks
+# the store for a deeper window closes its shared models deeper, never these
+SOURCE = TruncatedModule(HighestWeightSpec(0, 1, 0), 2)
+TARGET = TruncatedModule(HighestWeightSpec(0, 0, 1), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -63,10 +65,11 @@ def test_coordinates_recover_basis_vectors():
     # is the Gram determinant
     dens = set()
     for key in SOURCE.block_keys():
-        den = SOURCE.factor[key][1][-1]
-        assert den == abs(oracles.det_fraction(SOURCE.gram[key]))
+        blk = SOURCE.blocks[key]
+        den = blk.factor[1][-1]
+        assert den == abs(oracles.det_fraction(blk.matrix))
         dens.add(den)
-        for i, vec in enumerate(SOURCE.vectors[key]):
+        for i, vec in enumerate(blk.vectors):
             coords = SOURCE.coordinates(key, vec)
             assert all(isinstance(x, int) for x in coords)
             assert coords == [den * int(j == i) for j in range(SOURCE.dim(key))]
@@ -88,7 +91,6 @@ def test_block_dimensions_off_their_weyl_orbit_are_refused(monkeypatch, capsys):
                 bb,
                 basis=bb.basis[:-1],
                 matrix=[row[:-1] for row in bb.matrix[:-1]],
-                rank=bb.rank - 1,
                 vectors=bb.vectors[:-1],
             )
         return bb
@@ -128,14 +130,14 @@ def test_coordinates_reject_nonnull_vectors_in_empty_blocks(monkeypatch):
 def test_coordinates_refuse_a_vector_of_another_block():
     # pairings across blocks vanish, so a vector of block (0, (0, 1)) would
     # read as zero coordinates in block (0, (0, -1)); it must raise instead
-    vec = SOURCE.vectors[(0, (0, 1))][0]
+    vec = SOURCE.blocks[(0, (0, 1))].vectors[0]
     assert SOURCE.dim((0, (0, -1))) == 1
     with pytest.raises(ValueError, match="does not lie in block"):
         SOURCE.coordinates((0, (0, -1)), vec)
     with pytest.raises(ValueError, match="does not lie in block"):
-        SOURCE.coordinates((0, (0, 1)), {**vec, **SOURCE.vectors[(0, (0, -1))][0]})
+        SOURCE.coordinates((0, (0, 1)), {**vec, **SOURCE.blocks[(0, (0, -1))].vectors[0]})
     with pytest.raises(ValueError, match="does not lie in block"):
-        TARGET.coordinates((0, (9, 9)), TARGET.vectors[TARGET.top_key()][0])
+        TARGET.coordinates((0, (9, 9)), TARGET.blocks[TARGET.top_key()].vectors[0])
 
 
 def test_act_matrix_certifies_images_into_empty_blocks_by_their_norm(monkeypatch):
@@ -153,13 +155,8 @@ def test_act_matrix_window_guard():
         SOURCE.act_matrix(affine.encode(-3, 9), SOURCE.top_key())
 
 
-def test_smaller_window_view_equals_a_model_built_alone(monkeypatch):
-    # a window-2 model taken after the window-3 one is a view of the same
-    # store: it scans no block, and it is the model a window-2 build gives
-    spec = HighestWeightSpec(0, 1, 0)
-    alone = TruncatedModule(spec, 2)
-    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
-    deep = get_truncated(spec, 3)
+def _counted_scans(monkeypatch):
+    """The keys of the block scans from here on, in order."""
     scans = []
     real_scan = VermaModule._scan
 
@@ -168,52 +165,79 @@ def test_smaller_window_view_equals_a_model_built_alone(monkeypatch):
         return real_scan(self, key)
 
     monkeypatch.setattr(VermaModule, "_scan", counting)
-    view = get_truncated(spec, 2)
+    return scans
+
+
+def test_get_truncated_keeps_one_model_per_module(monkeypatch):
+    # one model per (highest weight, cache directory), closed to the
+    # deepest window asked for: a deeper request scans only the degrees no
+    # earlier one reached, exactly the blocks a fresh build scans there, and
+    # a shallower one scans nothing and returns the same model
+    spec = HighestWeightSpec(0, 1, 0)
+    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
+    scans = _counted_scans(monkeypatch)
+    TruncatedModule(spec, 3)
+    fresh = [key for key in scans if key[0] >= 2]
+    scans.clear()
+    model = get_truncated(spec, 1)
+    assert scans and all(d <= 1 for d, _ in scans)
+    scans.clear()
+    assert get_truncated(spec, 3) is model and model.max_degree == 3
+    assert scans == fresh
+    scans.clear()
+    assert get_truncated(spec, 2) is model and model.max_degree == 3
     assert scans == []
-    assert view is not deep and view.verma is deep.verma
-    assert len(intertwiner._TRUNC_CACHE) == 1
-    assert (deep.max_degree, view.max_degree) == (3, 2)
-    assert view.block_keys() == alone.block_keys() != deep.block_keys()
-    assert view.basis == alone.basis
-    assert view.gram == alone.gram
-    for key in view.block_keys():
-        for base in affine.COLOR_BASES:
-            for n in (-2, -1, 0, 1, 2):
-                le = affine.encode(n, base)
-                if 0 <= view.target_key(le, key)[0] <= 2:
-                    assert view.act_matrix(le, key) == alone.act_matrix(le, key), (key, le)
-    # the window is checked before the memo the views share: the window-3
-    # model has this action memoised, the window-2 view must still refuse it
-    x = affine.encode(-3, 9)
-    assert deep.act_matrix(x, deep.top_key())[0][0] == 3
-    with pytest.raises(ValueError):
-        view.act_matrix(x, view.top_key())
+    assert list(intertwiner._TRUNC_CACHE) == [((0, 1, 0), None)]
+    # a negative window is refused by a new model and by an existing one
+    for labels in ((0, 1, 0), (0, 0, 1)):
+        with pytest.raises(ValueError, match="max_degree must be nonnegative"):
+            get_truncated(HighestWeightSpec(*labels), -1)
+    assert model.max_degree == 3 and len(intertwiner._TRUNC_CACHE) == 1
+
+
+def test_a_model_closed_deeper_equals_a_model_built_alone(monkeypatch):
+    # two models built at window 1, with action matrices memoised there,
+    # then closed to 3: every action matrix with a target up to degree 2 is
+    # that of a model built for window 2, and so is the w solve_w finds at
+    # window 2; the certificate at window 2 passes on them
+    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
+    specs = (HighestWeightSpec(0, 1, 0), HighestWeightSpec(0, 0, 1))
+    models = [get_truncated(spec, 1) for spec in specs]
+    for model in models:
+        for le, key in _window_actions(model, affine.COLOR_BASES, (-1, 0, 1)):
+            model.act_matrix(le, key)
+    assert [get_truncated(spec, 3) for spec in specs] == models
+    alone = [TruncatedModule(spec, 2) for spec in specs]
+    for model, ref in zip(models, alone):
+        assert model.max_degree == 3
+        assert [key for key in model.block_keys() if key[0] <= 2] == ref.block_keys()
+        assert model.block_keys() != ref.block_keys()
+        for key, blk in ref.blocks.items():
+            assert (model.blocks[key].basis, model.blocks[key].matrix) == (blk.basis, blk.matrix)
+        for le, key in _window_actions(ref, affine.COLOR_BASES, range(-2, 3)):
+            assert model.act_matrix(le, key) == ref.act_matrix(le, key), (key, le)
+    w, ref = solve_w(*models, 2), solve_w(*alone, 2)
+    assert (w.blocks, w.dens, w.freedom) == (ref.blocks, ref.dens, ref.freedom)
+    assert verify_intertwiner(2).ok
 
 
 def test_a_model_build_frees_the_straightening_memo(monkeypatch):
-    # a build that scans blocks empties the kernel's straightening memo and
-    # keeps its pair memo; a smaller window scans nothing and leaves the
-    # memo as the action matrices refilled it
+    # a build or a close that scans blocks empties the kernel's
+    # straightening memo and keeps its pair memo; a request the model
+    # already holds scans nothing and leaves the memo as the action
+    # matrices refilled it
     monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
     spec = HighestWeightSpec(0, 1, 0)
-    model = get_truncated(spec, 2)
+    model = get_truncated(spec, 1)
     kernel = model.verma.kernel
     assert not kernel._memo and kernel._pmemo
-    for key in model.block_keys():
-        for base in affine.COLOR_BASES:
-            if model.target_key(affine.encode(-1, base), key)[0] <= 2:
-                model.act_matrix(affine.encode(-1, base), key)
+    for le, key in _window_actions(model, affine.COLOR_BASES, (-1,)):
+        model.act_matrix(le, key)
     refilled = dict(kernel._memo)
     assert refilled
-    view = get_truncated(spec, 1)
-    assert view.verma is model.verma and kernel._memo == refilled
-    alone = TruncatedModule(spec, 1)
-    for key in view.block_keys():
-        for base in affine.COLOR_BASES:
-            for n in (-1, 0, 1):
-                le = affine.encode(n, base)
-                if 0 <= view.target_key(le, key)[0] <= 1:
-                    assert view.act_matrix(le, key) == alone.act_matrix(le, key), (key, le)
+    assert get_truncated(spec, 1) is model and kernel._memo == refilled
+    assert get_truncated(spec, 2) is model
+    assert not kernel._memo and kernel._pmemo
 
 
 def test_act_matrix_entries_match_kernel_action():
@@ -221,9 +245,9 @@ def test_act_matrix_entries_match_kernel_action():
     key = SOURCE.top_key()
     tgt, rows, den = SOURCE.act_matrix(le, key)
     assert tgt == (1, (-1, 0))
-    image = SOURCE.verma.kernel.act_le(le, SOURCE.basis[key][0])
+    image = SOURCE.verma.kernel.act_le(le, SOURCE.blocks[key].basis[0])
     coords = SOURCE.coordinates(tgt, image)
-    coord_den = oracles.det_fraction(SOURCE.gram[tgt])
+    coord_den = oracles.det_fraction(SOURCE.blocks[tgt].matrix)
     assert [Fraction(rows[r][0], den) for r in range(len(rows))] == [
         Fraction(x, coord_den) for x in coords
     ]
@@ -253,8 +277,8 @@ def test_act_matrices_are_reduced_integer_rows_matching_the_kernel():
                 assert math.gcd(den, *(x for row in rows for x in row)) == 1
                 if not rows:
                     continue
-                coord_den = oracles.det_fraction(SOURCE.gram[tgt])
-                for c, vec in enumerate(SOURCE.vectors[key]):
+                coord_den = oracles.det_fraction(SOURCE.blocks[tgt].matrix)
+                for c, vec in enumerate(SOURCE.blocks[key].vectors):
                     image = SOURCE.verma.kernel.act_word((le,), vec)
                     coords = SOURCE.coordinates(tgt, image)
                     assert [x * den for x in coords] == [row[c] * coord_den for row in rows]
@@ -411,12 +435,14 @@ def test_solve_w_matches_the_unstructured_system():
 
 def test_solve_w_refuses_a_window_its_models_do_not_hold():
     # a window deeper than either model would certify degrees that neither
-    # holds; a negative window certifies nothing
-    small = get_truncated(HighestWeightSpec(0, 1, 0), 1)
+    # holds; a negative window certifies nothing.  The window-1 models are
+    # private: get_truncated's may have been closed deeper
+    small = TruncatedModule(HighestWeightSpec(0, 1, 0), 1)
+    small_target = TruncatedModule(HighestWeightSpec(0, 0, 1), 1)
     for source, target, window in (
-        (small, get_truncated(HighestWeightSpec(0, 0, 1), 1), 3),
+        (small, small_target, 3),
         (small, TARGET, 2),
-        (SOURCE, get_truncated(HighestWeightSpec(0, 0, 1), 1), 2),
+        (SOURCE, small_target, 2),
         (SOURCE, TARGET, -1),
     ):
         with pytest.raises(ValueError):

@@ -123,7 +123,6 @@ def test_long_root_block_dimensions_off_their_reflection_are_refused(monkeypatch
                 bb,
                 basis=bb.basis[:-1],
                 matrix=[row[:-1] for row in bb.matrix[:-1]],
-                rank=bb.rank - 1,
                 vectors=bb.vectors[:-1],
             )
         return bb

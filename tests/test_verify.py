@@ -63,7 +63,7 @@ def test_t_apply_leibniz_on_a_single_factor():
 def test_t_power_scalars_match_the_sign_oracle():
     for kind in (A1Standard(1, 0), A1Standard(1, 1)):
         for pi in enumerate_admissible(kind, 3):
-            rep = verify_t_power(kind, pi)
+            rep = verify_t_power(pi)
             assert rep.ok, pi.tag()
             expected = oracles.t_power_scalar(pi)
             assert rep.witness["scalar"] == str(expected), pi.tag()
@@ -90,11 +90,11 @@ def test_mutated_derivation_table_fails_with_witness():
     kind = A1Standard(1, 0)
     # killing the f-replacement makes any c-part unconvertible
     broken = DerivationTable().mutate(0, ())
-    rep = verify_t_power(kind, P(c={1: 1}), broken)
+    rep = verify_t_power(P(c={1: 1}), broken)
     assert not rep.ok
     assert rep.witness["scalar"] is None
     # a-only partitions never touch the mutated entry, so they still pass
-    rep2 = verify_t_power(kind, P(a={1: 1}), broken)
+    rep2 = verify_t_power(P(a={1: 1}), broken)
     assert rep2.ok
     # sweeping catches the poisoned entry (only c-parts route through f)
     sweep = sweep_t_power(kind, 1, broken)
