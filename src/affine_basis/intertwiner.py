@@ -26,12 +26,21 @@ deepest window asked for so far (TruncatedModule.close), as the Verma
 module under it is closed by block_support: a shallower request scans
 nothing, and a deeper one scans only the new degrees.  Windows stay
 arguments: solve_w, _check_commutation, TensorModule and the projection
-chain's depth each take their own, and the chain reads w from a memo on
-the source model keyed by (target model, window) (_solved_w), so the
-models and their solved maps are dropped together; verify_intertwiner
-solves for itself, since it certifies that solve.  A model closed deeper
-gives every shallower window the answers a model built for that window
-gives, by these invariants:
+chain's depth each take their own.
+
+Solved maps are kept the same way (_solved_w): the source model holds one
+certified intertwiner per target model, solved and checked once on the
+deepest window asked for so far, and a deeper request solves and checks
+again and replaces it.  A shallower window W reads the map restricted to
+the degrees <= W (IntertwinerMap.restrict), which is the map solve_w finds
+on W, because solve_w at degree d reads only blocks and action matrices of
+degrees <= d.  A certificate that passed on the deeper window covers W,
+whose equations are among its own; one that failed is checked again on
+the restricted map, with no new solve.  verify_intertwiner and the
+projection chain both read this store, so the chain applies only maps
+certified in the same process, and the models and their maps are dropped
+together.  A model closed deeper gives every shallower window the answers
+a model built for that window gives, by these invariants:
 
   * every nonzero block up to max_degree is in `blocks`;
   * act_matrix refuses a target above max_degree before it reads its memo;
@@ -113,7 +122,7 @@ class TruncatedModule:
         self._act = {}
         self._images = {}
         self._place = {}  # basis word: (its block, its index there)
-        self._solved = {}  # solved intertwiners, by (target model, window): _solved_w
+        self._solved = {}  # target model: (window, certified intertwiner), see _solved_w
         self.close(max_degree)
 
     def close(self, max_degree):
@@ -404,11 +413,12 @@ class IntertwinerMap:
             return self.blocks[key], self.dens[key[0]]
         return _zeros(self.target.dim(_shift(key)), self.source.dim(key)), 1
 
-    def apply_block(self, key, coeffs):
-        """Target block and image coordinates of a source-block coordinate
-        vector."""
-        rows, den = self.block(key)
-        return _shift(key), [_q(sum(a * x for a, x in zip(row, coeffs)), den) for row in rows]
+    def restrict(self, window):
+        """The map on the degrees <= window: the map solve_w finds on that
+        window, since solve_w at degree d reads only degrees <= d."""
+        blocks = {key: rows for key, rows in self.blocks.items() if key[0] <= window}
+        dens, freedom = ({d: x for d, x in m.items() if d <= window} for m in (self.dens, self.freedom))
+        return IntertwinerMap(self.source, self.target, blocks, dens, freedom)
 
 
 def _shift(key):
@@ -442,9 +452,9 @@ def solve_w(source, target, max_degree):
     of parameters minus the rank of those rows.  Each degree's blocks are
     stored as integer numerators over one reduced common denominator.
     Returns the IntertwinerMap; a degree without a solution ends the
-    solve, with freedom None there (see IntertwinerMap.consistent).  The
-    projection chain reads the map from a memo on the source model
-    (_solved_w)."""
+    solve, with freedom None there (see IntertwinerMap.consistent).  Its
+    one caller is the store of certified maps (_solved_w), which
+    verify_intertwiner and the projection chain read."""
     if not 0 <= max_degree <= min(source.max_degree, target.max_degree):
         raise ValueError("window %d is not inside both models" % max_degree)
     by_degree = {}
@@ -531,47 +541,65 @@ def _stacked_rows(equations, raising):
 
 
 def _solved_w(source, target, window):
-    """solve_w(source, target, window), solved once for each target model
-    and window; the projection chain reads w here.  The memo lives on the
-    source model, keyed by (target, window), so dropping the models
-    (get_truncated's store) drops it too.  The window is part of the key
-    because the models may hold more degrees than it: the map solved on
-    a deeper window has more blocks.  solve_w at degree d reads only
-    blocks and action matrices of degrees <= d, so w below a degree does
-    not depend on the window: each window's w agrees with every deeper one
-    on the degrees they share."""
-    wmap = source._solved.get((target, window))
-    if wmap is None:
-        wmap = source._solved[target, window] = solve_w(source, target, window)
-    return wmap
+    """(w, certificate) on the window: w is the map solve_w(source, target,
+    window) finds, and the certificate is _certify's (top killed, commutes).
+    The source model holds one record per target model: the deepest window
+    asked for so far, with its map and certificate, each computed once; a
+    deeper window solves and certifies again and replaces the record.  A
+    shallower window reads the restricted map (IntertwinerMap.restrict) and
+    the record's certificate if it passed, since the shallower equations
+    are among those it checked; a failed one is checked again on the
+    restricted map, which may pass there, with no new solve."""
+    held = source._solved.get(target)
+    if held is None or held[0] < window:
+        wmap = solve_w(source, target, window)
+        held = source._solved[target] = (window, wmap, _certify(wmap, window))
+    depth, wmap, cert = held
+    if depth > window:
+        wmap = wmap.restrict(window)
+        cert = cert if all(cert) else _certify(wmap, window)
+    return wmap, cert
+
+
+def _certify(wmap, window):
+    """(top killed, commutes) for a map solve_w found on the window: whether
+    it kills the source top vector, and _check_commutation, which reads the
+    map and the action matrices only; (None, None) when the solve stopped
+    without a map."""
+    if not wmap.consistent:
+        return None, None
+    top, _ = wmap.block(wmap.source.top_key())
+    return not any(map(any, top)), _check_commutation(wmap.source, wmap.target, wmap, window)
+
+
+def _certified_w(window, cache_dir):
+    """_solved_w from the (0,1,0) model to the (0,0,1) model of the store,
+    each closed to at least the window."""
+    source = get_truncated(HighestWeightSpec(0, 1, 0), window, cache_dir)
+    target = get_truncated(HighestWeightSpec(0, 0, 1), window, cache_dir)
+    return _solved_w(source, target, window)
+
+
+def _witness(wmap, cert):
+    """verify_intertwiner's witness of a map and its certificate."""
+    freedom = {str(d): f for d, f in wmap.freedom.items()}
+    return {"freedom": freedom, "top_killed": cert[0], "commutes": cert[1]}
 
 
 def verify_intertwiner(max_degree, cache_dir=None):
-    """Solve for the intertwiner inside the window and certify: existence,
-    uniqueness report per degree, annihilation of the source top vector, and
-    (post hoc, independently of the solver) commutation with every color
-    operator on every basis vector."""
+    """Certify the intertwiner inside the window: existence, uniqueness
+    report per degree, annihilation of the source top vector, and (post hoc,
+    independently of the solver) commutation with every color operator on
+    every basis vector.  The map and its certificate come from the store
+    (_solved_w) that the projection chain reads, so a run solves and checks
+    each map once."""
     t0 = time.perf_counter()
-    source = get_truncated(HighestWeightSpec(0, 1, 0), max_degree, cache_dir)
-    target = get_truncated(HighestWeightSpec(0, 0, 1), max_degree, cache_dir)
-    wmap = solve_w(source, target, max_degree)
-    ok = wmap.consistent
-    v1_killed = None
-    commutes = None
-    if ok:
-        _, img = wmap.apply_block(source.top_key(), [1])
-        v1_killed = not any(img)
-        commutes = _check_commutation(source, target, wmap, max_degree)
-        ok = v1_killed and commutes
+    wmap, cert = _certified_w(max_degree, cache_dir)
     return StepReport(
         step="intertwiner",
         inputs={"max_degree": max_degree},
-        ok=bool(ok),
-        witness={
-            "freedom": {str(d): f for d, f in wmap.freedom.items()},
-            "top_killed": v1_killed,
-            "commutes": commutes,
-        },
+        ok=all(cert),
+        witness=_witness(wmap, cert),
         seconds=time.perf_counter() - t0,
     )
 
@@ -642,20 +670,20 @@ def verify_projection_chain(kind, pi, cache_dir=None):
 
     The tensor models and w are those of the partition's own window,
     max(degree, 1), on the shared models (get_truncated), which may hold
-    more; w comes from _solved_w, so partitions of one depth share one
-    solve."""
+    more.  w and its certificate come from the store (_solved_w), so
+    partitions share one solve and check; a w that is not certified on the
+    window fails the step, with verify_intertwiner's witness there."""
     t0 = time.perf_counter()
     k0, k1 = kind.k0, kind.k1
     pi1, c0 = pi.split_c0()
     inputs = {"partition": pi.to_dict(), "labels": [k0, k1], "c0": c0}
     depth = max(pi.degree, 1)
+    wmap, cert = _certified_w(depth, cache_dir)
+    certificate = _witness(wmap, cert)
+    if not all(cert):
+        return StepReport("projection_chain", inputs, False, certificate, time.perf_counter() - t0)
     m0 = get_truncated(HighestWeightSpec(1, 0, 0), depth, cache_dir)
-    m1 = get_truncated(HighestWeightSpec(0, 1, 0), depth, cache_dir)
-    m2 = get_truncated(HighestWeightSpec(0, 0, 1), depth, cache_dir)
-    wmap = _solved_w(m1, m2, depth)
-    if not wmap.consistent:
-        witness = {"error": "no intertwiner in window"}
-        return StepReport("projection_chain", inputs, False, witness, time.perf_counter() - t0)
+    m1, m2 = wmap.source, wmap.target
     src = TensorModule([m0] * k0 + [m1] * k1, depth)
     u = src.act_word(parts_mod.translated_color_word(pi))
     n_slots = k0 + k1
@@ -675,7 +703,7 @@ def verify_projection_chain(kind, pi, cache_dir=None):
         witness={
             "mu": _fmt(mu) if mu is not None else None,
             "higher_killed": killed,
-            "freedom": {str(d): f for d, f in wmap.freedom.items()},
+            "freedom": certificate["freedom"],
         },
         seconds=time.perf_counter() - t0,
     )
@@ -683,9 +711,12 @@ def verify_projection_chain(kind, pi, cache_dir=None):
 
 def sweep_projection_chain(kind, max_degree, cache_dir=None):
     """verify_projection_chain over every admissible partition up to
-    max_degree, aggregated into one report (witness lists each mu).  Each
-    partition reads w from _solved_w on its own window, so a sweep solves
-    once per window it meets, and later sweeps reuse those solves."""
+    max_degree, aggregated into one report (witness lists each mu).  It
+    first solves and certifies w on its deepest window, max(max_degree, 1),
+    so each partition reads that map restricted to its own window
+    (_solved_w): a sweep solves once, and a later sweep no deeper solves
+    nothing."""
+    _certified_w(max(max_degree, 1), cache_dir)
     return _sweep(
         "projection_chain_sweep",
         kind,

@@ -11,6 +11,8 @@ import sys
 
 import pytest
 
+from affine_basis import intertwiner
+
 sys.path.insert(0, os.path.dirname(__file__))
 
 ACCEPTANCE_LINES = []
@@ -42,6 +44,22 @@ def installed_tracer():
     return tracer
 
 
+def perturb_solve_w(monkeypatch, degree):
+    """Wrap intertwiner.solve_w so that each map it returns has 1 added to
+    one entry of its first nonempty block of `degree`, if it has one: a w
+    the solver would never return, which only the certificate can catch."""
+    real = intertwiner.solve_w
+
+    def perturbed(source, target, window):
+        wmap = real(source, target, window)
+        key = next((k for k in sorted(wmap.blocks) if k[0] == degree and any(wmap.blocks[k])), None)
+        if key is not None:
+            wmap.blocks[key][0][0] += 1
+        return wmap
+
+    monkeypatch.setattr(intertwiner, "solve_w", perturbed)
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.write_sep("-", "acceptance criteria")
@@ -54,3 +72,11 @@ def session_cache(tmp_path_factory):
     """One disk cache shared by the heavyweight tests of a session (cold at
     session start, so timings stay honest)."""
     return str(tmp_path_factory.mktemp("gram-cache"))
+
+
+@pytest.fixture(autouse=True)
+def own_models(monkeypatch):
+    """Each test starts from an empty store of truncated models and of the
+    maps solved on them, so what it checks does not depend on which tests
+    ran before it."""
+    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})

@@ -5,6 +5,7 @@ from unittest.mock import patch
 
 import pytest
 
+from conftest import perturb_solve_w
 from affine_basis import cli
 from affine_basis import intertwiner
 from affine_basis.verify import StepReport
@@ -232,14 +233,29 @@ def test_report_long_root_kind_runs_the_full_suite(capsys):
     assert all(r["ok"] for r in payload)
 
 
-def test_a_finished_command_keeps_no_models(monkeypatch, capsys):
+def test_a_finished_command_keeps_no_models(capsys):
     # the truncated models and solved maps of one command are freed when it
     # ends, so a process that runs many commands does not accumulate them
-    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
     argv = ["verify", "intertwiner", "--kind", "a1", "--k0", "0", "--k1", "1", "--depth", "1"]
     assert run(argv) == 0
     assert "projection_chain_sweep" in capsys.readouterr().out
     assert intertwiner._TRUNC_CACHE == {}
+
+
+def test_report_certifies_the_w_its_chain_reads_at_depth_zero(monkeypatch, capsys):
+    # with --depth 0 the intertwiner step certifies window 0, while the
+    # chain's partitions read w on window 1 (max(degree, 1)); the chain's
+    # map is certified in the same run, so a w wrong only at degree 1 fails
+    # the report, and the intertwiner step still passes on window 0
+    argv = ["report", "--kind", "a1", "--k0", "0", "--k1", "1", "--max-degree", "2",
+            "--depth", "0", "--format", "json"]
+    assert run(argv) == 0
+    capsys.readouterr()
+    perturb_solve_w(monkeypatch, 1)
+    assert run(argv) == 1
+    failed = [r for r in json.loads(capsys.readouterr().out) if not r["ok"]]
+    assert [r["step"] for r in failed] == ["projection_chain_sweep"]
+    assert [e["ok"] for e in failed[0]["witness"]["partitions"]] == [False, False]
 
 
 @pytest.mark.parametrize(

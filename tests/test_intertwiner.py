@@ -10,14 +10,13 @@ import random
 import pytest
 
 import oracles
-from conftest import installed_tracer
+from conftest import installed_tracer, perturb_solve_w
 from affine_basis import affine
 from affine_basis import cli
 from affine_basis import intertwiner
 from affine_basis import linalg
 from affine_basis.cartan import X22
 from affine_basis.intertwiner import (
-    EPS1,
     IntertwinerMap,
     TensorModule,
     TruncatedModule,
@@ -96,7 +95,6 @@ def test_block_dimensions_off_their_weyl_orbit_are_refused(monkeypatch, capsys):
         return bb
 
     monkeypatch.setattr(VermaModule, "_scan", poisoned)
-    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
     monkeypatch.delenv("AFFINE_BASIS_CACHE", raising=False)
     with pytest.raises(ArithmeticError, match="not Weyl-invariant"):
         TruncatedModule(spec, 2)
@@ -174,7 +172,6 @@ def test_get_truncated_keeps_one_model_per_module(monkeypatch):
     # earlier one reached, exactly the blocks a fresh build scans there, and
     # a shallower one scans nothing and returns the same model
     spec = HighestWeightSpec(0, 1, 0)
-    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
     scans = _counted_scans(monkeypatch)
     TruncatedModule(spec, 3)
     fresh = [key for key in scans if key[0] >= 2]
@@ -195,12 +192,11 @@ def test_get_truncated_keeps_one_model_per_module(monkeypatch):
     assert model.max_degree == 3 and len(intertwiner._TRUNC_CACHE) == 1
 
 
-def test_a_model_closed_deeper_equals_a_model_built_alone(monkeypatch):
+def test_a_model_closed_deeper_equals_a_model_built_alone():
     # two models built at window 1, with action matrices memoised there,
     # then closed to 3: every action matrix with a target up to degree 2 is
     # that of a model built for window 2, and so is the w solve_w finds at
     # window 2; the certificate at window 2 passes on them
-    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
     specs = (HighestWeightSpec(0, 1, 0), HighestWeightSpec(0, 0, 1))
     models = [get_truncated(spec, 1) for spec in specs]
     for model in models:
@@ -221,12 +217,11 @@ def test_a_model_closed_deeper_equals_a_model_built_alone(monkeypatch):
     assert verify_intertwiner(2).ok
 
 
-def test_a_model_build_frees_the_straightening_memo(monkeypatch):
+def test_a_model_build_frees_the_straightening_memo():
     # a build or a close that scans blocks empties the kernel's
     # straightening memo and keeps its pair memo; a request the model
     # already holds scans nothing and leaves the memo as the action
     # matrices refilled it
-    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
     spec = HighestWeightSpec(0, 1, 0)
     model = get_truncated(spec, 1)
     kernel = model.verma.kernel
@@ -393,10 +388,9 @@ def test_w_at_depth_three_is_pinned():
     assert set(w.freedom.values()) == {0}
 
 
-def test_w_at_depth_four_is_pinned(monkeypatch):
+def test_w_at_depth_four_is_pinned():
     # the D = 4 map in the canonical form of the depth-three pin; it also
     # commutes with every color action of the window
-    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
     src = get_truncated(HighestWeightSpec(0, 1, 0), 4)
     tgt = get_truncated(HighestWeightSpec(0, 0, 1), 4)
     w = solve_w(src, tgt, 4)
@@ -451,12 +445,11 @@ def test_solve_w_refuses_a_window_its_models_do_not_hold():
     assert w.consistent and w.freedom == {0: 0, 1: 0}
 
 
-def test_a_perturbed_target_action_has_no_intertwiner(monkeypatch):
+def test_a_perturbed_target_action_has_no_intertwiner():
     # negative control for the solver's failure path: 1 added to one entry
     # of one target action matrix leaves the degree-1 system without a
     # solution; solve_w stops there, and the certificate and every
     # projection chain that reads w from the same store fail
-    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
     source = get_truncated(HighestWeightSpec(0, 1, 0), 2)
     target = get_truncated(HighestWeightSpec(0, 0, 1), 2)
     le, key = affine.encode(-1, X22), (0, (0, 0))
@@ -468,14 +461,15 @@ def test_a_perturbed_target_action_has_no_intertwiner(monkeypatch):
     w = solve_w(source, target, 2)
     assert w.consistent is False
     assert w.freedom == {0: 0, 1: None}
+    failed = {"freedom": {"0": 0, "1": None}, "top_killed": None, "commutes": None}
     rep = verify_intertwiner(2)
     assert not rep.ok
-    assert rep.witness == {"freedom": {"0": 0, "1": None}, "top_killed": None, "commutes": None}
+    assert rep.witness == failed
     kind = A1Standard(0, 1)
     for pi in enumerate_admissible(kind, 2):
         chain = verify_projection_chain(kind, pi)
         assert not chain.ok
-        assert chain.witness == {"error": "no intertwiner in window"}
+        assert chain.witness == failed
         assert set(chain.inputs) == {"partition", "labels", "c0"}
     sweep = sweep_projection_chain(kind, 2)
     assert not sweep.ok
@@ -487,15 +481,12 @@ def test_a_perturbed_target_action_has_no_intertwiner(monkeypatch):
     [(-1, (1, (0, -2))), (1, (2, (0, -2))), (0, (2, (3, -1)))],
     ids=["lowering", "raising", "mode-0"],
 )
-def test_a_perturbed_target_action_of_each_equation_class_has_no_intertwiner(
-    monkeypatch, mode, key
-):
+def test_a_perturbed_target_action_of_each_equation_class_has_no_intertwiner(mode, key):
     # negative controls for each kind of equation solve_w meets: 1 added to
     # one entry of a target action matrix of x22 at a lowering, a raising
     # or the zero mode leaves degree 2 without a solution.  solve_w must
     # find that degree, as the unstructured Fraction solve does, and the
     # certificate must fail
-    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
     source = get_truncated(HighestWeightSpec(0, 1, 0), 2)
     target = get_truncated(HighestWeightSpec(0, 0, 1), 2)
     le = affine.encode(mode, X22)
@@ -524,12 +515,11 @@ def test_traced_build_counts_of_the_depth_three_models():
     assert counts == {"pbw.blocks": 165, "pbw.candidates": 845, "pbw.kept": 450}
 
 
-def test_traced_layer_counts_of_the_depth_three_intertwiner(monkeypatch):
+def test_traced_layer_counts_of_the_depth_three_intertwiner():
     # action matrices are built from the closure words: coordinates run only
     # for rejected candidates and for images into empty blocks, solved on
     # the Gram factor, so no Gram inverse is computed at run time.  A return
     # to pairing every column, or to inverting, reads as more calls here
-    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
     tracer = installed_tracer()
     for name in ("gram_factor", "bordered_minor"):
         tracer.patch(linalg, name, "linalg." + name)
@@ -552,12 +542,12 @@ def test_traced_layer_counts_of_the_depth_three_intertwiner(monkeypatch):
     assert solve == [4, 716, 141]
 
 
-def test_traced_calls_of_one_chain_sweep(monkeypatch):
+def test_traced_calls_of_one_chain_sweep():
     # the tracer wraps the verifiers and solve_w on their modules; a sweep
     # that reached them another way would read as zero calls there.  Ten
-    # partitions over windows 1 and 2: one solve per window, one sparse
-    # solve per degree of each
-    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
+    # partitions over windows 1 and 2: the sweep solves once, on window 2,
+    # with one sparse solve per degree, and the window-1 partitions read
+    # that map restricted
     tracer = installed_tracer()
     try:
         assert intertwiner.sweep_projection_chain(A1Standard(0, 1), 2).ok
@@ -565,24 +555,63 @@ def test_traced_calls_of_one_chain_sweep(monkeypatch):
         tracer.uninstall()
     names = ("intertwiner.sweep_projection_chain", "intertwiner.verify_projection_chain",
              "intertwiner.solve_w", "linalg.solve_sparse")
-    assert [tracer.calls(name) for name in names] == [1, 10, 2, 5]
+    assert [tracer.calls(name) for name in names] == [1, 10, 1, 3]
 
 
-def test_apply_block_shifts_by_eps1():
-    w = solve_w(SOURCE, TARGET, 2)
-    key = (0, (0, 1))
-    tgt, out = w.apply_block(key, [3])
-    assert tgt == (0, (0 + EPS1[0], 1 + EPS1[1]))
-    assert out == [3]
-    # the denominator of the degree is applied exactly, and integer
-    # coordinates stay integers through a denominator-1 block
-    doubled = IntertwinerMap(SOURCE, TARGET, w.blocks, {**w.dens, 0: 2 * w.dens[0]}, w.freedom)
-    assert doubled.apply_block(key, [3]) == (tgt, [Fraction(3, 2)])
-    plain = IntertwinerMap(SOURCE, TARGET, {key: [[5]]}, {0: 1}, w.freedom)
-    _, out = plain.apply_block(key, [3])
-    assert out == [15] and type(out[0]) is int
-    # a block outside the source maps by zero into its shifted block
-    assert w.apply_block((0, (9, 9)), [1]) == ((0, (10, 9)), [])
+def test_shallower_windows_read_the_certified_map_restricted(monkeypatch):
+    # the store solves and certifies once, on the deepest window asked for;
+    # a shallower window reads that map restricted, with no solve, and it
+    # is the map solve_w finds on that window (here on the private window-2
+    # models), so no pass witness moves
+    src = get_truncated(HighestWeightSpec(0, 1, 0), 3)
+    tgt = get_truncated(HighestWeightSpec(0, 0, 1), 3)
+    deep, cert = intertwiner._solved_w(src, tgt, 3)
+    assert cert == (True, True) and max(deep.dens) == 3
+    calls = []
+    real = intertwiner.solve_w
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(intertwiner, "solve_w", counting)
+    for window in range(3):
+        w, cert = intertwiner._solved_w(src, tgt, window)
+        ref = real(SOURCE, TARGET, window)
+        assert (w.blocks, w.dens, w.freedom) == (ref.blocks, ref.dens, ref.freedom), window
+        assert cert == (True, True)
+    assert calls == []
+    assert list(src._solved) == [tgt] and src._solved[tgt][:2] == (3, deep)
+
+
+def test_the_chain_fails_on_a_w_that_does_not_commute(monkeypatch):
+    # negative control: every solved w has 1 added to one entry of its
+    # first nonempty degree-2 block.  Each sweep solves once, on window 3,
+    # where the certificate fails by commutation; the partitions of degree
+    # 2 and 3 read that map and fail, and those of degrees 0 and 1 read it
+    # restricted to window 1, which the perturbation does not reach, and
+    # pass once it is certified again there
+    perturb_solve_w(monkeypatch, 2)
+    for labels in ((0, 1), (1, 1), (0, 2)):
+        kind = A1Standard(*labels)
+        pis = enumerate_admissible(kind, 3)
+        assert {pi.degree for pi in pis} == {0, 1, 2, 3}
+        rep = sweep_projection_chain(kind, 3)
+        assert not rep.ok
+        assert [e["ok"] for e in rep.witness["partitions"]] == [pi.degree < 2 for pi in pis]
+    chain = verify_projection_chain(kind, next(pi for pi in pis if pi.degree == 2))
+    assert chain.witness == {
+        "freedom": {"0": 0, "1": 0, "2": 0},
+        "top_killed": True,
+        "commutes": False,
+    }
+    rep = verify_intertwiner(3)
+    assert not rep.ok
+    assert rep.witness == {
+        "freedom": {"0": 0, "1": 0, "2": 0, "3": 0},
+        "top_killed": True,
+        "commutes": False,
+    }
 
 
 def _perturbed_maps(w):
@@ -721,9 +750,9 @@ def test_projection_chain_sweep_level_two():
 
 
 def test_projection_chain_sweep_solves_w_once(monkeypatch):
-    # a sweep solves w once for each window its partitions need (depth 1
-    # for degrees 0 and 1, depth 2 above), and each record is the
-    # partition's own report
+    # a sweep solves w once, on its deepest window (depth 2), before its
+    # first partition; the partitions of degrees 0 and 1 read it restricted
+    # to depth 1, and each record is the partition's own report
     kind = A1Standard(0, 2)
     pis = enumerate_admissible(kind, 2)
     direct = [verify_projection_chain(kind, pi) for pi in pis]  # each on its own window
@@ -738,7 +767,7 @@ def test_projection_chain_sweep_solves_w_once(monkeypatch):
     # the direct calls solved w on the stored models: start from none
     monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
     rep = sweep_projection_chain(kind, 2)
-    assert [args[2] for args in calls] == [1, 2]
+    assert [args[2] for args in calls] == [2]
     assert rep.ok
     assert rep.witness["partitions"] == [
         {"partition": pi.tag(), "ok": r.ok, "mu": r.witness["mu"]} for pi, r in zip(pis, direct)
@@ -755,11 +784,10 @@ def test_sweeps_of_one_depth_share_one_solve(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(intertwiner, "solve_w", counting)
-    monkeypatch.setattr(intertwiner, "_TRUNC_CACHE", {})
     assert sweep_projection_chain(A1Standard(0, 1), 2).ok
-    assert [args[2] for args in calls] == [1, 2]
+    assert [args[2] for args in calls] == [2]
     assert sweep_projection_chain(A1Standard(1, 1), 2).ok
-    assert [args[2] for args in calls] == [1, 2]
+    assert [args[2] for args in calls] == [2]
 
 
 def test_cross_model_computes_each_tensor_vector_once(monkeypatch):
