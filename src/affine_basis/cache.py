@@ -22,10 +22,14 @@ strictly increasing and in range, and its Gram matrix symmetric with every
 leading principal minor positive, so a cached basis is always independent;
 an entry that fails is a miss and is recomputed and overwritten.  The block
 keeps the check's Bareiss factor, so coordinates are solved on the very
-Gram matrix the check factored.  What is not re-derived on load: the Gram
-entries themselves (that they are the pairings of the chosen words) and
-maximality (that no candidate left out was independent of the chosen
-ones).  These rest on the cache directory holding only what this code wrote.
+Gram matrix the check factored.  A loaded block has no scan rows (the keep
+test's rows of the candidates it rejects, pbw.BlockBasis.rejected): the
+entry holds none, so its rejected candidates are paired and solved on that
+factor again (intertwiner.TruncatedModule.coordinates).  What is not
+re-derived on load: the Gram entries themselves (that they are the
+pairings of the chosen words) and maximality (that no candidate left out
+was independent of the chosen ones).  These rest on the cache directory
+holding only what this code wrote.
 
 The cache directory comes from the AFFINE_BASIS_CACHE environment variable
 or an explicit argument; with neither, caching is off and everything is

@@ -13,12 +13,14 @@ it expands by the enveloping-algebra identity
 x.y.b = y.(x.b) + [x, y].b + (central term) into images of shorter words,
 down to closure candidates of the block scans (TruncatedModule._image): a
 kept candidate is a unit column, and a candidate the scan rejected gets its
-coordinates once, through the contravariant pairing solved on the Bareiss
-factor that the block keeps (coordinates; pbw.BlockBasis.factor, built
-once per process by the scan's keep test or the disk-cache entry check).
-Blocks outside the support are zero by the closure theorem of pbw, and an
-image in an empty block of the window is certified zero by its norm.  No
-quotient basis is ever guessed.
+coordinates once, by back-substitution of the Bareiss row its keep test
+computed (pbw.BlockBasis.rejected) on the factor the block keeps
+(pbw.BlockBasis.factor), with no second straightening or pairing.  A block
+loaded from the disk cache was never scanned and has no such rows: its
+rejected candidates are paired and solved on the factor of the cache entry
+check (coordinates).  Blocks outside the support are zero by the closure
+theorem of pbw, and an image in an empty block of the window is certified
+zero by its norm.  No quotient basis is ever guessed.
 
 Models are kept per module, not per window.  get_truncated holds one
 TruncatedModule for each (highest weight, cache directory), closed to the
@@ -48,12 +50,14 @@ a model built for that window gives, by these invariants:
     basis word's first letter is storable, so its degree is >= 0.  So the
     images and action matrices memoised at a lower closed degree stay
     valid after a close;
-  * a close that scans a block ends by emptying the kernel's straightening
-    memo (VermaKernel.clear_act_memo), as the first build does: afterwards
-    the kernel straightens and pairs only the rejected candidates and the
-    images into empty blocks, so the memo that dominates a build's memory
-    lives for one close only.  A close that scans nothing leaves the memo
-    as those have refilled it.
+  * a close that scans a block, as the first build does, and each action
+    matrix act_matrix computes end by emptying the kernel's straightening
+    and pair memos (VermaKernel.clear_memos): between builds the kernel
+    straightens and pairs only the images into empty blocks and the
+    rejected candidates of blocks loaded from the disk cache, so the memos
+    that dominate a build's memory live for one close or one action matrix.
+    Emptying them changes no result; a close that scans nothing and a
+    memoised action matrix leave them as they are.
 
 TensorModule combines several truncated modules with the coproduct action
 (sum over slots) and the product pairing.  Levels add; the tensor of level-1
@@ -98,7 +102,7 @@ import time
 from . import affine
 from . import partitions as parts_mod
 from .blocksolve import matmul as _matmul, solve_linked, solve_two_sided
-from .linalg import gram_solve
+from .linalg import back_substitute, gram_solve
 from .linalg import invert, solve_sparse  # noqa: F401 - perfbench wraps invert and solve_sparse here
 from .pbw import VermaModule, GEN_C2, HighestWeightSpec, add_into
 from .verify import StepReport, _fmt, _proportionality, _sweep
@@ -128,7 +132,7 @@ class TruncatedModule:
     def close(self, max_degree):
         """Extend the model to degree max_degree; a window it already holds
         scans nothing, and a close that scans a block empties the kernel's
-        straightening memo (see the module docstring).  A negative window
+        memos (see the module docstring).  A negative window
         raises ValueError, here and not only on a new model."""
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative, got %d" % max_degree)
@@ -141,7 +145,7 @@ class TruncatedModule:
             for i, word in enumerate(blk.basis):
                 self._place[word] = (key, i)
         if len(self.verma._bases) > built:
-            self.verma.kernel.clear_act_memo()
+            self.verma.kernel.clear_memos()
 
     def dim(self, key):
         return self.blocks[key].rank if key in self.blocks else 0
@@ -167,8 +171,9 @@ class TruncatedModule:
         zero coordinates, with no pairing; a vector in an empty block must
         be zero in the quotient, which its norm decides.  Raises ValueError
         if a monomial lies outside block `key`, where every pairing would
-        vanish.  Action matrices read it only for the closure candidates
-        their block scan rejected and for images into an empty block."""
+        vanish.  Action matrices read it only for images into an empty block
+        and for the rejected closure candidates of a block loaded from the
+        disk cache, which has no scan rows (pbw.BlockBasis.rejected)."""
         blk = self.blocks.get(key)
         if not terms:
             return [0] * self.dim(key)
@@ -194,7 +199,8 @@ class TruncatedModule:
         block of the window goes through `coordinates` instead, which
         certifies by its norm that it vanishes.  The window is checked
         before the memo, which holds the matrices of every window the model
-        was closed to."""
+        was closed to; a matrix computed here empties the kernel's memos
+        (see the module docstring)."""
         if not 0 <= key[0] + affine.degree_of(le) <= self.max_degree:
             raise ValueError(
                 "action leaves the degree window: %r -> %r" % (key, self.target_key(le, key))
@@ -221,6 +227,7 @@ class TruncatedModule:
                 self.coordinates(tgt, self.verma.kernel.act_word((le,), vec))
         out = (tgt, rows, den)
         self._act[memo_key] = out
+        self.verma.kernel.clear_memos()
         return out
 
     def _image(self, x, word):
@@ -229,12 +236,14 @@ class TruncatedModule:
         Fraction coefficient}; memoised per model.
 
         A block outside the support is zero (the closure argument of the
-        pbw docstring).  A
-        storable x with word empty or x <= word[0] gives the closure
-        candidate (x,) + word: a unit column if the scan kept it, else its
-        coordinates, once, through `coordinates`.  On the top word the
-        Cartan elements act by the highest weight and every other
-        non-storable code kills.  Otherwise, with word = (y,) + rest, the
+        pbw docstring).  A storable x with word empty or x <= word[0] gives
+        the closure candidate (x,) + word: a unit column if the scan kept
+        it, else its coordinates, once: the scan's row u of it
+        back-substituted on the first m = len(u) rows of the block's factor,
+        over D_m (the words kept after it get 0), or on a block loaded from
+        the disk cache, which has no rows, `coordinates` over the block's
+        determinant.  On the top word the Cartan elements act by the highest
+        weight and every other non-storable code kills.  Otherwise, with word = (y,) + rest, the
         enveloping-algebra identity
             x.y.rest = y.(x.rest) + [x, y].rest + i <x, y> k rest,
         the last term only when the modes i of x and j of y sum to 0, k the
@@ -258,10 +267,14 @@ class TruncatedModule:
             if cand in self._place:
                 out = {cand: 1}
             else:
-                vec = kernel.act_word((x,), self.blocks[key].vectors[i])
-                coords = zip(self.blocks[tgt].basis, self.coordinates(tgt, vec))
-                den = self.blocks[tgt].factor[1][-1]
-                out = {b: _q(n, den) for b, n in coords if n}
+                blk = self.blocks[tgt]
+                if blk.rejected is None:  # loaded from the disk cache: no scan rows
+                    vec = kernel.act_word((x,), self.blocks[key].vectors[i])
+                    coords, den = self.coordinates(tgt, vec), blk.factor[1][-1]
+                else:
+                    u = blk.rejected[cand]
+                    coords, den = back_substitute(*blk.factor, u), blk.factor[1][len(u)]
+                out = {b: _q(n, den) for b, n in zip(blk.basis, coords) if n}
         elif not word:
             lam = kernel.lam.get(x, 0)  # x is a mode-0 code here
             out = {(): lam} if lam else {}
@@ -643,6 +656,15 @@ def _scaled(rows, s):
 # ---------------------------------------------------------------------------
 
 
+def _long_root_labels(kind):
+    """(k0, k1) of a long-root kind (partitions.A1Standard), the only kind
+    the projection chain and the cross-model check are defined for: they
+    read no other label.  Any other kind raises ValueError."""
+    if not isinstance(kind, parts_mod.A1Standard):
+        raise ValueError("the chain and the cross-model check are defined for long-root kinds")
+    return kind.k0, kind.k1
+
+
 def build_w_ks(wmap, n_slots, s):
     """The operator w_{k1,s}: the intertwiner applied to each of the last s
     of n_slots tensor slots in turn (maps on different slots commute).
@@ -674,7 +696,7 @@ def verify_projection_chain(kind, pi, cache_dir=None):
     partitions share one solve and check; a w that is not certified on the
     window fails the step, with verify_intertwiner's witness there."""
     t0 = time.perf_counter()
-    k0, k1 = kind.k0, kind.k1
+    k0, k1 = _long_root_labels(kind)
     pi1, c0 = pi.split_c0()
     inputs = {"partition": pi.to_dict(), "labels": [k0, k1], "c0": c0}
     depth = max(pi.degree, 1)
@@ -715,7 +737,11 @@ def sweep_projection_chain(kind, max_degree, cache_dir=None):
     first solves and certifies w on its deepest window, max(max_degree, 1),
     so each partition reads that map restricted to its own window
     (_solved_w): a sweep solves once, and a later sweep no deeper solves
-    nothing."""
+    nothing.  A kind other than A1Standard and a negative window raise
+    ValueError before any model is built."""
+    _long_root_labels(kind)
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative, got %d" % max_degree)
     _certified_w(max(max_degree, 1), cache_dir)
     return _sweep(
         "projection_chain_sweep",
@@ -732,9 +758,11 @@ def verify_cross_model(kind, max_degree, cache_dir=None):
     block (two independent computations of the same contravariant form).
     Each word's vector is computed once in each model; the Verma side pairs
     the left word with the right vector (pair_mono), as the basis verifiers
-    do."""
+    do.  A kind other than A1Standard raises ValueError before any model is
+    built: the tensor arena holds only the level-1 models of labels k0 and
+    k1."""
     t0 = time.perf_counter()
-    k0, k1 = kind.k0, kind.k1
+    k0, k1 = _long_root_labels(kind)
     verma = VermaModule(kind.spec(), gens=GEN_C2)
     m0 = get_truncated(HighestWeightSpec(1, 0, 0), max_degree, cache_dir)
     m1 = get_truncated(HighestWeightSpec(0, 1, 0), max_degree, cache_dir)

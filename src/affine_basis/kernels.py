@@ -12,17 +12,18 @@ passed in as plain nested tuples):
     between operators rather than vectors.
 
 Memos.  Each kernel object owns its memos, and they live as long as it
-does unless its owner drops one:
+does unless its owner empties them:
 
-  * VermaKernel._memo  -- act_le results (straightening).  A truncated
-    model's store (intertwiner.TruncatedModule) empties it after each model
-    build that scanned a block, through clear_act_memo: its action matrices
-    expand basis words through the enveloping algebra and straighten only
-    the closure candidates a scan rejected and the images into empty
-    blocks, so straightening results stay only while a build needs them.
-  * VermaKernel._pmemo -- pair_monos results.  Kept for the life of the
-    kernel: block bases are built from the bases below, so later builds
-    and the coordinates of rejected candidates pair the same words again.
+  * VermaKernel._memo  -- act_le results (straightening), and
+  * VermaKernel._pmemo -- pair_monos results.  Block bases are built from
+    the bases below, so one build straightens and pairs the same words
+    many times.  A truncated model (intertwiner.TruncatedModule) empties
+    both, through clear_memos, after each close that scanned a block and
+    after each action matrix it computes: its action matrices take the
+    rejected candidates' coordinates from the scan's rows and straighten
+    and pair only the images into empty blocks (and the rejected
+    candidates of blocks loaded from the disk cache), so both memos live
+    for one build or one action matrix.
   * UKernel._memo      -- mul_le results, for the life of the kernel (one
     per process, pbw.ukernel).
 
@@ -110,10 +111,11 @@ class VermaKernel:
         self._memo[key] = out
         return out
 
-    def clear_act_memo(self):
-        """Empty the straightening memo (act_le results); the pair memo is
-        kept.  Results do not change: act_le recomputes what it needs."""
+    def clear_memos(self):
+        """Empty the straightening and pair memos.  Results do not change:
+        act_le and pair_monos recompute what they need."""
         self._memo.clear()
+        self._pmemo.clear()
 
     def act_word(self, word, vec):
         """Apply a word of loop elements (leftmost acts last) to a vector."""

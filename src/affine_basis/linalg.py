@@ -6,8 +6,10 @@ eliminated once, on its leading principal minors with no pivoting (Bareiss'
 integer-preserving update): bordered_minor grows them one row at a time, and
 gram_factor keeps the rows whose bordered minor is nonzero, as pbw's block
 scan keeps its candidates, raising ArithmeticError where positivity fails.
-The other Gram jobs read that factor: rank_int counts its rows, gram_solve
-takes a vector p to adj(G).p over det G, and invert solves the unit vectors.
+The other Gram jobs read that factor: rank_int counts its rows,
+back_substitute takes the bordered column u of a vector p against the first
+m rows to adj(G_m).p over D_m, gram_solve first borders p (u) and solves on
+every row, and invert solves the unit vectors.
 Every other integer system goes through one Gauss-Jordan, echelon: sparse
 rows {column: int} with right-hand sides as extra columns, kept primitive by
 dividing out their content, finding the rows a new pivot must reduce through
@@ -173,16 +175,30 @@ def rank_int(gram):
     return len(gram_factor(gram)[0])
 
 
-def gram_solve(cols, minors, p):
-    """adj(G).p, for the gram_factor (cols, minors) of a positive definite
-    G with det G = D_r = minors[-1]: p is eliminated as one more bordered
-    column u, then back-substituted, D_{k+1} x_k = D_r u[k] - sum over l > k
-    of cols[l][k] x_l, each division exact since x = det G . G^-1 p."""
-    x = [minors[-1] * t for t in bordered_minor(cols, minors, p, 0)[0]]
-    for k in range(len(x) - 1, -1, -1):
+def back_substitute(cols, minors, u):
+    """adj(G_m).p for G_m the leading m x m block of a Gram matrix whose
+    gram_factor is (cols, minors), m = len(u), and u the bordered column
+    bordered_minor gives p against the first m rows (the row a block scan
+    computes for a candidate it rejects): the fraction-free back-substitution
+    D_{k+1} x_k = D_m u[k] - sum over m > l > k of cols[l][k] x_l, each
+    division exact since x = D_m . G_m^-1 p (Bareiss, Math. Comp. 22, 1968).
+    Rows of the factor past m are not read."""
+    m = len(u)
+    x = [minors[m] * t for t in u]
+    for k in range(m - 1, -1, -1):
         xk = x[k] = x[k] // minors[k + 1]
         x[:k] = [a - c * xk for a, c in zip(x, cols[k])]
     return x
+
+
+def gram_solve(cols, minors, p):
+    """adj(G).p, for the gram_factor (cols, minors) of a positive definite
+    G with det G = D_r = minors[-1]: p is eliminated as one more bordered
+    column u, then back_substitute solves on all r rows.  A block scan
+    keeps the u of each candidate it rejects, so this forward half runs
+    only where no scan did: on blocks loaded from the disk cache
+    (TruncatedModule.coordinates) and in invert."""
+    return back_substitute(cols, minors, bordered_minor(cols, minors, p, 0)[0])
 
 
 def invert(a_rows):

@@ -134,13 +134,19 @@ class BlockBasis:
     the increasing closure candidates scanned (see the module docstring).
     `factor` is linalg.gram_factor(matrix), as the keep test built it (or
     the disk-cache entry check), so the Gram matrix is eliminated once per
-    process; factor[1][-1] is its determinant."""
+    process; factor[1][-1] is its determinant.  `rejected` maps each
+    candidate the scan rejected to the Bareiss row u its keep test computed
+    against the m = len(u) words kept before it (the empty row for a zero
+    vector), so linalg.back_substitute on the first m rows of `factor`
+    gives its coordinates over minors[m] with no second pairing; it is None
+    on a block loaded from the disk cache, which was never scanned."""
 
     basis: tuple       # chosen words, deterministic order
     matrix: list       # integer Gram entries of the chosen vectors
     candidates: int
     vectors: tuple = field(repr=False)
     factor: tuple = field(repr=False)
+    rejected: dict = field(repr=False)
 
     @property
     def rank(self):
@@ -263,7 +269,9 @@ class VermaModule:
         form is positive definite on every block of the quotient (the
         highest weight is dominant integral), so a zero complement certifies
         linear dependence, a zero self-pairing certifies the zero vector, and
-        a negative minor is impossible; one raises ArithmeticError.
+        a negative minor is impossible; one raises ArithmeticError.  The
+        bordered row u of each rejected candidate is kept
+        (BlockBasis.rejected): it gives that candidate's coordinates.
 
         A disk-cache entry is keyed by the block's candidate words and used
         only if its chosen indices are strictly increasing and in range and
@@ -311,9 +319,11 @@ class VermaModule:
         )
 
     def _scan(self, key):
-        """The basis of one block, from the predecessors already built."""
+        """The basis of one block, from the predecessors already built, with
+        the keep test's row of each candidate it rejects (BlockBasis); a
+        disk-cache hit skips the keep test and records no rows."""
         if key == (0, self.lam_wt):
-            return BlockBasis(((),), [[1]], 1, ({(): 1},), ([[]], [1, 1]))
+            return BlockBasis(((),), [[1]], 1, ({(): 1},), ([[]], [1, 1]), {})
         cands = self._candidates(key)
         words = [word for word, _, _ in cands]
 
@@ -321,7 +331,7 @@ class VermaModule:
             _, x, parent = cands[j]
             return self.kernel.act_word((x,), parent)
 
-        entry = ckey = None
+        entry = ckey = rejected = None
         if self.cache.root and words:
             ckey = self._cache_key(key, words)
             entry = self.cache.get_json(ckey, lambda r: _valid_basis_entry(r, len(words)))
@@ -329,17 +339,19 @@ class VermaModule:
             picked, gram, factor = entry
             vectors = [vector(j) for j in picked]
         else:
-            picked, vectors, gram = [], [], []
+            picked, vectors, gram, rejected = [], [], [], {}
             cols, minors = factor = [], [1]
             pair = self.kernel.pair_mono
             for j, word in enumerate(words):
                 vec = vector(j)
                 if not vec:
+                    rejected[word] = []
                     continue
                 p = [pair(words[c], vec) for c in picked]
                 nu = pair(word, vec)
                 u, d = linalg.bordered_minor(cols, minors, p, nu)
                 if not d:
+                    rejected[word] = u
                     continue
                 if d < 0:
                     raise ArithmeticError(
@@ -363,6 +375,7 @@ class VermaModule:
             candidates=len(words),
             vectors=tuple(vectors),
             factor=factor,
+            rejected=rejected,
         )
 
     def block_support(self, max_degree):

@@ -28,7 +28,7 @@ from affine_basis.intertwiner import (
     verify_intertwiner,
     verify_projection_chain,
 )
-from affine_basis.partitions import A1Standard, ColoredPartition, enumerate_admissible
+from affine_basis.partitions import A1Standard, C2FS, ColoredPartition, enumerate_admissible
 from affine_basis.pbw import HighestWeightSpec, VermaModule, GEN_A1, GEN_C2
 
 
@@ -74,6 +74,52 @@ def test_coordinates_recover_basis_vectors():
             assert coords == [den * int(j == i) for j in range(SOURCE.dim(key))]
         assert SOURCE.coordinates(key, {}) == [0] * SOURCE.dim(key)
     assert max(dens) > 1  # some block is not unimodular
+
+
+def test_scan_rows_give_the_coordinates_of_rejected_candidates(monkeypatch):
+    # every candidate a scan rejected, on both level-1 models at depth 4:
+    # its row u, back-substituted on the first m = len(u) rows of the
+    # block's factor, solves G_m x = D_m p exactly, p its pairings with the
+    # m words kept before it, and gives the coordinates that pairing the
+    # candidate's vector and solving on the whole factor (coordinates) gives
+    monkeypatch.delenv("AFFINE_BASIS_CACHE", raising=False)
+    checked = 0
+    for labels in ((0, 1, 0), (0, 0, 1)):
+        model = TruncatedModule(HighestWeightSpec(*labels), 4)
+        pair = model.verma.kernel.pair_mono
+        for key, blk in model.blocks.items():
+            cols, minors = blk.factor
+            for word, u in blk.rejected.items():
+                m = len(u)
+                vec = model.verma.act_word(word)
+                x = linalg.back_substitute(cols, minors, u)
+                p = [pair(b, vec) for b in blk.basis[:m]]
+                gram = [row[:m] for row in blk.matrix[:m]]
+                assert [sum(g * v for g, v in zip(row, x)) for row in gram] == [
+                    minors[m] * t for t in p
+                ], (labels, word)
+                full = model.coordinates(key, vec)
+                assert [Fraction(v, minors[m]) for v in x] + [0] * (blk.rank - m) == [
+                    Fraction(v, minors[-1]) for v in full
+                ], (labels, word)
+                checked += 1
+    assert checked == 825
+
+
+def test_a_warm_cache_model_gives_the_cold_action_matrices(monkeypatch, tmp_path):
+    # a block loaded from the disk cache has no scan rows, so its rejected
+    # candidates are paired and solved by coordinates: every color action
+    # matrix at depth 3 equals that of a model scanned cold
+    monkeypatch.delenv("AFFINE_BASIS_CACHE", raising=False)
+    for labels in ((0, 1, 0), (0, 0, 1)):
+        spec = HighestWeightSpec(*labels)
+        cold = TruncatedModule(spec, 3)
+        TruncatedModule(spec, 3, str(tmp_path))
+        warm = TruncatedModule(spec, 3, str(tmp_path))
+        assert any(blk.rejected for blk in cold.blocks.values())
+        assert [key for key, blk in warm.blocks.items() if blk.rejected is not None] == [warm.top_key()]
+        actions = list(_window_actions(cold, affine.COLOR_BASES, range(-3, 4)))
+        assert actions and all(warm.act_matrix(*a) == cold.act_matrix(*a) for a in actions)
 
 
 def test_block_dimensions_off_their_weyl_orbit_are_refused(monkeypatch, capsys):
@@ -218,21 +264,24 @@ def test_a_model_closed_deeper_equals_a_model_built_alone():
 
 
 def test_a_model_build_frees_the_straightening_memo():
-    # a build or a close that scans blocks empties the kernel's
-    # straightening memo and keeps its pair memo; a request the model
-    # already holds scans nothing and leaves the memo as the action
-    # matrices refilled it
+    # a build or a close that scans blocks, and each action matrix the
+    # model computes, empty both kernel memos (straightening and pairs); a
+    # request the model already holds scans nothing.  Some of these
+    # matrices map into an empty block, whose images are straightened and
+    # paired for their norm check
     spec = HighestWeightSpec(0, 1, 0)
     model = get_truncated(spec, 1)
     kernel = model.verma.kernel
-    assert not kernel._memo and kernel._pmemo
-    for le, key in _window_actions(model, affine.COLOR_BASES, (-1,)):
+    assert not kernel._memo and not kernel._pmemo
+    actions = list(_window_actions(model, affine.COLOR_BASES, (-1,)))
+    assert any(not model.dim(model.target_key(le, key)) for le, key in actions)
+    for le, key in actions:
         model.act_matrix(le, key)
-    refilled = dict(kernel._memo)
-    assert refilled
-    assert get_truncated(spec, 1) is model and kernel._memo == refilled
-    assert get_truncated(spec, 2) is model
-    assert not kernel._memo and kernel._pmemo
+        assert not kernel._memo and not kernel._pmemo
+    built = len(model.verma._bases)
+    assert get_truncated(spec, 1) is model and len(model.verma._bases) == built
+    assert get_truncated(spec, 2) is model and len(model.verma._bases) > built
+    assert not kernel._memo and not kernel._pmemo
 
 
 def test_act_matrix_entries_match_kernel_action():
@@ -427,6 +476,22 @@ def test_solve_w_matches_the_unstructured_system():
         assert w.blocks == blocks
 
 
+def test_a_chain_sweep_refuses_a_negative_window_before_any_model():
+    with pytest.raises(ValueError, match="max_degree must be nonnegative"):
+        sweep_projection_chain(A1Standard(0, 1), -1)
+    assert not intertwiner._TRUNC_CACHE
+
+
+@pytest.mark.parametrize("check", [sweep_projection_chain, verify_cross_model])
+def test_the_chain_and_cross_model_refuse_other_kinds(check):
+    # both read only the labels k0 and k1 of a long-root kind: a C2FS kind
+    # would be certified as the A1 chain, or checked in an arena without
+    # its level-2 label, so it is refused before any model is built
+    with pytest.raises(ValueError, match="long-root kinds"):
+        check(C2FS(0, 1, 1), 2)
+    assert not intertwiner._TRUNC_CACHE
+
+
 def test_solve_w_refuses_a_window_its_models_do_not_hold():
     # a window deeper than either model would certify degrees that neither
     # holds; a negative window certifies nothing.  The window-1 models are
@@ -516,24 +581,28 @@ def test_traced_build_counts_of_the_depth_three_models():
 
 
 def test_traced_layer_counts_of_the_depth_three_intertwiner():
-    # action matrices are built from the closure words: coordinates run only
-    # for rejected candidates and for images into empty blocks, solved on
-    # the Gram factor, so no Gram inverse is computed at run time.  A return
-    # to pairing every column, or to inverting, reads as more calls here
+    # action matrices are built from the closure words: a rejected
+    # candidate's coordinates come from its scan row, and coordinates run
+    # only for images into empty blocks, so nothing is paired a second time
+    # and no Gram inverse is computed at run time.  A return to pairing the
+    # rejected candidates, every column, or inverting reads as more calls
+    # here
     tracer = installed_tracer()
     for name in ("gram_factor", "bordered_minor"):
         tracer.patch(linalg, name, "linalg." + name)
+    tracer.patch(intertwiner, "gram_solve", "linalg.gram_solve")
     try:
         assert verify_intertwiner(3).ok
     finally:
         tracer.uninstall()
     names = ("intertwiner.act_matrix", "intertwiner.coordinates", "linalg.invert")
-    assert [tracer.calls(name) for name in names] == [2688, 2056, 0]
+    assert [tracer.calls(name) for name in names] == [2688, 1834, 0]
     # each Gram matrix is eliminated once, by the scan's keep test, and its
-    # factor kept on the block: a second elimination of a block's Gram
-    # matrix reads as gram_factor calls and more bordered minors here
-    names = ("linalg.gram_factor", "linalg.bordered_minor")
-    assert [tracer.calls(name) for name in names] == [0, 1065]
+    # factor kept on the block, with each rejected candidate's row: a
+    # second elimination of a block's Gram matrix, or of a rejected
+    # candidate's pairings, reads as more calls here
+    names = ("linalg.gram_factor", "linalg.bordered_minor", "linalg.gram_solve")
+    assert [tracer.calls(name) for name in names] == [0, 843, 0]
     # solve_w eliminates block by block and hands solve_sparse only the
     # coupled rows in the free parameters, one call per degree: a return to
     # one row per matrix entry (5,817 rows in 1,738 unknowns) reads here
