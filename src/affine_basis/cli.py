@@ -13,6 +13,10 @@ verbs that read them: --cache-dir (dims, verify, report; defaults to
 $AFFINE_BASIS_CACHE), --depth (window for truncated-module steps; verify,
 report).
 
+Text output gives one line per step; a failing step's witness follows its
+line as one compact JSON line.  The json and csv formats are unchanged by
+the outcome.
+
 Exit codes: 0 all checks passed, 1 a claim failed or the form is not
 positive definite, 2 usage or input error.
 """
@@ -126,6 +130,8 @@ def _report_lines(reports, fmt):
                 json.dumps(r.inputs, sort_keys=True),
             )
         )
+        if not r.ok:
+            lines.append("  " + json.dumps(r.witness, sort_keys=True, separators=(",", ":")))
     return "\n".join(lines)
 
 

@@ -80,7 +80,11 @@ Y (blocksolve.solve_two_sided); only the mode-0 equations and the
 normalization, reduced to rows in those parameters, go to solve_sparse
 (blocksolve.solve_linked), which reads its solution off the same sparse
 Gauss-Jordan, linalg.echelon, that eliminates the blocks.  No row is
-written per matrix entry.
+written per matrix entry.  An equation into an empty target block
+shift(x(S)) has no rows and holds for every W, so solve_w and the
+commutation check skip it before computing either action matrix, which
+weakens neither; one whose source block x(S) alone is empty still reads
+A2 W[S] = 0.
 Action matrices and intertwiner blocks are plain lists of integer rows of
 their block's shape, over one denominator per action matrix and one per
 degree of w; a zero map is a zero matrix, with no rows when the target
@@ -452,7 +456,9 @@ def solve_w(source, target, max_degree):
     a2/d2 on the target) belongs to the degree of the larger of its two
     blocks, so it reads blocks of lower degrees only as solved values: a
     raising mode (n > 0) constrains W[key] by A2 W_S = R, a lowering mode
-    W[t1] by W_S A1 = C, and mode 0 couples two unknown blocks.
+    W[t1] by W_S A1 = C, and mode 0 couples two unknown blocks.  An
+    equation into an empty target block shift(t1) has no rows and
+    constrains nothing, so it is skipped before its action matrices.
 
     Each degree is solved block by block: the raising equations of a
     block S, stacked, and its lowering ones, transposed and stacked
@@ -490,6 +496,8 @@ def solve_w(source, target, max_degree):
             for key, n in walk:
                 le = affine.encode(n, base)
                 t1 = source.target_key(le, key)
+                if not target.dim(_shift(t1)):
+                    continue  # maps into the zero space: no rows
                 _, a1, d1 = source.act_matrix(le, key)
                 _, a2, d2 = target.act_matrix(le, _shift(key))
                 if n == 0:
@@ -555,7 +563,8 @@ def _stacked_rows(equations, raising):
 
 def _solved_w(source, target, window):
     """(w, certificate) on the window: w is the map solve_w(source, target,
-    window) finds, and the certificate is _certify's (top killed, commutes).
+    window) finds, and the certificate is _certify's (top killed, commutes,
+    failure).
     The source model holds one record per target model: the deepest window
     asked for so far, with its map and certificate, each computed once; a
     deeper window solves and certifies again and replaces the record.  A
@@ -570,19 +579,20 @@ def _solved_w(source, target, window):
     depth, wmap, cert = held
     if depth > window:
         wmap = wmap.restrict(window)
-        cert = cert if all(cert) else _certify(wmap, window)
+        cert = cert if all(cert[:2]) else _certify(wmap, window)
     return wmap, cert
 
 
 def _certify(wmap, window):
-    """(top killed, commutes) for a map solve_w found on the window: whether
-    it kills the source top vector, and _check_commutation, which reads the
-    map and the action matrices only; (None, None) when the solve stopped
-    without a map."""
+    """(top killed, commutes, failure) for a map solve_w found on the
+    window: whether it kills the source top vector, and _check_commutation,
+    which reads the map and the action matrices only, as a bool and its
+    failure; (None, None, None) when the solve stopped without a map."""
     if not wmap.consistent:
-        return None, None
+        return None, None, None
     top, _ = wmap.block(wmap.source.top_key())
-    return not any(map(any, top)), _check_commutation(wmap.source, wmap.target, wmap, window)
+    failure = _check_commutation(wmap.source, wmap.target, wmap, window)
+    return not any(map(any, top)), failure is None, failure
 
 
 def _certified_w(window, cache_dir):
@@ -596,7 +606,11 @@ def _certified_w(window, cache_dir):
 def _witness(wmap, cert):
     """verify_intertwiner's witness of a map and its certificate."""
     freedom = {str(d): f for d, f in wmap.freedom.items()}
-    return {"freedom": freedom, "top_killed": cert[0], "commutes": cert[1]}
+    witness = {"freedom": freedom, "top_killed": cert[0], "commutes": cert[1]}
+    if cert[2] is not None:
+        key, code = cert[2]
+        witness["commutation_failure"] = {"block": [key[0], list(key[1])], "code": code}
+    return witness
 
 
 def verify_intertwiner(max_degree, cache_dir=None):
@@ -611,7 +625,7 @@ def verify_intertwiner(max_degree, cache_dir=None):
     return StepReport(
         step="intertwiner",
         inputs={"max_degree": max_degree},
-        ok=all(cert),
+        ok=all(cert[:2]),
         witness=_witness(wmap, cert),
         seconds=time.perf_counter() - t0,
     )
@@ -625,7 +639,10 @@ def _check_commutation(source, target, wmap, max_degree):
     (W[t1].a1) * d2 * e == (a2.W[key]) * e1 * d1.  It reads only the solved
     blocks and the action matrices, never the solver's equations.  Source
     blocks above the window, which a model closed deeper holds, are
-    skipped: w has no blocks there."""
+    skipped: w has no blocks there.  So, before its action matrices, is an
+    equation into an empty target block shift(t1): both sides map into the
+    zero space, so no claim is weakened.  Returns None, or the first
+    failing (source block, loop code)."""
     for key in source.block_keys():
         if key[0] > max_degree:
             break  # the keys ascend by degree
@@ -635,7 +652,7 @@ def _check_commutation(source, target, wmap, max_degree):
             for n in range(-max_degree, max_degree + 1):
                 le = affine.encode(-n, base)
                 t1 = source.target_key(le, key)
-                if t1[0] < 0 or t1[0] > max_degree:
+                if not 0 <= t1[0] <= max_degree or not target.dim(_shift(t1)):
                     continue
                 _, a1, d1 = source.act_matrix(le, key)
                 _, a2, d2 = target.act_matrix(le, _shift(key))
@@ -643,8 +660,8 @@ def _check_commutation(source, target, wmap, max_degree):
                 left = _matmul(w1, a1, n1)
                 right = _matmul(a2, w, n1)
                 if _scaled(left, d2 * e) != _scaled(right, e1 * d1):
-                    return False
-    return True
+                    return key, le
+    return None
 
 
 def _scaled(rows, s):
@@ -702,7 +719,7 @@ def verify_projection_chain(kind, pi, cache_dir=None):
     depth = max(pi.degree, 1)
     wmap, cert = _certified_w(depth, cache_dir)
     certificate = _witness(wmap, cert)
-    if not all(cert):
+    if not all(cert[:2]):
         return StepReport("projection_chain", inputs, False, certificate, time.perf_counter() - t0)
     m0 = get_truncated(HighestWeightSpec(1, 0, 0), depth, cache_dir)
     m1, m2 = wmap.source, wmap.target

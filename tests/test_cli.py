@@ -153,11 +153,28 @@ def test_verify_translation_requires_long_root_kind(capsys):
 
 
 def test_failing_check_exits_one(capsys):
-    fake = StepReport(step="t_power_sweep", inputs={}, ok=False, witness={})
+    # text output prints a failing step's witness as one compact JSON line
+    # under its summary line; a passing step prints its line alone
+    witness = {"commutes": False, "commutation_failure": {"block": [2, [-3, 0]], "code": 40}}
+    fake = StepReport(step="t_power_sweep", inputs={}, ok=False, witness=witness)
     with patch("affine_basis.verify.sweep_t_power", return_value=fake):
         code = run(["verify", "tpower", "--max-degree", "1"])
     assert code == 1
-    assert "FAIL" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and "FAIL" in lines[0]
+    assert lines[1] == '  {"commutation_failure":{"block":[2,[-3,0]],"code":40},"commutes":false}'
+    assert json.loads(lines[1]) == witness
+    with patch("affine_basis.verify.sweep_t_power", return_value=fake):
+        assert run(["verify", "tpower", "--max-degree", "1", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)[0]["witness"] == witness
+    with patch("affine_basis.verify.sweep_t_power", return_value=fake):
+        assert run(["verify", "tpower", "--max-degree", "1", "--format", "csv"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "step,inputs,ok,seconds",
+        't_power_sweep,"{}",FAIL,0.000',
+    ]
+    assert run(["verify", "tpower", "--max-degree", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
 
 
 def test_usage_errors_exit_two():

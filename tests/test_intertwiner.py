@@ -455,7 +455,7 @@ def test_w_at_depth_four_is_pinned():
         "49d3c60d85739acb07d33d7abd2860748112d6ecb00d8f00fb1051e7d142cdb6"
     )
     assert set(w.freedom.values()) == {0}
-    assert intertwiner._check_commutation(src, tgt, w, 4)
+    assert intertwiner._check_commutation(src, tgt, w, 4) is None
 
 
 def test_solve_w_matches_the_unstructured_system():
@@ -596,7 +596,13 @@ def test_traced_layer_counts_of_the_depth_three_intertwiner():
     finally:
         tracer.uninstall()
     names = ("intertwiner.act_matrix", "intertwiner.coordinates", "linalg.invert")
-    assert [tracer.calls(name) for name in names] == [2688, 1834, 0]
+    # an equation whose target block is empty has no rows, so neither of
+    # its action matrices is computed: 604 of the window's 1,344 matrices,
+    # each read once by the solve and once by the check.  The 36
+    # coordinates calls are the norm route on the matrices the certificate
+    # reads: source images into an empty block whose shifted target block
+    # is not empty
+    assert [tracer.calls(name) for name in names] == [1208, 36, 0]
     # each Gram matrix is eliminated once, by the scan's keep test, and its
     # factor kept on the block, with each rejected candidate's row: a
     # second elimination of a block's Gram matrix, or of a rejected
@@ -609,6 +615,28 @@ def test_traced_layer_counts_of_the_depth_three_intertwiner():
     solve = [tracer.calls("linalg.solve_sparse"), tracer.counts["linalg.solve_sparse_rows"],
              tracer.counts["linalg.solve_sparse_vars"]]
     assert solve == [4, 716, 141]
+
+
+def test_only_equations_without_rows_are_skipped():
+    # an equation W[t1] A1 = A2 W[key] maps block `key` into the target
+    # block shift(t1), and solve_w and the commutation check skip it exactly
+    # when that block is empty: after a certification on fresh models, each
+    # model holds the action matrices of every other color equation of the
+    # window, and no more.  The Fraction reference, which skips nothing,
+    # then checks every color equation of the window-3 map
+    assert verify_intertwiner(3).ok
+    src = get_truncated(HighestWeightSpec(0, 1, 0), 3)
+    tgt = get_truncated(HighestWeightSpec(0, 0, 1), 3)
+    loop_elements = [affine.encode(n, b) for b in affine.COLOR_BASES for n in range(-3, 4)]
+    targets = {(le, key): src.target_key(le, key) for key in src.block_keys() for le in loop_elements}
+    pairs = {
+        pair for pair, t1 in targets.items() if 0 <= t1[0] <= 3 and tgt.dim(intertwiner._shift(t1))
+    }
+    assert len(pairs) == 302
+    assert set(src._act) == pairs
+    assert set(tgt._act) == {(le, intertwiner._shift(key)) for le, key in pairs}
+    w, _ = intertwiner._solved_w(src, tgt, 3)
+    assert oracles.commutes_fraction(src, tgt, w, loop_elements, 3)
 
 
 def test_traced_calls_of_one_chain_sweep():
@@ -635,7 +663,7 @@ def test_shallower_windows_read_the_certified_map_restricted(monkeypatch):
     src = get_truncated(HighestWeightSpec(0, 1, 0), 3)
     tgt = get_truncated(HighestWeightSpec(0, 0, 1), 3)
     deep, cert = intertwiner._solved_w(src, tgt, 3)
-    assert cert == (True, True) and max(deep.dens) == 3
+    assert cert == (True, True, None) and max(deep.dens) == 3
     calls = []
     real = intertwiner.solve_w
 
@@ -648,7 +676,7 @@ def test_shallower_windows_read_the_certified_map_restricted(monkeypatch):
         w, cert = intertwiner._solved_w(src, tgt, window)
         ref = real(SOURCE, TARGET, window)
         assert (w.blocks, w.dens, w.freedom) == (ref.blocks, ref.dens, ref.freedom), window
-        assert cert == (True, True)
+        assert cert == (True, True, None)
     assert calls == []
     assert list(src._solved) == [tgt] and src._solved[tgt][:2] == (3, deep)
 
@@ -668,11 +696,15 @@ def test_the_chain_fails_on_a_w_that_does_not_commute(monkeypatch):
         rep = sweep_projection_chain(kind, 3)
         assert not rep.ok
         assert [e["ok"] for e in rep.witness["partitions"]] == [pi.degree < 2 for pi in pis]
+    # both witnesses name the first failing equation, which reads the
+    # perturbed block (2, (-3, 0)); the loops of windows 2 and 3 meet it
+    # first at x(2) and at x(-1) of two different bases
     chain = verify_projection_chain(kind, next(pi for pi in pis if pi.degree == 2))
     assert chain.witness == {
         "freedom": {"0": 0, "1": 0, "2": 0},
         "top_killed": True,
         "commutes": False,
+        "commutation_failure": {"block": [2, [-3, 0]], "code": affine.encode(2, 8)},
     }
     rep = verify_intertwiner(3)
     assert not rep.ok
@@ -680,6 +712,7 @@ def test_the_chain_fails_on_a_w_that_does_not_commute(monkeypatch):
         "freedom": {"0": 0, "1": 0, "2": 0, "3": 0},
         "top_killed": True,
         "commutes": False,
+        "commutation_failure": {"block": [2, [-3, 0]], "code": affine.encode(-1, 5)},
     }
 
 
@@ -701,13 +734,23 @@ def _perturbed_maps(w):
 def test_commutation_check_rejects_every_single_entry_perturbation():
     # negative control: the post-hoc check must catch a wrong W.  Adding 1
     # to any one numerator of any solved block, or changing the denominator
-    # of any one degree, breaks commutation somewhere.
+    # of any one degree, breaks commutation somewhere, and the check names
+    # where: every other equation still holds, so the first failing one,
+    # W[t1] A1 = A2 W[key], reads the perturbed block (or a block of the
+    # perturbed degree) as W[key] or as W[t1]
     w = solve_w(SOURCE, TARGET, 2)
-    assert intertwiner._check_commutation(SOURCE, TARGET, w, 2)
+    assert intertwiner._check_commutation(SOURCE, TARGET, w, 2) is None
     perturbed = list(_perturbed_maps(w))
     assert len(perturbed) > len(w.dens) * 2
     for label, bad in perturbed:
-        assert not intertwiner._check_commutation(SOURCE, TARGET, bad, 2), label
+        failure = intertwiner._check_commutation(SOURCE, TARGET, bad, 2)
+        assert failure is not None, label
+        key, code = failure
+        read = (key, SOURCE.target_key(code, key))
+        if len(label) == 3:  # (block, row, column) of a numerator
+            assert label[0] in read, (label, failure)
+        else:  # (degree, denominator)
+            assert label[0] in (k[0] for k in read), (label, failure)
 
 
 def test_commutation_check_agrees_with_the_fraction_reference():
