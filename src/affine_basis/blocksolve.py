@@ -119,8 +119,6 @@ def solve_linked(solutions, links, fixed):
             return None
     for i, a, da, j, b, db, n in links:
         xi, ni, mi, ei = solutions[i]
-        if not xi:
-            continue  # W_i maps into an empty block: the equation has no rows
         # db ej (X_i + N_i Y_i M_i) a = da ei b (X_j + N_j Y_j M_j)
         xj, nj, mj, ej = solutions[j]
         known = [

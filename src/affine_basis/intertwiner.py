@@ -355,11 +355,7 @@ class TensorModule:
         self.max_degree = max_degree
 
     def vacuum(self):
-        state = tuple((0, f.verma.lam_wt, 0) for f in self.factors)
-        for f in self.factors:
-            if f.blocks[f.top_key()].basis != ((),):
-                raise AssertionError("top block basis is not the vacuum monomial")
-        return {state: 1}
+        return {tuple((0, f.verma.lam_wt, 0) for f in self.factors): 1}
 
     def act_le(self, le, vec):
         """x(le) by the coproduct: its action matrices summed over the
@@ -371,9 +367,9 @@ class TensorModule:
             raise ValueError("tensor action leaves the degree window")
         return out
 
-    def act_word(self, word, vec=None):
-        if vec is None:
-            vec = self.vacuum()
+    def act_word(self, word):
+        """The word's loop codes applied to the vacuum, rightmost first."""
+        vec = self.vacuum()
         for le in reversed(tuple(word)):
             vec = self.act_le(le, vec)
         return vec

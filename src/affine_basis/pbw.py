@@ -136,10 +136,10 @@ class BlockBasis:
     the disk-cache entry check), so the Gram matrix is eliminated once per
     process; factor[1][-1] is its determinant.  `rejected` maps each
     candidate the scan rejected to the Bareiss row u its keep test computed
-    against the m = len(u) words kept before it (the empty row for a zero
-    vector), so linalg.back_substitute on the first m rows of `factor`
-    gives its coordinates over minors[m] with no second pairing; it is None
-    on a block loaded from the disk cache, which was never scanned."""
+    against the m = len(u) words kept before it, so linalg.back_substitute
+    on the first m rows of `factor` gives its coordinates over minors[m]
+    with no second pairing; it is None on a block loaded from the disk
+    cache, which was never scanned."""
 
     basis: tuple       # chosen words, deterministic order
     matrix: list       # integer Gram entries of the chosen vectors
@@ -180,7 +180,6 @@ class VermaModule:
             wt[0],  # weight(h1)
             spec.level,
         )
-        self.mode0_bases = tuple(b for b in self.gens if b <= 3)
         self.cache = cache_mod.GramCache(cache_dir)
         self._table_hash = table_hash(self.table)
         self._bases = {}
@@ -206,30 +205,6 @@ class VermaModule:
         for m, c in u.items():
             total += c * self.kernel.pair_mono(m, v)
         return total
-
-    def mode0_monomials(self, weight):
-        """Every normal-ordered monomial over the mode-0 storable generators
-        whose vector lies in the degree-0 block of `weight`.  Each such
-        factor lowers 2*w1 + w2 by 1 to 4, which bounds the search."""
-        weight = tuple(weight)
-        floor = 2 * weight[0] + weight[1]
-        out = []
-
-        def rec(mono, wt):
-            if wt == weight:
-                out.append(mono)
-                return
-            for b in self.mode0_bases:
-                le = affine.encode(0, b)
-                if mono and le > mono[-1]:
-                    continue  # normal order: codes weakly decrease
-                w = self.table.weights[b]
-                nxt = (wt[0] + w[0], wt[1] + w[1])
-                if 2 * nxt[0] + nxt[1] >= floor:
-                    rec(mono + (le,), nxt)
-
-        rec((), self.lam_wt)
-        return out
 
     # -- block bases ---------------------------------------------------------
 
@@ -344,9 +319,6 @@ class VermaModule:
             pair = self.kernel.pair_mono
             for j, word in enumerate(words):
                 vec = vector(j)
-                if not vec:
-                    rejected[word] = []
-                    continue
                 p = [pair(words[c], vec) for c in picked]
                 nu = pair(word, vec)
                 u, d = linalg.bordered_minor(cols, minors, p, nu)

@@ -89,25 +89,13 @@ def test_dims_csv_matches_partition_numbers(capsys):
 
 def test_out_file_and_quiet(tmp_path, capsys):
     out_file = tmp_path / "dims.json"
-    assert (
-        run(
-            [
-                "dims",
-                "--max-degree",
-                "1",
-                "--format",
-                "json",
-                "--out",
-                str(out_file),
-                "--quiet",
-            ]
-        )
-        == 0
-    )
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    data = json.loads(out_file.read_text())
-    assert data["dims_by_degree"] == [1, 3]
+    argv = ["dims", "--max-degree", "1", "--format", "json", "--out", str(out_file)]
+    for extra, printed in ((["--quiet"], ""), ([], "wrote %s\n" % out_file)):
+        assert run(argv + extra) == 0
+        captured = capsys.readouterr()
+        assert captured.out == printed
+        data = json.loads(out_file.read_text())
+        assert data["dims_by_degree"] == [1, 3]
 
 
 def test_verify_tpower_exit_zero_and_backend_note(capsys):

@@ -794,14 +794,27 @@ def test_tensor_action_window_overflow_raises():
         tensor.act_le(affine.encode(-1, 0), v)
 
 
+def test_tensor_action_window_check_on_factors_closed_deeper():
+    # factors closed to degree 3 have action matrices into degree 2, so
+    # only the tensor's own window check stops a degree-1 tensor there
+    m1 = get_truncated(HighestWeightSpec(0, 1, 0), 3)
+    v = TensorModule([m1], 1).act_word((affine.encode(-1, 0),))
+    x = affine.encode(-1, 6)
+    assert TensorModule([m1], 2).act_le(x, v)
+    with pytest.raises(ValueError, match="^tensor action leaves the degree window$"):
+        TensorModule([m1], 1).act_le(x, v)
+
+
 def test_levels_add_in_tensor_models():
     m1 = get_truncated(HighestWeightSpec(0, 1, 0), 2)
     tensor = TensorModule([m1, m1], 2)
     verma = VermaModule(HighestWeightSpec(0, 2, 0), gens=GEN_C2)
-    word = (affine.encode(-1, 0),)
-    a = verma.pair(verma.act_word(word), verma.act_word(word))
-    b = tensor.pair(tensor.act_word(word), tensor.act_word(word))
-    assert Fraction(a) == b
+    # h1(0) kills f(-1) applied to the vacuum, of weight 0: in the tensor
+    # model the two slots' terms cancel
+    for word in ((affine.encode(-1, 0),), (affine.encode(0, 6), affine.encode(-1, 0))):
+        a = verma.pair(verma.act_word(word), verma.act_word(word))
+        b = tensor.pair(tensor.act_word(word), tensor.act_word(word))
+        assert Fraction(a) == b, word
 
 
 def test_w_ks_with_zero_slots_is_the_identity():
@@ -906,9 +919,9 @@ def test_cross_model_computes_each_tensor_vector_once(monkeypatch):
     calls = []
     real = TensorModule.act_word
 
-    def counting(self, word, vec=None):
+    def counting(self, word):
         calls.append(tuple(word))
-        return real(self, word, vec)
+        return real(self, word)
 
     monkeypatch.setattr(TensorModule, "act_word", counting)
     kind = A1Standard(1, 1)
@@ -917,6 +930,24 @@ def test_cross_model_computes_each_tensor_vector_once(monkeypatch):
     words = [kind.monomial_word(pi) for pi in enumerate_admissible(kind, 2)]
     assert sorted(calls) == sorted(words)
     assert rep.witness["pairs_checked"] > len(words)
+
+
+def test_cross_model_fails_on_one_wrong_tensor_pairing(monkeypatch):
+    # negative control: a half added to the first tensor pairing, and to
+    # no other, is the one mismatch the witness lists, as an exact p/q
+    real = TensorModule.pair
+    calls = []
+
+    def off_by_a_half(self, u, v):
+        calls.append(None)
+        return real(self, u, v) + Fraction(len(calls) == 1, 2)
+
+    monkeypatch.setattr(TensorModule, "pair", off_by_a_half)
+    rep = verify_cross_model(A1Standard(1, 1), 2)
+    assert rep.ok is False
+    (bad,) = rep.witness["mismatches"]
+    assert bad["tensor"] == "%d/2" % (2 * int(bad["verma"]) + 1)
+    assert rep.witness["pairs_checked"] == len(calls) > 1
 
 
 def test_cross_model_agreement():

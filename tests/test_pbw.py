@@ -223,12 +223,6 @@ def test_pbw_monomials_enumeration():
     assert monos == sorted(monos, reverse=True)
     # empty block: no monomials can reach a raised weight at degree 0
     assert _oracle_monomials(module, (0, (2, 0))) == []
-    # the degree-0 monomials that the c0 check counts agree with the oracle
-    c2 = VermaModule(HighestWeightSpec(0, 1, 1), gens=GEN_C2)
-    for w1 in range(-4, 3):
-        for w2 in range(-4, 4):
-            got = sorted(c2.mode0_monomials((w1, w2)), reverse=True)
-            assert got == _oracle_monomials(c2, (0, (w1, w2))), (w1, w2)
 
 
 def test_vacuum_and_act_word():
@@ -268,11 +262,17 @@ def _oracle_structure():
 def test_straighten_matches_random_order_oracle():
     structure = _oracle_structure()
     rng = random.Random(20240817)
+    words = []
     for trial in range(60):
         length = rng.randint(0, 5)
-        word = tuple(
-            affine.encode(rng.randint(-3, 3), rng.randrange(10)) for _ in range(length)
+        words.append(
+            tuple(affine.encode(rng.randint(-3, 3), rng.randrange(10)) for _ in range(length))
         )
+    # two words whose straightening cancels a product term and a bracket
+    # term (the zero-coefficient branches of UKernel.mul_le)
+    words.append((affine.encode(0, 8), affine.encode(1, 1), affine.encode(1, 3)))
+    words.append((affine.encode(-1, 1), affine.encode(-1, 3), affine.encode(-1, 8)))
+    for trial, word in enumerate(words):
         expected = straighten(word)
         for seed in (1, 2):
             got = oracles.straighten_random_order(

@@ -255,6 +255,20 @@ def test_c0_nonvanishing_norm_strings(cached, tmp_path, monkeypatch):
     assert loads == []
 
 
+def test_c0_fails_on_a_shifted_form_and_raises_on_a_negated_one(monkeypatch):
+    # negative controls: one added to every pairing makes the norm of
+    # x21'(0)^(k1+1) nonzero, which the step must report; a negated form
+    # gives negative norms, which positivity rules out (zero_in_quotient)
+    pair = pbw.VermaModule.pair
+    monkeypatch.setattr(pbw.VermaModule, "pair", lambda self, u, v: pair(self, u, v) + 1)
+    rep = verify_c0_nonvanishing(A1Standard(1, 0))
+    assert rep.ok is False
+    assert rep.witness["norms"] == ["2", "1"]
+    monkeypatch.setattr(pbw.VermaModule, "pair", lambda self, u, v: -pair(self, u, v))
+    with pytest.raises(ArithmeticError, match="norm -1$"):
+        verify_c0_nonvanishing(A1Standard(1, 0))
+
+
 def test_translation_creates_no_cache(tmp_path):
     # zero_in_quotient is a norm test; translation builds no block basis
     rep = sweep_translation(A1Standard(0, 1), 1, str(tmp_path / "c"))
@@ -369,6 +383,42 @@ def test_dc_violator_creates_a_rank_deficit():
         assert sub_rank(rest) == len(rest)
 
 
+def test_independence_fails_on_an_appended_dc_violator(monkeypatch):
+    # negative control: a difference-condition violator appended to the
+    # admissible family (as criterion 9 builds one) is dependent on its
+    # block, and the witness names a dependent subfamily that holds it
+    kind = A1Standard(1, 0)
+    violator = P(b={1: 1}, c={1: 1})
+    real = parts_mod.enumerate_admissible
+    monkeypatch.setattr(
+        parts_mod, "enumerate_admissible", lambda kind, d: real(kind, d) + [violator]
+    )
+    rep = verify_independence(kind, 2)
+    assert rep.ok is False
+    failed = [e for e in rep.witness["blocks"] if e["rank"] != e["count"]]
+    assert len(failed) == 1 and failed[0]["rank"] == failed[0]["count"] - 1
+    assert violator.tag() in failed[0]["dependent_subset"]
+
+
+def test_spanning_fails_without_one_admissible_partition(monkeypatch):
+    # negative control: the admissible vectors are a basis, so dropping
+    # one leaves its block one short, and the witness names the deficit
+    kind = A1Standard(1, 0)
+    real = parts_mod.enumerate_admissible
+    dropped = real(kind, 2)[-1]
+
+    def without(kind, d):
+        return [pi for pi in real(kind, d) if pi != dropped]
+
+    monkeypatch.setattr(parts_mod, "enumerate_admissible", without)
+    rep = verify_spanning(kind, 2)
+    assert rep.ok is False
+    failed = [e for e in rep.witness["blocks"] if "deficit" in e]
+    word = kind.monomial_word(dropped)
+    assert [(e["degree"], e["deficit"]) for e in failed] == [(affine.word_degree(word), 1)]
+    assert failed[0]["weight"] == list(kind.module().abs_weight(word))
+
+
 def test_a_negated_form_fails_independence_and_exits_one(monkeypatch, capsys):
     # negative control for positivity: a negated contravariant form has the
     # same Gram ranks, so only the sign of the leading minors tells it from
@@ -395,6 +445,24 @@ def test_icprop_sweep():
         rep = verify_icprop(kind, 4)
         assert rep.ok
         assert rep.witness["violations"] == []
+
+
+def test_icprop_fails_on_swapped_labels(monkeypatch):
+    # negative control: labels (k0, c0, k1 - c0) in place of
+    # (k0, k1 - c0, c0) send the c0 = 0 partitions of degree 2 outside the
+    # admissible families, and the witness names each with its labels
+    real = parts_mod.ic_propagation
+
+    def swapped(pi, kind):
+        k0, rest, c0 = real(pi, kind)
+        return (k0, c0, rest)
+
+    monkeypatch.setattr(parts_mod, "ic_propagation", swapped)
+    rep = verify_icprop(A1Standard(1, 1), 2)
+    assert rep.ok is False
+    assert rep.witness["violations"] == [
+        {"partition": tag, "target": [1, 0, 1]} for tag in ("a1 b1", "b1^2", "b1 c1", "c1^2")
+    ]
 
 
 def test_step_report_json_roundtrip():
