@@ -18,7 +18,8 @@ line as one compact JSON line.  The json and csv formats are unchanged by
 the outcome.
 
 Exit codes: 0 all checks passed, 1 a claim failed or the form is not
-positive definite, 2 usage or input error.
+positive definite, 2 usage or input error.  A negative label, --max-degree
+or --depth is a usage error on every verb that takes the flag.
 """
 
 import argparse
@@ -255,6 +256,12 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        # a negative window is refused on every verb that takes it, read
+        # by the requested check or not
+        for flag in ("max_degree", "depth"):
+            if getattr(args, flag, 0) < 0:
+                raise ValueError("--%s must be nonnegative, got %d"
+                                 % (flag.replace("_", "-"), getattr(args, flag)))
         return VERBS[args.verb](args)
     except (ValueError, OSError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)

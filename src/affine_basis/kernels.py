@@ -1,15 +1,28 @@
 """The straightening kernel.
 
-This module implements the two computational hot spots exactly, over the
+This module implements the computational hot spot exactly, over the
 integers, with no dependency on the rest of the package (structure data is
-passed in as plain nested tuples):
+passed in as plain nested tuples).  There is one recursion, act_le:
 
   * VermaKernel -- normal-ordered action of loop elements on a generic
     highest weight module, with memoization; the contravariant pairing of
     a word with a monomial or a vector.
-  * UKernel     -- straightening in the universal enveloping algebra itself
-    (central element tracked as an explicit exponent), used for identities
-    between operators rather than vectors.
+  * UKernel     -- straightening in the enveloping algebra U(g[t^-1]) of
+    the loop codes of mode <= 0, used for identities between operators
+    rather than vectors.  It is VermaKernel with a wider creation bound.
+
+Creation bound.  A code below the class constant CREATE is a creation
+operator: it is prepended to a monomial whose leading code it does not
+undercut, and on the vacuum it makes the one-letter monomial.  Every other
+code is commuted toward the vacuum (x.head = head.x + [x, head]), where it
+acts by its weight in `lam` (zero for codes not in it).  VermaKernel's
+bound is 4, the storable codes (mode < 0, or mode 0 and base < 4).
+UKernel's is 16, every code of mode <= 0: by PBW, U(g[t^-1]) is a
+subalgebra of U(g^) and a free rank-one module over itself, so a word's
+normal form there is its action on that module's vacuum, and each identity
+certified there holds in U(g^).  No central term enters: the cocycle
+i <x, y> c of [x(i), y(j)] needs i + j = 0, which for i, j <= 0 forces
+i = 0 (Kac, Infinite-Dimensional Lie Algebras, ch. 7).
 
 Memos.  Each kernel object owns its memos, and they live as long as it
 does unless its owner empties them:
@@ -24,7 +37,7 @@ does unless its owner empties them:
     and pair only the images into empty blocks (and the rejected
     candidates of blocks loaded from the disk cache), so both memos live
     for one build or one action matrix.
-  * UKernel._memo      -- mul_le results, for the life of the kernel (one
+  * UKernel._memo      -- act_le results, for the life of the kernel (one
     per process, pbw.ukernel).
 
 Encoding: a loop element x(n) is the integer le = 16*n + base (see affine).
@@ -43,6 +56,8 @@ class VermaKernel:
     form, for which <v, v> = 1 and distinct monomial gradings pair to 0.
     """
 
+    CREATE = 4
+
     def __init__(self, bracket, form, sigma, lam4, lam6, level):
         self.bracket = bracket
         self.form = form
@@ -59,21 +74,12 @@ class VermaKernel:
         if out is not None:
             return out
         if not mono:
-            mode = le >> 4
-            if mode > 0:
-                out = {}
-            elif mode < 0:
+            if le < self.CREATE:
                 out = {(le,): 1}
             else:
-                base = le & 15
-                if base < 4:
-                    out = {(le,): 1}
-                elif base == 4 or base == 6:
-                    lam = self.lam[base]
-                    out = {(): lam} if lam else {}
-                else:
-                    out = {}
-        elif le < 4 and le >= mono[0]:
+                lam = self.lam.get(le, 0)
+                out = {(): lam} if lam else {}
+        elif le < self.CREATE and le >= mono[0]:
             out = {(le,) + mono: 1}
         else:
             # x*head = head*x + [x, head]; push x toward the vacuum.
@@ -168,77 +174,17 @@ class VermaKernel:
         return total
 
 
-class UKernel:
-    """Straightening in the universal enveloping algebra of the affine
-    algebra.  Elements are dicts {(cexp, monomial): int} where cexp counts
-    factors of the central element and monomials are weakly decreasing code
-    tuples (any mode and base: nothing acts on a vacuum here)."""
+class UKernel(VermaKernel):
+    """Straightening in U(g[t^-1]): act_le and act_word on words of codes of
+    mode <= 0, on the vacuum of U(g[t^-1]) itself, give normal-ordered
+    elements {monomial: int}.  No weight and no level: nothing of mode
+    <= 0 reaches the vacuum except to be prepended."""
+
+    CREATE = 16
 
     def __init__(self, bracket, form):
         self.bracket = bracket
         self.form = form
+        self.lam = {}
+        self.level = 0
         self._memo = {}
-
-    def mul_le(self, le, mono):
-        """x(le) * mono, normal ordered; dict {(cexp, monomial): int}."""
-        key = (le, mono)
-        out = self._memo.get(key)
-        if out is not None:
-            return out
-        if not mono:
-            out = {(0, (le,)): 1}
-        elif le >= mono[0]:
-            out = {(0, (le,) + mono): 1}
-        else:
-            head = mono[0]
-            rest = mono[1:]
-            acc = {}
-            for (dc2, m2), c2 in self.mul_le(le, rest).items():
-                for (dc3, m3), c3 in self.mul_le(head, m2).items():
-                    k2 = (dc2 + dc3, m3)
-                    c = acc.get(k2, 0) + c2 * c3
-                    if c:
-                        acc[k2] = c
-                    elif k2 in acc:
-                        del acc[k2]
-            i = le >> 4
-            b1 = le & 15
-            j = head >> 4
-            b2 = head & 15
-            for cf, k in self.bracket[b1][b2]:
-                le2 = ((i + j) << 4) + k
-                for (dc3, m3), c3 in self.mul_le(le2, rest).items():
-                    k2 = (dc3, m3)
-                    c = acc.get(k2, 0) + cf * c3
-                    if c:
-                        acc[k2] = c
-                    elif k2 in acc:
-                        del acc[k2]
-            if i + j == 0:
-                f = self.form[b1][b2]
-                if f:
-                    k2 = (1, rest)
-                    c = acc.get(k2, 0) + i * f
-                    if c:
-                        acc[k2] = c
-                    elif k2 in acc:
-                        del acc[k2]
-            out = acc
-        self._memo[key] = out
-        return out
-
-    def mul_mono(self, m1, m2):
-        """m1 * m2 normal ordered; dict {(cexp, monomial): int}."""
-        out = {(0, m2): 1}
-        for le in reversed(m1):
-            nxt = {}
-            for (dc, m), c in out.items():
-                for (dc2, m2b), c2 in self.mul_le(le, m).items():
-                    k2 = (dc + dc2, m2b)
-                    cc = nxt.get(k2, 0) + c * c2
-                    if cc:
-                        nxt[k2] = cc
-                    elif k2 in nxt:
-                        del nxt[k2]
-            out = nxt
-        return out

@@ -471,9 +471,13 @@ def ukernel():
 
 
 def straighten(word):
-    """Normal-ordered form of a word of loop codes in the enveloping
-    algebra: dict {(central_exponent, monomial): int}."""
-    return ukernel().mul_mono(tuple(word), ())
+    """Normal-ordered form of a word of loop codes of mode <= 0 in
+    U(g[t^-1]): dict {monomial: int}, the word's action on the vacuum of
+    U(g[t^-1]) (kernels.UKernel).  A code of positive mode raises
+    ValueError."""
+    if word and max(word) >= UKernel.CREATE:
+        raise ValueError("straighten takes codes of mode <= 0, got %d" % (max(word) >> 4))
+    return ukernel().act_word(word, {(): 1})
 
 
 def add_into(out, terms, factor=1):

@@ -20,7 +20,9 @@ kill check applies one more raiser to the vector it already holds.
 The derivation T is the commutator action of the middle color x12 at mode 0.
 On the long-root triple it acts as a chain f -> x21' -> x22 (and h -> x12)
 that converts long-root monomials into color monomials; verify_t_power
-certifies the conversion identity in the enveloping algebra itself.  The
+certifies the conversion identity in the enveloping algebra itself: its
+words have modes <= 0, which T keeps, so it lives in U(g[t^-1]), where no
+central term arises (kernels).  The
 DerivationTable driving t_apply is computed from the structure table but can
 be mutated, which is how the negative controls poison it.  Each table
 memoises the image of every monomial it is applied to; the default table is
@@ -98,9 +100,9 @@ class DerivationTable:
 
     def image(self, mono):
         """The derivation's image of one normal-ordered monomial, by the
-        Leibniz rule: {(central_exponent, monomial): int}, each replaced
-        word straightened.  The mode of each factor is preserved; only the
-        base changes, through the table.  Memoised on the table."""
+        Leibniz rule: {monomial: int}, each replaced word straightened.
+        The mode of each factor is preserved; only the base changes,
+        through the table.  Memoised on the table."""
         out = self._images.get(mono)
         if out is None:
             out = {}
@@ -127,20 +129,13 @@ def _default_table():
 
 def t_apply(elem, table=None):
     """Apply the derivation to a straightened enveloping-algebra element:
-    the sum of coeff * table.image(mono) over its terms, each image's
-    central exponent shifted by the term's.  `table` defaults to the
-    process-wide _default_table()."""
+    the sum of coeff * table.image(mono) over its terms.  `table` defaults
+    to the process-wide _default_table()."""
     if table is None:
         table = _default_table()
     out = {}
-    for (dc, mono), coeff in elem.items():
-        for (dc2, m2), c2 in table.image(mono).items():
-            k = (dc + dc2, m2)
-            cc = out.get(k, 0) + coeff * c2
-            if cc:
-                out[k] = cc
-            else:
-                out.pop(k, None)
+    for mono, coeff in elem.items():
+        add_into(out, table.image(mono), coeff)
     return out
 
 

@@ -1,8 +1,14 @@
 """Command line interface: verbs, formats, output files, exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import re
+import tempfile
 from unittest.mock import patch
 
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from conftest import perturb_solve_w
@@ -317,3 +323,107 @@ def test_flags_a_verb_does_not_read_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract as one property
+# ---------------------------------------------------------------------------
+
+CHECKS = ("independence", "spanning", "tpower", "translation", "icprop", "intertwiner")
+# the flags each verb takes beyond --kind, the labels, --max-degree and the
+# output flags
+READS = {"enumerate": (), "dims": ("--cache-dir",), "verify": ("--cache-dir", "--depth"),
+         "report": ("--cache-dir", "--depth")}
+WINDOWS = st.integers(-1, 2)  # capped at 2, so each run takes milliseconds
+OPTIONAL = {
+    "--kind": st.sampled_from(("a1", "c2fs")),
+    "--k0": st.integers(-1, 2),
+    "--k1": st.integers(-1, 2),
+    "--k2": st.integers(-1, 2),
+    "--depth": WINDOWS,
+    "--format": st.sampled_from(("text", "json", "csv")),
+    "--cache-dir": st.just("{tmp}/cache"),
+    "--out": st.just("{tmp}/out"),
+    "--quiet": st.just(None),
+}
+
+
+@st.composite
+def cli_calls(draw):
+    """(verb, check, {flag: value}): --max-degree always, since its default
+    is above the cap, and any subset of the other flags."""
+    verb = draw(st.sampled_from(sorted(READS)))
+    check = draw(st.sampled_from(CHECKS)) if verb == "verify" else None
+    opts = {"--max-degree": draw(WINDOWS)}
+    for flag in draw(st.sets(st.sampled_from(sorted(OPTIONAL)))):
+        opts[flag] = draw(OPTIONAL[flag])
+    return verb, check, opts
+
+
+def _is_valid(verb, check, opts):
+    if any(f in opts and f not in READS[verb] for f in ("--cache-dir", "--depth")):
+        return False
+    kind = opts.get("--kind", "a1")
+    labels = [opts.get(f, d) for f, d in (("--k0", 1), ("--k1", 0), ("--k2", 0))]
+    if min(labels) < 0 or (kind == "a1" and labels[2]):
+        return False
+    if opts["--max-degree"] < 0 or opts.get("--depth", 0) < 0:
+        return False
+    return not (check in ("translation", "icprop") and kind != "a1")
+
+
+def _untimed(run):
+    """A run's exit code and texts with every timing masked."""
+    code, *texts = run
+    timing = r'"seconds": [-+.e\d]+|\d+\.\d\ds\b|,\d+\.\d{3}$'
+    return [code] + [re.sub(timing, "<t>", text or "", flags=re.M) for text in texts]
+
+
+def _run_in(tmp, argv):
+    """(exit code, stdout, stderr, the --out file or None) of one in-process
+    run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    path = os.path.join(tmp, "out")
+    written = None
+    if os.path.exists(path):
+        with open(path) as fh:
+            written = fh.read()
+        os.remove(path)
+    return code, out.getvalue(), err.getvalue(), written
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(cli_calls())
+# negative windows that checks which do not read them once let pass
+@example(("verify", "independence", {"--max-degree": 0, "--depth": -1}))
+@example(("verify", "intertwiner", {"--max-degree": -1}))
+def test_exit_codes_keep_their_contract(call):
+    verb, check, opts = call
+    with tempfile.TemporaryDirectory() as tmp, patch.dict(os.environ):
+        os.environ.pop("AFFINE_BASIS_CACHE", None)
+        argv = [verb] + ([check] if check else [])
+        for flag, value in opts.items():
+            argv += [flag] if value is None else [flag, str(value).format(tmp=tmp)]
+        first = _run_in(tmp, argv)
+        second = _run_in(tmp, argv)
+    code, out, err, written = first
+    # exit 2 exactly on an invalid argv, with a message and no traceback;
+    # at these windows every claim holds, so a valid argv exits 0
+    assert code == (0 if _is_valid(verb, check, opts) else 2), (argv, out, err)
+    assert "Traceback" not in err
+    assert code == 0 or err.startswith(("error: ", "usage: "))
+    shown = written if written is not None else "" if "--quiet" in opts else out
+    if code == 0 and verb in ("verify", "report") and shown:
+        if opts.get("--format") == "json":
+            reports = json.loads(shown)
+            assert reports and all(r["ok"] for r in reports)
+        else:
+            assert "pass" in shown and "FAIL" not in shown
+    # the same argv gives the same output, timings aside
+    assert _untimed(second) == _untimed(first)
+

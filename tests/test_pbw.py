@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from affine_basis import affine, cache, cli, linalg, pbw
-from affine_basis.partitions import A1Standard, C2FS
+from affine_basis.partitions import A1Standard, C2FS, enumerate_admissible
 from affine_basis.pbw import (
     GEN_A1,
     GEN_C2,
@@ -266,11 +266,10 @@ def test_straighten_matches_random_order_oracle():
     for trial in range(60):
         length = rng.randint(0, 5)
         words.append(
-            tuple(affine.encode(rng.randint(-3, 3), rng.randrange(10)) for _ in range(length))
+            tuple(affine.encode(rng.randint(-3, 0), rng.randrange(10)) for _ in range(length))
         )
-    # two words whose straightening cancels a product term and a bracket
-    # term (the zero-coefficient branches of UKernel.mul_le)
-    words.append((affine.encode(0, 8), affine.encode(1, 1), affine.encode(1, 3)))
+    # a word whose straightening cancels a bracket term (a zero-coefficient
+    # branch of VermaKernel.act_le)
     words.append((affine.encode(-1, 1), affine.encode(-1, 3), affine.encode(-1, 8)))
     for trial, word in enumerate(words):
         expected = straighten(word)
@@ -278,52 +277,46 @@ def test_straighten_matches_random_order_oracle():
             got = oracles.straighten_random_order(
                 word, structure, random.Random(seed * 1000 + trial)
             )
-            assert got == expected, word
-        for (dc, mono), coeff in expected.items():
-            assert dc >= 0 and coeff
+            assert got == {(0, mono): coeff for mono, coeff in expected.items()}, word
+        for mono, coeff in expected.items():
+            assert coeff
             assert all(mono[i] >= mono[i + 1] for i in range(len(mono) - 1))
+    # U(g[t^-1]) has no code of positive mode
+    with pytest.raises(ValueError, match="mode <= 0"):
+        straighten((F1, affine.encode(1, 9)))
 
 
 def test_straighten_is_consistent_with_module_action():
-    """Acting by a word equals acting by its straightened form, with the
-    central exponent contributing level^dc."""
+    """Acting by a word equals acting by its straightened form."""
     rng = random.Random(99)
     module = VermaModule(HighestWeightSpec(0, 1, 0), gens=GEN_C2)
-    level = module.spec.level
     for _ in range(25):
         length = rng.randint(1, 4)
         word = tuple(
-            affine.encode(rng.randint(-2, 1), rng.randrange(10)) for _ in range(length)
+            affine.encode(rng.randint(-2, 0), rng.randrange(10)) for _ in range(length)
         )
         direct = module.act_word(word)
         total = {}
-        for (dc, mono), coeff in straighten(word).items():
-            part = module.kernel.act_word(mono, {(): 1})
-            for m, c in part.items():
-                cc = total.get(m, 0) + coeff * (level ** dc) * c
-                if cc:
-                    total[m] = cc
-                else:
-                    total.pop(m, None)
+        for mono, coeff in straighten(word).items():
+            add_into(total, module.kernel.act_word(mono, {(): 1}), coeff)
         assert direct == total, word
 
 
 def algebra_mul(a, b):
-    """Product of two enveloping-algebra elements, straightened."""
+    """Product of two elements of U(g[t^-1]), straightened."""
     out = {}
-    for (dc1, m1), c1 in a.items():
-        for (dc2, m2), c2 in b.items():
-            for (dc3, m3), c3 in pbw.ukernel().mul_mono(m1, m2).items():
-                add_into(out, {(dc1 + dc2 + dc3, m3): c1 * c2 * c3})
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            add_into(out, pbw.ukernel().act_word(m1, {m2: 1}), c1 * c2)
     return out
 
 
 def test_algebra_product_is_associative_and_ad_is_a_derivation():
-    x = {(0, (affine.encode(1, 9),)): 1}
-    y = {(0, (F1,)): 1}
-    z = {(0, (affine.encode(0, 8),)): 1, (1, ()): 2}
+    x = {(affine.encode(0, 9),): 1}
+    y = {(F1,): 1}
+    z = {(affine.encode(0, 8),): 1, (): 2}
     assert algebra_mul(algebra_mul(x, y), z) == algebra_mul(x, algebra_mul(y, z))
-    t = {(0, (affine.encode(0, 8),)): 1}
+    t = {(affine.encode(0, 8),): 1}
 
     def ad(a):  # t*a - a*t, normal ordered
         return add_into(algebra_mul(t, a), algebra_mul(a, t), -1)
@@ -580,6 +573,15 @@ def test_cache_entries_of_another_tag_or_candidate_list_are_never_used(tmp_path,
 def test_malformed_cached_bases_are_rejected(entry):
     assert not pbw._valid_basis_entry(entry, 5)
     assert pbw._valid_basis_entry({"chosen": [0, 3], "gram": [["2", "1"], ["1", "1"]]}, 5)
+
+
+def test_a_negative_window_raises_in_the_library():
+    # the CLI refuses a negative window before any library call, so the
+    # library's own guards are checked here
+    with pytest.raises(ValueError, match="max_degree must be nonnegative"):
+        VermaModule(HighestWeightSpec(1, 0, 0), gens=GEN_A1).block_support(-1)
+    with pytest.raises(ValueError, match="max_degree must be nonnegative"):
+        enumerate_admissible(A1Standard(1, 0), -1)
 
 
 def test_spec_validation():
