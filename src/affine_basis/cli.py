@@ -3,15 +3,27 @@
 Verbs:
   enumerate   admissible colored partitions for a module kind
   dims        graded dimension table of the module (Gram ranks)
-  verify      one verification step: independence, spanning, tpower,
-              translation, icprop, intertwiner
-  report      the full verification suite for one module kind
+  verify      one verification step, a key of READS: independence,
+              spanning, tpower, translation, icprop, intertwiner, chain,
+              cross_model
+  report      the verification suite for one module kind (REPORT_CHECKS)
 
-Common flags: --kind {a1,c2fs}, --k0/--k1/--k2 labels (--k2 for c2fs only),
---max-degree, --format {text,json,csv}, --out FILE, --quiet.  Only on the
-verbs that read them: --cache-dir (dims, verify, report; defaults to
-$AFFINE_BASIS_CACHE), --depth (window for truncated-module steps; verify,
-report).
+Each verb and check takes exactly the flags it reads, beside the output
+flags --format {text,json,csv}, --out FILE and --quiet; argparse refuses
+any other (READS):
+  enumerate, independence, tpower   --kind {a1,c2fs} --k0 --k1 --k2
+                                    --max-degree
+  dims, spanning                    the same and --cache-dir
+  translation, icprop               --kind a1 --k0 --k1 --max-degree
+  intertwiner                       --depth --cache-dir
+  chain, cross_model                --kind a1 --k0 --k1 --max-degree
+                                    --depth --cache-dir
+  report                            the union over its kind's checks
+--k2 is the third label of kind c2fs, and is refused with kind a1;
+`report --kind c2fs` refuses --depth, since its checks have no window.  The
+chain and cross_model read the models on window min(--max-degree,
+--depth); the chain needs k1 > 0, so `report` skips it at k1 = 0.
+--cache-dir defaults to $AFFINE_BASIS_CACHE, and --depth to 2.
 
 Text output gives one line per step; a failing step's witness follows its
 line as one compact JSON line.  The json and csv formats are unchanged by
@@ -19,7 +31,7 @@ the outcome.
 
 Exit codes: 0 all checks passed, 1 a claim failed or the form is not
 positive definite, 2 usage or input error.  A negative label, --max-degree
-or --depth is a usage error on every verb that takes the flag.
+or --depth is a usage error.
 """
 
 import argparse
@@ -32,26 +44,65 @@ from . import verify as verify_mod
 from .cache import default_cache_dir
 
 
+# the inputs each check reads, beside the output flags; --k2 is read with kind
+# c2fs only, and a check that reads no --k2 takes kind a1 only
+LABELS = ("--kind", "--k0", "--k1", "--k2", "--max-degree")
+A1 = ("--kind", "--k0", "--k1", "--max-degree")
+MODELS = ("--depth", "--cache-dir")  # the truncated models and their window
+READS = {
+    "independence": LABELS,
+    "spanning": LABELS + ("--cache-dir",),
+    "tpower": LABELS,
+    "translation": A1,
+    "icprop": A1,
+    "intertwiner": MODELS,
+    "chain": A1 + MODELS,
+    "cross_model": A1 + MODELS,
+}
+
+# each check's reports, in step order, from its kind and the parsed flags
+RUNS = {
+    "independence": lambda kind, a: [verify_mod.verify_independence(kind, a.max_degree)],
+    "spanning": lambda kind, a: [verify_mod.verify_spanning(kind, a.max_degree, a.cache_dir)],
+    "tpower": lambda kind, a: [verify_mod.sweep_t_power(kind, a.max_degree)],
+    "translation": lambda kind, a: [verify_mod.verify_c0_nonvanishing(kind),
+                                    verify_mod.sweep_translation(kind, a.max_degree)],
+    "icprop": lambda kind, a: [verify_mod.verify_icprop(kind, a.max_degree)],
+    "intertwiner": lambda kind, a: [iw.verify_intertwiner(a.depth, a.cache_dir)],
+    "chain": lambda kind, a: [iw.sweep_projection_chain(kind, _window(a), a.cache_dir)],
+    "cross_model": lambda kind, a: [iw.verify_cross_model(kind, _window(a), a.cache_dir)],
+}
+
+# the checks `report` runs, in order, for each kind (kind a1: every check);
+# it reads their union
+REPORT_CHECKS = {"a1": tuple(READS), "c2fs": ("independence", "spanning", "tpower")}
+
+
+def _window(args):
+    """The window of the models the chain and cross_model read."""
+    return min(args.max_degree, args.depth)
+
+
 def _kind_from(args):
     if args.kind == "a1":
-        if args.k2:
-            raise ValueError("--k2 applies to kind c2fs; kind a1 has labels k0, k1")
         return parts_mod.A1Standard(args.k0, args.k1)
-    if args.kind == "c2fs":
-        return parts_mod.C2FS(args.k0, args.k1, args.k2)
-    raise ValueError("unknown kind %r" % args.kind)
+    return parts_mod.C2FS(args.k0, args.k1, args.k2)
 
 
-def _add_common(p, cache=True, window=True):
-    p.add_argument("--kind", choices=("a1", "c2fs"), default="a1")
-    p.add_argument("--k0", type=int, default=1)
-    p.add_argument("--k1", type=int, default=0)
-    p.add_argument("--k2", type=int, default=0)
-    p.add_argument("--max-degree", type=int, default=3)
-    if window:
-        p.add_argument("--depth", type=int, default=2, help="truncation window")
-    if cache:
-        p.add_argument("--cache-dir", default=default_cache_dir())
+def _add_common(p, reads):
+    """The flags in reads, then the output flags.  --kind offers c2fs only
+    where --k2 is read; --k2 and --depth default to None (_read_late)."""
+    options = {
+        "--kind": dict(choices=("a1", "c2fs") if "--k2" in reads else ("a1",), default="a1"),
+        "--k0": dict(type=int, default=1),
+        "--k1": dict(type=int, default=0),
+        "--k2": dict(type=int),
+        "--max-degree": dict(type=int, default=3),
+        "--depth": dict(type=int, help="truncation window (default 2)"),
+        "--cache-dir": dict(default=default_cache_dir()),
+    }
+    for flag in reads:
+        p.add_argument(flag, **options[flag])
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", default=None)
     p.add_argument("--quiet", action="store_true")
@@ -65,29 +116,35 @@ def build_parser():
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("enumerate", help="list admissible colored partitions")
-    _add_common(p, cache=False, window=False)
+    _add_common(p, LABELS)
 
     p = sub.add_parser("dims", help="graded dimensions (Gram ranks) of the module")
-    _add_common(p, window=False)
+    _add_common(p, LABELS + ("--cache-dir",))
 
     p = sub.add_parser("verify", help="run one verification step")
-    p.add_argument(
-        "check",
-        choices=(
-            "independence",
-            "spanning",
-            "tpower",
-            "translation",
-            "icprop",
-            "intertwiner",
-        ),
-    )
-    _add_common(p)
+    checks = p.add_subparsers(dest="check", required=True)
+    for check, reads in READS.items():
+        _add_common(checks.add_parser(check), reads)
 
     p = sub.add_parser("report", help="full verification suite for one kind")
-    _add_common(p)
+    _add_common(p, LABELS + MODELS)
 
     return ap
+
+
+def _read_late(args):
+    """Refuse --k2 or --depth given where the command reads neither, then
+    default them: kind a1 has labels k0, k1 only, and `report --kind c2fs`
+    runs no check with a window.  Their parsers leave them None, so that a
+    flag given is told apart from one defaulted."""
+    reads = LABELS + MODELS  # every flag a parser takes, but report's, is read
+    if args.verb == "report":
+        reads = [flag for check in REPORT_CHECKS[args.kind] for flag in READS[check]]
+    for flag, default in (("k2", 0), ("depth", 2)):
+        if getattr(args, flag, default) is None:
+            setattr(args, flag, default)
+        elif flag in args and ("--" + flag not in reads or flag == "k2" and args.kind == "a1"):
+            raise ValueError("--%s is not read with --kind %s" % (flag, args.kind))
 
 
 def _emit(args, payload_text):
@@ -203,48 +260,13 @@ def cmd_dims(args):
     return 0
 
 
-def _check_reports(check, kind, args):
-    """The reports of one check, in step order."""
-    if check in ("translation", "icprop") and kind.name != "a1":
-        raise ValueError("%s checks apply to kind a1" % check)
-    degree, cache_dir = args.max_degree, args.cache_dir
-    window = min(degree, args.depth)
-    if check == "independence":
-        return [verify_mod.verify_independence(kind, degree, cache_dir)]
-    if check == "spanning":
-        return [verify_mod.verify_spanning(kind, degree, cache_dir)]
-    if check == "tpower":
-        return [verify_mod.sweep_t_power(kind, degree)]
-    if check == "translation":
-        return [
-            verify_mod.verify_c0_nonvanishing(kind, cache_dir),
-            verify_mod.sweep_translation(kind, degree, cache_dir),
-        ]
-    if check == "icprop":
-        return [verify_mod.verify_icprop(kind, degree)]
-    if check == "intertwiner":
-        reports = [iw.verify_intertwiner(args.depth, cache_dir)]
-        if kind.name == "a1" and kind.k1 > 0:
-            reports.append(iw.sweep_projection_chain(kind, window, cache_dir))
-        return reports
-    if check == "cross_model":
-        return [iw.verify_cross_model(kind, window, cache_dir)]
-    raise ValueError("unknown check %r" % check)
-
-
-# the checks `report` runs, in order, for each kind
-REPORT_CHECKS = {
-    "a1": ("independence", "spanning", "tpower", "translation", "icprop", "intertwiner",
-           "cross_model"),
-    "c2fs": ("independence", "spanning", "tpower"),
-}
-
-
 def cmd_checks(args):
-    """`verify` runs its one check, `report` the kind's REPORT_CHECKS."""
-    kind = _kind_from(args)
-    checks = (args.check,) if args.verb == "verify" else REPORT_CHECKS[kind.name]
-    reports = [r for check in checks for r in _check_reports(check, kind, args)]
+    """`verify` runs its one check, `report` the kind's REPORT_CHECKS; the
+    chain needs k1 > 0, so `report` skips it at k1 = 0."""
+    kind = _kind_from(args) if "kind" in args else None
+    checks = (args.check,) if args.verb == "verify" else [
+        c for c in REPORT_CHECKS[kind.name] if c != "chain" or kind.k1]
+    reports = [r for check in checks for r in RUNS[check](kind, args)]
     _emit(args, _report_lines(reports, args.format))
     return 0 if all(r.ok for r in reports) else 1
 
@@ -256,8 +278,8 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        # a negative window is refused on every verb that takes it, read
-        # by the requested check or not
+        _read_late(args)
+        # a negative window certifies nothing
         for flag in ("max_degree", "depth"):
             if getattr(args, flag, 0) < 0:
                 raise ValueError("--%s must be nonnegative, got %d"

@@ -669,12 +669,16 @@ def _scaled(rows, s):
 # ---------------------------------------------------------------------------
 
 
-def _long_root_labels(kind):
+def _long_root_labels(kind, chain=False):
     """(k0, k1) of a long-root kind (partitions.A1Standard), the only kind
     the projection chain and the cross-model check are defined for: they
-    read no other label.  Any other kind raises ValueError."""
+    read no other label.  Any other kind raises ValueError, and so does
+    k1 = 0 for the chain (chain=True): there w_{k1,0} is the identity and no
+    s > c0 exists, so every partition would pass with mu = 1 unread by w."""
     if not isinstance(kind, parts_mod.A1Standard):
         raise ValueError("the chain and the cross-model check are defined for long-root kinds")
+    if chain and not kind.k1:
+        raise ValueError("the projection chain reads w only at k1 > 0, got k1 = 0")
     return kind.k0, kind.k1
 
 
@@ -707,9 +711,11 @@ def verify_projection_chain(kind, pi, cache_dir=None):
     max(degree, 1), on the shared models (get_truncated), which may hold
     more.  w and its certificate come from the store (_solved_w), so
     partitions share one solve and check; a w that is not certified on the
-    window fails the step, with verify_intertwiner's witness there."""
+    window fails the step, with verify_intertwiner's witness there.  A kind
+    other than A1Standard and k1 = 0 raise ValueError before any model is
+    built."""
     t0 = time.perf_counter()
-    k0, k1 = _long_root_labels(kind)
+    k0, k1 = _long_root_labels(kind, chain=True)
     pi1, c0 = pi.split_c0()
     inputs = {"partition": pi.to_dict(), "labels": [k0, k1], "c0": c0}
     depth = max(pi.degree, 1)
@@ -750,9 +756,9 @@ def sweep_projection_chain(kind, max_degree, cache_dir=None):
     first solves and certifies w on its deepest window, max(max_degree, 1),
     so each partition reads that map restricted to its own window
     (_solved_w): a sweep solves once, and a later sweep no deeper solves
-    nothing.  A kind other than A1Standard and a negative window raise
-    ValueError before any model is built."""
-    _long_root_labels(kind)
+    nothing.  A kind other than A1Standard, k1 = 0 and a negative window
+    raise ValueError before any model is built."""
+    _long_root_labels(kind, chain=True)
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative, got %d" % max_degree)
     _certified_w(max(max_degree, 1), cache_dir)

@@ -229,8 +229,8 @@ def verify_c0_nonvanishing(kind, cache_dir=None):
     the form is positive definite on the quotient, so the norm decides,
     and a negative norm raises ArithmeticError.  The witness lists the
     norms.  No block basis is built, so `cache_dir` is neither read nor
-    created; it stays because the CLI and the benchmark pass it to every
-    verifier."""
+    created; it stays because the benchmark passes it to every verifier
+    (the CLI does not)."""
     t0 = time.perf_counter()
     module = VermaModule(kind.spec(), gens=GEN_C2)
     k1 = kind.spec().k1
@@ -322,8 +322,8 @@ def verify_independence(kind, max_degree, cache_dir=None):
     in the irreducible quotient, block by block: the Gram rank of each block
     family must equal its size.  The admissible vectors are paired with each
     other directly and no block basis is built, so `cache_dir` is not read
-    or written (nor created); the parameter stays for callers that pass the
-    same arguments to every verifier."""
+    or written (nor created); the parameter stays because the benchmark
+    passes it to every verifier (the CLI does not)."""
     t0 = time.perf_counter()
     module = kind.module()
     pis = parts_mod.enumerate_admissible(kind, max_degree)
@@ -414,8 +414,8 @@ def sweep_translation(kind, max_degree, cache_dir=None):
     """verify_translation over every admissible partition up to max_degree,
     sharing one module instance, aggregated into one report (witness lists
     each mu).  No block basis is built, so `cache_dir` is neither read nor
-    created; it stays because the CLI and the benchmark pass it to every
-    verifier."""
+    created; it stays because the benchmark passes it to every verifier
+    (the CLI does not)."""
     module = VermaModule(kind.spec(), gens=GEN_C2)
     return _sweep(
         "translation_sweep",

@@ -141,9 +141,13 @@ def test_verify_json_format(capsys):
 
 
 def test_verify_translation_requires_long_root_kind(capsys):
-    code = run(["verify", "translation", "--kind", "c2fs", "--k0", "1"])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    # translation reads the labels of kind a1 only, so its --kind offers no
+    # other choice
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "translation", "--kind", "c2fs", "--k0", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "invalid choice: 'c2fs'" in err
 
 
 def test_failing_check_exits_one(capsys):
@@ -247,7 +251,7 @@ def test_report_long_root_kind_runs_the_full_suite(capsys):
 def test_a_finished_command_keeps_no_models(capsys):
     # the truncated models and solved maps of one command are freed when it
     # ends, so a process that runs many commands does not accumulate them
-    argv = ["verify", "intertwiner", "--kind", "a1", "--k0", "0", "--k1", "1", "--depth", "1"]
+    argv = ["verify", "chain", "--kind", "a1", "--k0", "0", "--k1", "1", "--depth", "1"]
     assert run(argv) == 0
     assert "projection_chain_sweep" in capsys.readouterr().out
     assert intertwiner._TRUNC_CACHE == {}
@@ -301,12 +305,16 @@ def test_a_third_label_for_kind_a1_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "verb", [["dims"], ["verify", "spanning"]], ids=["dims", "verify-spanning"]
+    "verb, writes",
+    [(["dims"], True), (["verify", "spanning"], True), (["verify", "tpower"], False)],
+    ids=["dims", "verify-spanning", "verify-tpower"],
 )
-def test_cache_dir_defaults_to_the_environment(verb, tmp_path, monkeypatch):
+def test_cache_dir_defaults_to_the_environment(verb, writes, tmp_path, monkeypatch):
+    # the variable is not a flag: a check that reads no cache runs as
+    # before and writes nothing there
     monkeypatch.setenv("AFFINE_BASIS_CACHE", str(tmp_path))
     assert run(verb + ["--max-degree", "1", "--quiet"]) == 0
-    assert list(tmp_path.glob("*.json"))
+    assert bool(list(tmp_path.glob("*.json"))) == writes
 
 
 @pytest.mark.parametrize(
@@ -329,17 +337,37 @@ def test_flags_a_verb_does_not_read_are_usage_errors(argv):
 # the exit-code contract as one property
 # ---------------------------------------------------------------------------
 
-CHECKS = ("independence", "spanning", "tpower", "translation", "icprop", "intertwiner")
-# the flags each verb takes beyond --kind, the labels, --max-degree and the
-# output flags
-READS = {"enumerate": (), "dims": ("--cache-dir",), "verify": ("--cache-dir", "--depth"),
-         "report": ("--cache-dir", "--depth")}
+CHECKS = ("independence", "spanning", "tpower", "translation", "icprop", "intertwiner",
+          "chain", "cross_model")
+# the flags each check, and each verb but verify, reads beyond the output
+# flags; --k2 is read with kind c2fs only, and a command that reads no --k2
+# takes kind a1 only
+LABELS = ("--kind", "--k0", "--k1", "--k2", "--max-degree")
+A1 = ("--kind", "--k0", "--k1", "--max-degree")
+READS = {
+    "enumerate": LABELS,
+    "dims": LABELS + ("--cache-dir",),
+    "independence": LABELS,
+    "spanning": LABELS + ("--cache-dir",),
+    "tpower": LABELS,
+    "translation": A1,
+    "icprop": A1,
+    "intertwiner": ("--depth", "--cache-dir"),
+    "chain": A1 + ("--depth", "--cache-dir"),
+    "cross_model": A1 + ("--depth", "--cache-dir"),
+}
+# the checks report runs for each kind; it reads their union
+REPORT = {"a1": CHECKS, "c2fs": ("independence", "spanning", "tpower")}
+OUTPUT = ("--format", "--out", "--quiet")
+COMMANDS = [("enumerate", None), ("dims", None), ("report", None)] + [
+    ("verify", check) for check in CHECKS]
 WINDOWS = st.integers(-1, 2)  # capped at 2, so each run takes milliseconds
 OPTIONAL = {
     "--kind": st.sampled_from(("a1", "c2fs")),
     "--k0": st.integers(-1, 2),
     "--k1": st.integers(-1, 2),
     "--k2": st.integers(-1, 2),
+    "--max-degree": WINDOWS,
     "--depth": WINDOWS,
     "--format": st.sampled_from(("text", "json", "csv")),
     "--cache-dir": st.just("{tmp}/cache"),
@@ -350,26 +378,36 @@ OPTIONAL = {
 
 @st.composite
 def cli_calls(draw):
-    """(verb, check, {flag: value}): --max-degree always, since its default
-    is above the cap, and any subset of the other flags."""
-    verb = draw(st.sampled_from(sorted(READS)))
-    check = draw(st.sampled_from(CHECKS)) if verb == "verify" else None
-    opts = {"--max-degree": draw(WINDOWS)}
-    for flag in draw(st.sets(st.sampled_from(sorted(OPTIONAL)))):
+    """(verb, check, {flag: value}): --max-degree always where the command
+    takes it, since its default is above the cap, any subset of the other
+    flags it takes (report: those of every kind) and at times one flag of
+    any command, which it may not take."""
+    verb, check = draw(st.sampled_from(COMMANDS))
+    takes = {f for key in (CHECKS if verb == "report" else [check or verb]) for f in READS[key]}
+    flags = draw(st.sets(st.sampled_from(sorted(takes.union(OUTPUT)))))
+    if draw(st.integers(0, 2)) == 0:
+        flags.add(draw(st.sampled_from(sorted(OPTIONAL))))
+    opts = {"--max-degree": draw(WINDOWS)} if "--max-degree" in takes else {}
+    for flag in sorted(flags - set(opts)):
         opts[flag] = draw(OPTIONAL[flag])
     return verb, check, opts
 
 
 def _is_valid(verb, check, opts):
-    if any(f in opts and f not in READS[verb] for f in ("--cache-dir", "--depth")):
-        return False
     kind = opts.get("--kind", "a1")
+    reads = {f for key in (REPORT[kind] if verb == "report" else [check or verb])
+             for f in READS[key]}
+    if kind == "c2fs" and "--k2" not in reads:
+        return False
+    if kind == "a1":
+        reads.discard("--k2")
+    if set(opts) - reads - set(OUTPUT):
+        return False
     labels = [opts.get(f, d) for f, d in (("--k0", 1), ("--k1", 0), ("--k2", 0))]
-    if min(labels) < 0 or (kind == "a1" and labels[2]):
+    if min(labels) < 0 or opts.get("--max-degree", 0) < 0 or opts.get("--depth", 0) < 0:
         return False
-    if opts["--max-degree"] < 0 or opts.get("--depth", 0) < 0:
-        return False
-    return not (check in ("translation", "icprop") and kind != "a1")
+    # at k1 = 0 the chain reads no w
+    return not (check == "chain" and labels[1] == 0)
 
 
 def _untimed(run):
@@ -402,6 +440,16 @@ def _run_in(tmp, argv):
 # negative windows that checks which do not read them once let pass
 @example(("verify", "independence", {"--max-degree": 0, "--depth": -1}))
 @example(("verify", "intertwiner", {"--max-degree": -1}))
+# flags that checks which do not read them once accepted
+@example(("verify", "tpower", {"--max-degree": 0, "--depth": 0}))
+@example(("verify", "icprop", {"--max-degree": 0, "--cache-dir": "{tmp}/cache"}))
+@example(("report", None, {"--max-degree": 0, "--kind": "c2fs", "--depth": 1}))
+@example(("verify", "intertwiner", {"--kind": "a1", "--k1": 1}))
+@example(("verify", "independence", {"--max-degree": 0, "--kind": "a1", "--k2": 0}))
+# checks the derandomized draws do not run; at k1 = 0 the chain reads no w
+@example(("verify", "chain", {"--max-degree": 2, "--k0": 0, "--k1": 1}))
+@example(("verify", "chain", {"--max-degree": 1}))
+@example(("verify", "icprop", {"--max-degree": 2, "--k0": 2, "--format": "json"}))
 def test_exit_codes_keep_their_contract(call):
     verb, check, opts = call
     with tempfile.TemporaryDirectory() as tmp, patch.dict(os.environ):
@@ -416,7 +464,7 @@ def test_exit_codes_keep_their_contract(call):
     # at these windows every claim holds, so a valid argv exits 0
     assert code == (0 if _is_valid(verb, check, opts) else 2), (argv, out, err)
     assert "Traceback" not in err
-    assert code == 0 or err.startswith(("error: ", "usage: "))
+    assert code == 0 or err.startswith(("error: ", "usage: ")) and "pass" not in out
     shown = written if written is not None else "" if "--quiet" in opts else out
     if code == 0 and verb in ("verify", "report") and shown:
         if opts.get("--format") == "json":

@@ -492,6 +492,19 @@ def test_the_chain_and_cross_model_refuse_other_kinds(check):
     assert not intertwiner._TRUNC_CACHE
 
 
+def test_the_chain_refuses_k1_zero_before_any_model():
+    # at k1 = 0, w_{k1,0} is the identity and no s > c0 exists: every
+    # partition would pass with mu = 1 without reading w.  The cross-model
+    # check still runs there, where its pairings are real
+    kind = A1Standard(1, 0)
+    with pytest.raises(ValueError, match="k1 > 0"):
+        sweep_projection_chain(kind, 2)
+    with pytest.raises(ValueError, match="k1 > 0"):
+        verify_projection_chain(kind, enumerate_admissible(kind, 1)[1])
+    assert not intertwiner._TRUNC_CACHE
+    assert verify_cross_model(kind, 1).ok
+
+
 def test_solve_w_refuses_a_window_its_models_do_not_hold():
     # a window deeper than either model would certify degrees that neither
     # holds; a negative window certifies nothing.  The window-1 models are
