@@ -14,7 +14,10 @@ on symbol pairs:
 Here h1 = x_{11'} and h2 = x_{22'} span the Cartan subalgebra.  All structure
 constants (brackets, invariant form, weights) are *computed* from the matrix
 realization rather than hard-coded, so the table is self-checking: matrices
-are the single source of truth.
+are the single source of truth.  The products behind the table run over
+the nonzero entries of the matrices only (_nonzero, _mmul): every basis
+matrix has one or two, so a product takes at most four multiplications, and
+affine builds the table when the package is imported.
 
 The invariant form is the matrix trace form tr(xy).  With this normalization
 the highest root theta = 2*eps1 satisfies <theta, theta> = 2.
@@ -45,19 +48,31 @@ def _madd(a, b, sb=1):
     )
 
 
+def _nonzero(a):
+    """The nonzero entries of a matrix as (row, column, value) triples."""
+    return tuple((r, c, x) for r, row in enumerate(a) for c, x in enumerate(row) if x)
+
+
 def _mmul(a, b):
-    return tuple(
-        tuple(sum(a[r][k] * b[k][c] for k in range(N)) for c in range(N))
-        for r in range(N)
-    )
-
-
-def _trace(a):
-    return sum(a[i][i] for i in range(N))
+    """The product of two matrices given by their nonzero entries
+    (_nonzero), as {(row, column): value}."""
+    out = {}
+    for r, k, x in a:
+        for j, c, y in b:
+            if j == k:
+                out[r, c] = out.get((r, c), 0) + x * y
+    return out
 
 
 def _commutator(a, b):
-    return _madd(_mmul(a, b), _mmul(b, a), -1)
+    """ab - ba, as a dense matrix, of two matrices given by their nonzero
+    entries."""
+    m = [[0] * N for _ in range(N)]
+    for (r, c), x in _mmul(a, b).items():
+        m[r][c] += x
+    for (r, c), x in _mmul(b, a).items():
+        m[r][c] -= x
+    return tuple(map(tuple, m))
 
 
 # Symbols occupy positions 0,1,2,3 = 1,2,2',1'.  The symplectic form is
@@ -101,10 +116,8 @@ def decompose(m):
     rebuilt = [[0] * N for _ in range(N)]
     for idx, c in enumerate(coords):
         if c:
-            mat = MATRICES[idx]
-            for r in range(N):
-                for col in range(N):
-                    rebuilt[r][col] += c * mat[r][col]
+            for r, col, x in _nonzero(MATRICES[idx]):
+                rebuilt[r][col] += c * x
     if tuple(tuple(row) for row in rebuilt) != m:
         raise ValueError("matrix is not in the span of the basis")
     return coords
@@ -116,7 +129,10 @@ def decompose(m):
 
 
 class StructureTable:
-    """Exact structure constants of the algebra, computed from matrices.
+    """Exact structure constants of the algebra, computed from matrices:
+    every bracket and trace is a product over the nonzero entries of two
+    basis matrices (_mmul), and every bracket goes through decompose, so it
+    is checked to lie in the span.
 
     Attributes:
         bracket:  bracket[i][j] = tuple of (coeff, k) with [b_i, b_j] =
@@ -132,20 +148,17 @@ class StructureTable:
     VERSION = 1
 
     def __init__(self):
+        terms = [_nonzero(m) for m in MATRICES]
         self.bracket = tuple(
             tuple(
-                tuple(
-                    (c, k)
-                    for k, c in enumerate(decompose(_commutator(MATRICES[i], MATRICES[j])))
-                    if c
-                )
-                for j in range(10)
+                tuple((c, k) for k, c in enumerate(decompose(_commutator(a, b))) if c)
+                for b in terms
             )
-            for i in range(10)
+            for a in terms
         )
         self.form = tuple(
-            tuple(_trace(_mmul(MATRICES[i], MATRICES[j])) for j in range(10))
-            for i in range(10)
+            tuple(sum(x for (r, c), x in _mmul(a, b).items() if r == c) for b in terms)
+            for a in terms
         )
         self.weights = tuple(
             (self._eigen(H1, i), self._eigen(H2, i)) for i in range(10)

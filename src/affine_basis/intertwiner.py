@@ -98,7 +98,6 @@ vector with a mode-0 x21' block into a nonzero multiple of the plain color
 monomial over the smaller highest weight, and w_{k1,s} with s > c0 kills it.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 import math
 import time
@@ -397,7 +396,6 @@ class TensorModule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class IntertwinerMap:
     """Weight-shift map between two truncated modules, shifting finite
     weights by eps1: one integer dim(shift(key)) x dim(key) matrix per
@@ -405,13 +403,21 @@ class IntertwinerMap:
     degree; a block the map kills holds a zero matrix.  `freedom` records
     the solution-space dimension found at each degree (0 means the
     normalized map is unique there, None that the system had no solution;
-    solve_w stops at that degree)."""
+    solve_w stops at that degree).  `failure` says where that system has
+    none, as verify_intertwiner's witness reads it: {"solve": "two_sided",
+    "block": [degree, weight]}, the source block whose own raising and
+    lowering equations (blocksolve.solve_two_sided) have no solution, or
+    {"solve": "linked", "degree": degree}, when every block's have one but
+    the mode-0 links and the normalization (blocksolve.solve_linked) have
+    none; None while every degree has a solution."""
 
-    source: TruncatedModule
-    target: TruncatedModule
-    blocks: dict
-    dens: dict
-    freedom: dict = field(default_factory=dict)
+    def __init__(self, source, target, blocks, dens, freedom, failure=None):
+        self.source = source
+        self.target = target
+        self.blocks = blocks
+        self.dens = dens
+        self.freedom = freedom
+        self.failure = failure
 
     @property
     def consistent(self):
@@ -431,7 +437,8 @@ class IntertwinerMap:
         window, since solve_w at degree d reads only degrees <= d."""
         blocks = {key: rows for key, rows in self.blocks.items() if key[0] <= window}
         dens, freedom = ({d: x for d, x in m.items() if d <= window} for m in (self.dens, self.freedom))
-        return IntertwinerMap(self.source, self.target, blocks, dens, freedom)
+        failure = self.failure if None in freedom.values() else None
+        return IntertwinerMap(self.source, self.target, blocks, dens, freedom, failure)
 
 
 def _shift(key):
@@ -467,7 +474,9 @@ def solve_w(source, target, max_degree):
     of parameters minus the rank of those rows.  Each degree's blocks are
     stored as integer numerators over one reduced common denominator.
     Returns the IntertwinerMap; a degree without a solution ends the
-    solve, with freedom None there (see IntertwinerMap.consistent).  Its
+    solve, with freedom None there (see IntertwinerMap.consistent) and the
+    first block in the walk whose two-sided solve has none, or else the
+    linked solve, as its failure.  Its
     one caller is the store of certified maps (_solved_w), which
     verify_intertwiner and the projection chain read."""
     if not 0 <= max_degree <= min(source.max_degree, target.max_degree):
@@ -478,6 +487,7 @@ def solve_w(source, target, max_degree):
     blocks = {}
     dens = {}
     freedom = {}
+    failure = None
     for d in range(max_degree + 1):
         keys = by_degree.get(d, ())
         # every commutation equation whose larger degree is d: modes n >= 0
@@ -524,13 +534,18 @@ def solve_w(source, target, max_degree):
             )
             for key, (raising, lowering) in stacks.items()
         }
-        solved = None if None in solutions.values() else solve_linked(solutions, links, fixed)
+        stuck = next((key for key, sol in solutions.items() if sol is None), None)
+        solved = None if stuck else solve_linked(solutions, links, fixed)
         if solved is None:
             freedom[d] = None
+            if stuck:
+                failure = {"solve": "two_sided", "block": [stuck[0], list(stuck[1])]}
+            else:
+                failure = {"solve": "linked", "degree": d}
             break
         ws, dens[d], freedom[d] = solved
         blocks.update((key, ws[key]) for key in keys)
-    return IntertwinerMap(source=source, target=target, blocks=blocks, dens=dens, freedom=freedom)
+    return IntertwinerMap(source, target, blocks, dens, freedom, failure)
 
 
 def _stacked_rows(equations, raising):
@@ -606,6 +621,8 @@ def _witness(wmap, cert):
     if cert[2] is not None:
         key, code = cert[2]
         witness["commutation_failure"] = {"block": [key[0], list(key[1])], "code": code}
+    if wmap.failure is not None:
+        witness["solve_failure"] = wmap.failure
     return witness
 
 

@@ -26,7 +26,6 @@ bounded by the level k) + initial conditions (bounds on the smallest parts,
 depending on the module kind).
 """
 
-from dataclasses import dataclass
 import functools
 
 from . import affine
@@ -48,11 +47,24 @@ def _freqs(pairs):
     return out
 
 
-@dataclass(frozen=True)
 class ColoredPartition:
-    a: tuple = ()
-    b: tuple = ()
-    c: tuple = ()
+    """The (size, frequency) pairs of each color, a, b and c, as sorted
+    tuples of nonzero frequencies (see of); two partitions are equal, and
+    hash alike, when their frequencies are."""
+
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a=(), b=(), c=()):
+        self.a = a
+        self.b = b
+        self.c = c
+
+    def __eq__(self, other):
+        return (isinstance(other, ColoredPartition)
+                and (self.a, self.b, self.c) == (other.a, other.b, other.c))
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c))
 
     @classmethod
     def of(cls, a=(), b=(), c=()):
@@ -213,13 +225,22 @@ def translated_color_word(pi):
 
 
 class ModuleKind:
-    """The shared part of a module kind: a frozen dataclass of its labels
-    with its `name`, its module's generator set `gens`, the color -> base
-    map `bases` of its monomials, `satisfies_ic` and `as_tuple`.  Its
-    highest weight has those labels, so its level is their sum."""
+    """The shared part of a module kind: its labels k0, k1, ... (as_tuple),
+    its `name`, its module's generator set `gens`, the color -> base map
+    `bases` of its monomials and `satisfies_ic`.  Two kinds are equal, and
+    hash alike, when their classes and labels are.  Its highest weight has
+    those labels, so its level is their sum; labels of no highest weight (a
+    negative one) raise ValueError when the kind is made."""
 
-    def __post_init__(self):
-        self.spec()  # raises ValueError on labels of no highest weight (a negative one)
+    def __eq__(self, other):
+        return type(other) is type(self) and other.as_tuple() == self.as_tuple()
+
+    def __hash__(self):
+        return hash((type(self), self.as_tuple()))
+
+    def __repr__(self):
+        labels = ", ".join("k%d=%r" % pair for pair in enumerate(self.as_tuple()))
+        return "%s(%s)" % (type(self).__name__, labels)
 
     @property
     def level(self):
@@ -242,17 +263,18 @@ class ModuleKind:
         return {"kind": self.name, "labels": list(self.as_tuple()), "max_degree": max_degree}
 
 
-@dataclass(frozen=True)
 class A1Standard(ModuleKind):
     """Level k0+k1 standard module of the long-root A1 subalgebra, labelled
     by (k0, k1); partitions are realized through e, h, f monomials."""
 
-    k0: int
-    k1: int
-
     name = "a1"
     gens = GEN_A1
     bases = A1_BASES
+
+    def __init__(self, k0, k1):
+        self.k0 = k0
+        self.k1 = k1
+        self.spec()
 
     def satisfies_ic(self, pi):
         return satisfies_ic_a1(pi, self.k0, self.k1)
@@ -261,19 +283,20 @@ class A1Standard(ModuleKind):
         return (self.k0, self.k1)
 
 
-@dataclass(frozen=True)
 class C2FS(ModuleKind):
     """Principal subspace (orbit of the highest weight vector under the
     three commuting colors) of the level k0+k1+k2 module labelled
     (k0, k1, k2)."""
 
-    k0: int
-    k1: int
-    k2: int
-
     name = "c2fs"
     gens = GEN_COLORS
     bases = COLOR_BASES_MAP
+
+    def __init__(self, k0, k1, k2):
+        self.k0 = k0
+        self.k1 = k1
+        self.k2 = k2
+        self.spec()
 
     def satisfies_ic(self, pi):
         return satisfies_ic_c2fs(pi, self.k0, self.k1, self.k2)

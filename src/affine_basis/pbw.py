@@ -73,7 +73,6 @@ proof needs every [x, y] among the generators):
   * GEN_COLORS the three commuting colors (principal subspace families).
 """
 
-from dataclasses import dataclass, field
 import heapq
 
 from . import affine
@@ -96,20 +95,25 @@ _WEYL_MAPS = {
 }
 
 
-@dataclass(frozen=True)
 class HighestWeightSpec:
     """Dominant integral highest weight k0*L_0 + k1*L_1 + k2*L_2 (affine
     fundamental weights); the finite part is k1*omega1 + k2*omega2 and the
-    central charge is k0 + k1 + k2."""
+    central charge is k0 + k1 + k2.  Two specs are equal, and hash alike,
+    when their labels are."""
 
-    k0: int
-    k1: int
-    k2: int = 0
-
-    def __post_init__(self):
-        for k in (self.k0, self.k1, self.k2):
+    def __init__(self, k0, k1, k2=0):
+        for k in (k0, k1, k2):
             if k < 0 or k != int(k):
                 raise ValueError("labels must be nonnegative integers")
+        self.k0 = k0
+        self.k1 = k1
+        self.k2 = k2
+
+    def __eq__(self, other):
+        return isinstance(other, HighestWeightSpec) and self.as_tuple() == other.as_tuple()
+
+    def __hash__(self):
+        return hash(self.as_tuple())
 
     @property
     def level(self):
@@ -123,7 +127,6 @@ class HighestWeightSpec:
         return (self.k0, self.k1, self.k2)
 
 
-@dataclass
 class BlockBasis:
     """A true basis of one (degree, weight) block of the irreducible
     quotient: a maximal subfamily of the block's closure candidates with
@@ -141,12 +144,13 @@ class BlockBasis:
     with no second pairing; it is None on a block loaded from the disk
     cache, which was never scanned."""
 
-    basis: tuple       # chosen words, deterministic order
-    matrix: list       # integer Gram entries of the chosen vectors
-    candidates: int
-    vectors: tuple = field(repr=False)
-    factor: tuple = field(repr=False)
-    rejected: dict = field(repr=False)
+    def __init__(self, basis, matrix, candidates, vectors, factor, rejected):
+        self.basis = basis            # chosen words, deterministic order
+        self.matrix = matrix          # integer Gram entries of the chosen vectors
+        self.candidates = candidates
+        self.vectors = vectors
+        self.factor = factor
+        self.rejected = rejected
 
     @property
     def rank(self):

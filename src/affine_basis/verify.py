@@ -29,7 +29,6 @@ memoises the image of every monomial it is applied to; the default table is
 built once per process, and a mutated copy keeps a memo of its own.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 import json
 import math
@@ -52,13 +51,13 @@ def _fmt(x):
     )
 
 
-@dataclass
 class StepReport:
-    step: str
-    inputs: dict
-    ok: bool
-    witness: dict = field(default_factory=dict)
-    seconds: float = 0.0
+    def __init__(self, step, inputs, ok, witness=None, seconds=0.0):
+        self.step = step
+        self.inputs = inputs
+        self.ok = ok
+        self.witness = {} if witness is None else witness
+        self.seconds = seconds
 
     def to_json(self):
         return json.dumps(

@@ -115,9 +115,11 @@ def test_decompose_roundtrip_and_rejection():
 
 
 def test_table_hash_and_sigma_are_stable():
+    # every disk-cache key hashes the table, so its hash is pinned, not only
+    # compared between two builds of the same code
     fresh = cartan.StructureTable()
     assert cartan.table_hash(fresh) == cartan.table_hash(TABLE)
-    assert len(cartan.table_hash(TABLE)) == 16
+    assert cartan.table_hash(cartan.build_c2()) == "5cf1a6d54f9891b0"
     assert TABLE.sigma[cartan.X11] == cartan.X1B1B
 
 

@@ -1,5 +1,6 @@
 """Command line interface: verbs, formats, output files, exit codes."""
 
+import collections
 import contextlib
 import io
 import json
@@ -361,12 +362,15 @@ REPORT = {"a1": CHECKS, "c2fs": ("independence", "spanning", "tpower")}
 OUTPUT = ("--format", "--out", "--quiet")
 COMMANDS = [("enumerate", None), ("dims", None), ("report", None)] + [
     ("verify", check) for check in CHECKS]
-WINDOWS = st.integers(-1, 2)  # capped at 2, so each run takes milliseconds
+# derandomized draws favour the first values of sampled_from, so the refused
+# -1 comes last, and the labels start at 1, which the chain needs for k1
+WINDOWS = st.sampled_from((0, 1, 2, -1))  # capped at 2, so each run takes milliseconds
+LABEL = st.sampled_from((1, 2, 0, -1))
 OPTIONAL = {
     "--kind": st.sampled_from(("a1", "c2fs")),
-    "--k0": st.integers(-1, 2),
-    "--k1": st.integers(-1, 2),
-    "--k2": st.integers(-1, 2),
+    "--k0": LABEL,
+    "--k1": LABEL,
+    "--k2": LABEL,
     "--max-degree": WINDOWS,
     "--depth": WINDOWS,
     "--format": st.sampled_from(("text", "json", "csv")),
@@ -377,17 +381,19 @@ OPTIONAL = {
 
 
 @st.composite
-def cli_calls(draw):
-    """(verb, check, {flag: value}): --max-degree always where the command
-    takes it, since its default is above the cap, any subset of the other
+def cli_calls(draw, verb, check):
+    """(verb, check, {flag: value}) for one command: --max-degree always
+    where the command takes it, since its default is above the cap, and so
+    --k1 for the chain, whose default 0 is refused; any subset of the other
     flags it takes (report: those of every kind) and at times one flag of
     any command, which it may not take."""
-    verb, check = draw(st.sampled_from(COMMANDS))
     takes = {f for key in (CHECKS if verb == "report" else [check or verb]) for f in READS[key]}
     flags = draw(st.sets(st.sampled_from(sorted(takes.union(OUTPUT)))))
     if draw(st.integers(0, 2)) == 0:
         flags.add(draw(st.sampled_from(sorted(OPTIONAL))))
     opts = {"--max-degree": draw(WINDOWS)} if "--max-degree" in takes else {}
+    if check == "chain":
+        opts["--k1"] = draw(LABEL)
     for flag in sorted(flags - set(opts)):
         opts[flag] = draw(OPTIONAL[flag])
     return verb, check, opts
@@ -435,22 +441,47 @@ def _run_in(tmp, argv):
     return code, out.getvalue(), err.getvalue(), written
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(cli_calls())
-# negative windows that checks which do not read them once let pass
-@example(("verify", "independence", {"--max-degree": 0, "--depth": -1}))
-@example(("verify", "intertwiner", {"--max-degree": -1}))
-# flags that checks which do not read them once accepted
-@example(("verify", "tpower", {"--max-degree": 0, "--depth": 0}))
-@example(("verify", "icprop", {"--max-degree": 0, "--cache-dir": "{tmp}/cache"}))
-@example(("report", None, {"--max-degree": 0, "--kind": "c2fs", "--depth": 1}))
-@example(("verify", "intertwiner", {"--kind": "a1", "--k1": 1}))
-@example(("verify", "independence", {"--max-degree": 0, "--kind": "a1", "--k2": 0}))
-# checks the derandomized draws do not run; at k1 = 0 the chain reads no w
-@example(("verify", "chain", {"--max-degree": 2, "--k0": 0, "--k1": 1}))
-@example(("verify", "chain", {"--max-degree": 1}))
-@example(("verify", "icprop", {"--max-degree": 2, "--k0": 2, "--format": "json"}))
-def test_exit_codes_keep_their_contract(call):
+EXAMPLES = [
+    # negative windows that checks which do not read them once let pass
+    ("verify", "independence", {"--max-degree": 0, "--depth": -1}),
+    ("verify", "intertwiner", {"--max-degree": -1}),
+    # flags that checks which do not read them once accepted
+    ("verify", "tpower", {"--max-degree": 0, "--depth": 0}),
+    ("verify", "icprop", {"--max-degree": 0, "--cache-dir": "{tmp}/cache"}),
+    ("report", None, {"--max-degree": 0, "--kind": "c2fs", "--depth": 1}),
+    ("verify", "intertwiner", {"--kind": "a1", "--k1": 1}),
+    ("verify", "independence", {"--max-degree": 0, "--kind": "a1", "--k2": 0}),
+    # a chain run, the chain at k1 = 0 (which reads no w) and an icprop run
+    ("verify", "chain", {"--max-degree": 2, "--k0": 0, "--k1": 1}),
+    ("verify", "chain", {"--max-degree": 1}),
+    ("verify", "icprop", {"--max-degree": 2, "--k0": 2, "--format": "json"}),
+]
+DRAWS = 11  # per command, so 121 drawn argvs in all
+
+
+def test_exit_codes_keep_their_contract():
+    # the property, drawn command by command (cli_calls), so each command
+    # gets its share of the draws, plus the explicit EXAMPLES; the drawn
+    # argvs alone must reach a valid and a refused run of every command
+    drawn = collections.Counter()
+    for verb, check in COMMANDS:
+        @settings(max_examples=DRAWS, deadline=None, derandomize=True)
+        @given(cli_calls(verb, check))
+        def draws(call):
+            drawn[call[:2] + (_is_valid(*call),)] += 1
+            _keeps_the_contract(call)
+
+        for call in EXAMPLES:
+            if call[:2] == (verb, check):
+                draws = example(call)(draws)
+        draws()
+    for call in EXAMPLES:
+        drawn[call[:2] + (_is_valid(*call),)] -= 1
+    thin = [command for command in COMMANDS if not (drawn[command + (True,)] and drawn[command + (False,)])]
+    assert thin == []
+
+
+def _keeps_the_contract(call):
     verb, check, opts = call
     with tempfile.TemporaryDirectory() as tmp, patch.dict(os.environ):
         os.environ.pop("AFFINE_BASIS_CACHE", None)

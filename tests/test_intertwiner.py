@@ -1,6 +1,5 @@
 """Truncated modules, tensor models, and the color intertwiner."""
 
-import dataclasses
 from fractions import Fraction
 import hashlib
 import json
@@ -29,7 +28,7 @@ from affine_basis.intertwiner import (
     verify_projection_chain,
 )
 from affine_basis.partitions import A1Standard, C2FS, ColoredPartition, enumerate_admissible
-from affine_basis.pbw import HighestWeightSpec, VermaModule, GEN_A1, GEN_C2
+from affine_basis.pbw import BlockBasis, HighestWeightSpec, VermaModule, GEN_A1, GEN_C2
 
 
 def P(a=(), b=(), c=()):
@@ -132,11 +131,13 @@ def test_block_dimensions_off_their_weyl_orbit_are_refused(monkeypatch, capsys):
     def poisoned(self, k):
         bb = real_scan(self, k)
         if self.spec == spec and k == key:
-            bb = dataclasses.replace(
-                bb,
+            bb = BlockBasis(
                 basis=bb.basis[:-1],
                 matrix=[row[:-1] for row in bb.matrix[:-1]],
+                candidates=bb.candidates,
                 vectors=bb.vectors[:-1],
+                factor=bb.factor,
+                rejected=bb.rejected,
             )
         return bb
 
@@ -527,7 +528,10 @@ def test_a_perturbed_target_action_has_no_intertwiner():
     # negative control for the solver's failure path: 1 added to one entry
     # of one target action matrix leaves the degree-1 system without a
     # solution; solve_w stops there, and the certificate and every
-    # projection chain that reads w from the same store fail
+    # projection chain that reads w from the same store fail.  The
+    # perturbed lowering equation constrains block (1, (-1, 2)), whose own
+    # equations still have a solution; the mode-0 links and the
+    # normalization then have none, and the witness says so
     source = get_truncated(HighestWeightSpec(0, 1, 0), 2)
     target = get_truncated(HighestWeightSpec(0, 0, 1), 2)
     le, key = affine.encode(-1, X22), (0, (0, 0))
@@ -539,7 +543,9 @@ def test_a_perturbed_target_action_has_no_intertwiner():
     w = solve_w(source, target, 2)
     assert w.consistent is False
     assert w.freedom == {0: 0, 1: None}
-    failed = {"freedom": {"0": 0, "1": None}, "top_killed": None, "commutes": None}
+    assert w.failure == {"solve": "linked", "degree": 1}
+    failed = {"freedom": {"0": 0, "1": None}, "top_killed": None, "commutes": None,
+              "solve_failure": {"solve": "linked", "degree": 1}}
     rep = verify_intertwiner(2)
     assert not rep.ok
     assert rep.witness == failed
@@ -555,16 +561,24 @@ def test_a_perturbed_target_action_has_no_intertwiner():
 
 
 @pytest.mark.parametrize(
-    "mode, key",
-    [(-1, (1, (0, -2))), (1, (2, (0, -2))), (0, (2, (3, -1)))],
+    "mode, key, failure",
+    [
+        (-1, (1, (0, -2)), {"solve": "two_sided", "block": [2, [-1, 0]]}),
+        (1, (2, (0, -2)), {"solve": "two_sided", "block": [2, [-1, -2]]}),
+        (0, (2, (3, -1)), {"solve": "linked", "degree": 2}),
+    ],
     ids=["lowering", "raising", "mode-0"],
 )
-def test_a_perturbed_target_action_of_each_equation_class_has_no_intertwiner(mode, key):
+def test_a_perturbed_target_action_of_each_equation_class_has_no_intertwiner(mode, key, failure):
     # negative controls for each kind of equation solve_w meets: 1 added to
     # one entry of a target action matrix of x22 at a lowering, a raising
     # or the zero mode leaves degree 2 without a solution.  solve_w must
     # find that degree, as the unstructured Fraction solve does, and the
-    # certificate must fail
+    # certificate must fail.  The failure names where: the lowering
+    # equation x22(-1) on source block (1, (-1, -2)) constrains W on its
+    # image (2, (-1, 0)), the raising one x22(1) constrains W on the
+    # perturbed block's source (2, (-1, -2)), and a mode-0 equation links
+    # two unknown blocks, so only the linked solve can fail
     source = get_truncated(HighestWeightSpec(0, 1, 0), 2)
     target = get_truncated(HighestWeightSpec(0, 0, 1), 2)
     le = affine.encode(mode, X22)
@@ -576,7 +590,11 @@ def test_a_perturbed_target_action_of_each_equation_class_has_no_intertwiner(mod
     w = solve_w(source, target, 2)
     ref = oracles.solve_w_fraction(source, target, 2, affine.encode, affine.COLOR_BASES)[2]
     assert w.freedom == ref == {0: 0, 1: 0, 2: None}
-    assert not verify_intertwiner(2).ok
+    assert w.failure == failure
+    # a window the solve passed carries no failure, one that holds it does
+    assert w.restrict(1).failure is None and w.restrict(2).failure == failure
+    rep = verify_intertwiner(2)
+    assert not rep.ok and rep.witness["solve_failure"] == failure
 
 
 def test_traced_build_counts_of_the_depth_three_models():

@@ -3,7 +3,10 @@ or reads an underscore name of another package module, except the reads
 listed below, each with its reason."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import affine_basis
 
@@ -92,3 +95,14 @@ def test_the_boundary_scan_sees_each_form_of_read(tmp_path):
         ("verify", "_fmt"),
         ("linalg", "_Q"),
     }
+
+
+def test_a_fresh_import_leaves_out_dataclasses_and_inspect():
+    # start-up cost: every CLI call and benchmark sample imports the package
+    # in a fresh interpreter, and `dataclasses` would pull in inspect, ast,
+    # dis and tokenize there, for records that plain classes hold as well
+    code = "import sys, affine_basis, affine_basis.cli; print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent)] + sys.path))
+    out = subprocess.run([sys.executable, "-c", code, "dataclasses", "inspect"], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

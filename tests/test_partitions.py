@@ -225,7 +225,8 @@ def test_kind_records():
     assert repr(sub) == "C2FS(k0=1, k1=0, k2=1)"
     assert sub.name == "c2fs"
     assert sub.level == 2
-    assert sub.spec() == HighestWeightSpec(1, 0, 1)
+    assert sub.spec() == HighestWeightSpec(1, 0, 1) != kind.spec()
+    assert hash(sub.spec()) == hash(HighestWeightSpec(1, 0, 1))
     assert sub.as_tuple() == (1, 0, 1)
     assert sub.module().gens == tuple(sorted(GEN_COLORS))
     assert sub.report_inputs(4) == {"kind": "c2fs", "labels": [1, 0, 1], "max_degree": 4}

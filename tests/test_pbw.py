@@ -1,6 +1,5 @@
 """Highest weight modules, block bases, quotient dimensions, straightening."""
 
-import dataclasses
 from fractions import Fraction
 import json
 import random
@@ -11,6 +10,7 @@ import oracles
 from affine_basis import affine, cache, cli, linalg, pbw
 from affine_basis.partitions import A1Standard, C2FS, enumerate_admissible
 from affine_basis.pbw import (
+    BlockBasis,
     GEN_A1,
     GEN_C2,
     GEN_COLORS,
@@ -119,11 +119,13 @@ def test_long_root_block_dimensions_off_their_reflection_are_refused(monkeypatch
     def poisoned(self, k):
         bb = real_scan(self, k)
         if self.spec == spec and self.gens == GEN_A1 and k == key:
-            bb = dataclasses.replace(
-                bb,
+            bb = BlockBasis(
                 basis=bb.basis[:-1],
                 matrix=[row[:-1] for row in bb.matrix[:-1]],
+                candidates=bb.candidates,
                 vectors=bb.vectors[:-1],
+                factor=bb.factor,
+                rejected=bb.rejected,
             )
         return bb
 
