@@ -49,7 +49,9 @@ a model built for that window gives, by these invariants:
   * the _image recursion never leaves the top call's target degree: a
     basis word's first letter is storable, so its degree is >= 0.  So the
     images and action matrices memoised at a lower closed degree stay
-    valid after a close;
+    valid after a close.  The images memo holds one table per loop code,
+    _images[x][word], and each image once, as an immutable tuple of
+    (basis word, coefficient) pairs;
   * a close that scans a block, as the first build does, and each action
     matrix act_matrix computes end by emptying the kernel's straightening
     and pair memos (VermaKernel.clear_memos): between builds the kernel
@@ -98,6 +100,7 @@ vector with a mode-0 x21' block into a nonzero multiple of the plain color
 monomial over the smaller highest weight, and w_{k1,s} with s > c0 kills it.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 import math
 import time
@@ -127,7 +130,7 @@ class TruncatedModule:
         self.verma = VermaModule(spec, gens=GEN_C2, cache_dir=cache_dir)
         self.max_degree = -1  # close sets it and `blocks`
         self._act = {}
-        self._images = {}
+        self._images = defaultdict(dict)
         self._place = {}  # basis word: (its block, its index there)
         self._solved = {}  # target model: (window, certified intertwiner), see _solved_w
         self.close(max_degree)
@@ -219,11 +222,11 @@ class TruncatedModule:
         if tgt in self.blocks:
             cols = [self._image(le, b) for b in words]
             den = math.lcm(
-                *(c.denominator for col in cols for c in col.values() if type(c) is Fraction)
+                *(c.denominator for col in cols for _, c in col if type(c) is Fraction)
             )
             rows = [[0] * len(words) for _ in range(self.dim(tgt))]
             for c, col in enumerate(cols):
-                for word, v in col.items():
+                for word, v in col:
                     rows[self._place[word][1]][c] = int(v * den)
         else:
             for vec in vectors:
@@ -235,8 +238,9 @@ class TruncatedModule:
 
     def _image(self, x, word):
         """x . word in the irreducible quotient, for a loop code x and a
-        basis word of the model, as {basis word of the target block: int or
-        Fraction coefficient}; memoised per model.
+        basis word of the model, as a tuple of (basis word of the target
+        block, int or Fraction coefficient) pairs, () for zero; memoised
+        per model as _images[x][word], and a hit returns the stored tuple.
 
         A block outside the support is zero (the closure argument of the
         pbw docstring).  A storable x with word empty or x <= word[0] gives
@@ -256,19 +260,19 @@ class TruncatedModule:
         codes below x or shorter words (the pbw docstring's increasing-word
         argument), and a non-storable x calls itself and other non-storable
         codes only on shorter words."""
-        memo_key = (x, word)
-        out = self._images.get(memo_key)
+        table = self._images[x]
+        out = table.get(word)
         if out is not None:
             return out
         key, i = self._place[word]
         tgt = self.target_key(x, key)
         kernel = self.verma.kernel
         if tgt not in self.blocks:
-            out = {}
+            out = ()
         elif affine.storable(x) and (not word or x <= word[0]):
             cand = (x,) + word
             if cand in self._place:
-                out = {cand: 1}
+                out = ((cand, 1),)
             else:
                 blk = self.blocks[tgt]
                 if blk.rejected is None:  # loaded from the disk cache: no scan rows
@@ -277,20 +281,21 @@ class TruncatedModule:
                 else:
                     u = blk.rejected[cand]
                     coords, den = back_substitute(*blk.factor, u), blk.factor[1][len(u)]
-                out = {b: _q(n, den) for b, n in zip(blk.basis, coords) if n}
+                out = tuple((b, _q(n, den)) for b, n in zip(blk.basis, coords) if n)
         elif not word:
             lam = kernel.lam.get(x, 0)  # x is a mode-0 code here
-            out = {(): lam} if lam else {}
+            out = (((), lam),) if lam else ()
         else:
             y, rest = word[0], word[1:]
-            out = {}
-            for m, c in self._image(x, rest).items():
-                add_into(out, self._image(y, m), c)
+            acc = {}
+            for m, c in self._image(x, rest):
+                add_into(acc, self._image(y, m), c)
             mode = (x >> 4) + (y >> 4)
             for cf, k in kernel.bracket[x & 15][y & 15]:
-                add_into(out, self._image((mode << 4) + k, rest), cf)
-            add_into(out, {rest: 1}, _central(kernel.form, kernel.level, x, y))
-        self._images[memo_key] = out
+                add_into(acc, self._image((mode << 4) + k, rest), cf)
+            add_into(acc, ((rest, 1),), _central(kernel.form, kernel.level, x, y))
+            out = tuple(acc.items())
+        table[word] = out
         return out
 
 

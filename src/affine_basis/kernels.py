@@ -25,27 +25,36 @@ i <x, y> c of [x(i), y(j)] needs i + j = 0, which for i, j <= 0 forces
 i = 0 (Kac, Infinite-Dimensional Lie Algebras, ch. 7).
 
 Memos.  Each kernel object owns its memos, and they live as long as it
-does unless its owner empties them:
+does unless its owner empties them.  Each holds one table per outer key,
+so no key tuple is built per entry, and stores each result once, as an
+immutable value that a hit returns itself:
 
-  * VermaKernel._memo  -- act_le results (straightening), and
-  * VermaKernel._pmemo -- pair_monos results.  Block bases are built from
-    the bases below, so one build straightens and pairs the same words
-    many times.  A truncated model (intertwiner.TruncatedModule) empties
-    both, through clear_memos, after each close that scanned a block and
-    after each action matrix it computes: its action matrices take the
-    rejected candidates' coordinates from the scan's rows and straighten
-    and pair only the images into empty blocks (and the rejected
-    candidates of blocks loaded from the disk cache), so both memos live
-    for one build or one action matrix.
-  * UKernel._memo      -- act_le results, for the life of the kernel (one
-    per process, pbw.ukernel).
+  * VermaKernel._memo  -- act_le results (straightening), as
+    _memo[le][mono] = tuple of (monomial, coefficient) pairs, () for the
+    zero vector, and
+  * VermaKernel._pmemo -- pair_monos results, as _pmemo[m1][m2] = int.
+    Block bases are built from the bases below, so one build straightens
+    and pairs the same words many times.  A truncated model
+    (intertwiner.TruncatedModule) empties both, through clear_memos, after
+    each close that scanned a block and after each action matrix it
+    computes: its action matrices take the rejected candidates'
+    coordinates from the scan's rows and straighten and pair only the
+    images into empty blocks (and the rejected candidates of blocks loaded
+    from the disk cache), so both memos live for one build or one action
+    matrix.
+  * UKernel._memo      -- act_le results, laid out as VermaKernel's, for
+    the life of the kernel (one per process, pbw.ukernel).
 
 Encoding: a loop element x(n) is the integer le = 16*n + base (see affine).
 Monomials are tuples of codes, weakly decreasing left to right; the empty
 tuple is the highest weight vector.  Vectors are dicts {monomial: coeff}
-with nonzero coefficients.  All structure constants are integers, so module
-coefficients stay integers whenever the input coefficients are.
+with nonzero coefficients; act_le's memoised results hold the same terms
+as a tuple of pairs, which act_word and pair_monos iterate.  All structure
+constants are integers, so module coefficients stay integers whenever the
+input coefficients are.
 """
+
+from collections import defaultdict
 
 
 class VermaKernel:
@@ -64,30 +73,31 @@ class VermaKernel:
         self.sigma = sigma
         self.lam = {4: lam4, 6: lam6}
         self.level = level
-        self._memo = {}
-        self._pmemo = {}
+        self._memo = defaultdict(dict)
+        self._pmemo = defaultdict(dict)
 
     def act_le(self, le, mono):
-        """x(le) . (mono . v) as a dict {monomial: int}."""
-        key = (le, mono)
-        out = self._memo.get(key)
+        """x(le) . (mono . v) as a tuple of (monomial, int) pairs, stored
+        once in _memo[le][mono]; the zero vector is ()."""
+        table = self._memo[le]
+        out = table.get(mono)
         if out is not None:
             return out
         if not mono:
             if le < self.CREATE:
-                out = {(le,): 1}
+                out = (((le,), 1),)
             else:
                 lam = self.lam.get(le, 0)
-                out = {(): lam} if lam else {}
+                out = (((), lam),) if lam else ()
         elif le < self.CREATE and le >= mono[0]:
-            out = {(le,) + mono: 1}
+            out = (((le,) + mono, 1),)
         else:
             # x*head = head*x + [x, head]; push x toward the vacuum.
             head = mono[0]
             rest = mono[1:]
             acc = {}
-            for m2, c2 in self.act_le(le, rest).items():
-                for m3, c3 in self.act_le(head, m2).items():
+            for m2, c2 in self.act_le(le, rest):
+                for m3, c3 in self.act_le(head, m2):
                     c = acc.get(m3, 0) + c2 * c3
                     if c:
                         acc[m3] = c
@@ -99,7 +109,7 @@ class VermaKernel:
             b2 = head & 15
             for cf, k in self.bracket[b1][b2]:
                 le2 = ((i + j) << 4) + k
-                for m3, c3 in self.act_le(le2, rest).items():
+                for m3, c3 in self.act_le(le2, rest):
                     c = acc.get(m3, 0) + cf * c3
                     if c:
                         acc[m3] = c
@@ -113,8 +123,8 @@ class VermaKernel:
                         acc[rest] = c
                     elif rest in acc:
                         del acc[rest]
-            out = acc
-        self._memo[key] = out
+            out = tuple(acc.items())
+        table[mono] = out
         return out
 
     def clear_memos(self):
@@ -128,7 +138,7 @@ class VermaKernel:
         for le in reversed(word):
             out = {}
             for m, c in vec.items():
-                for m2, c2 in self.act_le(le, m).items():
+                for m2, c2 in self.act_le(le, m):
                     cc = out.get(m2, 0) + c * c2
                     if cc:
                         out[m2] = cc
@@ -141,11 +151,11 @@ class VermaKernel:
         """<m1 . v, m2 . v> under the contravariant form, for m2 a monomial
         and m1 any word of loop codes (in any order, any modes).  Peels the
         leading (outermost) factor of m1 onto m2 through the form's adjoint
-        property; memoized on (suffix, monomial) pairs.  Block bases pair
+        property; memoized as _pmemo[suffix][monomial].  Block bases pair
         their words here, so the suffixes are the basis words of the blocks
         below and every block shares their entries."""
-        key = (m1, m2)
-        val = self._pmemo.get(key)
+        table = self._pmemo[m1]
+        val = table.get(m2)
         if val is not None:
             return val
         if not m1:
@@ -155,12 +165,12 @@ class VermaKernel:
             dual = ((-(le >> 4)) << 4) + self.sigma[le & 15]
             rest = m1[1:]
             total = 0
-            for m, c in self.act_le(dual, m2).items():
+            for m, c in self.act_le(dual, m2):
                 s = self.pair_monos(rest, m)
                 if s:
                     total += c * s
             val = total
-        self._pmemo[key] = val
+        table[m2] = val
         return val
 
     def pair_mono(self, mono, vec):
@@ -187,4 +197,4 @@ class UKernel(VermaKernel):
         self.form = form
         self.lam = {}
         self.level = 0
-        self._memo = {}
+        self._memo = defaultdict(dict)

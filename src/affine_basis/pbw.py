@@ -485,10 +485,12 @@ def straighten(word):
 
 
 def add_into(out, terms, factor=1):
-    """out += factor * terms in place, for sparse dicts {key: coefficient},
-    dropping zero coefficients; returns out."""
+    """out += factor * terms in place, for a sparse dict `out` {key:
+    coefficient} and `terms` an iterable of (key, coefficient) pairs (a
+    memo's tuple, or a dict's .items()), dropping zero coefficients;
+    returns out."""
     if factor:
-        for k, c in terms.items():
+        for k, c in terms:
             cc = out.get(k, 0) + factor * c
             if cc:
                 out[k] = cc

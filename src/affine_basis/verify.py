@@ -99,18 +99,20 @@ class DerivationTable:
 
     def image(self, mono):
         """The derivation's image of one normal-ordered monomial, by the
-        Leibniz rule: {monomial: int}, each replaced word straightened.
-        The mode of each factor is preserved; only the base changes,
-        through the table.  Memoised on the table."""
+        Leibniz rule, each replaced word straightened: a tuple of
+        (monomial, int) pairs, () for zero, which t_apply adds up.  The
+        mode of each factor is preserved; only the base changes, through
+        the table.  Memoised on the table, and a hit returns the stored
+        tuple."""
         out = self._images.get(mono)
         if out is None:
-            out = {}
+            acc = {}
             for pos, le in enumerate(mono):
                 mode = le >> 4
                 for cf, b2 in self.action[le & 15]:
                     word = mono[:pos] + (affine.encode(mode, b2),) + mono[pos + 1 :]
-                    add_into(out, straighten(word), cf)
-            self._images[mono] = out
+                    add_into(acc, straighten(word).items(), cf)
+            out = self._images[mono] = tuple(acc.items())
         return out
 
 
@@ -182,7 +184,7 @@ def _proportionality(u, v, is_zero=operator.not_):
         return None
     key = next(iter(v))
     a, b = u.get(key, 0), v[key]
-    diff = add_into({m: b * c for m, c in u.items()}, v, -a)
+    diff = add_into({m: b * c for m, c in u.items()}, v.items(), -a)
     return Fraction(a) / b if is_zero(diff) else None
 
 

@@ -11,15 +11,17 @@ pairing), Fraction elimination for solves, nullspaces, inverses and
 determinants and for the intertwiner's commutation identity, the
 intertwiner's unstructured system (one sparse row per matrix entry of
 every equation, solved degree by degree), w_{k1,s} as a product over
-tensor slots, the Weyl group of the finite weights, and a
-nondeterministic-order rewriting engine for normal ordering, and the
-Fraction form of the proportionality test.  When the package and an oracle
-agree, the agreement is between two codepaths that share nothing but the
-definitions.
+tensor slots, the canonical digest of a solved intertwiner, the Weyl
+group of the finite weights, a nondeterministic-order rewriting engine
+for normal ordering, and the Fraction form of the proportionality test.
+When the package and an oracle agree, the agreement is between two
+codepaths that share nothing but the definitions.
 """
 
 from fractions import Fraction
+import hashlib
 import itertools
+import json
 import math
 
 
@@ -765,6 +767,22 @@ def pairing_act_matrix(module, le, key, inverses=None):
     den = d if cols else 1
     g = math.gcd(den, *(x for row in rows for x in row))
     return tgt, [[x // g for x in row] for row in rows], den // g
+
+
+def w_digest(wmap):
+    """SHA-256 hex digest of a solved intertwiner in one canonical JSON
+    form: its blocks as sorted [degree, weight, integer rows], and its
+    denominators and freedom sorted by degree.  The W pins of the test
+    suite and deep_windows.py's table are in this form."""
+    canonical = json.dumps(
+        {
+            "blocks": sorted([[k[0], list(k[1]), rows] for k, rows in wmap.blocks.items()]),
+            "dens": sorted(wmap.dens.items()),
+            "freedom": sorted(wmap.freedom.items()),
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def w_ks_reference(wmap, n_slots, s, vec):

@@ -1,8 +1,6 @@
 """Truncated modules, tensor models, and the color intertwiner."""
 
 from fractions import Fraction
-import hashlib
-import json
 import math
 import random
 
@@ -290,7 +288,7 @@ def test_act_matrix_entries_match_kernel_action():
     key = SOURCE.top_key()
     tgt, rows, den = SOURCE.act_matrix(le, key)
     assert tgt == (1, (-1, 0))
-    image = SOURCE.verma.kernel.act_le(le, SOURCE.blocks[key].basis[0])
+    image = dict(SOURCE.verma.kernel.act_le(le, SOURCE.blocks[key].basis[0]))
     coords = SOURCE.coordinates(tgt, image)
     coord_den = oracles.det_fraction(SOURCE.blocks[tgt].matrix)
     assert [Fraction(rows[r][0], den) for r in range(len(rows))] == [
@@ -424,15 +422,7 @@ def test_w_at_depth_three_is_pinned():
     src = get_truncated(HighestWeightSpec(0, 1, 0), 3)
     tgt = get_truncated(HighestWeightSpec(0, 0, 1), 3)
     w = solve_w(src, tgt, 3)
-    canonical = json.dumps(
-        {
-            "blocks": sorted([[k[0], list(k[1]), rows] for k, rows in w.blocks.items()]),
-            "dens": sorted(w.dens.items()),
-            "freedom": sorted(w.freedom.items()),
-        },
-        sort_keys=True,
-    )
-    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+    assert oracles.w_digest(w) == (
         "ff6cec74977990bc30006ba3f1aa04b237a93c0d177056f5b0cadb698f2af176"
     )
     assert set(w.freedom.values()) == {0}
@@ -444,15 +434,7 @@ def test_w_at_depth_four_is_pinned():
     src = get_truncated(HighestWeightSpec(0, 1, 0), 4)
     tgt = get_truncated(HighestWeightSpec(0, 0, 1), 4)
     w = solve_w(src, tgt, 4)
-    canonical = json.dumps(
-        {
-            "blocks": sorted([[k[0], list(k[1]), rows] for k, rows in w.blocks.items()]),
-            "dens": sorted(w.dens.items()),
-            "freedom": sorted(w.freedom.items()),
-        },
-        sort_keys=True,
-    )
-    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+    assert oracles.w_digest(w) == (
         "49d3c60d85739acb07d33d7abd2860748112d6ecb00d8f00fb1051e7d142cdb6"
     )
     assert set(w.freedom.values()) == {0}

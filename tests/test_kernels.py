@@ -4,9 +4,11 @@ kernels."""
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from affine_basis import affine, kernels
+from affine_basis import affine, kernels, pbw
 from affine_basis.cartan import build_c2
+from affine_basis.intertwiner import TruncatedModule
 from affine_basis.pbw import HighestWeightSpec, VermaModule, GEN_A1, GEN_C2
+from affine_basis.verify import DerivationTable
 
 TABLE = build_c2()
 
@@ -39,22 +41,21 @@ def test_raising_and_cartan_action_on_vacuum():
     k = _make_kernel(spec)
     # raising operators kill the highest weight vector
     for base in (5, 8, 9):
-        assert k.act_le(affine.encode(0, base), ()) == {}
+        assert dict(k.act_le(affine.encode(0, base), ())) == {}
     for base in range(10):
-        assert k.act_le(affine.encode(1, base), ()) == {}
-    # Cartan elements act by the highest weight
-    assert k.act_le(affine.encode(0, 6), ()) == {(): 1}  # h1 eigenvalue 1
-    assert k.act_le(affine.encode(0, 4), ()) == {(): 0} or k.act_le(
-        affine.encode(0, 4), ()
-    ) == {}
+        assert dict(k.act_le(affine.encode(1, base), ())) == {}
+    # Cartan elements act by the highest weight; h2's is 0, and a zero
+    # coefficient is dropped, so its action is the zero vector
+    assert dict(k.act_le(affine.encode(0, 6), ())) == {(): 1}  # h1 eigenvalue 1
+    assert dict(k.act_le(affine.encode(0, 4), ())) == {}
 
 
 def test_storable_factor_prepends():
     k = _make_kernel(HighestWeightSpec(1, 0, 0))
     le = affine.encode(-1, 9)
-    assert k.act_le(le, ()) == {(le,): 1}
+    assert dict(k.act_le(le, ())) == {(le,): 1}
     le2 = affine.encode(-2, 9)
-    assert k.act_le(le2, (le,)) == {(le2, le) if le2 >= le else (le, le2): 1}
+    assert dict(k.act_le(le2, (le,))) == {(le2, le) if le2 >= le else (le, le2): 1}
 
 
 def test_level_enters_through_the_central_term():
@@ -81,9 +82,9 @@ def test_adjointness_of_the_contravariant_form():
         for u in monos:
             xu = k.act_le(le, u)
             for w in monos:
-                left = sum(c * k.pair_monos(m, w) for m, c in xu.items())
+                left = sum(c * k.pair_monos(m, w) for m, c in xu)
                 dw = k.act_le(dual, w)
-                right = sum(c * k.pair_monos(u, m) for m, c in dw.items())
+                right = sum(c * k.pair_monos(u, m) for m, c in dw)
                 assert left == right, (le, u, w)
 
 
@@ -134,9 +135,62 @@ def test_ukernel_straightening_swap():
     """x11(-2) x11(-1) in U(g[t^-1]): commuting factors sort."""
     uk = kernels.UKernel(TABLE.bracket, TABLE.form)
     lo, hi = affine.encode(-2, 9), affine.encode(-1, 9)
-    assert uk.act_le(lo, (hi,)) == {(hi, lo): 1}
+    assert dict(uk.act_le(lo, (hi,))) == {(hi, lo): 1}
     # f(-1) e(0) straightens to e(0) f(-1) + [f, e](-1), with no central
     # term: the modes sum to -1
     e0, f1 = affine.encode(0, 9), affine.encode(-1, 0)
-    assert uk.act_le(f1, (e0,)) == {(e0, f1): 1, (affine.encode(-1, 6),): -1}
+    assert dict(uk.act_le(f1, (e0,))) == {(e0, f1): 1, (affine.encode(-1, 6),): -1}
 
+
+
+def _assert_pair_tuples(memo):
+    """Every value of a memo {key: value} is a tuple of distinct-keyed
+    (key, nonzero coefficient) pairs."""
+    for value in memo.values():
+        assert type(value) is tuple, type(value)
+        assert all(type(t) is tuple and len(t) == 2 and t[1] for t in value), value
+        assert len(dict(value)) == len(value), value
+
+
+def test_memo_values_are_stored_once_as_tuples():
+    # the straightening, pair, image and derivation memos keep one table
+    # per outer key (a loop code, or a word for the pair memo), and each
+    # result as a tuple of (key, coefficient) pairs, built once: a hit
+    # returns the stored object itself, so no caller can change a memo by
+    # mutating what it was handed, and the zero vector is ()
+    module = VermaModule(HighestWeightSpec(0, 1, 0), gens=GEN_C2)
+    module.block_support(2)  # block scans fill the straightening and pair memos
+    kernel = module.kernel
+    e0, f1 = affine.encode(0, 9), affine.encode(-1, 0)
+    pbw.straighten((f1, e0, f1))
+    model = TruncatedModule(HighestWeightSpec(0, 0, 1), 2)
+    for key in model.block_keys():
+        for le in (affine.encode(n, b) for n in (-1, 0, 1) for b in affine.COLOR_BASES):
+            if 0 <= model.target_key(le, key)[0] <= model.max_degree:
+                model.act_matrix(le, key)
+    table = DerivationTable()
+    elem = pbw.straighten((f1, f1))
+    table.image(next(iter(elem)))
+
+    nested = [
+        (kernel._memo, kernel.act_le),
+        (pbw.ukernel()._memo, pbw.ukernel().act_le),
+        (model._images, model._image),
+    ]
+    for memo, lookup in nested:
+        assert memo and all(type(inner) is dict for inner in memo.values())
+        for outer, inner in memo.items():
+            _assert_pair_tuples(inner)
+            for k, value in list(inner.items())[:5]:
+                assert lookup(outer, k) is value
+    assert () in (v for inner in kernel._memo.values() for v in inner.values())
+    assert kernel._pmemo and all(type(inner) is dict for inner in kernel._pmemo.values())
+    assert all(type(v) is int for inner in kernel._pmemo.values() for v in inner.values())
+    assert table._images
+    _assert_pair_tuples(table._images)
+    for mono, value in table._images.items():
+        assert table.image(mono) is value
+    # a tuple from the memo is the vector act_word builds from it
+    for le, inner in sorted(kernel._memo.items())[:6]:
+        for mono in sorted(inner)[:6]:
+            assert dict(kernel.act_le(le, mono)) == kernel.act_word((le,), {mono: 1})

@@ -139,8 +139,8 @@ def test_table_images_are_the_leibniz_sum_of_straightened_words():
                 for pos, le in enumerate(mono):
                     for cf, b2 in table.action[le & 15]:
                         word = mono[:pos] + (affine.encode(le >> 4, b2),) + mono[pos + 1 :]
-                        pbw.add_into(expected, pbw.straighten(word), cf)
-                assert table.image(mono) == expected, (pi.tag(), mono)
+                        pbw.add_into(expected, pbw.straighten(word).items(), cf)
+                assert dict(table.image(mono)) == expected, (pi.tag(), mono)
             elem = t_apply(elem, table)
 
 
