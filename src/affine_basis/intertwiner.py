@@ -22,11 +22,12 @@ check (coordinates).  Blocks outside the support are zero by the closure
 theorem of pbw, and an image in an empty block of the window is certified
 zero by its norm.  No quotient basis is ever guessed.
 
-Models are kept per module, not per window.  get_truncated holds one
-TruncatedModule for each (highest weight, cache directory), closed to the
-deepest window asked for so far (TruncatedModule.close), as the Verma
-module under it is closed by block_support: a shallower request scans
-nothing, and a deeper one scans only the new degrees.  Windows stay
+Models, with their blocks, action matrices, rejected candidates' images
+and certified maps, are kept per module, not per window.  get_truncated
+holds one TruncatedModule for each (highest weight, cache directory),
+closed to the deepest window asked for so far (TruncatedModule.close), as
+the Verma module under it is closed by block_support: a shallower request
+scans nothing, and a deeper one scans only the new degrees.  Windows stay
 arguments: solve_w, _check_commutation, TensorModule and the projection
 chain's depth each take their own.
 
@@ -48,18 +49,19 @@ a model built for that window gives, by these invariants:
   * act_matrix refuses a target above max_degree before it reads its memo;
   * the _image recursion never leaves the top call's target degree: a
     basis word's first letter is storable, so its degree is >= 0.  So the
-    images and action matrices memoised at a lower closed degree stay
-    valid after a close.  The images memo holds one table per loop code,
-    _images[x][word], and each image once, as an immutable tuple of
-    (basis word, coefficient) pairs;
+    rejected candidates' images and the action matrices memoised at a
+    lower closed degree stay valid after a close: a built block never
+    changes;
   * a close that scans a block, as the first build does, and each action
     matrix act_matrix computes end by emptying the kernel's straightening
-    and pair memos (VermaKernel.clear_memos): between builds the kernel
+    and pair memos (VermaKernel.clear_memos), and each such matrix also
+    the model's images memo, _images[x][word]: between builds the kernel
     straightens and pairs only the images into empty blocks and the
-    rejected candidates of blocks loaded from the disk cache, so the memos
-    that dominate a build's memory live for one close or one action matrix.
-    Emptying them changes no result; a close that scans nothing and a
-    memoised action matrix leave them as they are.
+    rejected candidates of blocks loaded from the disk cache, and only the
+    matrix being computed reads the images, so these memos live for one
+    close or one action matrix.  The rejected candidates' images, the
+    costly leaves, stay in _rejected.  Emptying a memo changes no result;
+    a close that scans nothing and a memoised action matrix leave them.
 
 TensorModule combines several truncated modules with the coproduct action
 (sum over slots) and the product pairing.  Levels add; the tensor of level-1
@@ -130,7 +132,8 @@ class TruncatedModule:
         self.verma = VermaModule(spec, gens=GEN_C2, cache_dir=cache_dir)
         self.max_degree = -1  # close sets it and `blocks`
         self._act = {}
-        self._images = defaultdict(dict)
+        self._images = defaultdict(dict)  # for one action matrix
+        self._rejected = {}  # rejected closure candidate: its image
         self._place = {}  # basis word: (its block, its index there)
         self._solved = {}  # target model: (window, certified intertwiner), see _solved_w
         self.close(max_degree)
@@ -206,7 +209,7 @@ class TruncatedModule:
         certifies by its norm that it vanishes.  The window is checked
         before the memo, which holds the matrices of every window the model
         was closed to; a matrix computed here empties the kernel's memos
-        (see the module docstring)."""
+        and the images memo (see the module docstring)."""
         if not 0 <= key[0] + affine.degree_of(le) <= self.max_degree:
             raise ValueError(
                 "action leaves the degree window: %r -> %r" % (key, self.target_key(le, key))
@@ -234,22 +237,24 @@ class TruncatedModule:
         out = (tgt, rows, den)
         self._act[memo_key] = out
         self.verma.kernel.clear_memos()
+        self._images.clear()
         return out
 
     def _image(self, x, word):
         """x . word in the irreducible quotient, for a loop code x and a
         basis word of the model, as a tuple of (basis word of the target
         block, int or Fraction coefficient) pairs, () for zero; memoised
-        per model as _images[x][word], and a hit returns the stored tuple.
+        as _images[x][word] for one action matrix, and a hit returns the
+        stored tuple.
 
         A block outside the support is zero (the closure argument of the
         pbw docstring).  A storable x with word empty or x <= word[0] gives
         the closure candidate (x,) + word: a unit column if the scan kept
-        it, else its coordinates, once: the scan's row u of it
-        back-substituted on the first m = len(u) rows of the block's factor,
-        over D_m (the words kept after it get 0), or on a block loaded from
-        the disk cache, which has no rows, `coordinates` over the block's
-        determinant.  On the top word the Cartan elements act by the highest
+        it, else its coordinates, once, kept in _rejected: the scan's row u
+        of it back-substituted on the first m = len(u) rows of the block's
+        factor, over D_m (the words kept after it get 0), or on a block
+        loaded from the disk cache, which has no rows, `coordinates` over the
+        block's determinant.  On the top word the Cartan elements act by the highest
         weight and every other non-storable code kills.  Otherwise, with word = (y,) + rest, the
         enveloping-algebra identity
             x.y.rest = y.(x.rest) + [x, y].rest + i <x, y> k rest,
@@ -273,6 +278,8 @@ class TruncatedModule:
             cand = (x,) + word
             if cand in self._place:
                 out = ((cand, 1),)
+            elif cand in self._rejected:
+                out = self._rejected[cand]
             else:
                 blk = self.blocks[tgt]
                 if blk.rejected is None:  # loaded from the disk cache: no scan rows
@@ -281,7 +288,9 @@ class TruncatedModule:
                 else:
                     u = blk.rejected[cand]
                     coords, den = back_substitute(*blk.factor, u), blk.factor[1][len(u)]
-                out = tuple((b, _q(n, den)) for b, n in zip(blk.basis, coords) if n)
+                out = self._rejected[cand] = tuple(
+                    (b, _q(n, den)) for b, n in zip(blk.basis, coords) if n
+                )
         elif not word:
             lam = kernel.lam.get(x, 0)  # x is a mode-0 code here
             out = (((), lam),) if lam else ()

@@ -40,8 +40,8 @@ immutable value that a hit returns itself:
     computes: its action matrices take the rejected candidates'
     coordinates from the scan's rows and straighten and pair only the
     images into empty blocks (and the rejected candidates of blocks loaded
-    from the disk cache), so both memos live for one build or one action
-    matrix.
+    from the disk cache), so both memos, like its images memo, live for
+    one build or one action matrix.
   * UKernel._memo      -- act_le results, laid out as VermaKernel's, for
     the life of the kernel (one per process, pbw.ukernel).
 

@@ -1,6 +1,6 @@
 """Opt-in deep-window runs of the intertwiner certificate.
 
-    python tests/deep_windows.py [--audit] [D ...]
+    python tests/deep_windows.py [--audit] [--layers] [D ...]
 
 For each window D (default 3 4 5) it runs verify_intertwiner(D), with no
 disk cache, in a fresh interpreter, and prints its wall and CPU seconds,
@@ -10,13 +10,17 @@ the solved map (oracles.w_digest), which it compares with DIGESTS.  With
 certificate read with oracles.pairing_act_matrix, which takes each column
 through the pairing and shares nothing with TruncatedModule._image; the
 audit's seconds are printed apart and do not enter the figures above.
-Exits 1 if a certificate fails, a digest differs or an audited matrix
-differs.
+With --layers the interpreter wraps each layer of LAYERS before the run
+and prints its exclusive seconds (its own time less that of the wrapped
+layers it calls) and its calls; the rest is the time outside them.  The
+wrappers cost time of their own, so the wall and CPU of such a run are
+above those of a plain one.  Exits 1 if a certificate fails, a digest
+differs or an audited matrix differs.
 
 Pytest does not collect this file (its name has no test_ prefix).  It
 imports the package from the src/ directory next to it.  On a 2-vCPU VM
-with Python 3.11, D = 5 takes about 2.5 s and 50 MB, D = 6 about 15 s and
-115 MB, and D = 7 about 140 s and 420 MB.
+with Python 3.11, D = 5 takes about 2.5 s and 43 MB, D = 6 about 17 s and
+94 MB, and D = 7 about 140 s and 280 MB.
 """
 
 import argparse
@@ -40,13 +44,75 @@ DIGESTS = {
 }
 
 
-def run_window(window, audit):
+# (layer, where it is looked up, attribute): each module that binds the
+# function by name is patched, so every caller goes through the wrapper
+LAYERS = (
+    ("bordered_minor", "linalg", "bordered_minor"),
+    ("pair_mono", "kernels.VermaKernel", "pair_mono"),
+    ("_image", "intertwiner.TruncatedModule", "_image"),
+    ("act_matrix less _image", "intertwiner.TruncatedModule", "act_matrix"),
+    ("back_substitute", "linalg", "back_substitute"),
+    ("solve_two_sided", "blocksolve", "solve_two_sided"),
+    ("solve_linked", "blocksolve", "solve_linked"),
+    ("_check_commutation", "intertwiner", "_check_commutation"),
+)
+
+
+def wrap_layers():
+    """Wrap every layer of LAYERS.  Returns ({layer: [exclusive seconds,
+    calls]}, a function that puts the originals back)."""
+    import importlib
+
+    modules = [importlib.import_module("affine_basis." + name)
+               for name in ("blocksolve", "intertwiner", "kernels", "linalg", "pbw")]
+    totals = {}
+    inner = [0.0]  # the seconds of the wrapped calls made by each open call
+    undo = []
+
+    def timed(layer, func):
+        totals[layer] = [0.0, 0]
+
+        def call(*args):
+            inner.append(0.0)
+            t0 = time.perf_counter()
+            try:
+                return func(*args)
+            finally:
+                elapsed = time.perf_counter() - t0
+                totals[layer][0] += elapsed - inner.pop()
+                totals[layer][1] += 1
+                inner[-1] += elapsed
+
+        return call
+
+    for layer, where, attr in LAYERS:
+        module, _, cls = where.partition(".")
+        owner = importlib.import_module("affine_basis." + module)
+        owner = getattr(owner, cls) if cls else owner
+        func = getattr(owner, attr)
+        owners = [owner] if cls else [m for m in modules if getattr(m, attr, None) is func]
+        wrapped = timed(layer, func)
+        for o in owners:
+            setattr(o, attr, wrapped)
+            undo.append((o, attr, func))
+
+    def unwrap():
+        for o, attr, func in undo:
+            setattr(o, attr, func)
+
+    return totals, unwrap
+
+
+def run_window(window, audit, layers=False):
     """One certification on `window` in this interpreter, as a dict; with
-    `audit`, each model's action matrices against the pairing oracle."""
+    `audit`, each model's action matrices against the pairing oracle; with
+    `layers`, each layer's exclusive seconds and calls."""
     import oracles
     from affine_basis import intertwiner
     from affine_basis.pbw import HighestWeightSpec
 
+    if layers:
+        totals, unwrap = wrap_layers()
     cpu0 = time.process_time()
     t0 = time.perf_counter()
     report = intertwiner.verify_intertwiner(window)
@@ -57,6 +123,9 @@ def run_window(window, audit):
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "freedom": report.witness["freedom"],
     }
+    if layers:
+        unwrap()
+        out["layers"] = totals
     # the models and the map verify_intertwiner left in the store
     source = intertwiner.get_truncated(HighestWeightSpec(0, 1, 0), window)
     target = intertwiner.get_truncated(HighestWeightSpec(0, 0, 1), window)
@@ -80,10 +149,12 @@ def main(argv=None):
                     help="windows to certify, from %s (default 3 4 5)" % sorted(DIGESTS))
     ap.add_argument("--audit", action="store_true",
                     help="compare every action matrix read with the pairing oracle")
+    ap.add_argument("--layers", action="store_true",
+                    help="print each layer's exclusive seconds")
     ap.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child is not None:
-        print(json.dumps(run_window(args.child, args.audit)))
+        print(json.dumps(run_window(args.child, args.audit, args.layers)))
         return 0
     windows = args.windows or [3, 4, 5]
     unknown = [d for d in windows if d not in DIGESTS]
@@ -92,7 +163,8 @@ def main(argv=None):
     failed = False
     for window in windows:
         cmd = [sys.executable, os.path.abspath(__file__), "--child", str(window)]
-        proc = subprocess.run(cmd + ["--audit"] * args.audit, stdout=subprocess.PIPE, text=True)
+        flags = ["--audit"] * args.audit + ["--layers"] * args.layers
+        proc = subprocess.run(cmd + flags, stdout=subprocess.PIPE, text=True)
         if proc.returncode:
             print("D = %d: the run exited %d" % (window, proc.returncode))
             failed = True
@@ -104,6 +176,11 @@ def main(argv=None):
                  r["peak_rss_mb"], json.dumps(r["freedom"], sort_keys=True),
                  r["digest"][:8] + "... matches" if match else r["digest"] + " DIFFERS"))
         failed |= not (r["ok"] and match)
+        if args.layers:
+            for layer, (seconds, calls) in r["layers"].items():
+                print("  %-24s %8.2f s exclusive, %9d calls" % (layer, seconds, calls))
+            rest = r["wall_s"] - sum(seconds for seconds, _ in r["layers"].values())
+            print("  %-24s %8.2f s" % ("rest", rest))
         if args.audit:
             a = r["audit"]
             print("  audit: %d action matrices, %d differ, %.2f s CPU"

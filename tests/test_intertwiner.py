@@ -264,23 +264,35 @@ def test_a_model_closed_deeper_equals_a_model_built_alone():
 
 def test_a_model_build_frees_the_straightening_memo():
     # a build or a close that scans blocks, and each action matrix the
-    # model computes, empty both kernel memos (straightening and pairs); a
-    # request the model already holds scans nothing.  Some of these
-    # matrices map into an empty block, whose images are straightened and
-    # paired for their norm check
+    # model computes, empty both kernel memos (straightening and pairs) and
+    # the model's images memo; a request the model already holds scans
+    # nothing, and the rejected candidates' images stay with the model
+    # through a close.  Some of these matrices map into an empty block,
+    # whose images are straightened and paired for their norm check
     spec = HighestWeightSpec(0, 1, 0)
     model = get_truncated(spec, 1)
     kernel = model.verma.kernel
-    assert not kernel._memo and not kernel._pmemo
+
+    def emptied():
+        return not (kernel._memo or kernel._pmemo or model._images)
+
+    assert emptied()
     actions = list(_window_actions(model, affine.COLOR_BASES, (-1,)))
     assert any(not model.dim(model.target_key(le, key)) for le, key in actions)
     for le, key in actions:
         model.act_matrix(le, key)
-        assert not kernel._memo and not kernel._pmemo
+        assert emptied()
+    rejected = dict(model._rejected)
+    assert rejected
     built = len(model.verma._bases)
     assert get_truncated(spec, 1) is model and len(model.verma._bases) == built
     assert get_truncated(spec, 2) is model and len(model.verma._bases) > built
-    assert not kernel._memo and not kernel._pmemo
+    assert emptied()
+    assert all(model._rejected[cand] is image for cand, image in rejected.items())
+    for le, key in _window_actions(model, affine.COLOR_BASES, (-2, -1)):
+        model.act_matrix(le, key)
+        assert emptied()
+    assert len(model._rejected) > len(rejected)
 
 
 def test_act_matrix_entries_match_kernel_action():
@@ -439,6 +451,22 @@ def test_w_at_depth_four_is_pinned():
     )
     assert set(w.freedom.values()) == {0}
     assert intertwiner._check_commutation(src, tgt, w, 4) is None
+
+
+def test_every_action_matrix_of_the_depth_four_certificate_equals_the_pairing_oracle():
+    # the audit of tests/deep_windows.py --audit 4: every action matrix
+    # that the D = 4 solve and check read, in both models, against the
+    # column-by-column pairing path, which shares nothing with _image's
+    # expansion, its per-matrix memo or the scans' rows
+    assert verify_intertwiner(4).ok
+    checked = 0
+    for labels in ((0, 1, 0), (0, 0, 1)):
+        model = get_truncated(HighestWeightSpec(*labels), 4)
+        inverses = {}
+        for (le, key), held in sorted(model._act.items()):
+            assert oracles.pairing_act_matrix(model, le, key, inverses) == held, (labels, le, key)
+            checked += 1
+    assert checked == 1252
 
 
 def test_solve_w_matches_the_unstructured_system():

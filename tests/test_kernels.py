@@ -154,7 +154,8 @@ def _assert_pair_tuples(memo):
 
 def test_memo_values_are_stored_once_as_tuples():
     # the straightening, pair, image and derivation memos keep one table
-    # per outer key (a loop code, or a word for the pair memo), and each
+    # per outer key (a loop code, or a word for the pair memo), the
+    # rejected candidates' images one table by candidate, and each
     # result as a tuple of (key, coefficient) pairs, built once: a hit
     # returns the stored object itself, so no caller can change a memo by
     # mutating what it was handed, and the zero vector is ()
@@ -168,6 +169,12 @@ def test_memo_values_are_stored_once_as_tuples():
         for le in (affine.encode(n, b) for n in (-1, 0, 1) for b in affine.COLOR_BASES):
             if 0 <= model.target_key(le, key)[0] <= model.max_degree:
                 model.act_matrix(le, key)
+    # the images memo lives for one action matrix, so it is read inside one
+    # computation: the columns of every matrix with rows, taken one by one
+    assert not model._images
+    for (le, key), (_, rows, _) in sorted(model._act.items()):
+        for word in model.blocks[key].basis if rows else ():
+            model._image(le, word)
     table = DerivationTable()
     elem = pbw.straighten((f1, f1))
     table.image(next(iter(elem)))
@@ -186,6 +193,10 @@ def test_memo_values_are_stored_once_as_tuples():
     assert () in (v for inner in kernel._memo.values() for v in inner.values())
     assert kernel._pmemo and all(type(inner) is dict for inner in kernel._pmemo.values())
     assert all(type(v) is int for inner in kernel._pmemo.values() for v in inner.values())
+    assert model._rejected
+    _assert_pair_tuples(model._rejected)
+    for cand, value in list(model._rejected.items())[:5]:
+        assert model._image(cand[0], cand[1:]) is value
     assert table._images
     _assert_pair_tuples(table._images)
     for mono, value in table._images.items():
