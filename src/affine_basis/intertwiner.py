@@ -1,67 +1,66 @@
 """Truncated modules, tensor models, and the color intertwiner.
 
 A TruncatedModule is a finite exact model of an irreducible module up to a
-degree window D: for every (degree, weight) block it stores the block basis
-of the Verma engine (words of loop codes, each built from a basis word of the
-block below it, with their Verma vectors; a true basis of the block), the
-nonsingular Gram matrix of that basis, and exact action matrices of loop
-elements between blocks, as integer rows over one positive denominator.
+degree window: for every nonzero (degree, weight) block it holds the
+pbw.BlockBasis that block_support builds (basis words, each a storable step
+on a basis word of a lower block, their Verma vectors, the nonsingular Gram
+matrix and its Bareiss factor), and it computes exact action matrices of
+loop elements between blocks, as integer rows over one positive
+denominator.
 
-Action matrices come from the closure words.  Every basis word is a
-storable step (y,) + b on a basis word b of a lower block, so x applied to
-it expands by the enveloping-algebra identity
+Action matrices come from the closure words.  x applied to a basis word
+(y,) + b expands by the enveloping-algebra identity
 x.y.b = y.(x.b) + [x, y].b + (central term) into images of shorter words,
-down to closure candidates of the block scans (TruncatedModule._image): a
-kept candidate is a unit column, and a candidate the scan rejected gets its
-coordinates once, by back-substitution of the Bareiss row its keep test
-computed (pbw.BlockBasis.rejected) on the factor the block keeps
-(pbw.BlockBasis.factor), with no second straightening or pairing.  A block
-loaded from the disk cache was never scanned and has no such rows: its
-rejected candidates are paired and solved on the factor of the cache entry
-check (coordinates).  Blocks outside the support are zero by the closure
+down to closure candidates of the block scans (TruncatedModule._image).  A
+kept candidate is a unit column.  A rejected one takes its coordinates from
+its scan row (pbw.BlockBasis.rejected), or, on a block loaded from the disk
+cache, which has no scan rows, from its pairings solved on the block's
+factor (coordinates).  Blocks outside the support are zero by the closure
 theorem of pbw, and an image in an empty block of the window is certified
 zero by its norm.  No quotient basis is ever guessed.
 
-Models, with their blocks, action matrices, rejected candidates' images
-and certified maps, are kept per module, not per window.  get_truncated
-holds one TruncatedModule for each (highest weight, cache directory),
-closed to the deepest window asked for so far (TruncatedModule.close), as
-the Verma module under it is closed by block_support: a shallower request
-scans nothing, and a deeper one scans only the new degrees.  Windows stay
-arguments: solve_w, _check_commutation, TensorModule and the projection
-chain's depth each take their own.
+One model per module.  get_truncated holds one TruncatedModule for each
+(highest weight, cache directory), closed to the deepest window asked for
+so far (TruncatedModule.close), as the Verma module under it is closed by
+block_support: a shallower request scans nothing, and a deeper one scans
+only the new degrees.  Windows stay arguments: solve_w, _check_commutation,
+TensorModule and the projection chain's depth each take their own.  A
+model closed deeper gives every shallower window the answers a model built
+for that window gives, by these invariants:
 
-Solved maps are kept the same way (_solved_w): the source model holds one
-certified intertwiner per target model, solved and checked once on the
-deepest window asked for so far, and a deeper request solves and checks
-again and replaces it.  A shallower window W reads the map restricted to
-the degrees <= W (IntertwinerMap.restrict), which is the map solve_w finds
-on W, because solve_w at degree d reads only blocks and action matrices of
-degrees <= d.  A certificate that passed on the deeper window covers W,
-whose equations are among its own; one that failed is checked again on
-the restricted map, with no new solve.  verify_intertwiner and the
-projection chain both read this store, so the chain applies only maps
-certified in the same process, and the models and their maps are dropped
-together.  A model closed deeper gives every shallower window the answers
-a model built for that window gives, by these invariants:
-
-  * every nonzero block up to max_degree is in `blocks`;
+  * every nonzero block up to max_degree is in `blocks`, and a built block
+    never changes;
   * act_matrix refuses a target above max_degree before it reads its memo;
   * the _image recursion never leaves the top call's target degree: a
-    basis word's first letter is storable, so its degree is >= 0.  So the
-    rejected candidates' images and the action matrices memoised at a
-    lower closed degree stay valid after a close: a built block never
-    changes;
-  * a close that scans a block, as the first build does, and each action
-    matrix act_matrix computes end by emptying the kernel's straightening
-    and pair memos (VermaKernel.clear_memos), and each such matrix also
-    the model's images memo, _images[x][word]: between builds the kernel
-    straightens and pairs only the images into empty blocks and the
-    rejected candidates of blocks loaded from the disk cache, and only the
-    matrix being computed reads the images, so these memos live for one
-    close or one action matrix.  The rejected candidates' images, the
-    costly leaves, stay in _rejected.  Emptying a memo changes no result;
-    a close that scans nothing and a memoised action matrix leave them.
+    basis word's first letter is storable, so its degree is >= 0.
+
+Memos.  Emptying a memo changes no result.  Their lifetimes:
+
+  * the kernel's straightening and pair memos (kernels.VermaKernel) are
+    emptied (clear_memos) at the end of every close that gets past its
+    early return and of every action matrix act_matrix computes.  Between
+    builds the kernel straightens and pairs only the images into empty
+    blocks and the rejected candidates of blocks loaded from the disk
+    cache;
+  * the images memo, images[x][word], is a local table of each act_matrix
+    call that computes a matrix, handed to _image, so the commutator
+    expansions behind a matrix live only while it is computed;
+  * the action matrices (_act), each basis word's place (_place), the
+    rejected candidates' images (_rejected: the costly leaves, computed
+    once each) and the certified maps (_solved) live as long as the model:
+    by the invariants above they stay valid as it grows.
+
+Certified maps (_solved_w).  The source model holds one certified
+intertwiner per target model, solved and checked once on the deepest
+window asked for so far; a deeper request solves and checks again and
+replaces it.  A shallower window W reads the map restricted to the degrees
+<= W (IntertwinerMap.restrict), which is the map solve_w finds on W,
+because solve_w at degree d reads only blocks and action matrices of
+degrees <= d.  A certificate that passed on the deeper window covers W,
+whose equations are among its own; one that failed is checked again on the
+restricted map, with no new solve.  verify_intertwiner and the projection
+chain both read this store, so the chain applies only maps certified in
+the same process, and the maps are dropped with their models.
 
 TensorModule combines several truncated modules with the coproduct action
 (sum over slots) and the product pairing.  Levels add; the tensor of level-1
@@ -83,12 +82,16 @@ stacked lowering ones, as W_S = X_S + N2 Y M1 with a few free parameters
 Y (blocksolve.solve_two_sided); only the mode-0 equations and the
 normalization, reduced to rows in those parameters, go to solve_sparse
 (blocksolve.solve_linked), which reads its solution off the same sparse
-Gauss-Jordan, linalg.echelon, that eliminates the blocks.  No row is
-written per matrix entry.  An equation into an empty target block
-shift(x(S)) has no rows and holds for every W, so solve_w and the
-commutation check skip it before computing either action matrix, which
-weakens neither; one whose source block x(S) alone is empty still reads
-A2 W[S] = 0.
+Gauss-Jordan, linalg.echelon, that eliminates the blocks, free parameters
+set to zero.  No row is written per matrix entry.
+
+Empty targets.  An equation into an empty target block shift(x(S)) has no
+rows and holds for every W: both sides map into the zero space.  So
+solve_w and _check_commutation skip it before computing either action
+matrix, which weakens neither.  One whose source block x(S) alone is empty
+still reads A2 W[S] = 0, and its source matrix still goes through the norm
+check.
+
 Action matrices and intertwiner blocks are plain lists of integer rows of
 their block's shape, over one denominator per action matrix and one per
 degree of w; a zero map is a zero matrix, with no rows when the target
@@ -120,19 +123,14 @@ EPS1 = (1, 0)
 
 class TruncatedModule:
     """Exact finite model of the irreducible module of `spec` up to degree
-    max_degree, the deepest window it was closed to.  Blocks are discovered
-    by the Verma engine's support closure, so the block list is provably
-    complete within the window, and block_support checks their dimensions
-    against the Weyl group.  `blocks` maps each nonzero block to the
-    pbw.BlockBasis that block_support returns: its words, vectors, Gram
-    matrix and Bareiss factor.  The model grows by close, and every memo
-    stays valid as it grows (see the module docstring)."""
+    max_degree, the deepest window it was closed to.  `blocks` maps each
+    nonzero block to the pbw.BlockBasis that block_support returns, so the
+    block list is complete within the window and Weyl-checked."""
 
     def __init__(self, spec, max_degree, cache_dir=None):
         self.verma = VermaModule(spec, gens=GEN_C2, cache_dir=cache_dir)
         self.max_degree = -1  # close sets it and `blocks`
         self._act = {}
-        self._images = defaultdict(dict)  # for one action matrix
         self._rejected = {}  # rejected closure candidate: its image
         self._place = {}  # basis word: (its block, its index there)
         self._solved = {}  # target model: (window, certified intertwiner), see _solved_w
@@ -140,21 +138,18 @@ class TruncatedModule:
 
     def close(self, max_degree):
         """Extend the model to degree max_degree; a window it already holds
-        scans nothing, and a close that scans a block empties the kernel's
-        memos (see the module docstring).  A negative window
-        raises ValueError, here and not only on a new model."""
+        scans nothing.  A negative window raises ValueError, here and not
+        only on a new model."""
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative, got %d" % max_degree)
         if max_degree <= self.max_degree:
             return
-        built = len(self.verma._bases)
         self.blocks = self.verma.block_support(max_degree)
         self.max_degree = max_degree
         for key, blk in self.blocks.items():
             for i, word in enumerate(blk.basis):
                 self._place[word] = (key, i)
-        if len(self.verma._bases) > built:
-            self.verma.kernel.clear_memos()
+        self.verma.kernel.clear_memos()
 
     def dim(self, key):
         return self.blocks[key].rank if key in self.blocks else 0
@@ -178,11 +173,9 @@ class TruncatedModule:
         Gram determinant: the pairings of the basis words with the vector,
         solved on the Gram factor (linalg.gram_solve).  The zero vector has
         zero coordinates, with no pairing; a vector in an empty block must
-        be zero in the quotient, which its norm decides.  Raises ValueError
-        if a monomial lies outside block `key`, where every pairing would
-        vanish.  Action matrices read it only for images into an empty block
-        and for the rejected closure candidates of a block loaded from the
-        disk cache, which has no scan rows (pbw.BlockBasis.rejected)."""
+        be zero in the quotient, which its norm decides (ArithmeticError
+        otherwise), and has no coordinates.  Raises ValueError if a monomial
+        lies outside block `key`, where every pairing would vanish."""
         blk = self.blocks.get(key)
         if not terms:
             return [0] * self.dim(key)
@@ -204,12 +197,11 @@ class TruncatedModule:
         chosen bases, exact.  Returns (target_key, rows, den): dim(target)
         integer rows of dim(key) entries over the positive denominator den,
         reduced by their gcd, so an empty target gives no rows and a zero
-        map has den 1.  Column b is _image(le, b).  An image in an empty
+        map has den 1.  Column b is _image(le, b); an image in an empty
         block of the window goes through `coordinates` instead, which
-        certifies by its norm that it vanishes.  The window is checked
-        before the memo, which holds the matrices of every window the model
-        was closed to; a matrix computed here empties the kernel's memos
-        and the images memo (see the module docstring)."""
+        certifies by its norm that it vanishes.  A target outside the
+        window raises ValueError before the memo of computed matrices is
+        read."""
         if not 0 <= key[0] + affine.degree_of(le) <= self.max_degree:
             raise ValueError(
                 "action leaves the degree window: %r -> %r" % (key, self.target_key(le, key))
@@ -223,7 +215,8 @@ class TruncatedModule:
         rows = []
         den = 1
         if tgt in self.blocks:
-            cols = [self._image(le, b) for b in words]
+            images = defaultdict(dict)
+            cols = [self._image(le, b, images) for b in words]
             den = math.lcm(
                 *(c.denominator for col in cols for _, c in col if type(c) is Fraction)
             )
@@ -237,25 +230,23 @@ class TruncatedModule:
         out = (tgt, rows, den)
         self._act[memo_key] = out
         self.verma.kernel.clear_memos()
-        self._images.clear()
         return out
 
-    def _image(self, x, word):
+    def _image(self, x, word, images):
         """x . word in the irreducible quotient, for a loop code x and a
         basis word of the model, as a tuple of (basis word of the target
-        block, int or Fraction coefficient) pairs, () for zero; memoised
-        as _images[x][word] for one action matrix, and a hit returns the
-        stored tuple.
+        block, int or Fraction coefficient) pairs, () for zero; memoised in
+        `images`, as images[x][word], and a hit returns the stored tuple.
 
         A block outside the support is zero (the closure argument of the
         pbw docstring).  A storable x with word empty or x <= word[0] gives
         the closure candidate (x,) + word: a unit column if the scan kept
-        it, else its coordinates, once, kept in _rejected: the scan's row u
-        of it back-substituted on the first m = len(u) rows of the block's
-        factor, over D_m (the words kept after it get 0), or on a block
-        loaded from the disk cache, which has no rows, `coordinates` over the
-        block's determinant.  On the top word the Cartan elements act by the highest
-        weight and every other non-storable code kills.  Otherwise, with word = (y,) + rest, the
+        it, else its coordinates, kept in _rejected: its scan row
+        back-substituted on the block's factor (pbw.BlockBasis.rejected),
+        over D_m for m = len(row), or, on a block loaded from the disk
+        cache, `coordinates` over the block's determinant.  On the top word
+        the Cartan elements act by the highest weight and every other
+        non-storable code kills.  Otherwise, with word = (y,) + rest, the
         enveloping-algebra identity
             x.y.rest = y.(x.rest) + [x, y].rest + i <x, y> k rest,
         the last term only when the modes i of x and j of y sum to 0, k the
@@ -265,7 +256,7 @@ class TruncatedModule:
         codes below x or shorter words (the pbw docstring's increasing-word
         argument), and a non-storable x calls itself and other non-storable
         codes only on shorter words."""
-        table = self._images[x]
+        table = images[x]
         out = table.get(word)
         if out is not None:
             return out
@@ -297,11 +288,11 @@ class TruncatedModule:
         else:
             y, rest = word[0], word[1:]
             acc = {}
-            for m, c in self._image(x, rest):
-                add_into(acc, self._image(y, m), c)
+            for m, c in self._image(x, rest, images):
+                add_into(acc, self._image(y, m, images), c)
             mode = (x >> 4) + (y >> 4)
             for cf, k in kernel.bracket[x & 15][y & 15]:
-                add_into(acc, self._image((mode << 4) + k, rest), cf)
+                add_into(acc, self._image((mode << 4) + k, rest, images), cf)
             add_into(acc, ((rest, 1),), _central(kernel.form, kernel.level, x, y))
             out = tuple(acc.items())
         table[word] = out
@@ -346,10 +337,8 @@ _TRUNC_CACHE = {}
 
 
 def get_truncated(spec, max_degree, cache_dir=None):
-    """The model of `spec`, holding at least degree max_degree.
-    _TRUNC_CACHE holds one TruncatedModule per (spec, cache_dir): the first
-    call builds it, and a later one closes it to max_degree, which scans
-    only the degrees no earlier call reached, none if it is smaller."""
+    """The model of `spec` in _TRUNC_CACHE, one per (spec, cache_dir),
+    built on the first call and closed to at least max_degree."""
     key = (spec.as_tuple(), cache_dir)
     mod = _TRUNC_CACHE.get(key)
     if mod is None:
@@ -465,34 +454,16 @@ def _zeros(n_rows, n_cols):
 
 def solve_w(source, target, max_degree):
     """Solve for all maps source -> target that shift finite weights by
-    eps1, kill the source top vector, normalize the weight-(0,1) top basis
+    eps1, kill the source top vector, send the weight-(0,1) top basis
     vector to the target top, and commute with every color operator inside
-    the window, which must lie in both models.  The unknowns of degree d are
-    the entries of the blocks W[key] of degree d.  Each commutation
-    equation d2 W[t1] a1 = d1 a2 W[key] (A1 = a1/d1 on the source, A2 =
-    a2/d2 on the target) belongs to the degree of the larger of its two
-    blocks, so it reads blocks of lower degrees only as solved values: a
-    raising mode (n > 0) constrains W[key] by A2 W_S = R, a lowering mode
-    W[t1] by W_S A1 = C, and mode 0 couples two unknown blocks.  An
-    equation into an empty target block shift(t1) has no rows and
-    constrains nothing, so it is skipped before its action matrices.
-
-    Each degree is solved block by block: the raising equations of a
-    block S, stacked, and its lowering ones, transposed and stacked
-    (_stacked_rows), are each eliminated once (blocksolve.solve_two_sided),
-    which gives W_S = X_S + N2 Y M1 with a few free parameters Y.
-    blocksolve.solve_linked substitutes these into the mode-0 equations
-    and the normalization: an equation whose blocks hold no parameter is
-    checked as an integer matrix, and only rows in the parameters go to
-    solve_sparse, free parameters set to zero.  freedom[d] is the number
-    of parameters minus the rank of those rows.  Each degree's blocks are
-    stored as integer numerators over one reduced common denominator.
-    Returns the IntertwinerMap; a degree without a solution ends the
-    solve, with freedom None there (see IntertwinerMap.consistent) and the
-    first block in the walk whose two-sided solve has none, or else the
-    linked solve, as its failure.  Its
-    one caller is the store of certified maps (_solved_w), which
-    verify_intertwiner and the projection chain read."""
+    the window, which must lie in both models (ValueError otherwise), block
+    by block as the module docstring says.  Returns the IntertwinerMap:
+    each degree's blocks as integer numerators over one reduced common
+    denominator, free parameters set to zero, and freedom[d] the number of
+    parameters minus the rank of the linked rows.  A degree without a
+    solution ends the solve, with freedom None there and, as the map's
+    failure, the first block in the walk whose two-sided solve has none,
+    or else the linked solve."""
     if not 0 <= max_degree <= min(source.max_degree, target.max_degree):
         raise ValueError("window %d is not inside both models" % max_degree)
     by_degree = {}
@@ -587,16 +558,10 @@ def _stacked_rows(equations, raising):
 
 
 def _solved_w(source, target, window):
-    """(w, certificate) on the window: w is the map solve_w(source, target,
-    window) finds, and the certificate is _certify's (top killed, commutes,
-    failure).
-    The source model holds one record per target model: the deepest window
-    asked for so far, with its map and certificate, each computed once; a
-    deeper window solves and certifies again and replaces the record.  A
-    shallower window reads the restricted map (IntertwinerMap.restrict) and
-    the record's certificate if it passed, since the shallower equations
-    are among those it checked; a failed one is checked again on the
-    restricted map, which may pass there, with no new solve."""
+    """(w, certificate) on the window, from the source model's store of
+    certified maps (see the module docstring): w is the map
+    solve_w(source, target, window) finds, and the certificate is
+    _certify's (top killed, commutes, failure)."""
     held = source._solved.get(target)
     if held is None or held[0] < window:
         wmap = solve_w(source, target, window)
@@ -645,8 +610,7 @@ def verify_intertwiner(max_degree, cache_dir=None):
     report per degree, annihilation of the source top vector, and (post hoc,
     independently of the solver) commutation with every color operator on
     every basis vector.  The map and its certificate come from the store
-    (_solved_w) that the projection chain reads, so a run solves and checks
-    each map once."""
+    of certified maps (_solved_w)."""
     t0 = time.perf_counter()
     wmap, cert = _certified_w(max_degree, cache_dir)
     return StepReport(
@@ -664,12 +628,10 @@ def _check_commutation(source, target, wmap, max_degree):
     cross-multiplied by the denominators: with A1 = a1/d1, A2 = a2/d2,
     W[t1] over e1 and W[key] over e, it checks
     (W[t1].a1) * d2 * e == (a2.W[key]) * e1 * d1.  It reads only the solved
-    blocks and the action matrices, never the solver's equations.  Source
-    blocks above the window, which a model closed deeper holds, are
-    skipped: w has no blocks there.  So, before its action matrices, is an
-    equation into an empty target block shift(t1): both sides map into the
-    zero space, so no claim is weakened.  Returns None, or the first
-    failing (source block, loop code)."""
+    blocks and the action matrices, never the solver's equations, and
+    skips source blocks above the window, where w has no blocks, and
+    equations into an empty target block (see the module docstring).
+    Returns None, or the first failing (source block, loop code)."""
     for key in source.block_keys():
         if key[0] > max_degree:
             break  # the keys ascend by degree
@@ -740,9 +702,9 @@ def verify_projection_chain(kind, pi, cache_dir=None):
 
     The tensor models and w are those of the partition's own window,
     max(degree, 1), on the shared models (get_truncated), which may hold
-    more.  w and its certificate come from the store (_solved_w), so
-    partitions share one solve and check; a w that is not certified on the
-    window fails the step, with verify_intertwiner's witness there.  A kind
+    more.  w and its certificate come from the store of certified maps
+    (_solved_w); a w that is not certified on the window fails the step,
+    with verify_intertwiner's witness there.  A kind
     other than A1Standard and k1 = 0 raise ValueError before any model is
     built."""
     t0 = time.perf_counter()
@@ -784,10 +746,9 @@ def verify_projection_chain(kind, pi, cache_dir=None):
 def sweep_projection_chain(kind, max_degree, cache_dir=None):
     """verify_projection_chain over every admissible partition up to
     max_degree, aggregated into one report (witness lists each mu).  It
-    first solves and certifies w on its deepest window, max(max_degree, 1),
-    so each partition reads that map restricted to its own window
-    (_solved_w): a sweep solves once, and a later sweep no deeper solves
-    nothing.  A kind other than A1Standard, k1 = 0 and a negative window
+    certifies w on its deepest window, max(max_degree, 1), first, so its
+    partitions share one solve (_solved_w).  A kind other than
+    A1Standard, k1 = 0 and a negative window
     raise ValueError before any model is built."""
     _long_root_labels(kind, chain=True)
     if max_degree < 0:

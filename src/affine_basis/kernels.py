@@ -24,26 +24,19 @@ certified there holds in U(g^).  No central term enters: the cocycle
 i <x, y> c of [x(i), y(j)] needs i + j = 0, which for i, j <= 0 forces
 i = 0 (Kac, Infinite-Dimensional Lie Algebras, ch. 7).
 
-Memos.  Each kernel object owns its memos, and they live as long as it
-does unless its owner empties them.  Each holds one table per outer key,
-so no key tuple is built per entry, and stores each result once, as an
-immutable value that a hit returns itself:
+Memos.  Each kernel object owns its memos.  Each holds one table per
+outer key, so no key tuple is built per entry, and stores each result
+once, as an immutable value that a hit returns itself:
 
   * VermaKernel._memo  -- act_le results (straightening), as
     _memo[le][mono] = tuple of (monomial, coefficient) pairs, () for the
-    zero vector, and
+    zero vector;
   * VermaKernel._pmemo -- pair_monos results, as _pmemo[m1][m2] = int.
     Block bases are built from the bases below, so one build straightens
-    and pairs the same words many times.  A truncated model
-    (intertwiner.TruncatedModule) empties both, through clear_memos, after
-    each close that scanned a block and after each action matrix it
-    computes: its action matrices take the rejected candidates'
-    coordinates from the scan's rows and straighten and pair only the
-    images into empty blocks (and the rejected candidates of blocks loaded
-    from the disk cache), so both memos, like its images memo, live for
-    one build or one action matrix.
-  * UKernel._memo      -- act_le results, laid out as VermaKernel's, for
-    the life of the kernel (one per process, pbw.ukernel).
+    and pairs the same words many times;
+  * UKernel._memo      -- act_le results, laid out as VermaKernel's.
+
+clear_memos empties VermaKernel's two memos and changes no result.
 
 Encoding: a loop element x(n) is the integer le = 16*n + base (see affine).
 Monomials are tuples of codes, weakly decreasing left to right; the empty

@@ -194,10 +194,8 @@ def back_substitute(cols, minors, u):
 def gram_solve(cols, minors, p):
     """adj(G).p, for the gram_factor (cols, minors) of a positive definite
     G with det G = D_r = minors[-1]: p is eliminated as one more bordered
-    column u, then back_substitute solves on all r rows.  A block scan
-    keeps the u of each candidate it rejects, so this forward half runs
-    only where no scan did: on blocks loaded from the disk cache
-    (TruncatedModule.coordinates) and in invert."""
+    column u, then back_substitute solves on all r rows.  Its callers are
+    TruncatedModule.coordinates and invert."""
     return back_substitute(cols, minors, bordered_minor(cols, minors, p, 0)[0])
 
 

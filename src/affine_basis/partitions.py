@@ -35,7 +35,10 @@ import json
 
 
 def _freqs(pairs):
-    """Normalize a {size: frequency} mapping to a sorted tuple of pairs."""
+    """Normalize a {size: frequency} mapping, or an iterable of (size,
+    frequency) pairs, to a sorted tuple of pairs with nonzero frequencies.
+    A negative size or frequency, or a size given twice with nonzero
+    frequencies, raises ValueError."""
     if isinstance(pairs, dict):
         items = pairs.items()
     else:
@@ -44,6 +47,8 @@ def _freqs(pairs):
     for j, f in out:
         if j < 0 or f < 0:
             raise ValueError("part sizes and frequencies must be nonnegative")
+    if len({j for j, _ in out}) < len(out):
+        raise ValueError("a part size is given twice: %r" % (out,))
     return out
 
 

@@ -137,12 +137,16 @@ class BlockBasis:
     the increasing closure candidates scanned (see the module docstring).
     `factor` is linalg.gram_factor(matrix), as the keep test built it (or
     the disk-cache entry check), so the Gram matrix is eliminated once per
-    process; factor[1][-1] is its determinant.  `rejected` maps each
-    candidate the scan rejected to the Bareiss row u its keep test computed
-    against the m = len(u) words kept before it, so linalg.back_substitute
-    on the first m rows of `factor` gives its coordinates over minors[m]
-    with no second pairing; it is None on a block loaded from the disk
-    cache, which was never scanned."""
+    process; factor[1][-1] is its determinant.
+
+    Scan rows.  `rejected` maps each candidate the scan rejected to the
+    Bareiss row u its keep test computed against the m = len(u) words kept
+    before it, so linalg.back_substitute on the first m rows of `factor`
+    gives its coordinates over minors[m] (the words kept after it get 0)
+    with no second straightening or pairing; the truncated model's action
+    matrices read them (intertwiner).  It is None on a block loaded from
+    the disk cache, which was never scanned: there a rejected candidate's
+    coordinates are its pairings solved on `factor`."""
 
     def __init__(self, basis, matrix, candidates, vectors, factor, rejected):
         self.basis = basis            # chosen words, deterministic order
@@ -195,9 +199,10 @@ class VermaModule:
     def vacuum(self):
         return {(): 1}
 
-    def act_word(self, word, vec=None):
-        """Apply a word of loop codes (leftmost factor acts last)."""
-        return self.kernel.act_word(tuple(word), self.vacuum() if vec is None else vec)
+    def act_word(self, word):
+        """The vector of a word of loop codes applied to the highest weight
+        vector, leftmost factor last."""
+        return self.kernel.act_word(tuple(word), self.vacuum())
 
     def abs_weight(self, mono):
         sh = affine.word_weight(mono)
@@ -248,13 +253,11 @@ class VermaModule:
         form is positive definite on every block of the quotient (the
         highest weight is dominant integral), so a zero complement certifies
         linear dependence, a zero self-pairing certifies the zero vector, and
-        a negative minor is impossible; one raises ArithmeticError.  The
-        bordered row u of each rejected candidate is kept
-        (BlockBasis.rejected): it gives that candidate's coordinates.
+        a negative minor is impossible; one raises ArithmeticError.  Each
+        rejected candidate's bordered row is kept (BlockBasis.rejected).
 
         A disk-cache entry is keyed by the block's candidate words and used
-        only if its chosen indices are strictly increasing and in range and
-        its Gram matrix is a symmetric positive definite integer matrix;
+        only if it passes _valid_basis_entry (see the cache docstring);
         otherwise the block is recomputed and the entry overwritten."""
         key = (degree, tuple(weight))
         bb = self._bases.get(key)

@@ -80,10 +80,8 @@ class StepReport:
 class DerivationTable:
     """Single-generator replacement table of the derivation: base index ->
     tuple of (coeff, base).  Built from the bracket with x12; the mutate()
-    hook returns a poisoned copy for negative controls.  Each table memoises
-    the image of every monomial it has been applied to (image), so a
-    straightened replaced word is computed once per table; a mutated copy
-    starts with an empty memo of its own."""
+    hook returns a poisoned copy for negative controls, with an empty
+    image memo of its own."""
 
     def __init__(self, action=None):
         if action is None:
@@ -120,8 +118,7 @@ _TABLE = None
 
 
 def _default_table():
-    """The derivation table of the structure table, built once per process
-    (as pbw.ukernel is), so its image memo serves every t_apply."""
+    """The derivation table of the structure table, one per process."""
     global _TABLE
     if _TABLE is None:
         _TABLE = DerivationTable()
@@ -212,7 +209,7 @@ def verify_translation(kind, pi, module=None):
     ok = mu is not None and mu != 0
     killed = None
     if ok:
-        killed = module.zero_in_quotient(module.act_word(raiser, u))
+        killed = module.zero_in_quotient(module.kernel.act_word(raiser, u))
         ok = killed
     return StepReport(
         step="translation",

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shlex
 import tempfile
 from unittest.mock import patch
 
@@ -18,8 +19,35 @@ from affine_basis import intertwiner
 from affine_basis.verify import StepReport
 
 
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+
 def run(argv):
     return cli.main(argv)
+
+
+def _readme_block(section, lang):
+    """The body of the first ```lang block under README's `## section`."""
+    with open(README, encoding="utf-8") as f:
+        text = f.read()
+    body = text.split("\n## %s\n" % section, 1)[1]
+    return body.split("```%s\n" % lang, 1)[1].split("```", 1)[0]
+
+
+def test_every_readme_command_line_exits_zero(monkeypatch):
+    # each affine-basis line of README's command-line block, run as
+    # written with no disk cache
+    monkeypatch.delenv("AFFINE_BASIS_CACHE", raising=False)
+    block = _readme_block("Command line", "sh")
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("affine-basis ")]
+    assert len(commands) == 8
+    for argv in commands:
+        assert run(argv) == 0, argv
+
+
+def test_the_readme_library_example_runs(monkeypatch):
+    monkeypatch.delenv("AFFINE_BASIS_CACHE", raising=False)
+    exec(_readme_block("Library example", "python"), {})
 
 
 def test_enumerate_text_and_total(capsys):

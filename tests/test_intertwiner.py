@@ -264,17 +264,17 @@ def test_a_model_closed_deeper_equals_a_model_built_alone():
 
 def test_a_model_build_frees_the_straightening_memo():
     # a build or a close that scans blocks, and each action matrix the
-    # model computes, empty both kernel memos (straightening and pairs) and
-    # the model's images memo; a request the model already holds scans
-    # nothing, and the rejected candidates' images stay with the model
-    # through a close.  Some of these matrices map into an empty block,
-    # whose images are straightened and paired for their norm check
+    # model computes, empty both kernel memos (straightening and pairs); a
+    # request the model already holds scans nothing, and the rejected
+    # candidates' images stay with the model through a close.  Some of
+    # these matrices map into an empty block, whose images are
+    # straightened and paired for their norm check
     spec = HighestWeightSpec(0, 1, 0)
     model = get_truncated(spec, 1)
     kernel = model.verma.kernel
 
     def emptied():
-        return not (kernel._memo or kernel._pmemo or model._images)
+        return not (kernel._memo or kernel._pmemo)
 
     assert emptied()
     actions = list(_window_actions(model, affine.COLOR_BASES, (-1,)))
@@ -293,6 +293,39 @@ def test_a_model_build_frees_the_straightening_memo():
         model.act_matrix(le, key)
         assert emptied()
     assert len(model._rejected) > len(rejected)
+
+
+def test_each_computed_action_matrix_hands_image_one_fresh_table(monkeypatch):
+    # the images memo is local to one act_matrix call: each matrix it
+    # computes hands _image a new, empty table, which the recursion behind
+    # that matrix shares and no other call reuses; a memoised matrix, and
+    # one into an empty target, compute no image
+    model = TruncatedModule(HighestWeightSpec(0, 1, 0), 2)
+    image = TruncatedModule._image
+    seen = []  # (table, whether it was empty) of each _image call
+
+    def spy(self, x, word, images):
+        seen.append((images, not images))
+        return image(self, x, word, images)
+
+    monkeypatch.setattr(TruncatedModule, "_image", spy)
+    actions = list(_window_actions(model, affine.COLOR_BASES, (-1, 0, 1)))
+    into_empty = [(le, key) for le, key in actions if not model.dim(model.target_key(le, key))]
+    assert into_empty and len(into_empty) < len(actions)
+    tables = []
+    for le, key in actions:
+        seen.clear()
+        model.act_matrix(le, key)
+        if (le, key) in into_empty:
+            assert not seen, (le, key)
+        else:
+            table, fresh = seen[0]
+            assert fresh and all(t is table for t, _ in seen), (le, key)
+            tables.append(table)
+        seen.clear()
+        model.act_matrix(le, key)
+        assert not seen, (le, key)
+    assert len({id(t) for t in tables}) == len(tables)
 
 
 def test_act_matrix_entries_match_kernel_action():

@@ -1,6 +1,8 @@
 """Kernel semantics: the module action, pairing, Gram and enveloping-product
 kernels."""
 
+from collections import defaultdict
+
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -169,12 +171,12 @@ def test_memo_values_are_stored_once_as_tuples():
         for le in (affine.encode(n, b) for n in (-1, 0, 1) for b in affine.COLOR_BASES):
             if 0 <= model.target_key(le, key)[0] <= model.max_degree:
                 model.act_matrix(le, key)
-    # the images memo lives for one action matrix, so it is read inside one
-    # computation: the columns of every matrix with rows, taken one by one
-    assert not model._images
+    # the images memo is local to each act_matrix call, so this test hands
+    # _image a table of its own: the columns of every matrix with rows
+    images = defaultdict(dict)
     for (le, key), (_, rows, _) in sorted(model._act.items()):
         for word in model.blocks[key].basis if rows else ():
-            model._image(le, word)
+            model._image(le, word, images)
     table = DerivationTable()
     elem = pbw.straighten((f1, f1))
     table.image(next(iter(elem)))
@@ -182,7 +184,7 @@ def test_memo_values_are_stored_once_as_tuples():
     nested = [
         (kernel._memo, kernel.act_le),
         (pbw.ukernel()._memo, pbw.ukernel().act_le),
-        (model._images, model._image),
+        (images, lambda x, word: model._image(x, word, images)),
     ]
     for memo, lookup in nested:
         assert memo and all(type(inner) is dict for inner in memo.values())
@@ -196,7 +198,7 @@ def test_memo_values_are_stored_once_as_tuples():
     assert model._rejected
     _assert_pair_tuples(model._rejected)
     for cand, value in list(model._rejected.items())[:5]:
-        assert model._image(cand[0], cand[1:]) is value
+        assert model._image(cand[0], cand[1:], defaultdict(dict)) is value
     assert table._images
     _assert_pair_tuples(table._images)
     for mono, value in table._images.items():

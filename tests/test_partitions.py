@@ -54,6 +54,8 @@ def test_normalization_sorts_and_drops_zero_frequencies():
         P(a={1: -1})
     with pytest.raises(ValueError):
         P(b={-1: 1})
+    with pytest.raises(ValueError):
+        P(a=[(1, 1), (1, 2)])
 
 
 def test_degree_max_part_and_totals():

@@ -233,7 +233,7 @@ def test_vacuum_and_act_word():
     assert module.pair(v, v) == 1
     w1 = (affine.encode(-1, 9),)
     w2 = (affine.encode(0, 3), affine.encode(-1, 5))
-    assert module.act_word(w1 + w2) == module.act_word(w1, module.act_word(w2))
+    assert module.act_word(w1 + w2) == module.kernel.act_word(tuple(w1), module.act_word(w2))
     assert module.abs_weight(w1) == (1 + 2, 0)
 
 
